@@ -383,6 +383,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_literal(text: str) -> bool:
+    try:
+        return bool(parse_complex_list(text))
+    except ConfigError:
+        return False
+
+
+def _attach_literals(argv: list[str]) -> list[str]:
+    """Rewrite ``--roots -1;1`` as ``--roots=-1;1`` so argparse keeps the value.
+
+    argparse takes a token that starts with "-" for an option unless it reads
+    as a plain negative number, which "-1;1", "-2i" and "-1e-3" do not.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and arg.startswith("-") and _is_literal(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(cfg: RunConfig) -> str:
     """Dispatch a validated configuration; returns the report text."""
     return _COMMANDS[cfg.command](cfg)
@@ -391,7 +413,7 @@ def run(cfg: RunConfig) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_attach_literals(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

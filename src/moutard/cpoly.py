@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InsufficientRoots, NonConvergence
@@ -85,10 +85,18 @@ class ComplexPoly:
 class RootSet:
     """All roots of a polynomial, multiplicity by repetition.
 
-    The order is deterministic for a given input but carries no meaning.
+    The order is deterministic for a given input but carries no meaning,
+    except that a warm-started solve (``roots(p, init=...)``) usually keeps
+    each root next to the guess it started from.  ``sweeps`` counts the
+    Aberth sweeps spent, including those of a warm run that fell back to the
+    cold seed, and ``worst_residual`` is the largest scaled residual
+    |p(x)| / max(1, sum_j |c_j||x|^j) over the returned roots.  Neither takes
+    part in equality.
     """
 
     roots: tuple[complex, ...]
+    sweeps: int = field(default=0, compare=False)
+    worst_residual: float = field(default=0.0, compare=False)
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -158,35 +166,31 @@ def _horner_full(coeffs: Sequence[complex], x: complex) -> tuple[complex, comple
     return acc, dacc, scale
 
 
-def roots(
-    p: ComplexPoly,
-    tol: float = DEFAULT_ROOT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> RootSet:
-    """All roots of p via deterministic Aberth-Ehrlich simultaneous iteration.
+def _cold_seed(coeffs: Sequence[complex]) -> list[complex]:
+    """n guesses on a circle that encloses every root, rotated off the axes.
 
-    Initial guesses sit on a circle of radius 1 + max|coeff|, rotated by an
-    irrational fraction of a turn so they never align with axes of symmetry.
-    Sweeps update the guesses in place until every residual reaches its
-    rounding floor or the corrections stagnate at machine precision.
-
-    ``tol`` bounds the scaled residual |p(x)| / max(1, sum_j |c_j||x|^j); the
-    scaling makes the gate meaningful for polynomials whose coefficients are
-    large, where an absolute bound on |p(x)| is unattainable in double
-    precision.  Raises NonConvergence if any root misses the gate after
-    ``max_iter`` sweeps.
+    The radius is the Fujiwara-type bound 2 * max_k |c_{n-k}|^(1/k), which
+    has the size of the roots, not of the coefficients (those grow like r^n
+    for roots of size r, and Horner at that radius overflows from moderate
+    degrees on).  It is 1 when every lower coefficient is 0, i.e. for z^n.
     """
-    n = p.degree
-    if n == 0:
-        return RootSet(())
-    coeffs = p.coeffs
-
-    radius = 1.0 + max(abs(c) for c in coeffs)
-    xs = [
+    n = len(coeffs) - 1
+    radius = 2.0 * max(abs(coeffs[n - k]) ** (1.0 / k) for k in range(1, n + 1))
+    if radius == 0:
+        radius = 1.0
+    return [
         radius * cmath.exp(2j * math.pi * (k / n + _GOLDEN_FRAC))
         for k in range(n)
     ]
 
+
+def _aberth(coeffs: Sequence[complex], xs: list[complex], max_iter: int) -> tuple[int, float]:
+    """Aberth-Ehrlich sweeps on the guesses xs, in place.
+
+    Returns the sweeps run and the final worst scaled residual, which is inf
+    as soon as an iterate or a Horner value stops being finite.
+    """
+    n = len(xs)
     stagnate = 2.0 ** -50
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
@@ -194,6 +198,8 @@ def roots(
         for i in range(n):
             x = xs[i]
             pv, dv, scale = _horner_full(coeffs, x)
+            if not math.isfinite(abs(pv) + abs(dv) + scale):
+                return sweeps, math.inf
             if abs(pv) <= 4.0 * _EPS * scale:
                 continue  # at the rounding floor; moving would add noise
             if dv == 0:
@@ -216,18 +222,64 @@ def roots(
                 continue
             delta = newton / denom
             xs[i] = x - delta
+            if not cmath.isfinite(xs[i]):
+                return sweeps, math.inf
             if abs(delta) > stagnate * (1 + abs(x)):
                 finished = False
         if finished:
             break
-
     worst = 0.0
     for x in xs:
         pv, _, scale = _horner_full(coeffs, x)
-        worst = max(worst, abs(pv) / max(1.0, scale))
-    if worst >= tol:
-        raise NonConvergence(sweeps, worst)
-    return RootSet(tuple(xs))
+        r = abs(pv) / max(1.0, scale)
+        if not math.isfinite(r):
+            return sweeps, math.inf
+        worst = max(worst, r)
+    return sweeps, worst
+
+
+def roots(
+    p: ComplexPoly,
+    tol: float = DEFAULT_ROOT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    init: Sequence[complex] | None = None,
+) -> RootSet:
+    """All roots of p via deterministic Aberth-Ehrlich simultaneous iteration.
+
+    Cold guesses sit on a circle of radius 2 * max_k |c_{n-k}|^(1/k) (see
+    :func:`_cold_seed`), rotated by an irrational fraction of a turn so they
+    never align with axes of symmetry.  ``init``, if given, holds one guess
+    per root, e.g. the roots of a nearby polynomial, and the iteration starts
+    there instead; it is only a hint: when the warm run misses the residual
+    gate, the solve reruns from the cold seed before giving up.  Sweeps
+    update the guesses in place until every residual reaches its rounding
+    floor or the corrections stagnate at machine precision.
+
+    ``tol`` bounds the scaled residual |p(x)| / max(1, sum_j |c_j||x|^j); the
+    scaling makes the gate meaningful for polynomials whose coefficients are
+    large, where an absolute bound on |p(x)| is unattainable in double
+    precision.  Raises NonConvergence if any root misses the gate after
+    ``max_iter`` sweeps or any value stops being finite; the result is never
+    NaN.
+    """
+    n = p.degree
+    if n == 0:
+        return RootSet(())
+    coeffs = p.coeffs
+    spent = 0
+    if init is not None:
+        xs = [complex(x) for x in init]
+        if len(xs) != n:
+            raise ValueError(f"init needs {n} guesses for degree {n}, got {len(xs)}")
+        spent, worst = _aberth(coeffs, xs, max_iter)
+        if worst < tol:
+            return RootSet(tuple(xs), spent, worst)
+    xs = _cold_seed(coeffs)
+    sweeps, worst = _aberth(coeffs, xs, max_iter)
+    spent += sweeps
+    if not worst < tol:
+        raise NonConvergence(spent, worst)
+    return RootSet(tuple(xs), spent, worst)
 
 
 def min_root_separation(r: RootSet | Sequence[complex]) -> float:

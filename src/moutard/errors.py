@@ -8,6 +8,7 @@ traceback.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 
@@ -28,6 +29,8 @@ class MoutardError(Exception):
 
 
 def _plain(value: Any) -> Any:
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)  # "inf" / "nan": strict JSON has no such numbers
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     if isinstance(value, dict):

@@ -117,18 +117,14 @@ def verify_flow(p0: cpoly.ComplexPoly, t: float, dt: float, flow_sign: int = 1) 
     return worst
 
 
-def _pairwise_min(positions: Sequence[complex]) -> tuple[float, tuple[int, ...]]:
-    """Smallest pairwise separation and the indices achieving-or-tying it."""
-    best = math.inf
-    for i in range(len(positions)):
-        for j in range(i + 1, len(positions)):
-            best = min(best, abs(positions[i] - positions[j]))
+def _near_min_pairs(positions: Sequence[complex], best: float) -> tuple[int, ...]:
+    """Indices of the points in some pair at most 2 * best apart."""
     involved = set()
     for i in range(len(positions)):
         for j in range(i + 1, len(positions)):
             if abs(positions[i] - positions[j]) <= 2.0 * best:
                 involved.update((i, j))
-    return best, tuple(sorted(involved))
+    return tuple(sorted(involved))
 
 
 def _greedy_match(prev: Sequence[complex], cur: Sequence[complex], margin: float, lenient: bool) -> list[complex]:
@@ -185,8 +181,10 @@ def trajectory(
 ) -> RootTrajectory:
     """Sampled root paths of the evolving polynomial on [t0, t1].
 
-    Roots at the first time are ordered by (real, imag); afterwards each
-    time's roots inherit labels from the previous time by greedy
+    Each time's roots are solved warm from the previous time's roots
+    (``cpoly.roots`` falls back to its cold seed by itself when that start
+    fails).  Roots at the first time are ordered by (real, imag); afterwards
+    each time's roots inherit labels from the previous time by greedy
     nearest-neighbour matching with margin 0.25 * (previous minimum
     separation).  Whenever the minimum separation drops below
     ``collision_tol`` the time is folded into a CollisionEvent (consecutive
@@ -207,8 +205,11 @@ def trajectory(
     columns: list[list[complex]] = []
     flagged: list[tuple[int, float, tuple[int, ...]]] = []  # (time index, min sep, labels)
     prev: list[complex] = []
+    sep_prev = math.inf
     for k, t in enumerate(times):
-        rts = list(cpoly.roots(evolve(p0, t, sign)).roots)
+        rts = list(cpoly.roots(evolve(p0, t, sign), init=prev or None).roots)
+        # Matching permutes rts, so this is also the separation of cur.
+        sep = cpoly.min_root_separation(rts) if n >= 2 else math.inf
         if k == 0:
             cur = sorted(rts, key=lambda r: (r.real, r.imag))
         elif n == 1:
@@ -217,15 +218,13 @@ def trajectory(
             # Matching is exempt from the ambiguity check when either end of
             # the step sits at a collision: labels genuinely permute there,
             # and the CollisionEvent already marks them unreliable.
-            sep_prev = cpoly.min_root_separation(prev)
-            lenient = sep_prev < collision_tol or _pairwise_min(rts)[0] < collision_tol
+            lenient = sep_prev < collision_tol or sep < collision_tol
             cur = _greedy_match(prev, rts, 0.25 * sep_prev, lenient=lenient)
-        if n >= 2:
-            sep, involved = _pairwise_min(cur)
-            if sep < collision_tol:
-                flagged.append((k, sep, involved))
+        if sep < collision_tol:
+            flagged.append((k, sep, _near_min_pairs(cur, sep)))
         columns.append(cur)
         prev = cur
+        sep_prev = sep
 
     events: list[CollisionEvent] = []
     run: list[tuple[int, float, tuple[int, ...]]] = []

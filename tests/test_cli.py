@@ -113,6 +113,20 @@ def test_verify_csv_rows():
     assert lines[-1].startswith("count_recovered,")
 
 
+def test_values_starting_with_minus_are_accepted():
+    spaced = run_cli(["verify", "--roots", "-1;1", "--lambda", "-2i"])
+    joined = run_cli(["verify", "--roots=-1;1", "--lambda=-2i"])
+    assert spaced[0] == 0
+    assert spaced == joined
+    assert run_cli(["verify", "--roots", "-1;1", "--lam", "-2i"]) == joined  # abbreviated
+    code, out, _ = run_cli(["eigen", "--coeffs", "-1;0;1", "--lambda", "2", "--z", "-1+1i"])
+    assert code == 0
+    assert json.loads(out)["points"][0]["z"] == {"re": -1.0, "im": 1.0}
+    code, out, _ = run_cli(["evolve", "--roots", "1", "--t0", "-1e-3", "--t1", "1", "--steps", "2"])
+    assert code == 0
+    assert json.loads(out)["times"][0] == -1e-3
+
+
 # --- scatter ----------------------------------------------------------------------
 
 
@@ -135,6 +149,20 @@ def test_scatter_radius_too_small_is_structured():
     rec = json.loads(err)["error"]
     assert rec["type"] == "RadiusTooSmall"
     assert rec["message"]
+
+
+def test_root_overflow_is_a_strict_json_record():
+    # Finite coefficients whose Horner pass overflows: a typed error, and a
+    # record that strict JSON parsers accept (no Infinity or NaN literals).
+    code, out, err = run_cli(["potential", "--coeffs", "1e300;1e300;1"])
+    assert code == 1 and out == ""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rec = json.loads(err, parse_constant=reject)["error"]
+    assert rec["type"] == "NonConvergence"
+    assert rec["details"]["worst_residual"] == "inf"
 
 
 # --- evolve ------------------------------------------------------------------------

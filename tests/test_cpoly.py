@@ -229,6 +229,88 @@ def test_roots_nonconvergence_is_reported():
     assert exc.value.record()["details"]["iterations"] == 1
 
 
+def box_points(rng, n, half):
+    return [complex(rng.uniform(-half, half), rng.uniform(-half, half)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("degree", [20, 25, 30, 35, 40])
+def test_roots_recover_random_box_roots_high_degree(degree):
+    # The old seed radius 1 + max|c_j| overflowed Horner here and the NaN
+    # iterates slipped through the gate.
+    pts = box_points(random.Random(0), degree, 5.0)
+    rs = cpoly.roots(cpoly.from_roots(pts))
+    assert rs.worst_residual < cpoly.DEFAULT_ROOT_TOL
+    for want in pts:
+        assert min(abs(g - want) for g in rs) < 1e-9
+
+
+def test_roots_degree_60_is_finite_or_typed_error():
+    p = cpoly.from_roots(box_points(random.Random(0), 60, 5.0))
+    try:
+        rs = cpoly.roots(p)
+    except NonConvergence as exc:
+        assert exc.iterations >= 1
+    else:
+        assert len(rs) == 60
+        assert all(cmath.isfinite(r) for r in rs)
+        for r in rs:
+            assert abs(p.evaluate(r)) < 1e-12 * max(1.0, eval_scale(p.coeffs, r))
+
+
+def test_roots_horner_overflow_raises_nonconvergence():
+    # Finite coefficients, but every guess on the enclosing circle has
+    # |z|^2 ~ 4e600, beyond the double range.
+    p = cpoly.ComplexPoly((1e300 + 0j, 1e300 + 0j, 1 + 0j))
+    with pytest.raises(NonConvergence) as exc:
+        cpoly.roots(p)
+    assert exc.value.worst_residual == math.inf
+    with pytest.raises(NonConvergence):
+        cpoly.roots(p, init=[1e300, -1e300])
+
+
+def test_cold_seed_sweeps_degree_20_box():
+    # Seeded on the circle of radius 1 + max|c_j| this solve took 89 sweeps.
+    rs = cpoly.roots(cpoly.from_roots(box_points(random.Random(0), 20, 2.0)))
+    assert rs.sweeps == 29
+
+
+def test_warm_start_from_own_roots_is_cheaper_and_identical():
+    rng = random.Random(14)
+    p = cpoly.from_roots(separated_points(rng, 8, radius=3.0, min_sep=0.5))
+    cold = cpoly.roots(p)
+    warm = cpoly.roots(p, init=cold.roots)
+    assert warm.sweeps < cold.sweeps
+    assert warm.worst_residual < cpoly.DEFAULT_ROOT_TOL
+    for a, b in zip(cold, warm):
+        assert abs(a - b) < 1e-12
+
+
+def test_warm_start_keeps_guess_order_on_a_nearby_polynomial():
+    pts = [1.0, -1.0 + 0.5j, 2j, -1.5 - 1j, 0.5 - 2j]
+    nearby = cpoly.from_roots([z + 1e-3 * (1 + 1j) for z in pts])
+    warm = cpoly.roots(nearby, init=pts)
+    for guess, got in zip(pts, warm):
+        assert abs(got - guess - 1e-3 * (1 + 1j)) < 1e-12
+
+
+def test_warm_start_from_coincident_guesses_falls_back_to_cold_seed():
+    # The roots of z^3 are a triple cluster at 0.  Started there, the
+    # Aberth steps for z^3 + 0.03 are ~1e-16, so the warm run stops after
+    # one sweep with a scaled residual of 3e-2; roots() must rerun cold.
+    p = cpoly.ComplexPoly((0.03 + 0j, 0j, 0j, 1 + 0j))
+    cluster = cpoly.roots(cpoly.ComplexPoly((0j, 0j, 0j, 1 + 0j))).roots
+    cold = cpoly.roots(p)
+    warm = cpoly.roots(p, init=cluster)
+    assert warm.sweeps == 1 + cold.sweeps
+    assert warm.worst_residual < cpoly.DEFAULT_ROOT_TOL
+    assert warm == cold
+
+
+def test_warm_start_needs_one_guess_per_root():
+    with pytest.raises(ValueError):
+        cpoly.roots(cpoly.from_roots([1, 2, 3]), init=[1, 2])
+
+
 def test_rootset_is_iterable_and_sized():
     rs = cpoly.roots(cpoly.from_roots([2, -2]))
     assert len(rs) == 2

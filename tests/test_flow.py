@@ -229,6 +229,31 @@ def test_trajectory_velocity_is_bounded_between_steps():
             assert abs(b - a) <= 5.0 * speed * dt
 
 
+def test_trajectory_warm_starts_from_previous_column(monkeypatch):
+    # Each time's solve starts from the previous time's labelled roots, ends
+    # on the same point set as a cold solve, and costs fewer sweeps.
+    solves = []
+    cold_roots = cpoly.roots
+
+    def spy(p, *args, **kwargs):
+        rs = cold_roots(p, *args, **kwargs)
+        solves.append((p, kwargs.get("init"), rs))
+        return rs
+
+    monkeypatch.setattr(cpoly, "roots", spy)
+    ring = from_roots([cmath.rect(4.0 + 0.3 * (k % 2), 2 * math.pi * k / 5 + 0.1 * k) for k in range(5)])
+    tr = trajectory(ring, 0.0, 0.5, steps=100)
+    assert len(solves) == len(tr.times)
+    assert solves[0][1] is None
+    warm_sweeps = cold_sweeps = 0
+    for k, (p, init, rs) in enumerate(solves[1:], start=1):
+        assert list(init) == [path[k - 1] for path in tr.paths]
+        assert_same_points([path[k] for path in tr.paths], list(cold_roots(p)), 1e-12)
+        warm_sweeps += rs.sweeps
+        cold_sweeps += cold_roots(p).sweeps
+    assert warm_sweeps < 0.6 * cold_sweeps  # 300 against 606
+
+
 def test_trajectory_ambiguous_matching_raises():
     with pytest.raises(AmbiguousMatching) as info:
         trajectory(Z3, -1.0, 0.92, steps=2)
