@@ -15,9 +15,7 @@ from .cpoly import (
     RootSet,
     DEFAULT_MAX_ITER,
     DEFAULT_ROOT_TOL,
-    derivative,
     differentiate,
-    evaluate,
     from_roots,
     horner,
     min_root_separation,
@@ -41,7 +39,6 @@ from .flow import (
     CollisionEvent,
     FlowState,
     RootTrajectory,
-    d3_apply,
     evolve,
     potential_at,
     trajectory,
@@ -62,10 +59,10 @@ from .transform import (
     DeltaPotential,
     FaddeevParams,
     SmoothMoutardInput,
-    faddeev_psi,
     gauge_shift,
     harmonicity_check,
     moutard_residual,
+    residual_checks,
     residual_sample_points,
     smooth_moutard_potential,
     transformed_potential,
@@ -78,6 +75,7 @@ from .wirtinger import (
     StencilConfig,
     d_z,
     d_zbar,
+    gradient,
     laplacian,
 )
 
@@ -116,24 +114,22 @@ __all__ = [
     "VERIFY_STENCIL",
     "ZeroLambda",
     "count_deltas",
-    "d3_apply",
     "d_z",
     "d_zbar",
-    "derivative",
     "differentiate",
-    "evaluate",
     "evolve",
     "expected_a",
-    "faddeev_psi",
     "fit_scattering",
     "from_roots",
     "gauge_shift",
+    "gradient",
     "harmonicity_check",
     "horner",
     "laplacian",
     "min_root_separation",
     "moutard_residual",
     "potential_at",
+    "residual_checks",
     "residual_sample_points",
     "roots",
     "sample_mu",

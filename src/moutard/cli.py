@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -38,8 +37,6 @@ VERIFY_THRESHOLDS = {
     "scattering_abs_b": 1e-8,
     "flow_residual": 1e-6,
 }
-
-GAUGE_SHIFTS = (1.0, 1e3)
 
 
 class ConfigError(ValueError):
@@ -206,30 +203,15 @@ def _cmd_scatter(cfg: RunConfig) -> str:
 
 def _cmd_verify(cfg: RunConfig) -> str:
     fp = transform.FaddeevParams(cfg.poly, cfg.lam)
-    stencil = transform.VERIFY_STENCIL
     results: dict[str, float] = {}
 
     results["identity_residual"] = transform.verify_eigenfunction_identity(fp)
+    sample_points, residual, gauge, harmonicity = transform.residual_checks(fp)
+    results["moutard_residual"] = residual
+    results["gauge_change"] = gauge
+    results["harmonicity"] = harmonicity
 
-    omega = cfg.poly.evaluate
     lam = fp.lam
-    phi = lambda w: 1j * cmath.exp(lam * w)
-    theta = fp.psi
-    points = transform.residual_sample_points(fp.roots, lam)
-    worst_res = worst_gauge = worst_harm = 0.0
-    for z in points:
-        scale = math.exp((lam * z).real)
-        r1, r2 = transform.moutard_residual(omega, phi, theta, z, stencil)
-        worst_res = max(worst_res, abs(r1) / scale, abs(r2) / scale)
-        for c in GAUGE_SHIFTS:
-            shifted = transform.gauge_shift(theta, c, omega)
-            s1, s2 = transform.moutard_residual(omega, phi, shifted, z, stencil)
-            worst_gauge = max(worst_gauge, abs(s1 - r1) / scale, abs(s2 - r2) / scale)
-        worst_harm = max(worst_harm, transform.harmonicity_check(fp, z, stencil))
-    results["moutard_residual"] = worst_res
-    results["gauge_change"] = worst_gauge
-    results["harmonicity"] = worst_harm
-
     pairs = scattering.sample_mu(fp, radius=cfg.radius, count=cfg.samples)
     est = scattering.fit_scattering(pairs, lam)
     expected = scattering.expected_a(cfg.poly.degree, lam)
@@ -247,7 +229,7 @@ def _cmd_verify(cfg: RunConfig) -> str:
         "lambda": _c(lam),
         "degree": cfg.poly.degree,
         "roots": [_c(r) for r in fp.roots],
-        "sample_points": len(points),
+        "sample_points": sample_points,
         "results": results,
         "scattering": {
             "a": _c(est.a),

@@ -124,10 +124,6 @@ def horner(coeffs: Sequence[complex], z: complex) -> complex:
     return acc
 
 
-def evaluate(p: ComplexPoly, z: complex) -> complex:
-    return p.evaluate(z)
-
-
 def differentiate(coeffs: Sequence[complex], k: int = 1) -> tuple[complex, ...]:
     """k-th derivative of an ascending coefficient sequence, exact factors.
 
@@ -141,11 +137,6 @@ def differentiate(coeffs: Sequence[complex], k: int = 1) -> tuple[complex, ...]:
             return (0j,)
         cs = tuple(cs[j + 1] * (j + 1) for j in range(len(cs) - 1))
     return cs
-
-
-def derivative(p: ComplexPoly, k: int = 1) -> tuple[complex, ...]:
-    """Free-function alias for :meth:`ComplexPoly.derivative`."""
-    return p.derivative(k)
 
 
 def _horner_full(coeffs: Sequence[complex], x: complex) -> tuple[complex, complex, float]:
@@ -250,10 +241,11 @@ def roots(
     :func:`_cold_seed`), rotated by an irrational fraction of a turn so they
     never align with axes of symmetry.  ``init``, if given, holds one guess
     per root, e.g. the roots of a nearby polynomial, and the iteration starts
-    there instead; it is only a hint: when the warm run misses the residual
-    gate, the solve reruns from the cold seed before giving up.  Sweeps
-    update the guesses in place until every residual reaches its rounding
-    floor or the corrections stagnate at machine precision.
+    there instead; it is only a hint: guesses that are not pairwise distinct
+    are ignored, and when the warm run misses the residual gate, the solve
+    reruns from the cold seed before giving up.  Sweeps update the guesses in
+    place until every residual reaches its rounding floor or the corrections
+    stagnate at machine precision.
 
     ``tol`` bounds the scaled residual |p(x)| / max(1, sum_j |c_j||x|^j); the
     scaling makes the gate meaningful for polynomials whose coefficients are
@@ -271,9 +263,11 @@ def roots(
         xs = [complex(x) for x in init]
         if len(xs) != n:
             raise ValueError(f"init needs {n} guesses for degree {n}, got {len(xs)}")
-        spent, worst = _aberth(coeffs, xs, max_iter)
-        if worst < tol:
-            return RootSet(tuple(xs), spent, worst)
+        # Equal guesses would only creep apart through _aberth's 2^-50 nudges.
+        if len(set(xs)) == n:
+            spent, worst = _aberth(coeffs, xs, max_iter)
+            if worst < tol:
+                return RootSet(tuple(xs), spent, worst)
     xs = _cold_seed(coeffs)
     sweeps, worst = _aberth(coeffs, xs, max_iter)
     spent += sweeps

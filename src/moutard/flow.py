@@ -62,12 +62,6 @@ class RootTrajectory:
     events: tuple[CollisionEvent, ...]
 
 
-def d3_apply(p: cpoly.ComplexPoly | Sequence[complex]) -> tuple[complex, ...]:
-    """Coefficients of the third derivative (exact integer-factor arithmetic)."""
-    coeffs = p.coeffs if isinstance(p, cpoly.ComplexPoly) else tuple(complex(c) for c in p)
-    return cpoly.differentiate(coeffs, 3)
-
-
 def _check_sign(flow_sign: int) -> int:
     if flow_sign not in (1, -1):
         raise ValueError(f"flow_sign must be +1 or -1, got {flow_sign!r}")
@@ -108,7 +102,7 @@ def verify_flow(p0: cpoly.ComplexPoly, t: float, dt: float, flow_sign: int = 1) 
     sign = _check_sign(flow_sign)
     ahead = evolve(p0, t + dt, sign).coeffs
     behind = evolve(p0, t - dt, sign).coeffs
-    rhs = d3_apply(evolve(p0, t, sign))
+    rhs = cpoly.differentiate(evolve(p0, t, sign).coeffs, 3)
     worst = 0.0
     for j in range(len(ahead)):
         diff = (ahead[j] - behind[j]) / (2.0 * dt)

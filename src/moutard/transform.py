@@ -53,7 +53,7 @@ from typing import Callable
 
 from . import cpoly
 from .errors import NearPole, NonPositiveOmega, ZeroLambda
-from .wirtinger import DEFAULT_STENCIL, StencilConfig, d_z, d_zbar, laplacian
+from .wirtinger import DEFAULT_STENCIL, StencilConfig, gradient, laplacian
 
 ComplexFunc = Callable[[complex], complex]
 
@@ -67,6 +67,9 @@ POLE_GUARD = 1e-8
 # rounding noise of gauge shifts up to |c| = 1e3 below 1e-10; both bounds
 # were measured, not assumed.
 VERIFY_STENCIL = StencilConfig(h=6e-3, richardson=True)
+
+# Gauge constants c of theta -> theta + c / omega probed by residual_checks.
+GAUGE_SHIFTS = (1.0, 1e3)
 
 
 @dataclass(frozen=True)
@@ -185,11 +188,6 @@ def smooth_moutard_potential(
     return complex(inp.u(z)) - 2.0 * laplacian(log_omega, z, cfg)
 
 
-def faddeev_psi(fp: FaddeevParams, z: complex) -> complex:
-    """Closed-form eigenfunction at z; NearPole when |P(z)| is below guard."""
-    return fp.psi(z)
-
-
 def gauge_shift(theta: ComplexFunc, c: complex, omega: ComplexFunc) -> ComplexFunc:
     """The function z -> theta(z) + c / omega(z) (the modulo-1/w freedom).
 
@@ -234,9 +232,9 @@ def moutard_residual(
         return complex(phi(w)) / den
 
     om_sq = complex(omega(z)) ** 2
-    r1 = d_z(product, z, cfg) + 1j * om_sq * d_z(quotient, z, cfg)
-    r2 = d_zbar(product, z, cfg) - 1j * om_sq * d_zbar(quotient, z, cfg)
-    return r1, r2
+    prod_z, prod_zbar = gradient(product, z, cfg)
+    quot_z, quot_zbar = gradient(quotient, z, cfg)
+    return prod_z + 1j * om_sq * quot_z, prod_zbar - 1j * om_sq * quot_zbar
 
 
 def residual_sample_points(
@@ -294,6 +292,32 @@ def harmonicity_check(
     lap = laplacian(fp.psi, z, cfg)
     scale = math.exp((fp.lam * z).real) * (1.0 + abs(fp.lam) ** 2)
     return abs(lap) / scale
+
+
+def residual_checks(fp: FaddeevParams) -> tuple[int, float, float, float]:
+    """Stencil checks of omega = P, phi = i e^{lambda z}, theta = psi.
+
+    Returns (points, residual, gauge, harmonicity): the number of
+    :func:`residual_sample_points`, and over them, with ``VERIFY_STENCIL``,
+    the worst Moutard residual and its worst change under theta -> theta +
+    c / omega for c in ``GAUGE_SHIFTS`` (both normalized by e^{Re(lambda z)}),
+    and the worst :func:`harmonicity_check`.
+    """
+    omega = fp.p.evaluate
+    lam = fp.lam
+    phi = lambda w: 1j * cmath.exp(lam * w)
+    points = residual_sample_points(fp.roots, lam)
+    shifted = [gauge_shift(fp.psi, c, omega) for c in GAUGE_SHIFTS]
+    worst_res = worst_gauge = worst_harm = 0.0
+    for z in points:
+        scale = math.exp((lam * z).real)
+        r1, r2 = moutard_residual(omega, phi, fp.psi, z, VERIFY_STENCIL)
+        worst_res = max(worst_res, abs(r1) / scale, abs(r2) / scale)
+        for theta in shifted:
+            s1, s2 = moutard_residual(omega, phi, theta, z, VERIFY_STENCIL)
+            worst_gauge = max(worst_gauge, abs(s1 - r1) / scale, abs(s2 - r2) / scale)
+        worst_harm = max(worst_harm, harmonicity_check(fp, z, VERIFY_STENCIL))
+    return len(points), worst_res, worst_gauge, worst_harm
 
 
 # --- exact certificate -----------------------------------------------------

@@ -6,7 +6,8 @@ With z = x + iy the Wirtinger derivatives are
 
 and the Laplacian factors as 4 * d_zbar(d_z f).  All three are estimated from
 central differences on a plus-shaped stencil, optionally sharpened to O(h^4)
-by one Richardson extrapolation step (h and h/2).
+by one Richardson extrapolation step (h and h/2).  The two first derivatives
+share their samples: ``gradient`` returns both from one stencil.
 
 Step sizes balance truncation against rounding noise.  First derivatives
 divide by h, so h near eps**(1/3) is right; the Laplacian divides by h**2 and
@@ -62,46 +63,47 @@ def _sample(f: ComplexFunc, w: complex) -> complex:
     return value
 
 
-def _dz_once(f: ComplexFunc, z: complex, s: float) -> complex:
+def _gradient_once(f: ComplexFunc, z: complex, s: float) -> tuple[complex, complex]:
     fx = _sample(f, z + s) - _sample(f, z - s)
     fy = _sample(f, z + 1j * s) - _sample(f, z - 1j * s)
-    return (fx - 1j * fy) / (4.0 * s)
+    return (fx - 1j * fy) / (4.0 * s), (fx + 1j * fy) / (4.0 * s)
 
 
-def _dzbar_once(f: ComplexFunc, z: complex, s: float) -> complex:
-    fx = _sample(f, z + s) - _sample(f, z - s)
-    fy = _sample(f, z + 1j * s) - _sample(f, z - 1j * s)
-    return (fx + 1j * fy) / (4.0 * s)
-
-
-def _laplacian_once(f: ComplexFunc, z: complex, s: float) -> complex:
+def _laplacian_once(f: ComplexFunc, z: complex, s: float) -> tuple[complex]:
     ring = (
         _sample(f, z + s)
         + _sample(f, z - s)
         + _sample(f, z + 1j * s)
         + _sample(f, z - 1j * s)
     )
-    return (ring - 4.0 * _sample(f, z)) / (s * s)
+    return ((ring - 4.0 * _sample(f, z)) / (s * s),)
 
 
-def _extrapolate(once, f: ComplexFunc, z: complex, s: float, richardson: bool) -> complex:
+def _extrapolate(once, f: ComplexFunc, z: complex, s: float, richardson: bool) -> tuple[complex, ...]:
     coarse = once(f, z, s)
     if not richardson:
         return coarse
     fine = once(f, z, s / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    return tuple((4.0 * b - a) / 3.0 for a, b in zip(coarse, fine))
+
+
+def gradient(
+    f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL
+) -> tuple[complex, complex]:
+    """(d_z f, d_zbar f) at z from one cross stencil: 4 samples, 8 with Richardson."""
+    return _extrapolate(_gradient_once, f, z, cfg.first_order_step(z), cfg.richardson)
 
 
 def d_z(f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL) -> complex:
     """Central-difference estimate of (f_x - i f_y)/2 at z."""
-    return _extrapolate(_dz_once, f, z, cfg.first_order_step(z), cfg.richardson)
+    return gradient(f, z, cfg)[0]
 
 
 def d_zbar(f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL) -> complex:
     """Central-difference estimate of (f_x + i f_y)/2 at z."""
-    return _extrapolate(_dzbar_once, f, z, cfg.first_order_step(z), cfg.richardson)
+    return gradient(f, z, cfg)[1]
 
 
 def laplacian(f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL) -> complex:
     """Five-point estimate of f_xx + f_yy at z; agrees with 4 * d_zbar(d_z f)."""
-    return _extrapolate(_laplacian_once, f, z, cfg.laplacian_step(z), cfg.richardson)
+    return _extrapolate(_laplacian_once, f, z, cfg.laplacian_step(z), cfg.richardson)[0]

@@ -55,27 +55,11 @@ def _suite2_measurements():
             for _ in range(deg)
         ]
         fp = transform.FaddeevParams(cpoly.from_roots(rts), lam)
-        omega = fp.p.evaluate
-        phi = lambda w: 1j * cmath.exp(lam * w)
-        points = transform.residual_sample_points(fp.roots, lam)
-        assert len(points) == 25
-        for z in points:
-            scale = math.exp((lam * z).real)
-            r1, r2 = transform.moutard_residual(
-                omega, phi, fp.psi, z, transform.VERIFY_STENCIL
-            )
-            worst_res = max(worst_res, abs(r1) / scale, abs(r2) / scale)
-            for c in (1.0, 1e3):
-                shifted = transform.gauge_shift(fp.psi, c, omega)
-                s1, s2 = transform.moutard_residual(
-                    omega, phi, shifted, z, transform.VERIFY_STENCIL
-                )
-                worst_gauge = max(
-                    worst_gauge, abs(s1 - r1) / scale, abs(s2 - r2) / scale
-                )
-            worst_harm = max(
-                worst_harm, transform.harmonicity_check(fp, z, transform.VERIFY_STENCIL)
-            )
+        points, res, gauge, harm = transform.residual_checks(fp)
+        assert points == 25
+        worst_res = max(worst_res, res)
+        worst_gauge = max(worst_gauge, gauge)
+        worst_harm = max(worst_harm, harm)
     return worst_res, worst_gauge, worst_harm
 
 

@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from moutard import cli
+from moutard import cli, cpoly, transform
 from moutard.cli import ConfigError, parse_complex, parse_complex_list
 
 
@@ -90,6 +90,13 @@ def test_verify_passes_for_symmetric_pair():
     assert all(doc["checks"].values())
     assert doc["degree"] == 2
     assert doc["sample_points"] == 25
+    # the stencil checks are the library's, value for value
+    fp = transform.FaddeevParams(cpoly.from_roots([1, -1]), 2)
+    points, residual, gauge, harmonicity = transform.residual_checks(fp)
+    assert doc["sample_points"] == points
+    assert doc["results"]["moutard_residual"] == residual
+    assert doc["results"]["gauge_change"] == gauge
+    assert doc["results"]["harmonicity"] == harmonicity
     assert doc["results"]["identity_residual"] < 1e-12
     assert abs(doc["scattering"]["a"]["re"] - (-2.0)) < 1e-3
     assert doc["scattering"]["recovered_count"] == 2

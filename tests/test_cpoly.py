@@ -79,7 +79,7 @@ def test_degree():
 
 
 def test_evaluate_quadratic_at_two():
-    assert cpoly.evaluate(cpoly.from_roots([1, -1]), 2) == 3 + 0j
+    assert cpoly.from_roots([1, -1]).evaluate(2) == 3 + 0j
 
 
 def test_evaluate_at_a_root_is_zero():
@@ -128,7 +128,7 @@ def test_derivative_power_rule():
 
 def test_derivative_order_zero_is_identity():
     p = cpoly.from_roots([1j, -2])
-    assert cpoly.derivative(p, 0) == p.coeffs
+    assert p.derivative(0) == p.coeffs
 
 
 def test_derivative_below_degree_is_zero():
@@ -303,6 +303,16 @@ def test_warm_start_from_coincident_guesses_falls_back_to_cold_seed():
     warm = cpoly.roots(p, init=cluster)
     assert warm.sweeps == 1 + cold.sweeps
     assert warm.worst_residual < cpoly.DEFAULT_ROOT_TOL
+    assert warm == cold
+
+
+def test_warm_start_from_equal_guesses_takes_the_cold_seed():
+    # Exactly equal guesses would creep apart through 2^-50 nudges (50
+    # sweeps here, against 5 cold); roots() skips the warm run instead.
+    p = cpoly.ComplexPoly((0.03 + 0j, 0j, 0j, 1 + 0j))
+    cold = cpoly.roots(p)
+    warm = cpoly.roots(p, init=[0, 0, 0])
+    assert warm.sweeps == cold.sweeps
     assert warm == cold
 
 

@@ -18,7 +18,6 @@ from moutard.cpoly import ComplexPoly, from_roots
 from moutard.errors import AmbiguousMatching
 from moutard.flow import (
     FlowState,
-    d3_apply,
     evolve,
     potential_at,
     trajectory,
@@ -39,20 +38,20 @@ def rand_poly(rng, deg, spread=2.0):
 
 
 def test_d3_cubic():
-    assert d3_apply(Z3) == (6 + 0j,)
+    assert cpoly.differentiate(Z3.coeffs, 3) == (6 + 0j,)
 
 
 def test_d3_quartic():
-    assert d3_apply(Z4) == (0j, 24 + 0j)
+    assert cpoly.differentiate(Z4.coeffs, 3) == (0j, 24 + 0j)
 
 
 def test_d3_low_degree_collapses():
-    assert d3_apply(ComplexPoly((2j, 1 + 0j))) == (0j,)
-    assert d3_apply((1 + 0j,)) == (0j,)
+    assert cpoly.differentiate(ComplexPoly((2j, 1 + 0j)).coeffs, 3) == (0j,)
+    assert cpoly.differentiate((1 + 0j,), 3) == (0j,)
 
 
 def test_d3_accepts_plain_sequences():
-    assert d3_apply([0, 0, 0, 1]) == (6 + 0j,)
+    assert cpoly.differentiate([0, 0, 0, 1], 3) == (6 + 0j,)
 
 
 # --- evolution ----------------------------------------------------------------

@@ -26,7 +26,6 @@ from moutard.transform import (
     DeltaPotential,
     FaddeevParams,
     SmoothMoutardInput,
-    faddeev_psi,
     gauge_shift,
     harmonicity_check,
     moutard_residual,
@@ -120,29 +119,29 @@ def test_psi_single_center_closed_form():
             continue
         fp = FaddeevParams(cpoly.from_roots([z1]), lam)
         want = cmath.exp(lam * z) * (1 - 2.0 / (lam * (z - z1)))
-        assert abs(faddeev_psi(fp, z) - want) <= 1e-13 * max(1.0, abs(want))
+        assert abs(fp.psi(z) - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_psi_degree_zero_is_plane_wave():
     fp = FaddeevParams(cpoly.from_roots([]), 1.5 - 2j)
     for z in (0j, 1 + 1j, -3 + 0.25j):
-        assert faddeev_psi(fp, z) == cmath.exp((1.5 - 2j) * z)
+        assert fp.psi(z) == cmath.exp((1.5 - 2j) * z)
         assert fp.mu(z) == 0j
 
 
 def test_psi_vanishes_at_hand_computed_zero():
     # P = z, lambda = 1: psi(2) = e^2 (1 - 2/2) = 0, exactly in doubles.
     fp = FaddeevParams(cpoly.from_roots([0]), 1.0)
-    assert faddeev_psi(fp, 2.0) == 0j
+    assert fp.psi(2.0) == 0j
 
 
 def test_near_pole_guard():
     fp = FaddeevParams(cpoly.from_roots([1.0]), 2.0)
     with pytest.raises(NearPole) as exc:
-        faddeev_psi(fp, 1.0 + 1e-9)
+        fp.psi(1.0 + 1e-9)
     assert exc.value.nearest_root == 1.0
     # just outside the guard evaluates fine
-    assert cmath.isfinite(faddeev_psi(fp, 1.0 + 1e-3))
+    assert cmath.isfinite(fp.psi(1.0 + 1e-3))
 
 
 def test_zero_lambda_rejected():
@@ -220,6 +219,19 @@ def test_residual_certified_triple_small_off_roots():
                     r1, r2 = moutard_residual(fp.p.evaluate, rotated_phi(lam), fp.psi, z)
                     assert abs(r1) < 1e-6
                     assert abs(r2) < 1e-6
+
+
+def test_residual_samples_theta_once_per_stencil_point():
+    # Both Wirtinger derivatives of omega * theta come from one stencil: 4
+    # points at h and 4 at h/2 under VERIFY_STENCIL.
+    calls = []
+
+    def theta(w: complex) -> complex:
+        calls.append(w)
+        return cmath.exp(w)
+
+    moutard_residual(lambda w: w, rotated_phi(1.0), theta, 2 + 1j, VERIFY_STENCIL)
+    assert len(calls) == 8
 
 
 def test_residual_constant_shift_with_unit_omega():

@@ -23,6 +23,7 @@ from moutard.wirtinger import (
     StencilConfig,
     d_z,
     d_zbar,
+    gradient,
     laplacian,
 )
 
@@ -78,6 +79,24 @@ def test_dzbar_annihilates_polynomial_evaluations():
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         dp = cpoly.horner(cpoly.differentiate(p.coeffs, 1), z)
         assert abs(d_zbar(p.evaluate, z)) < 1e-9 * (1.0 + abs(dp))
+
+
+# --- gradient --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("richardson, samples", [(True, 8), (False, 4)])
+def test_gradient_is_the_pair_from_one_sample_set(richardson, samples):
+    cfg = StencilConfig(richardson=richardson)
+    seen = []
+
+    def f(w: complex) -> complex:
+        seen.append(w)
+        return abs(w) ** 2 + expwave(w)
+
+    z = 0.7 - 1.3j
+    pair = gradient(f, z, cfg)
+    assert len(seen) == samples
+    assert pair == (d_z(f, z, cfg), d_zbar(f, z, cfg))
 
 
 # --- laplacian -------------------------------------------------------------
