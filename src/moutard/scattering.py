@@ -167,14 +167,16 @@ def expected_a(n: int, lam: complex) -> complex:
 def count_deltas(a: complex, lam: complex) -> int:
     """Number of point masses recovered from a fitted forward amplitude.
 
-    Inverts a = -2N/lambda; InconsistentData when -lambda*a/2 is not within
-    0.1 of a nonnegative integer (the input cannot then come from a monic
-    polynomial generator).
+    Inverts a = -2N/lambda; InconsistentData when -lambda*a/2 is not finite
+    or not within 0.1 of a nonnegative integer (the input cannot then come
+    from a monic polynomial generator).
     """
     lam = complex(lam)
     if lam == 0:
         raise ZeroLambda("count_deltas requires nonzero lambda")
     w = -lam * complex(a) / 2.0
+    if not cmath.isfinite(w):
+        raise InconsistentData(f"-lambda*a/2 = {w!r} is not finite", value=w)
     n = round(w.real)
     if abs(w.imag) > 0.1 or abs(w.real - n) > 0.1 or n < 0:
         raise InconsistentData(

@@ -46,6 +46,7 @@ symbolic throughout: centers plus the common weight, never grid samples.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,10 +102,11 @@ class SmoothMoutardInput:
 class FaddeevParams:
     """Generating polynomial P and spectral parameter lambda != 0.
 
-    Construction precomputes everything reusable: the exact derivative
-    coefficient tuples of P, the roots of P (for pole guarding), and the
-    pole-guard threshold.  Instances are immutable afterwards, so they are
-    safe to share across threads.
+    Construction precomputes everything reusable: the coefficients of
+    T = sum_{k=1..N} (-1)^k P^(k) / lambda^k (so that mu = 2 T / P costs one
+    Horner pass), the roots of P (for pole guarding), and the pole-guard
+    threshold.  Instances are immutable afterwards, so they are safe to
+    share across threads.
     """
 
     p: cpoly.ComplexPoly
@@ -115,13 +117,18 @@ class FaddeevParams:
         if lam == 0:
             raise ZeroLambda("the spectral parameter lambda must be nonzero")
         object.__setattr__(self, "lam", lam)
+        # T by Horner in 1/lambda over the derivatives, highest order first,
+        # as verify_eigenfunction_identity builds it exactly.
         n = self.p.degree
         derivs = []
         cs = self.p.coeffs
         for _ in range(n):
             cs = cpoly.differentiate(cs, 1)
             derivs.append(cs)
-        object.__setattr__(self, "_derivs", tuple(derivs))
+        t: list[complex] = []
+        for k in range(n, 0, -1):
+            t = [(a - c if k % 2 else a + c) / lam for a, c in zip(t + [0j], derivs[k - 1])]
+        object.__setattr__(self, "_t", tuple(t))
         rts = cpoly.roots(self.p).roots
         object.__setattr__(self, "_roots", rts)
         threshold = POLE_GUARD * math.prod(1.0 + abs(r) for r in rts)
@@ -137,20 +144,16 @@ class FaddeevParams:
     def mu(self, z: complex) -> complex:
         """Deviation from the plane wave: psi * e^{-lambda z} - 1.
 
-        Evaluated in closed form as (2 / P) sum_k (-1)^k P^(k)(z) / lambda^k
-        by Horner in 1/lambda, so it stays finite on arbitrarily large
-        circles where e^{lambda z} itself would overflow.
+        Evaluated in closed form as 2 T(z) / P(z) with the precomputed
+        T = sum_k (-1)^k P^(k) / lambda^k, so it stays finite on arbitrarily
+        large circles where e^{lambda z} itself would overflow.
         """
         if self.p.degree == 0:
             return 0j
         pz = self.p.evaluate(z)
         if abs(pz) < self._pole_threshold:
             raise NearPole(z, self.nearest_root(z))
-        acc = 0j
-        for k in range(self.p.degree, 0, -1):
-            term = cpoly.horner(self._derivs[k - 1], z)
-            acc = (acc - term if k % 2 else acc + term) / self.lam
-        return 2.0 * acc / pz
+        return 2.0 * cpoly.horner(self._t, z) / pz
 
     def psi(self, z: complex) -> complex:
         """Eigenfunction value e^{lambda z} (1 + mu(z)).
@@ -276,20 +279,25 @@ def residual_sample_points(
 
 
 def harmonicity_check(
-    fp: FaddeevParams, z: complex, cfg: StencilConfig = DEFAULT_STENCIL
+    fp: FaddeevParams,
+    z: complex,
+    cfg: StencilConfig = DEFAULT_STENCIL,
+    psi: ComplexFunc | None = None,
 ) -> float:
     """|laplacian psi| at z, normalized by |e^{lambda z}| (1 + |lambda|^2).
 
     psi is harmonic wherever the transformed potential vanishes, i.e. away
     from the roots of P; a small value certifies that.  The whole stencil
     must keep distance > 10 h from every root (NearPole otherwise).
+    ``psi`` defaults to ``fp.psi``; :func:`residual_checks` passes its
+    memoized copy so that the Laplacian reuses the gradient's samples.
     """
     step = cfg.laplacian_step(z)
     if fp.p.degree > 0:
         nearest = fp.nearest_root(z)
         if abs(z - nearest) <= 10.0 * step:
             raise NearPole(z, nearest)
-    lap = laplacian(fp.psi, z, cfg)
+    lap = laplacian(fp.psi if psi is None else psi, z, cfg)
     scale = math.exp((fp.lam * z).real) * (1.0 + abs(fp.lam) ** 2)
     return abs(lap) / scale
 
@@ -302,21 +310,28 @@ def residual_checks(fp: FaddeevParams) -> tuple[int, float, float, float]:
     the worst Moutard residual and its worst change under theta -> theta +
     c / omega for c in ``GAUGE_SHIFTS`` (both normalized by e^{Re(lambda z)}),
     and the worst :func:`harmonicity_check`.
+
+    The residual, both gauge shifts and the Laplacian sample the same cross
+    stencils, so psi, omega and phi are memoized for the duration of the
+    call: each is evaluated once per distinct point (9 per sample point).
+    The functions are pure and the points bitwise equal, so the results are
+    those of evaluating afresh at every sample.
     """
-    omega = fp.p.evaluate
     lam = fp.lam
-    phi = lambda w: 1j * cmath.exp(lam * w)
+    omega = functools.cache(fp.p.evaluate)
+    psi = functools.cache(fp.psi)
+    phi = functools.cache(lambda w: 1j * cmath.exp(lam * w))
     points = residual_sample_points(fp.roots, lam)
-    shifted = [gauge_shift(fp.psi, c, omega) for c in GAUGE_SHIFTS]
+    shifted = [gauge_shift(psi, c, omega) for c in GAUGE_SHIFTS]
     worst_res = worst_gauge = worst_harm = 0.0
     for z in points:
         scale = math.exp((lam * z).real)
-        r1, r2 = moutard_residual(omega, phi, fp.psi, z, VERIFY_STENCIL)
+        r1, r2 = moutard_residual(omega, phi, psi, z, VERIFY_STENCIL)
         worst_res = max(worst_res, abs(r1) / scale, abs(r2) / scale)
         for theta in shifted:
             s1, s2 = moutard_residual(omega, phi, theta, z, VERIFY_STENCIL)
             worst_gauge = max(worst_gauge, abs(s1 - r1) / scale, abs(s2 - r2) / scale)
-        worst_harm = max(worst_harm, harmonicity_check(fp, z, VERIFY_STENCIL))
+        worst_harm = max(worst_harm, harmonicity_check(fp, z, VERIFY_STENCIL, psi))
     return len(points), worst_res, worst_gauge, worst_harm
 
 

@@ -177,6 +177,17 @@ def test_count_deltas_rejects_inconsistent_input():
         count_deltas(-3.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "a, lam",
+    [(complex("nan"), 1), (complex("inf"), 1), (complex(0, math.inf), 1), (-3.0, complex("nan")), (0.0, math.inf)],
+)
+def test_count_deltas_rejects_non_finite_input(a, lam):
+    # Unguarded, a non-finite -lambda*a/2 reaches round() and raises a bare
+    # ValueError instead of a typed error.
+    with pytest.raises(InconsistentData):
+        count_deltas(a, lam)
+
+
 # --- end-to-end property -----------------------------------------------------
 
 

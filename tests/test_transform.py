@@ -29,6 +29,7 @@ from moutard.transform import (
     gauge_shift,
     harmonicity_check,
     moutard_residual,
+    residual_checks,
     residual_sample_points,
     smooth_moutard_potential,
     transformed_potential,
@@ -157,6 +158,45 @@ def test_params_expose_roots():
     assert abs(fp.nearest_root(1.8j) - 2j) < 1e-9
 
 
+def _derivative_sum_mu(fp, z):
+    # mu as one Horner pass per derivative of P, combined by Horner in 1/lambda.
+    acc = 0j
+    for k in range(fp.p.degree, 0, -1):
+        term = cpoly.horner(fp.p.derivative(k), z)
+        acc = (acc - term if k % 2 else acc + term) / fp.lam
+    return 2.0 * acc / fp.p.evaluate(z)
+
+
+def _mu_rounding_scale(fp, z):
+    # 2 sum_k |P^(k)|(|z|) / |lambda|^k / |P(z)|, |P^(k)| with absolute
+    # coefficients: the yardstick of the rounding error of either form.
+    total = sum(
+        cpoly.horner([abs(c) for c in fp.p.derivative(k)], abs(z)).real / abs(fp.lam) ** k
+        for k in range(1, fp.p.degree + 1)
+    )
+    return 2.0 * total / abs(fp.p.evaluate(z))
+
+
+def test_mu_matches_derivative_sum_form():
+    # The precomputed T regroups the same double sum, so the two forms agree
+    # to rounding: within 1.1e-15 of the scale here.  Relative to |mu| the
+    # gap has no fixed bound (2.0e-12 here, 2.9e-11 at points where T(z)
+    # cancels, where each form is off by up to ~1e-11 from 80-digit values).
+    rng = random.Random(8)
+    for deg in range(1, 21):
+        rts = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(deg)]
+        lam = cmath.rect(math.exp(rng.uniform(math.log(0.05), math.log(20.0))), rng.uniform(0, 2 * math.pi))
+        fp = FaddeevParams(cpoly.from_roots(rts), lam)
+        rho = 1.0 + max(abs(r) for r in fp.roots)
+        for radius in (2.0 * rho, 10.0 * rho, 1e4 * rho):
+            for j in range(8):
+                z = cmath.rect(radius, 2.0 * math.pi * (j + 0.3) / 8)
+                want = _derivative_sum_mu(fp, z)
+                assert abs(fp.mu(z) - want) <= 1e-12 * _mu_rounding_scale(fp, z)
+        with pytest.raises(NearPole):
+            fp.mu(fp.roots[0])
+
+
 # --- coefficient identity (exact arithmetic) --------------------------------
 
 
@@ -276,6 +316,55 @@ def test_product_with_generator_is_holomorphic():
     for z in residual_sample_points(fp.roots, lam, count=8):
         value = d_zbar(lambda w: fp.p.evaluate(w) * fp.psi(w), z)
         assert abs(value) < 1e-8 * abs(cmath.exp(lam * z))
+
+
+def _unmemoized_residual_checks(fp):
+    # residual_checks as a plain loop: every stencil sample evaluates psi, P
+    # and phi afresh.
+    omega = fp.p.evaluate
+    phi = rotated_phi(fp.lam)
+    points = residual_sample_points(fp.roots, fp.lam)
+    res = gauge = harm = 0.0
+    for z in points:
+        scale = math.exp((fp.lam * z).real)
+        r1, r2 = moutard_residual(omega, phi, fp.psi, z, VERIFY_STENCIL)
+        res = max(res, abs(r1) / scale, abs(r2) / scale)
+        for c in transform.GAUGE_SHIFTS:
+            s1, s2 = moutard_residual(omega, phi, gauge_shift(fp.psi, c, omega), z, VERIFY_STENCIL)
+            gauge = max(gauge, abs(s1 - r1) / scale, abs(s2 - r2) / scale)
+        harm = max(harm, harmonicity_check(fp, z, VERIFY_STENCIL))
+    return len(points), res, gauge, harm
+
+
+def test_residual_checks_equal_unmemoized_loop():
+    rng = random.Random(62)
+    for deg in range(1, 7):
+        rts = []
+        while len(rts) < deg:
+            c = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+            if all(abs(c - r) > 0.3 for r in rts):
+                rts.append(c)
+        lam = cmath.rect(rng.uniform(1.0, 3.0), rng.uniform(0, 2 * math.pi))
+        fp = FaddeevParams(cpoly.from_roots(rts), lam)
+        assert residual_checks(fp) == _unmemoized_residual_checks(fp)
+
+
+def test_residual_checks_evaluate_mu_once_per_stencil_point(monkeypatch):
+    # 9 distinct points per sample point: the centre and the cross stencil at
+    # h and h/2, shared by the residual, both gauge shifts and the Laplacian.
+    seen = []
+    mu = FaddeevParams.mu
+
+    def counted(self, z):
+        seen.append(z)
+        return mu(self, z)
+
+    monkeypatch.setattr(FaddeevParams, "mu", counted)
+    fp = FaddeevParams(cpoly.from_roots([1, -1, 0.5j]), 2.0)
+    points = residual_checks(fp)[0]
+    assert points == 25
+    assert len(seen) == 9 * 25
+    assert len(set(seen)) == len(seen)
 
 
 # --- gauge_shift -----------------------------------------------------------
