@@ -59,7 +59,7 @@ class InsufficientRoots(MoutardError):
 
 
 class NonFinite(MoutardError):
-    """A stencil sample came back inf/nan (usually pole proximity)."""
+    """A value was or came back inf/nan: a non-finite input, or a stencil sample near a pole."""
 
 
 class NonPositiveOmega(MoutardError):

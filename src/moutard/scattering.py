@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegenerateDesign, InconsistentData, RadiusTooSmall, ZeroLambda
+from .errors import DegenerateDesign, InconsistentData, NonFinite, RadiusTooSmall, ZeroLambda
 from .transform import FaddeevParams
 
 DEFAULT_RADIUS_FACTOR = 1e4
@@ -161,6 +161,8 @@ def expected_a(n: int, lam: complex) -> complex:
     lam = complex(lam)
     if lam == 0:
         raise ZeroLambda("expected_a requires nonzero lambda")
+    if not cmath.isfinite(lam):
+        raise NonFinite(f"expected_a requires finite lambda, got {lam!r}", lam=lam)
     return -2.0 * n / lam
 
 

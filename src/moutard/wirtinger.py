@@ -5,8 +5,8 @@ With z = x + iy the Wirtinger derivatives are
     d_z    = (f_x - i f_y) / 2        d_zbar = (f_x + i f_y) / 2
 
 and the Laplacian factors as 4 * d_zbar(d_z f).  All three are estimated from
-central differences on a plus-shaped stencil, optionally sharpened to O(h^4)
-by one Richardson extrapolation step (h and h/2).  The two first derivatives
+central differences on a plus-shaped stencil, sharpened to O(h^4) by one
+Richardson extrapolation step (h and h/2).  The two first derivatives
 share their samples: ``gradient`` returns both from one stencil.
 
 Step sizes balance truncation against rounding noise.  First derivatives
@@ -31,16 +31,14 @@ LAPLACIAN_STEP_SCALE = 5e-4
 
 @dataclass(frozen=True)
 class StencilConfig:
-    """Stencil step and extrapolation choice.
+    """Stencil step.
 
     ``h`` is the literal step when given; leave it None for the adaptive
     default (scale * max(1, |z|), with the scale chosen per operation as
-    described in the module docstring).  ``richardson`` toggles the h, h/2
-    extrapolation; keep it on for residual work, off for cheap sweeps.
+    described in the module docstring).
     """
 
     h: float | None = None
-    richardson: bool = True
 
     def __post_init__(self) -> None:
         if self.h is not None and not self.h > 0:
@@ -79,10 +77,8 @@ def _laplacian_once(f: ComplexFunc, z: complex, s: float) -> tuple[complex]:
     return ((ring - 4.0 * _sample(f, z)) / (s * s),)
 
 
-def _extrapolate(once, f: ComplexFunc, z: complex, s: float, richardson: bool) -> tuple[complex, ...]:
+def _extrapolate(once, f: ComplexFunc, z: complex, s: float) -> tuple[complex, ...]:
     coarse = once(f, z, s)
-    if not richardson:
-        return coarse
     fine = once(f, z, s / 2.0)
     return tuple((4.0 * b - a) / 3.0 for a, b in zip(coarse, fine))
 
@@ -90,8 +86,8 @@ def _extrapolate(once, f: ComplexFunc, z: complex, s: float, richardson: bool) -
 def gradient(
     f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL
 ) -> tuple[complex, complex]:
-    """(d_z f, d_zbar f) at z from one cross stencil: 4 samples, 8 with Richardson."""
-    return _extrapolate(_gradient_once, f, z, cfg.first_order_step(z), cfg.richardson)
+    """(d_z f, d_zbar f) at z from one cross stencil at h and h/2: 8 samples."""
+    return _extrapolate(_gradient_once, f, z, cfg.first_order_step(z))
 
 
 def d_z(f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL) -> complex:
@@ -106,4 +102,4 @@ def d_zbar(f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL) -> 
 
 def laplacian(f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL) -> complex:
     """Five-point estimate of f_xx + f_yy at z; agrees with 4 * d_zbar(d_z f)."""
-    return _extrapolate(_laplacian_once, f, z, cfg.laplacian_step(z), cfg.richardson)[0]
+    return _extrapolate(_laplacian_once, f, z, cfg.laplacian_step(z))[0]

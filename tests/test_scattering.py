@@ -18,6 +18,7 @@ from moutard import cpoly, scattering, transform
 from moutard.errors import (
     DegenerateDesign,
     InconsistentData,
+    NonFinite,
     RadiusTooSmall,
     ZeroLambda,
 )
@@ -158,6 +159,12 @@ def test_expected_a_validation():
         expected_a(3, 0.0)
     with pytest.raises(ValueError):
         expected_a(-1, 1.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, complex(math.inf, 0), complex(0, -math.inf)])
+def test_expected_a_rejects_non_finite_lambda(lam):
+    with pytest.raises(NonFinite):
+        expected_a(2, lam)
 
 
 def test_count_deltas_hand_cases():

@@ -150,6 +150,12 @@ def test_zero_lambda_rejected():
         FaddeevParams(cpoly.from_roots([1.0]), 0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, complex(math.inf, 0), complex(0, -math.inf)])
+def test_non_finite_lambda_rejected(lam):
+    with pytest.raises(NonFinite):
+        FaddeevParams(cpoly.from_roots([1, 2]), lam)
+
+
 def test_params_expose_roots():
     fp = FaddeevParams(cpoly.from_roots([2j, -1]), 1.0)
     got = sorted(fp.roots, key=lambda r: r.real)
@@ -211,7 +217,7 @@ def test_identity_degree_zero():
 
 
 def test_identity_random_degree_five():
-    # The residual is assembled over exact Gaussian rationals, so the
+    # The residual is assembled over exact Gaussian integers, so the
     # documented 1e-12 ceiling is met with exact zeros.
     rng = random.Random(31)
     lam = 0.7 - 1.3j
@@ -219,6 +225,50 @@ def test_identity_random_degree_five():
         rts = [complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(5)]
         fp = FaddeevParams(cpoly.from_roots(rts), lam)
         assert verify_eigenfunction_identity(fp) < 1e-12
+
+
+def _random_params(rng, deg, lam):
+    rts = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(deg)]
+    return FaddeevParams(cpoly.from_roots(rts), lam)
+
+
+@pytest.mark.parametrize("lam", [5e-324, 1e-300j, 1e300])
+def test_identity_exact_at_extreme_lambda(lam):
+    # The scale s = 2^E reaches 2^1074 for a subnormal lambda.
+    assert verify_eigenfunction_identity(_random_params(random.Random(33), 10, lam)) == 0.0
+
+
+def test_identity_exact_with_subnormal_coefficient_and_degree_40():
+    coeffs = [complex(5e-320, 0.5)] + [0.25 * (-1) ** j for j in range(9)] + [1]
+    fp = FaddeevParams(cpoly.ComplexPoly(tuple(coeffs)), 0.7 - 1.3j)
+    assert verify_eigenfunction_identity(fp) == 0.0
+    assert verify_eigenfunction_identity(_random_params(random.Random(34), 40, 1.2 + 0.4j)) == 0.0
+
+
+def test_identity_negative_controls_read_the_analytic_defect(monkeypatch):
+    # |lambda| = 2.5 exactly, so each expected value below is rounded once.
+    # Adding 1 to W_j moves D_{j-1} by s j and D_j by l, so the defect is
+    # 2 delta max(j, |lambda|) with delta = 1 / (s^{N+1} |lambda|^N).
+    # Negating P~ flips the s l^N P~' term: D = -2 s l^N P~', which reads
+    # 4 max_j |P'_j|.
+    lam = 1.5 + 2j
+    fp = _random_params(random.Random(35), 10, lam)
+    s, l, p, w = transform._scaled(fp)
+    assert transform._defect(s, l, p, w) == 0.0
+    for j in range(len(w)):
+        bumped = w[:j] + [(w[j][0] + 1, w[j][1])] + w[j + 1 :]
+        want = 2 * max(j, 2.5) / (s ** 11 * 2.5**10)
+        assert transform._defect(s, l, p, bumped) == pytest.approx(want, rel=1e-15, abs=0)
+    flipped = transform._defect(s, l, [(-a, -b) for a, b in p], w)
+    want = 4 * max(abs(j * c) for j, c in enumerate(fp.p.coeffs))
+    assert flipped == pytest.approx(want, rel=1e-15, abs=0)
+    # A unit change at lambda = 1e300 is far below the float range and
+    # still reads nonzero.
+    s, l, p, w = transform._scaled(_random_params(random.Random(35), 10, 1e300))
+    assert transform._defect(s, l, p, [(w[0][0] + 1, w[0][1])] + w[1:]) == 5e-324
+    # The public certificate reports what the defect step computes.
+    monkeypatch.setattr(transform, "_scaled", lambda fp: (s, l, p, [(w[0][0] + 1, w[0][1])] + w[1:]))
+    assert verify_eigenfunction_identity(fp) == 5e-324
 
 
 def test_identity_across_degree_and_lambda_annulus():

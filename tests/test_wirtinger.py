@@ -84,9 +84,8 @@ def test_dzbar_annihilates_polynomial_evaluations():
 # --- gradient --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("richardson, samples", [(True, 8), (False, 4)])
-def test_gradient_is_the_pair_from_one_sample_set(richardson, samples):
-    cfg = StencilConfig(richardson=richardson)
+def test_gradient_is_the_pair_from_one_sample_set():
+    cfg = StencilConfig()
     seen = []
 
     def f(w: complex) -> complex:
@@ -95,7 +94,7 @@ def test_gradient_is_the_pair_from_one_sample_set(richardson, samples):
 
     z = 0.7 - 1.3j
     pair = gradient(f, z, cfg)
-    assert len(seen) == samples
+    assert len(seen) == 8
     assert pair == (d_z(f, z, cfg), d_zbar(f, z, cfg))
 
 
@@ -164,13 +163,14 @@ def test_step_must_be_positive():
         StencilConfig(h=-1e-3)
 
 
-def test_richardson_toggle_changes_estimate():
-    f = expwave
+def test_dz_error_is_fourth_order():
+    # For holomorphic f the cross stencil's h^2 terms cancel in d_z, and the
+    # h, h/2 extrapolation leaves h^4 |f^(5)| / 480 (measured 1/480.1 to
+    # 1/480.0 at h = 1e-2, 2e-2 and 5e-2); a single step h would leave 1/120.
+    h = 1e-2
     z = 1.1 - 0.6j
-    plain = d_z(f, z, StencilConfig(h=1e-2, richardson=False))
-    sharp = d_z(f, z, StencilConfig(h=1e-2, richardson=True))
-    want = LAM * cmath.exp(LAM * z)
-    assert abs(sharp - want) < abs(plain - want)
+    err = abs(d_z(expwave, z, StencilConfig(h=h)) - LAM * expwave(z))
+    assert err < h**4 * abs(LAM**5 * expwave(z)) / 400
 
 
 # --- failure reporting -----------------------------------------------------
