@@ -55,7 +55,6 @@ from .scattering import (
 )
 from .transform import (
     DELTA_WEIGHT,
-    VERIFY_STENCIL,
     DeltaPotential,
     FaddeevParams,
     SmoothMoutardInput,
@@ -111,7 +110,6 @@ __all__ = [
     "ScatteringEstimate",
     "SmoothMoutardInput",
     "StencilConfig",
-    "VERIFY_STENCIL",
     "ZeroLambda",
     "count_deltas",
     "d_z",

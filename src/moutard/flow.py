@@ -93,22 +93,22 @@ def evolve(p0: cpoly.ComplexPoly, t: float, flow_sign: int = 1) -> cpoly.Complex
 def verify_flow(p0: cpoly.ComplexPoly, t: float, dt: float, flow_sign: int = 1) -> float:
     """Max coefficient defect of the flow ODE at time t.
 
-    Compares the central difference [P(t+dt) - P(t-dt)] / (2 dt) against the
-    configured sign times the third derivative of P(t); a small value
-    certifies that evolve integrates the stated equation.
+    Compares sum_{j=1..K} w_j [P(t+j dt) - P(t-j dt)], w_j = (-1)^{j+1} (K!)^2 /
+    (j (K-j)! (K+j)! dt), K = max(1, ceil(floor(N/3) / 2)), which is exact for
+    P(t) of degree floor(N/3) in t, against the configured sign times the third
+    derivative of P(t); a small value certifies that evolve integrates it.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     sign = _check_sign(flow_sign)
-    ahead = evolve(p0, t + dt, sign).coeffs
-    behind = evolve(p0, t - dt, sign).coeffs
-    rhs = cpoly.differentiate(evolve(p0, t, sign).coeffs, 3)
-    worst = 0.0
-    for j in range(len(ahead)):
-        diff = (ahead[j] - behind[j]) / (2.0 * dt)
-        expect = sign * rhs[j] if j < len(rhs) else 0j
-        worst = max(worst, abs(diff - expect))
-    return worst
+    k = max(1, -(-(p0.degree // 3) // 2))
+    diff = [0j] * len(p0.coeffs)
+    for j in range(1, k + 1):
+        w = (-1) ** (j + 1) * math.factorial(k) ** 2 / (j * math.factorial(k - j) * math.factorial(k + j))
+        pairs = zip(evolve(p0, t + j * dt, sign).coeffs, evolve(p0, t - j * dt, sign).coeffs)
+        diff = [d + w * (a - b) for d, (a, b) in zip(diff, pairs)]
+    rhs = cpoly.differentiate(evolve(p0, t, sign).coeffs, 3) + (0j,) * 3
+    return max(abs(d / dt - sign * r) for d, r in zip(diff, rhs))
 
 
 def _near_min_pairs(positions: Sequence[complex], best: float) -> tuple[int, ...]:

@@ -161,9 +161,10 @@ def expected_a(n: int, lam: complex) -> complex:
     lam = complex(lam)
     if lam == 0:
         raise ZeroLambda("expected_a requires nonzero lambda")
-    if not cmath.isfinite(lam):
-        raise NonFinite(f"expected_a requires finite lambda, got {lam!r}", lam=lam)
-    return -2.0 * n / lam
+    a = -2.0 * n / lam
+    if not (cmath.isfinite(lam) and cmath.isfinite(a)):
+        raise NonFinite(f"expected_a requires finite lambda and -2n/lambda, got lambda = {lam!r}", lam=lam)
+    return a
 
 
 def count_deltas(a: complex, lam: complex) -> int:

@@ -46,7 +46,6 @@ symbolic throughout: centers plus the common weight, never grid samples.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -54,7 +53,7 @@ from typing import Callable
 
 from . import cpoly
 from .errors import NearPole, NonFinite, NonPositiveOmega, ZeroLambda
-from .wirtinger import DEFAULT_STENCIL, StencilConfig, gradient, laplacian
+from .wirtinger import DEFAULT_STENCIL, StencilConfig, laplacian, ring, ring_moments
 
 ComplexFunc = Callable[[complex], complex]
 
@@ -62,12 +61,8 @@ DELTA_WEIGHT = -8.0 * math.pi
 
 POLE_GUARD = 1e-8
 
-# Stencil for residual-style checks (Moutard system, gauge invariance,
-# harmonicity).  h = 6e-3 with Richardson extrapolation keeps fourth-order
-# truncation below 1e-6 for degree <= 6 generators while leaving the additive
-# rounding noise of gauge shifts up to |c| = 1e3 below 1e-10; both bounds
-# were measured, not assumed.
-VERIFY_STENCIL = StencilConfig(h=6e-3)
+# Ring points M per checked point; what the checks differentiate is holomorphic within 4 rho, so error ~ 4^-M.
+RING_POINTS = 24
 
 # Gauge constants c of theta -> theta + c / omega probed by residual_checks.
 GAUGE_SHIFTS = (1.0, 1e3)
@@ -121,15 +116,12 @@ class FaddeevParams:
         object.__setattr__(self, "lam", lam)
         # T by Horner in 1/lambda over the derivatives, highest order first;
         # verify_eigenfunction_identity builds its own exact multiple of T.
-        n = self.p.degree
-        derivs = []
-        cs = self.p.coeffs
-        for _ in range(n):
-            cs = cpoly.differentiate(cs, 1)
-            derivs.append(cs)
+        derivs = [self.p.coeffs]
+        for _ in range(self.p.degree):
+            derivs.append(cpoly.differentiate(derivs[-1], 1))
         t: list[complex] = []
-        for k in range(n, 0, -1):
-            t = [(a - c if k % 2 else a + c) / lam for a, c in zip(t + [0j], derivs[k - 1])]
+        for k in range(self.p.degree, 0, -1):
+            t = [(a - c if k % 2 else a + c) / lam for a, c in zip(t + [0j], derivs[k])]
         object.__setattr__(self, "_t", tuple(t))
         rts = cpoly.roots(self.p).roots
         object.__setattr__(self, "_roots", rts)
@@ -147,15 +139,18 @@ class FaddeevParams:
         """Deviation from the plane wave: psi * e^{-lambda z} - 1.
 
         Evaluated in closed form as 2 T(z) / P(z) with the precomputed
-        T = sum_k (-1)^k P^(k) / lambda^k, so it stays finite on arbitrarily
-        large circles where e^{lambda z} itself would overflow.
+        T = sum_k (-1)^k P^(k) / lambda^k, so it stays finite on large circles
+        where e^{lambda z} overflows; NonFinite where 2 T / P is not finite.
         """
-        if self.p.degree == 0:
+        if not self._t:
             return 0j
         pz = self.p.evaluate(z)
         if abs(pz) < self._pole_threshold:
             raise NearPole(z, self.nearest_root(z))
-        return 2.0 * cpoly.horner(self._t, z) / pz
+        value = 2.0 * cpoly.horner(self._t, z) / pz
+        if not cmath.isfinite(value):
+            raise NonFinite(f"mu = 2 T / P is not finite at {z!r}", point=z, lam=self.lam)
+        return value
 
     def psi(self, z: complex) -> complex:
         """Eigenfunction value e^{lambda z} (1 + mu(z)).
@@ -209,12 +204,13 @@ def gauge_shift(theta: ComplexFunc, c: complex, omega: ComplexFunc) -> ComplexFu
     return shifted
 
 
+def _residual(om: complex, product: tuple, quotient: tuple) -> tuple[complex, complex]:
+    """(r1, r2) from omega(z) and the ring moments of omega theta and phi / omega."""
+    return product[0] + 1j * om**2 * quotient[0], product[1] - 1j * om**2 * quotient[1]
+
+
 def moutard_residual(
-    omega: ComplexFunc,
-    phi: ComplexFunc,
-    theta: ComplexFunc,
-    z: complex,
-    cfg: StencilConfig = DEFAULT_STENCIL,
+    omega: ComplexFunc, phi: ComplexFunc, theta: ComplexFunc, z: complex, radius: float
 ) -> tuple[complex, complex]:
     """Residuals of the two Moutard equations for an arbitrary triple.
 
@@ -223,23 +219,16 @@ def moutard_residual(
         r1 = (w theta)_z    + i w(z)^2 (phi / w)_z
         r2 = (w theta)_zbar - i w(z)^2 (phi / w)_zbar
 
-    both estimated by stencil differentiation; (0, 0) certifies the triple.
-    The stencil must stay clear of zeros of omega (NonFinite otherwise).
+    read from one ring of ``RING_POINTS`` samples at ``radius`` around z;
+    (0, 0) certifies the triple.  NonFinite where omega vanishes on the ring.
     """
-
-    def product(w: complex) -> complex:
-        return complex(omega(w)) * complex(theta(w))
-
-    def quotient(w: complex) -> complex:
-        den = complex(omega(w))
-        if den == 0:
-            return complex("nan")
-        return complex(phi(w)) / den
-
-    om_sq = complex(omega(z)) ** 2
-    prod_z, prod_zbar = gradient(product, z, cfg)
-    quot_z, quot_zbar = gradient(quotient, z, cfg)
-    return prod_z + 1j * om_sq * quot_z, prod_zbar - 1j * om_sq * quot_zbar
+    points = ring(z, radius, RING_POINTS)
+    om = [complex(omega(w)) for w in points]
+    if 0 in om:
+        raise NonFinite(f"omega vanishes on the ring around {z!r}", point=z)
+    product = ring_moments([o * complex(theta(w)) for o, w in zip(om, points)], radius)
+    quotient = ring_moments([complex(phi(w)) / o for o, w in zip(om, points)], radius)
+    return _residual(complex(omega(z)), product, quotient)
 
 
 def residual_sample_points(
@@ -280,60 +269,61 @@ def residual_sample_points(
     raise ValueError("no admissible sample ring found")  # pragma: no cover
 
 
-def harmonicity_check(
-    fp: FaddeevParams,
-    z: complex,
-    cfg: StencilConfig = DEFAULT_STENCIL,
-    psi: ComplexFunc | None = None,
-) -> float:
+def _ring_radius(fp: FaddeevParams, z: complex) -> float:
+    """min(d/2, 1/|lambda|) / 2, d = distance to the nearest root; NearPole if d < 1e-3 max(1, |z|)."""
+    d = min((abs(z - r) for r in fp.roots), default=math.inf)
+    if d < 1e-3 * max(1.0, abs(z)):
+        raise NearPole(z, fp.nearest_root(z))
+    return 0.5 * min(0.5 * d, 1.0 / abs(fp.lam))
+
+
+def _harmonicity(lam: complex, z: complex, radius: float, centre: complex, samples: list[complex]) -> float:
+    """Normalized |laplacian psi| from psi(z) and psi on the ring."""
+    lap = 4.0 * (ring_moments(samples, radius)[2] - centre) / (radius * radius)
+    return abs(lap) / (math.exp((lam * z).real) * (1.0 + abs(lam) ** 2))
+
+
+def harmonicity_check(fp: FaddeevParams, z: complex) -> float:
     """|laplacian psi| at z, normalized by |e^{lambda z}| (1 + |lambda|^2).
 
     psi is harmonic wherever the transformed potential vanishes, i.e. away
-    from the roots of P; a small value certifies that.  The whole stencil
-    must keep distance > 10 h from every root (NearPole otherwise).
-    ``psi`` defaults to ``fp.psi``; :func:`residual_checks` passes its
-    memoized copy so that the Laplacian reuses the gradient's samples.
+    from the roots of P; a small value certifies that.  psi is sampled on the
+    ring of :func:`residual_checks`; NearPole within 1e-3 max(1, |z|) of a root.
     """
-    step = cfg.laplacian_step(z)
-    if fp.p.degree > 0:
-        nearest = fp.nearest_root(z)
-        if abs(z - nearest) <= 10.0 * step:
-            raise NearPole(z, nearest)
-    lap = laplacian(fp.psi if psi is None else psi, z, cfg)
-    scale = math.exp((fp.lam * z).real) * (1.0 + abs(fp.lam) ** 2)
-    return abs(lap) / scale
+    rho = _ring_radius(fp, z)
+    return _harmonicity(fp.lam, z, rho, fp.psi(z), [fp.psi(w) for w in ring(z, rho, RING_POINTS)])
 
 
 def residual_checks(fp: FaddeevParams) -> tuple[int, float, float, float]:
-    """Stencil checks of omega = P, phi = i e^{lambda z}, theta = psi.
+    """Ring checks of omega = P, phi = i e^{lambda z}, theta = psi.
 
     Returns (points, residual, gauge, harmonicity): the number of
-    :func:`residual_sample_points`, and over them, with ``VERIFY_STENCIL``,
-    the worst Moutard residual and its worst change under theta -> theta +
-    c / omega for c in ``GAUGE_SHIFTS`` (both normalized by e^{Re(lambda z)}),
-    and the worst :func:`harmonicity_check`.
-
-    The residual, both gauge shifts and the Laplacian sample the same cross
-    stencils, so psi, omega and phi are memoized for the duration of the
-    call: each is evaluated once per distinct point (9 per sample point).
-    The functions are pure and the points bitwise equal, so the results are
-    those of evaluating afresh at every sample.
+    :func:`residual_sample_points`, and over them the worst
+    :func:`moutard_residual`, its worst change under theta -> theta + c /
+    omega for c in ``GAUGE_SHIFTS`` (both normalized by e^{Re(lambda z)}),
+    and the worst :func:`harmonicity_check`, on rings of radius
+    min(d/2, 1/|lambda|) / 2, d the distance to the nearest root.  P,
+    e = e^{lambda w} and mu are evaluated once at z and on the ring; P psi,
+    P (psi + c / P), phi / P = i e / P and psi = e (1 + mu) are formed from
+    them as the public functions form them, bit for bit.
     """
     lam = fp.lam
-    omega = functools.cache(fp.p.evaluate)
-    psi = functools.cache(fp.psi)
-    phi = functools.cache(lambda w: 1j * cmath.exp(lam * w))
     points = residual_sample_points(fp.roots, lam)
-    shifted = [gauge_shift(psi, c, omega) for c in GAUGE_SHIFTS]
     worst_res = worst_gauge = worst_harm = 0.0
     for z in points:
+        rho = _ring_radius(fp, z)
+        ws = [z, *ring(z, rho, RING_POINTS)]
+        om0, *om = [fp.p.evaluate(w) for w in ws]
+        es = [cmath.exp(lam * w) for w in ws]
+        psi0, *psi = [e * (1.0 + fp.mu(w)) for e, w in zip(es, ws)]
         scale = math.exp((lam * z).real)
-        r1, r2 = moutard_residual(omega, phi, psi, z, VERIFY_STENCIL)
+        quotient = ring_moments([1j * e / o for e, o in zip(es[1:], om)], rho)
+        r1, r2 = _residual(om0, ring_moments([o * p for o, p in zip(om, psi)], rho), quotient)
         worst_res = max(worst_res, abs(r1) / scale, abs(r2) / scale)
-        for theta in shifted:
-            s1, s2 = moutard_residual(omega, phi, theta, z, VERIFY_STENCIL)
+        for c in GAUGE_SHIFTS:
+            s1, s2 = _residual(om0, ring_moments([o * (p + c / o) for o, p in zip(om, psi)], rho), quotient)
             worst_gauge = max(worst_gauge, abs(s1 - r1) / scale, abs(s2 - r2) / scale)
-        worst_harm = max(worst_harm, harmonicity_check(fp, z, VERIFY_STENCIL, psi))
+        worst_harm = max(worst_harm, _harmonicity(lam, z, rho, psi0, psi))
     return len(points), worst_res, worst_gauge, worst_harm
 
 

@@ -4,22 +4,24 @@ With z = x + iy the Wirtinger derivatives are
 
     d_z    = (f_x - i f_y) / 2        d_zbar = (f_x + i f_y) / 2
 
-and the Laplacian factors as 4 * d_zbar(d_z f).  All three are estimated from
-central differences on a plus-shaped stencil, sharpened to O(h^4) by one
-Richardson extrapolation step (h and h/2).  The two first derivatives
-share their samples: ``gradient`` returns both from one stencil.
-
-Step sizes balance truncation against rounding noise.  First derivatives
-divide by h, so h near eps**(1/3) is right; the Laplacian divides by h**2 and
-needs a visibly larger step, so it gets its own default scale.  Both defaults
-grow with |z| to keep z + h representable relative to z.
+and the Laplacian factors as 4 * d_zbar(d_z f).  On a ring of M points and
+radius r around z, d_z and d_zbar are the +1 and -1 Fourier coefficients of
+f over r and the Laplacian is 4 (mean - f(z)) / r^2 (``ring_moments``), with
+error ~ (r/R)^M for f holomorphic within R.  ``gradient`` and ``laplacian``
+use M = 4 (a plus-shaped stencil) at h and h/2 with one Richardson step,
+O(h^4) for any smooth f.  Step sizes balance truncation against rounding
+noise.  First derivatives divide by h, so h near eps**(1/3) is right; the
+Laplacian divides by h**2 and needs a visibly larger step, so it gets its own
+default scale.  Both defaults grow with |z| to keep z + h representable.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import NonFinite
 
@@ -61,33 +63,39 @@ def _sample(f: ComplexFunc, w: complex) -> complex:
     return value
 
 
-def _gradient_once(f: ComplexFunc, z: complex, s: float) -> tuple[complex, complex]:
-    fx = _sample(f, z + s) - _sample(f, z - s)
-    fy = _sample(f, z + 1j * s) - _sample(f, z - 1j * s)
-    return (fx - 1j * fy) / (4.0 * s), (fx + 1j * fy) / (4.0 * s)
+@functools.cache
+def _units(m: int) -> tuple[complex, ...]:
+    return tuple(cmath.rect(1.0, 2.0 * cmath.pi * k / m) for k in range(m))
 
 
-def _laplacian_once(f: ComplexFunc, z: complex, s: float) -> tuple[complex]:
-    ring = (
-        _sample(f, z + s)
-        + _sample(f, z - s)
-        + _sample(f, z + 1j * s)
-        + _sample(f, z - 1j * s)
-    )
-    return ((ring - 4.0 * _sample(f, z)) / (s * s),)
+def ring(z: complex, radius: float, m: int) -> list[complex]:
+    """The m points z + radius e^{2 pi i k / m}, k = 0..m-1."""
+    return [z + radius * u for u in _units(m)]
 
 
-def _extrapolate(once, f: ComplexFunc, z: complex, s: float) -> tuple[complex, ...]:
-    coarse = once(f, z, s)
-    fine = once(f, z, s / 2.0)
-    return tuple((4.0 * b - a) / 3.0 for a, b in zip(coarse, fine))
+def ring_moments(samples: Sequence[complex], radius: float) -> tuple[complex, complex, complex]:
+    """(d_z f, d_zbar f, mean of f) from f at ``ring(z, radius, len(samples))``."""
+    m = len(samples)
+    units = _units(m)
+    dz = sum(map(operator.truediv, samples, units)) / (m * radius)
+    dzbar = sum(map(operator.mul, samples, units)) / (m * radius)
+    mean = sum(samples) / m
+    if not all(map(cmath.isfinite, (dz, dzbar, mean))):
+        raise NonFinite(f"non-finite ring moments on radius {radius!r}", radius=radius)
+    return dz, dzbar, mean
+
+
+def _cross(f: ComplexFunc, z: complex, s: float) -> list[tuple[complex, complex, complex]]:
+    """``ring_moments`` of f on the M = 4 ring at s and at s/2."""
+    return [ring_moments([_sample(f, w) for w in ring(z, r, 4)], r) for r in (s, s / 2.0)]
 
 
 def gradient(
     f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL
 ) -> tuple[complex, complex]:
     """(d_z f, d_zbar f) at z from one cross stencil at h and h/2: 8 samples."""
-    return _extrapolate(_gradient_once, f, z, cfg.first_order_step(z))
+    coarse, fine = _cross(f, z, cfg.first_order_step(z))
+    return (4.0 * fine[0] - coarse[0]) / 3.0, (4.0 * fine[1] - coarse[1]) / 3.0
 
 
 def d_z(f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL) -> complex:
@@ -102,4 +110,7 @@ def d_zbar(f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL) -> 
 
 def laplacian(f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL) -> complex:
     """Five-point estimate of f_xx + f_yy at z; agrees with 4 * d_zbar(d_z f)."""
-    return _extrapolate(_laplacian_once, f, z, cfg.laplacian_step(z))[0]
+    s = cfg.laplacian_step(z)
+    centre = _sample(f, z)
+    (_, _, coarse), (_, _, fine) = _cross(f, z, s)
+    return (64.0 * (fine - centre) - 4.0 * (coarse - centre)) / (3.0 * s * s)

@@ -102,6 +102,14 @@ def test_verify_passes_for_symmetric_pair():
     assert doc["scattering"]["recovered_count"] == 2
 
 
+@pytest.mark.parametrize("lam", ["0.1", "20", "100", "20i", "14+14i"])
+def test_verify_passes_at_small_and_large_lambda(lam):
+    # The h = 6e-3 cross stencil failed moutard_residual or gauge_change here.
+    code, out, _ = run_cli(["verify", "--roots", "1;-1;0.5i", "--lambda", lam])
+    assert code == 0
+    assert json.loads(out)["all_passed"] is True
+
+
 def test_verify_is_deterministic():
     argv = ["verify", "--roots", "1;-1", "--lambda", "2"]
     assert run_cli(argv) == run_cli(argv)

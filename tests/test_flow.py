@@ -125,6 +125,26 @@ def test_verify_flow_degree_seven():
     assert verify_flow(p, 0.3, 1e-4, flow_sign=-1) < 1e-6
 
 
+def test_verify_flow_keeps_the_three_point_rule_to_degree_eight():
+    # P(t) is quadratic in t up to degree 8, where the 3-point rule is exact.
+    p = rand_poly(random.Random(27), 8)
+    ahead, behind = evolve(p, 0.3 + 1e-4).coeffs, evolve(p, 0.3 - 1e-4).coeffs
+    rhs = cpoly.differentiate(evolve(p, 0.3).coeffs, 3) + (0j,) * 3
+    want = max(abs((a - b) / (2.0 * 1e-4) - r) for a, b, r in zip(ahead, behind, rhs))
+    assert verify_flow(p, 0.3, 1e-4) == want
+
+
+@pytest.mark.parametrize("deg", [9, 10, 12])
+def test_verify_flow_is_exact_in_t_beyond_degree_eight(deg):
+    # P(t) has degree floor(N/3) >= 3 in t here; the 3-point rule left a
+    # dt^2 term of 6e-4 to 0.24 at dt = 1e-4.  The wider stencil has no
+    # truncation, so the step of the CLI (0.1) only sets the rounding.
+    rng = random.Random(deg)
+    p = from_roots([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(deg)])
+    assert verify_flow(p, 0.3, 0.1) < 1e-8
+    assert verify_flow(p, 0.3, 0.1, flow_sign=-1) < 1e-8
+
+
 def test_verify_flow_rejects_bad_step():
     with pytest.raises(ValueError):
         verify_flow(Z3, 1.0, 0.0)

@@ -167,6 +167,13 @@ def test_expected_a_rejects_non_finite_lambda(lam):
         expected_a(2, lam)
 
 
+def test_expected_a_rejects_overflow():
+    # lambda is finite, but -2n/lambda overflows for a subnormal lambda.
+    with pytest.raises(NonFinite):
+        expected_a(2, 5e-324)
+    assert math.isfinite(abs(expected_a(2, 1e-300)))
+
+
 def test_count_deltas_hand_cases():
     assert count_deltas(-3.0, 2.0) == 3
     assert count_deltas(0.0, 1.0) == 0

@@ -18,11 +18,11 @@ import random
 
 import pytest
 
-from moutard import cpoly, transform
+from moutard import cli, cpoly, transform
 from moutard.errors import NearPole, NonFinite, NonPositiveOmega, ZeroLambda
 from moutard.transform import (
     DELTA_WEIGHT,
-    VERIFY_STENCIL,
+    RING_POINTS,
     DeltaPotential,
     FaddeevParams,
     SmoothMoutardInput,
@@ -154,6 +154,22 @@ def test_zero_lambda_rejected():
 def test_non_finite_lambda_rejected(lam):
     with pytest.raises(NonFinite):
         FaddeevParams(cpoly.from_roots([1, 2]), lam)
+
+
+@pytest.mark.parametrize("lam", [1e-200, 5e-324])
+def test_tiny_lambda_mu_raises_non_finite(lam):
+    # T's coefficients overflow to inf; mu raises instead of returning nan.
+    fp = FaddeevParams(cpoly.from_roots([1, 2]), lam)
+    with pytest.raises(NonFinite):
+        fp.mu(3 + 1j)
+
+
+def test_mu_overflow_far_out_raises_non_finite():
+    # T is finite at lambda = 1e-150, but T(z) and P(z) overflow at 1e200.
+    fp = FaddeevParams(cpoly.from_roots([1, 2]), 1e-150)
+    assert cmath.isfinite(fp.mu(3 + 1j))
+    with pytest.raises(NonFinite):
+        fp.mu(1e200)
 
 
 def test_params_expose_roots():
@@ -289,7 +305,7 @@ def test_identity_across_degree_and_lambda_annulus():
 def test_residual_certified_triple_small_off_roots():
     # omega = P, phi = i e^{lambda z}, theta = psi is the certified solution
     # triple; residuals at points > 0.5 away from every root stay below
-    # 1e-6 for degree <= 6 (measured worst 1.0e-7 for this geometry).
+    # 1e-6 for degree <= 6 on the verify ring (measured worst 3.9e-10).
     rng = random.Random(41)
     for trial in range(3):
         deg = 4 + trial
@@ -306,22 +322,25 @@ def test_residual_certified_triple_small_off_roots():
                     z = r + cmath.rect(d, ang)
                     if min(abs(z - rr) for rr in rts) <= 0.5:
                         continue
-                    r1, r2 = moutard_residual(fp.p.evaluate, rotated_phi(lam), fp.psi, z)
+                    rho = transform._ring_radius(fp, z)
+                    r1, r2 = moutard_residual(fp.p.evaluate, rotated_phi(lam), fp.psi, z, rho)
                     assert abs(r1) < 1e-6
                     assert abs(r2) < 1e-6
 
 
 def test_residual_samples_theta_once_per_stencil_point():
-    # Both Wirtinger derivatives of omega * theta come from one stencil: 4
-    # points at h and 4 at h/2 under VERIFY_STENCIL.
+    # Both Wirtinger derivatives of omega * theta come from one ring of
+    # RING_POINTS samples; theta is not needed at the centre.
     calls = []
 
     def theta(w: complex) -> complex:
         calls.append(w)
         return cmath.exp(w)
 
-    moutard_residual(lambda w: w, rotated_phi(1.0), theta, 2 + 1j, VERIFY_STENCIL)
-    assert len(calls) == 8
+    moutard_residual(lambda w: w, rotated_phi(1.0), theta, 2 + 1j, 0.5)
+    assert len(calls) == RING_POINTS
+    assert len(set(calls)) == RING_POINTS
+    assert all(abs(abs(w - (2 + 1j)) - 0.5) < 1e-15 for w in calls)
 
 
 def test_residual_constant_shift_with_unit_omega():
@@ -334,9 +353,27 @@ def test_residual_constant_shift_with_unit_omega():
     for c in (0.0, 1.0, -2.5 + 0.5j):
         theta = lambda z, c=c: cmath.exp(lam * z) + c
         for z in (0.3, -0.2 + 0.7j, 1 - 1j):
-            r1, r2 = moutard_residual(one, rotated_phi(lam), theta, z)
+            r1, r2 = moutard_residual(one, rotated_phi(lam), theta, z, 0.25)
             assert abs(r1) < 1e-9
             assert abs(r2) < 1e-9
+
+
+def test_residual_second_equation_with_antiholomorphic_pair():
+    # With omega = 1 and phi = conj(e^{lambda z}), theta = i phi solves
+    # theta_zbar = +i phi_zbar (both z-derivatives vanish); theta = -i phi
+    # leaves r2 = -2i phi_zbar, which a sign slip in r2 would hide.
+    lam = 1 - 0.5j
+    phi = lambda w: cmath.exp(lam * w).conjugate()
+    for z in (0.3, -0.2 + 0.7j):
+        r1, r2 = moutard_residual(lambda w: 1.0, phi, lambda w: 1j * phi(w), z, 0.25)
+        assert abs(r1) < 1e-12 and abs(r2) < 1e-12
+        _, r2 = moutard_residual(lambda w: 1.0, phi, lambda w: -1j * phi(w), z, 0.25)
+        assert abs(r2 + 2j * (lam * cmath.exp(lam * z)).conjugate()) < 1e-12
+
+
+def test_residual_rejects_omega_zero_on_the_ring():
+    with pytest.raises(NonFinite):
+        moutard_residual(lambda z: z.real, rotated_phi(1.0), planewave(1.0), -1.0, 1.0)
 
 
 def test_residual_gauge_invariance():
@@ -351,8 +388,9 @@ def test_residual_gauge_invariance():
     for c in (1.0, 1e3, (0.6 + 0.8j) * 1e3):
         shifted = gauge_shift(fp.psi, c, omega)
         for z in pts:
-            r1, r2 = moutard_residual(omega, rotated_phi(lam), fp.psi, z, VERIFY_STENCIL)
-            s1, s2 = moutard_residual(omega, rotated_phi(lam), shifted, z, VERIFY_STENCIL)
+            rho = transform._ring_radius(fp, z)
+            r1, r2 = moutard_residual(omega, rotated_phi(lam), fp.psi, z, rho)
+            s1, s2 = moutard_residual(omega, rotated_phi(lam), shifted, z, rho)
             assert abs(s1 - r1) < 1e-10
             assert abs(s2 - r2) < 1e-10
 
@@ -369,20 +407,21 @@ def test_product_with_generator_is_holomorphic():
 
 
 def _unmemoized_residual_checks(fp):
-    # residual_checks as a plain loop: every stencil sample evaluates psi, P
-    # and phi afresh.
+    # residual_checks as a plain loop over the public functions at the same
+    # ring radius: every ring sample evaluates psi, P and phi afresh.
     omega = fp.p.evaluate
     phi = rotated_phi(fp.lam)
     points = residual_sample_points(fp.roots, fp.lam)
     res = gauge = harm = 0.0
     for z in points:
         scale = math.exp((fp.lam * z).real)
-        r1, r2 = moutard_residual(omega, phi, fp.psi, z, VERIFY_STENCIL)
+        rho = 0.5 * min(0.5 * min(abs(z - r) for r in fp.roots), 1.0 / abs(fp.lam))
+        r1, r2 = moutard_residual(omega, phi, fp.psi, z, rho)
         res = max(res, abs(r1) / scale, abs(r2) / scale)
         for c in transform.GAUGE_SHIFTS:
-            s1, s2 = moutard_residual(omega, phi, gauge_shift(fp.psi, c, omega), z, VERIFY_STENCIL)
+            s1, s2 = moutard_residual(omega, phi, gauge_shift(fp.psi, c, omega), z, rho)
             gauge = max(gauge, abs(s1 - r1) / scale, abs(s2 - r2) / scale)
-        harm = max(harm, harmonicity_check(fp, z, VERIFY_STENCIL))
+        harm = max(harm, harmonicity_check(fp, z))
     return len(points), res, gauge, harm
 
 
@@ -400,8 +439,8 @@ def test_residual_checks_equal_unmemoized_loop():
 
 
 def test_residual_checks_evaluate_mu_once_per_stencil_point(monkeypatch):
-    # 9 distinct points per sample point: the centre and the cross stencil at
-    # h and h/2, shared by the residual, both gauge shifts and the Laplacian.
+    # RING_POINTS + 1 distinct points per sample point: the centre and the
+    # ring, shared by the residual, both gauge shifts and the Laplacian.
     seen = []
     mu = FaddeevParams.mu
 
@@ -413,8 +452,42 @@ def test_residual_checks_evaluate_mu_once_per_stencil_point(monkeypatch):
     fp = FaddeevParams(cpoly.from_roots([1, -1, 0.5j]), 2.0)
     points = residual_checks(fp)[0]
     assert points == 25
-    assert len(seen) == 9 * 25
+    assert len(seen) == 25 * (RING_POINTS + 1)
     assert len(set(seen)) == len(seen)
+
+
+# Inputs on which the h = 6e-3 cross stencil gave false FAILs: the triple
+# 1, -1, 0.5i at small and large |lambda|, and degree-8 generators with
+# roots in [-1, 1]^2 and 1 <= |lambda| <= 3; all 45 cases failed.
+FIXED_LAMBDAS = (0.1, 20, 100, 20j, 14 + 14j)
+
+
+def _fixed_cases():
+    cases = [FaddeevParams(cpoly.from_roots([1, -1, 0.5j]), lam) for lam in FIXED_LAMBDAS]
+    rng = random.Random(8)
+    for _ in range(40):
+        rts = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(8)]
+        lam = cmath.rect(rng.uniform(1.0, 3.0), rng.uniform(0, 2 * math.pi))
+        cases.append(FaddeevParams(cpoly.from_roots(rts), lam))
+    return cases
+
+
+def test_residual_checks_pass_former_false_fails():
+    bounds = cli.VERIFY_THRESHOLDS
+    for fp in _fixed_cases():
+        _, res, gauge, harm = residual_checks(fp)
+        assert res < bounds["moutard_residual"], (fp.lam, res)
+        assert gauge < bounds["gauge_change"], (fp.lam, gauge)
+        assert harm < bounds["harmonicity"], (fp.lam, harm)
+
+
+def test_residual_checks_fail_a_perturbed_mu(monkeypatch):
+    # Negative control: psi with mu scaled by 1 + 1e-3 is no solution, and
+    # the residual must say so on every case above.
+    mu = FaddeevParams.mu
+    monkeypatch.setattr(FaddeevParams, "mu", lambda self, z: mu(self, z) * (1 + 1e-3))
+    for fp in _fixed_cases():
+        assert residual_checks(fp)[1] >= cli.VERIFY_THRESHOLDS["moutard_residual"], fp.lam
 
 
 # --- gauge_shift -----------------------------------------------------------

@@ -25,6 +25,8 @@ from moutard.wirtinger import (
     d_zbar,
     gradient,
     laplacian,
+    ring,
+    ring_moments,
 )
 
 EPS = sys.float_info.epsilon
@@ -96,6 +98,34 @@ def test_gradient_is_the_pair_from_one_sample_set():
     pair = gradient(f, z, cfg)
     assert len(seen) == 8
     assert pair == (d_z(f, z, cfg), d_zbar(f, z, cfg))
+
+
+# --- ring ------------------------------------------------------------------
+
+
+def test_ring_moments_of_modulus_squared():
+    # On the ring, |w|^2 = |z|^2 + r (u zbar + conj(u) z) + r^2 exactly, so
+    # the moments are zbar, z and |z|^2 + r^2 (Laplacian 4) up to rounding.
+    z, r = 0.7 - 1.3j, 0.3
+    dz, dzbar, mean = ring_moments([abs(w) ** 2 for w in ring(z, r, 24)], r)
+    assert abs(dz - z.conjugate()) < 1e-14
+    assert abs(dzbar - z) < 1e-14
+    assert abs(4.0 * (mean - abs(z) ** 2) / r**2 - 4.0) < 1e-12
+
+
+def test_ring_moments_are_spectrally_accurate_for_holomorphic_f():
+    # 24 points at |lambda| r = 0.7: the aliased Taylor terms are ~0.7^23/23!.
+    z, r = 0.4 + 0.2j, 0.5
+    dz, dzbar, mean = ring_moments([expwave(w) for w in ring(z, r, 24)], r)
+    scale = abs(expwave(z))
+    assert abs(dz - LAM * expwave(z)) < 1e-14 * scale
+    assert abs(dzbar) < 1e-14 * scale
+    assert abs(mean - expwave(z)) < 1e-14 * scale
+
+
+def test_ring_moments_reject_non_finite():
+    with pytest.raises(NonFinite):
+        ring_moments([1.0, complex("nan"), 1.0, 1.0], 0.1)
 
 
 # --- laplacian -------------------------------------------------------------
