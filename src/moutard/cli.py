@@ -207,7 +207,9 @@ def _cmd_verify(cfg: RunConfig) -> str:
 
     results["identity_residual"] = transform.verify_eigenfunction_identity(fp)
     sample_points, residual, gauge, harmonicity = transform.residual_checks(fp)
-    results.update(moutard_residual=residual, gauge_change=gauge, harmonicity=harmonicity)
+    results["moutard_residual"] = residual
+    results["gauge_change"] = gauge
+    results["harmonicity"] = harmonicity
 
     lam = fp.lam
     pairs = scattering.sample_mu(fp, radius=cfg.radius, count=cfg.samples)

@@ -116,12 +116,15 @@ class FaddeevParams:
         object.__setattr__(self, "lam", lam)
         # T by Horner in 1/lambda over the derivatives, highest order first;
         # verify_eigenfunction_identity builds its own exact multiple of T.
-        derivs = [self.p.coeffs]
-        for _ in range(self.p.degree):
-            derivs.append(cpoly.differentiate(derivs[-1], 1))
+        n = self.p.degree
+        derivs = []
+        cs = self.p.coeffs
+        for _ in range(n):
+            cs = cpoly.differentiate(cs, 1)
+            derivs.append(cs)
         t: list[complex] = []
-        for k in range(self.p.degree, 0, -1):
-            t = [(a - c if k % 2 else a + c) / lam for a, c in zip(t + [0j], derivs[k])]
+        for k in range(n, 0, -1):
+            t = [(a - c if k % 2 else a + c) / lam for a, c in zip(t + [0j], derivs[k - 1])]
         object.__setattr__(self, "_t", tuple(t))
         rts = cpoly.roots(self.p).roots
         object.__setattr__(self, "_roots", rts)
@@ -142,7 +145,7 @@ class FaddeevParams:
         T = sum_k (-1)^k P^(k) / lambda^k, so it stays finite on large circles
         where e^{lambda z} overflows; NonFinite where 2 T / P is not finite.
         """
-        if not self._t:
+        if self.p.degree == 0:
             return 0j
         pz = self.p.evaluate(z)
         if abs(pz) < self._pole_threshold:
@@ -191,8 +194,8 @@ def smooth_moutard_potential(
 def gauge_shift(theta: ComplexFunc, c: complex, omega: ComplexFunc) -> ComplexFunc:
     """The function z -> theta(z) + c / omega(z) (the modulo-1/w freedom).
 
-    A zero of omega makes the shifted value non-finite, which the stencil
-    layer reports as NonFinite.
+    A zero of omega makes the shifted value non-finite, which
+    ``ring_moments`` reports as NonFinite.
     """
 
     def shifted(z: complex) -> complex:
@@ -240,8 +243,8 @@ def residual_sample_points(
     """Deterministic well-conditioned points for residual checks.
 
     Walks rings of growing radius around the root centroid and keeps points
-    that (a) stay at least ``min_dist`` from every root, so stencil
-    truncation stays controlled, and (b) satisfy Re(lambda z) >= -0.3, so
+    that (a) stay at least ``min_dist`` from every root, so the check rings
+    stay wide, and (b) satisfy Re(lambda z) >= -0.3, so
     quantities normalized by |e^{lambda z}| do not amplify rounding noise.
     The phase constraint is dropped if it cannot be met (far-off-axis root
     clusters); the distance constraint always can be, on a ring enclosing
@@ -301,11 +304,10 @@ def residual_checks(fp: FaddeevParams) -> tuple[int, float, float, float]:
     :func:`residual_sample_points`, and over them the worst
     :func:`moutard_residual`, its worst change under theta -> theta + c /
     omega for c in ``GAUGE_SHIFTS`` (both normalized by e^{Re(lambda z)}),
-    and the worst :func:`harmonicity_check`, on rings of radius
-    min(d/2, 1/|lambda|) / 2, d the distance to the nearest root.  P,
-    e = e^{lambda w} and mu are evaluated once at z and on the ring; P psi,
-    P (psi + c / P), phi / P = i e / P and psi = e (1 + mu) are formed from
-    them as the public functions form them, bit for bit.
+    and the worst :func:`harmonicity_check`.  P, e = e^{lambda w} and mu are
+    evaluated once at z and on its ring; P psi, P (psi + c / P), phi / P =
+    i e / P and psi = e (1 + mu) are formed from them as the public
+    functions form them, bit for bit.
     """
     lam = fp.lam
     points = residual_sample_points(fp.roots, lam)

@@ -8,10 +8,10 @@ and the Laplacian factors as 4 * d_zbar(d_z f).  On a ring of M points and
 radius r around z, d_z and d_zbar are the +1 and -1 Fourier coefficients of
 f over r and the Laplacian is 4 (mean - f(z)) / r^2 (``ring_moments``), with
 error ~ (r/R)^M for f holomorphic within R.  ``gradient`` and ``laplacian``
-use M = 4 (a plus-shaped stencil) at h and h/2 with one Richardson step,
-O(h^4) for any smooth f.  Step sizes balance truncation against rounding
-noise.  First derivatives divide by h, so h near eps**(1/3) is right; the
-Laplacian divides by h**2 and needs a visibly larger step, so it gets its own
+difference the M = 4 ring (a plus-shaped stencil) at h and h/2 with one
+Richardson step, O(h^4) for any smooth f.  Step sizes balance truncation
+against rounding noise.  First derivatives divide by h, so h near eps**(1/3)
+is right; the Laplacian divides by h**2 and needs a larger step and its own
 default scale.  Both defaults grow with |z| to keep z + h representable.
 """
 
@@ -85,17 +85,21 @@ def ring_moments(samples: Sequence[complex], radius: float) -> tuple[complex, co
     return dz, dzbar, mean
 
 
-def _cross(f: ComplexFunc, z: complex, s: float) -> list[tuple[complex, complex, complex]]:
-    """``ring_moments`` of f on the M = 4 ring at s and at s/2."""
-    return [ring_moments([_sample(f, w) for w in ring(z, r, 4)], r) for r in (s, s / 2.0)]
+def _cross(f: ComplexFunc, z: complex, s: float) -> tuple[complex, complex, complex]:
+    """(d_z f, d_zbar f, sum of the samples) on the 4-point cross at step s."""
+    east, west = _sample(f, z + s), _sample(f, z - s)
+    north, south = _sample(f, z + 1j * s), _sample(f, z - 1j * s)
+    fx, fy = east - west, north - south
+    return (fx - 1j * fy) / (4.0 * s), (fx + 1j * fy) / (4.0 * s), east + west + north + south
 
 
 def gradient(
     f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL
 ) -> tuple[complex, complex]:
     """(d_z f, d_zbar f) at z from one cross stencil at h and h/2: 8 samples."""
-    coarse, fine = _cross(f, z, cfg.first_order_step(z))
-    return (4.0 * fine[0] - coarse[0]) / 3.0, (4.0 * fine[1] - coarse[1]) / 3.0
+    s = cfg.first_order_step(z)
+    (cz, czbar, _), (fz, fzbar, _) = _cross(f, z, s), _cross(f, z, s / 2.0)
+    return (4.0 * fz - cz) / 3.0, (4.0 * fzbar - czbar) / 3.0
 
 
 def d_z(f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL) -> complex:
@@ -111,6 +115,6 @@ def d_zbar(f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL) -> 
 def laplacian(f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL) -> complex:
     """Five-point estimate of f_xx + f_yy at z; agrees with 4 * d_zbar(d_z f)."""
     s = cfg.laplacian_step(z)
-    centre = _sample(f, z)
-    (_, _, coarse), (_, _, fine) = _cross(f, z, s)
-    return (64.0 * (fine - centre) - 4.0 * (coarse - centre)) / (3.0 * s * s)
+    centre = 4.0 * _sample(f, z)
+    coarse, fine = ((_cross(f, z, r)[2] - centre) / (r * r) for r in (s, s / 2.0))
+    return (4.0 * fine - coarse) / 3.0

@@ -100,6 +100,22 @@ def test_gradient_is_the_pair_from_one_sample_set():
     assert pair == (d_z(f, z, cfg), d_zbar(f, z, cfg))
 
 
+def test_cross_samples_lie_exactly_on_the_axes():
+    # The generic stencil is z +- s, z +- i s exactly: at z = 0 every sample
+    # has a zero real or imaginary part (rotated units would leave ~1e-17).
+    seen = []
+
+    def f(w: complex) -> complex:
+        seen.append(w)
+        return abs(w) ** 2
+
+    gradient(f, 0j, StencilConfig(h=0.1))
+    laplacian(f, 0j, StencilConfig(h=0.1))
+    assert len(seen) == 17
+    assert all(w.real == 0.0 or w.imag == 0.0 for w in seen)
+    assert {abs(w) for w in seen} == {0.0, 0.1, 0.05}
+
+
 # --- ring ------------------------------------------------------------------
 
 
