@@ -150,6 +150,23 @@ def _emit_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _num(x: float) -> str:
+    """A number as json.dumps writes it."""
+    text = repr(x)
+    return _JSON_CONSTANTS.get(text, text)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Encoded items laid out as json.dumps(indent=2) lays out a list whose line starts at indent."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
 def _csv_rows(header: list[str], rows: list[list[object]], comments: list[str] = ()) -> str:
     lines = [",".join(header)]
     lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
@@ -255,7 +272,12 @@ def _cmd_verify(cfg: RunConfig) -> str:
 
 
 def export_trajectory(rt: flow.RootTrajectory, fmt: str) -> str:
-    """Serialize a trajectory: CSV with #event comment lines, or JSON."""
+    """Serialize a trajectory: CSV with #event comment lines, or JSON.
+
+    The JSON text is written directly, byte for byte what ``_emit_json`` gives
+    for the times, paths and events, without json's pure-Python indenting
+    encoder.
+    """
     if not rt.times:
         raise ValueError("cannot export an empty trajectory")
     if fmt == "csv":
@@ -275,19 +297,23 @@ def export_trajectory(rt: flow.RootTrajectory, fmt: str) -> str:
             for ev in rt.events
         ]
         return _csv_rows(header, rows, comments)
-    return _emit_json(
-        {
-            "times": list(rt.times),
-            "paths": [[_c(z) for z in path] for path in rt.paths],
-            "events": [
-                {
-                    "t_approx": ev.t_approx,
-                    "roots_involved": list(ev.roots_involved),
-                    "min_separation": ev.min_separation,
-                }
-                for ev in rt.events
-            ],
-        }
+    events = [
+        f'{{\n      "min_separation": {_num(ev.min_separation)},\n'
+        f'      "roots_involved": {_json_list([_num(i) for i in ev.roots_involved], "      ")},\n'
+        f'      "t_approx": {_num(ev.t_approx)}\n    }}'
+        for ev in rt.events
+    ]
+    paths = [
+        _json_list(
+            [f'{{\n        "im": {_num(z.imag)},\n        "re": {_num(z.real)}\n      }}' for z in path],
+            "    ",
+        )
+        for path in rt.paths
+    ]
+    times = _json_list([_num(t) for t in rt.times], "  ")
+    return (
+        f'{{\n  "events": {_json_list(events, "  ")},\n  "paths": {_json_list(paths, "  ")},\n'
+        f'  "times": {times}\n}}\n'
     )
 
 

@@ -20,12 +20,13 @@ annotates close encounters instead of pretending labels survive a collision.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import cpoly
-from .errors import AmbiguousMatching
+from .errors import AmbiguousMatching, NonFinite
 from .transform import DeltaPotential, transformed_potential
 
 
@@ -68,26 +69,43 @@ def _check_sign(flow_sign: int) -> int:
     return flow_sign
 
 
+def _series(p0: cpoly.ComplexPoly) -> list[tuple[complex, ...]]:
+    """The nonzero terms D^3 P0, D^6 P0, ... of the flow series, which do not depend on t."""
+    terms = []
+    term = cpoly.differentiate(p0.coeffs, 3)
+    while term != (0j,):
+        terms.append(term)
+        term = cpoly.differentiate(term, 3)
+    return terms
+
+
+def _at(p0: cpoly.ComplexPoly, terms: list[tuple[complex, ...]], t: float, sign: int) -> cpoly.ComplexPoly:
+    """P0 + sum_m (s^m / m!) terms[m-1] with s = sign * t.
+
+    Raises NonFinite when t is not finite or a coefficient of P(t) overflows.
+    """
+    s = float(t) * sign
+    if not math.isfinite(s):
+        raise NonFinite(f"flow time must be finite, got {t!r}", t=t)
+    out = list(p0.coeffs)
+    weight = 1.0
+    for m, term in enumerate(terms, start=1):
+        weight *= s / m
+        for j, c in enumerate(term):
+            out[j] += weight * c
+    if not all(map(cmath.isfinite, out)):
+        raise NonFinite(f"a coefficient of P(t) overflows at t = {t!r}", t=t)
+    return cpoly.ComplexPoly(tuple(out))
+
+
 def evolve(p0: cpoly.ComplexPoly, t: float, flow_sign: int = 1) -> cpoly.ComplexPoly:
     """P(., t) by the terminating exponential sum; no time stepping.
 
     ``flow_sign=-1`` runs dP/dt = -d^3P/dz^3 instead (the two conventions
-    differ only by t -> -t).
+    differ only by t -> -t).  Raises NonFinite when t is not finite or a
+    coefficient of P(t) overflows.
     """
-    s = float(t) * _check_sign(flow_sign)
-    out = list(p0.coeffs)
-    term = p0.coeffs
-    weight = 1.0
-    m = 0
-    while True:
-        term = cpoly.differentiate(term, 3)
-        if term == (0j,):
-            break
-        m += 1
-        weight *= s / m
-        for j, c in enumerate(term):
-            out[j] += weight * c
-    return cpoly.ComplexPoly(tuple(out))
+    return _at(p0, _series(p0), t, _check_sign(flow_sign))
 
 
 def verify_flow(p0: cpoly.ComplexPoly, t: float, dt: float, flow_sign: int = 1) -> float:
@@ -97,17 +115,19 @@ def verify_flow(p0: cpoly.ComplexPoly, t: float, dt: float, flow_sign: int = 1) 
     (j (K-j)! (K+j)! dt), K = max(1, ceil(floor(N/3) / 2)), which is exact for
     P(t) of degree floor(N/3) in t, against the configured sign times the third
     derivative of P(t); a small value certifies that evolve integrates it.
+    Raises NonFinite where evolve would.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     sign = _check_sign(flow_sign)
+    terms = _series(p0)
     k = max(1, -(-(p0.degree // 3) // 2))
     diff = [0j] * len(p0.coeffs)
     for j in range(1, k + 1):
         w = (-1) ** (j + 1) * math.factorial(k) ** 2 / (j * math.factorial(k - j) * math.factorial(k + j))
-        pairs = zip(evolve(p0, t + j * dt, sign).coeffs, evolve(p0, t - j * dt, sign).coeffs)
+        pairs = zip(_at(p0, terms, t + j * dt, sign).coeffs, _at(p0, terms, t - j * dt, sign).coeffs)
         diff = [d + w * (a - b) for d, (a, b) in zip(diff, pairs)]
-    rhs = cpoly.differentiate(evolve(p0, t, sign).coeffs, 3) + (0j,) * 3
+    rhs = cpoly.differentiate(_at(p0, terms, t, sign).coeffs, 3) + (0j,) * 3
     return max(abs(d / dt - sign * r) for d, r in zip(diff, rhs))
 
 
@@ -129,24 +149,31 @@ def _greedy_match(prev: Sequence[complex], cur: Sequence[complex], margin: float
     assignment is not trustworthy; that raises AmbiguousMatching unless
     ``lenient`` (set next to a flagged collision, where label loss is
     expected and annotated instead).
+
+    A warm-started solve returns its roots in the order of its guesses, so
+    ``cur`` usually is the answer already.  When every off-diagonal distance
+    in its row and column exceeds the diagonal one by at least ``margin`` > 0,
+    the greedy would pick exactly the diagonal without raising, and ``cur`` is
+    returned as it is.
     """
     n = len(prev)
-    pairs = sorted(
-        ((abs(prev[i] - cur[j]), i, j) for i in range(n) for j in range(n)),
-        key=lambda t: (t[0], t[1], t[2]),
-    )
-    taken_prev: set[int] = set()
-    taken_cur: set[int] = set()
+    d = [[abs(p - c) for c in cur] for p in prev]
+    if not lenient and margin > 0 and all(
+        d[i][j] - d[i][i] >= margin and d[j][i] - d[i][i] >= margin
+        for i in range(n) for j in range(n) if j != i
+    ):
+        return list(cur)
+    pairs = sorted((d[i][j], i, j) for i in range(n) for j in range(n))
+    free_prev = set(range(n))
+    free_cur = set(range(n))
     out: list[complex] = [0j] * n
     for dist, i, j in pairs:
-        if i in taken_prev or j in taken_cur:
+        if i not in free_prev or j not in free_cur:
             continue
         if not lenient:
-            rival = next(
-                (d for d, i2, j2 in pairs
-                 if (i2 == i) != (j2 == j)
-                 and i2 not in taken_prev and j2 not in taken_cur),
-                math.inf,
+            rival = min(
+                [d[i][j2] for j2 in free_cur if j2 != j] + [d[i2][j] for i2 in free_prev if i2 != i],
+                default=math.inf,
             )
             if rival - dist < margin:
                 raise AmbiguousMatching(
@@ -158,9 +185,9 @@ def _greedy_match(prev: Sequence[complex], cur: Sequence[complex], margin: float
                     margin=margin,
                 )
         out[i] = cur[j]
-        taken_prev.add(i)
-        taken_cur.add(j)
-        if len(taken_prev) == n:
+        free_prev.remove(i)
+        free_cur.remove(j)
+        if not free_prev:
             break
     return out
 
@@ -178,13 +205,15 @@ def trajectory(
     Each time's roots are solved warm from the previous time's roots
     (``cpoly.roots`` falls back to its cold seed by itself when that start
     fails).  Roots at the first time are ordered by (real, imag); afterwards
-    each time's roots inherit labels from the previous time by greedy
-    nearest-neighbour matching with margin 0.25 * (previous minimum
-    separation).  Whenever the minimum separation drops below
-    ``collision_tol`` the time is folded into a CollisionEvent (consecutive
-    flagged times merge into one event) and matching at and immediately
-    after it is exempt from the ambiguity check, since labels may genuinely
-    permute there.
+    each time's roots keep the warm start's order when that is certified
+    unambiguous, and otherwise inherit labels from the previous time by
+    greedy nearest-neighbour matching with margin 0.25 * (previous minimum
+    separation); both give the same labels.  Whenever the minimum separation
+    drops below ``collision_tol`` the time is folded into a CollisionEvent
+    (consecutive flagged times merge into one event) and matching at and
+    immediately after it is exempt from the ambiguity check, since labels
+    may genuinely permute there.  Raises NonFinite when a grid time is not
+    finite or a coefficient of P(t) overflows there.
     """
     sign = _check_sign(flow_sign)
     if not t1 > t0:
@@ -194,6 +223,7 @@ def trajectory(
     if p0.degree < 1:
         raise ValueError("trajectory needs a generating polynomial of degree >= 1")
     n = p0.degree
+    terms = _series(p0)
     times = tuple(t0 + (t1 - t0) * k / steps for k in range(steps + 1))
 
     columns: list[list[complex]] = []
@@ -201,7 +231,7 @@ def trajectory(
     prev: list[complex] = []
     sep_prev = math.inf
     for k, t in enumerate(times):
-        rts = list(cpoly.roots(evolve(p0, t, sign), init=prev or None).roots)
+        rts = list(cpoly.roots(_at(p0, terms, t, sign), init=prev or None).roots)
         # Matching permutes rts, so this is also the separation of cur.
         sep = cpoly.min_root_separation(rts) if n >= 2 else math.inf
         if k == 0:

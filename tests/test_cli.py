@@ -6,14 +6,16 @@ assertions see exactly the bytes a shell user would.
 
 from __future__ import annotations
 
+import cmath
 import io
 import json
 import math
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from moutard import cli, cpoly, transform
+from moutard import cli, cpoly, flow, transform
 from moutard.cli import ConfigError, parse_complex, parse_complex_list
 
 
@@ -244,6 +246,57 @@ def test_evolve_ambiguous_matching_is_structured():
     rec = json.loads(err)["error"]
     assert rec["type"] == "AmbiguousMatching"
     assert set(rec["details"]) >= {"distance", "rival", "margin"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--roots", "1;2;3i;-1", "--t0=0", "--t1=1e308", "--steps=3"],
+        ["evolve", "--roots", "1;2;3i;-1", "--t0=-inf", "--t1=1e308", "--steps=3"],
+        ["potential", "--roots", "1;2;3i;-1", "--t0=1e308"],
+    ],
+)
+def test_overflowing_flow_time_is_structured(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "NonFinite"
+
+
+def _dumped(rt):
+    payload = {
+        "times": list(rt.times),
+        "paths": [[{"re": z.real, "im": z.imag} for z in path] for path in rt.paths],
+        "events": [
+            {"t_approx": ev.t_approx, "roots_involved": list(ev.roots_involved), "min_separation": ev.min_separation}
+            for ev in rt.events
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _writer_cases():
+    rng = random.Random(41)
+    for n in range(3, 9):
+        radius = 1.1 * (n * (n - 1) * (n - 2)) ** (1.0 / 3.0)
+        ring = [cmath.rect(radius * rng.uniform(0.9, 1.1), 2 * math.pi * (k + rng.uniform(-0.1, 0.1)) / n)
+                for k in range(n)]
+        yield flow.trajectory(cpoly.from_roots(ring), 0.0, 0.5, 40)
+    yield flow.trajectory(cpoly.ComplexPoly((0j, 0j, 0j, 1 + 0j)), -1.0, 1.0, 400)
+    yield flow.trajectory(cpoly.from_roots([5.0]), 0.0, 1.0, 1)
+    odd = (-0.0, 5e-324, math.nan, math.inf, -math.inf)
+    yield flow.RootTrajectory(
+        times=odd,
+        paths=(tuple(complex(a, b) for a, b in zip(odd, reversed(odd))), tuple(complex(a, -a) for a in odd)),
+        events=(flow.CollisionEvent(math.nan, (), math.inf), flow.CollisionEvent(-0.0, (0, 1), 5e-324)),
+    )
+
+
+def test_trajectory_json_writer_matches_json_dumps():
+    cases = list(_writer_cases())
+    assert len(cases[6].events) == 1  # the z^3 triple collision
+    for rt in cases:
+        assert cli.export_trajectory(rt, "json") == _dumped(rt)
 
 
 # --- potential ----------------------------------------------------------------------

@@ -15,9 +15,10 @@ import pytest
 
 from moutard import cpoly
 from moutard.cpoly import ComplexPoly, from_roots
-from moutard.errors import AmbiguousMatching
+from moutard.errors import AmbiguousMatching, NonFinite
 from moutard.flow import (
     FlowState,
+    _greedy_match,
     evolve,
     potential_at,
     trajectory,
@@ -100,6 +101,27 @@ def test_evolve_sign_reverses_time():
 def test_evolve_rejects_bad_sign():
     with pytest.raises(ValueError):
         evolve(Z3, 1.0, flow_sign=2)
+
+
+QUARTIC = from_roots([1, 2, 3j, -1])
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("p", [QUARTIC, ComplexPoly((3 - 1j, 2j, 1 + 0j))], ids=["quartic", "static"])
+def test_evolve_rejects_non_finite_time(p, t):
+    with pytest.raises(NonFinite):
+        evolve(p, t)
+
+
+def test_evolve_overflowing_coefficient_is_non_finite():
+    with pytest.raises(NonFinite) as info:
+        evolve(QUARTIC, 1e308)
+    assert info.value.record()["details"] == {"t": 1e308}
+
+
+def test_verify_flow_rejects_non_finite_time():
+    with pytest.raises(NonFinite):
+        verify_flow(QUARTIC, math.nan, 0.1)
 
 
 def test_flow_state_advance_accumulates_time():
@@ -279,6 +301,78 @@ def test_trajectory_ambiguous_matching_raises():
     rec = info.value.record()
     assert rec["type"] == "AmbiguousMatching"
     assert rec["details"]["margin"] > 0.0
+
+
+def test_trajectory_overflowing_time_is_non_finite():
+    with pytest.raises(NonFinite):
+        trajectory(QUARTIC, 0.0, 1e308, steps=3)
+    with pytest.raises(NonFinite):
+        trajectory(QUARTIC, -math.inf, 1.0, steps=3)
+
+
+def _full_greedy(prev, cur, margin, lenient):
+    """The greedy matching with a rescan of the sorted pairs for every rival: the oracle."""
+    n = len(prev)
+    pairs = sorted((abs(prev[i] - cur[j]), i, j) for i in range(n) for j in range(n))
+    taken_prev, taken_cur = set(), set()
+    out = [0j] * n
+    for dist, i, j in pairs:
+        if i in taken_prev or j in taken_cur:
+            continue
+        if not lenient:
+            rival = next(
+                (d for d, i2, j2 in pairs
+                 if (i2 == i) != (j2 == j) and i2 not in taken_prev and j2 not in taken_cur),
+                math.inf,
+            )
+            if rival - dist < margin:
+                raise AmbiguousMatching("ambiguous", distance=dist, rival=rival, margin=margin)
+        out[i] = cur[j]
+        taken_prev.add(i)
+        taken_cur.add(j)
+    return out
+
+
+def _outcome(match, prev, cur, margin, lenient):
+    try:
+        return match(prev, cur, margin, lenient)
+    except AmbiguousMatching as e:
+        return ("raised", e.details)
+
+
+def _matching_cases(rng):
+    """(prev, cur) pairs: identity, permuted and near-tied, on dyadic grids so that ties are exact."""
+    for n in range(2, 9):
+        for _ in range(6):
+            prev = [complex(rng.randint(-8, 8), rng.randint(-8, 8)) / 4 for _ in range(n)]
+            if len(set(prev)) < n:
+                continue
+            step = [complex(rng.randint(-4, 4), rng.randint(-4, 4)) / 64 for _ in range(n)]
+            near = [p + s for p, s in zip(prev, step)]
+            yield prev, near
+            yield prev, rng.sample(near, n)
+            # Every current root halfway between two previous ones, or on top of one.
+            yield prev, [(prev[i] + prev[(i + 1) % n]) / 2 if rng.random() < 0.5 else prev[i] for i in range(n)]
+            yield prev, [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+
+
+def test_greedy_match_shortcut_equals_the_full_greedy():
+    rng = random.Random(31)
+    identities = raised = 0
+    for prev, cur in _matching_cases(rng):
+        d = [[abs(p - c) for c in cur] for p in prev]
+        n = len(prev)
+        gaps = sorted({d[i][j] - d[i][i] for i in range(n) for j in range(n) if j != i}
+                      | {d[j][i] - d[i][i] for i in range(n) for j in range(n) if j != i})
+        margins = [0.0, 1e-3, 0.25 * cpoly.min_root_separation(prev), 10.0]
+        margins += [g for g in gaps if g > 0][:3]  # exact ties with the shortcut's inequality
+        for margin in margins:
+            for lenient in (False, True):
+                want = _outcome(_full_greedy, prev, cur, margin, lenient)
+                assert _outcome(_greedy_match, prev, cur, margin, lenient) == want
+                identities += want == list(cur) and not lenient and margin > 0
+                raised += want[0] == "raised"
+    assert identities > 150 and raised > 150
 
 
 def test_trajectory_validations():
