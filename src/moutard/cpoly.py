@@ -6,8 +6,9 @@ toolkit.  Evaluation is Horner, differentiation is exact coefficient
 arithmetic, and root finding is a deterministic Aberth-Ehrlich simultaneous
 iteration so repeated runs give bit-identical output.
 
-Everything here is pure and immutable; instances are safe to share across
-threads.
+Everything here is immutable, with a memoized root solve that is
+deterministic, so a race only repeats work; instances are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InsufficientRoots, NonConvergence
@@ -80,6 +82,18 @@ class ComplexPoly:
         """k-th derivative as a plain (generally non-monic) coefficient tuple."""
         return differentiate(self.coeffs, k)
 
+    @cached_property
+    def root_set(self) -> RootSet:
+        """All roots by :func:`roots`, solved on first access and then kept.
+
+        A polynomial built by :func:`from_roots` passes the roots it was
+        multiplied out from as ``init``: they come back in the given order,
+        bitwise where a root sits at the rounding floor of the stored
+        coefficients, and repeated ones take the cold seed.  Not a field, so
+        equality, hashing and repr see only ``coeffs``.
+        """
+        return roots(self, init=self.__dict__.get("_given_roots"))
+
 
 @dataclass(frozen=True)
 class RootSet:
@@ -106,14 +120,19 @@ class RootSet:
 
 
 def from_roots(roots: Sequence[complex]) -> ComplexPoly:
-    """Monic polynomial with exactly the given roots; [] gives the constant 1."""
+    """Monic polynomial with exactly the given roots; [] gives the constant 1.
+
+    The roots are kept as the starting guesses of its ``root_set`` solve.
+    """
+    given = tuple(complex(r) for r in roots)
     coeffs = [1 + 0j]
-    for r in roots:
-        rc = complex(r)
+    for rc in given:
         coeffs.insert(0, 0j)
         for j in range(len(coeffs) - 1):
             coeffs[j] -= rc * coeffs[j + 1]
-    return ComplexPoly(tuple(coeffs))
+    p = ComplexPoly(tuple(coeffs))
+    object.__setattr__(p, "_given_roots", given)
+    return p
 
 
 def horner(coeffs: Sequence[complex], z: complex) -> complex:

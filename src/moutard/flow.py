@@ -213,9 +213,15 @@ def trajectory(
     (consecutive flagged times merge into one event) and matching at and
     immediately after it is exempt from the ambiguity check, since labels
     may genuinely permute there.  Raises NonFinite when a grid time is not
-    finite or a coefficient of P(t) overflows there.
+    finite or a coefficient of P(t) overflows there, and before any solve
+    when t0, t1 or the span t1 - t0 is not finite.
     """
     sign = _check_sign(flow_sign)
+    for t in (t0, t1):
+        if not math.isfinite(t):
+            raise NonFinite(f"flow time must be finite, got {t!r}", t=t)
+    if not math.isfinite(t1 - t0):
+        raise NonFinite(f"flow time span t1 - t0 = {t1 - t0!r} overflows", span=t1 - t0, t0=t0, t1=t1)
     if not t1 > t0:
         raise ValueError(f"need t0 < t1, got {t0!r} >= {t1!r}")
     if steps < 1:

@@ -64,13 +64,17 @@ def sample_mu(fp: FaddeevParams, radius: float | None = None, count: int = DEFAU
     Default radius is 1e4 * max(1, max |root|), far enough out that modes
     beyond the fitted ones sit below double-precision resolution.  mu is
     evaluated in closed form, so the huge circle costs nothing in accuracy.
+    Raises NonFinite for a nan or inf radius and RadiusTooSmall for a finite
+    one that does not exceed twice the largest root magnitude.
     """
     if count < 8:
         raise ValueError(f"need at least 8 circle samples, got {count}")
     max_root = max((abs(r) for r in fp.roots), default=0.0)
     if radius is None:
         radius = DEFAULT_RADIUS_FACTOR * max(1.0, max_root)
-    if not (math.isfinite(radius) and radius > 2.0 * max_root and radius > 0):
+    if not math.isfinite(radius):
+        raise NonFinite(f"sampling radius must be finite, got {radius!r}", radius=radius)
+    if not radius > 2.0 * max_root:
         raise RadiusTooSmall(
             f"sampling radius {radius!r} must exceed twice the largest root magnitude {max_root!r}",
             radius=radius,

@@ -99,9 +99,10 @@ class FaddeevParams:
 
     Construction precomputes everything reusable: the coefficients of
     T = sum_{k=1..N} (-1)^k P^(k) / lambda^k (so that mu = 2 T / P costs one
-    Horner pass), the roots of P (for pole guarding), and the pole-guard
-    threshold.  Instances are immutable afterwards, so they are safe to
-    share across threads.
+    Horner pass), the roots of P (for pole guarding; P's memoized
+    ``root_set``, so every lambda on one P shares one solve), and the
+    pole-guard threshold.  Instances are immutable afterwards, so they are
+    safe to share across threads.
     """
 
     p: cpoly.ComplexPoly
@@ -126,17 +127,15 @@ class FaddeevParams:
         for k in range(n, 0, -1):
             t = [(a - c if k % 2 else a + c) / lam for a, c in zip(t + [0j], derivs[k - 1])]
         object.__setattr__(self, "_t", tuple(t))
-        rts = cpoly.roots(self.p).roots
-        object.__setattr__(self, "_roots", rts)
-        threshold = POLE_GUARD * math.prod(1.0 + abs(r) for r in rts)
+        threshold = POLE_GUARD * math.prod(1.0 + abs(r) for r in self.roots)
         object.__setattr__(self, "_pole_threshold", threshold)
 
     @property
     def roots(self) -> tuple[complex, ...]:
-        return self._roots
+        return self.p.root_set.roots
 
     def nearest_root(self, z: complex) -> complex:
-        return min(self._roots, key=lambda r: abs(z - r))
+        return min(self.roots, key=lambda r: abs(z - r))
 
     def mu(self, z: complex) -> complex:
         """Deviation from the plane wave: psi * e^{-lambda z} - 1.
@@ -167,10 +166,10 @@ class FaddeevParams:
 def transformed_potential(p: cpoly.ComplexPoly) -> DeltaPotential:
     """Delta potential generated by P: one -8*pi center per root.
 
-    Degree 0 yields the empty potential.  Root-finder NonConvergence
-    propagates.
+    Degree 0 yields the empty potential.  The roots are P's memoized
+    ``root_set``; root-finder NonConvergence propagates.
     """
-    return DeltaPotential(cpoly.roots(p).roots)
+    return DeltaPotential(p.root_set.roots)
 
 
 def smooth_moutard_potential(

@@ -182,6 +182,23 @@ def test_root_overflow_is_a_strict_json_record():
     assert rec["details"]["worst_residual"] == "inf"
 
 
+def test_scatter_infinite_radius_is_non_finite():
+    code, out, err = run_cli(["scatter", "--roots", "1;2", "--lambda", "1", "--radius", "inf"])
+    assert code == 1 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec["type"] == "NonFinite"
+    assert rec["details"] == {"radius": "inf"}
+
+
+def test_roots_are_reported_as_given():
+    code, out, _ = run_cli(["verify", "--roots", "1;-1;0.5i", "--lambda", "2"])
+    assert code == 0
+    assert json.loads(out)["roots"] == [{"re": 1.0, "im": 0.0}, {"re": -1.0, "im": 0.0}, {"re": 0.0, "im": 0.5}]
+    code, out, _ = run_cli(["scatter", "--roots", "1;2", "--lambda", "1"])
+    assert code == 0
+    assert json.loads(out)["radius"] == 2e4  # 1e4 times the largest root, 2 exactly
+
+
 # --- evolve ------------------------------------------------------------------------
 
 
@@ -261,6 +278,14 @@ def test_overflowing_flow_time_is_structured(argv):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"]["type"] == "NonFinite"
+
+
+def test_non_finite_flow_time_is_named():
+    code, out, err = run_cli(["evolve", "--roots", "1;2;3i;-1", "--t0=-inf", "--t1=1e308", "--steps=3"])
+    assert code == 1 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec["details"] == {"t": "-inf"}
+    assert "-inf" in rec["message"]
 
 
 def _dumped(rt):

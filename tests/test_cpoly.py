@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import pickle
 import random
 
 import pytest
@@ -319,6 +320,74 @@ def test_warm_start_from_equal_guesses_takes_the_cold_seed():
 def test_warm_start_needs_one_guess_per_root():
     with pytest.raises(ValueError):
         cpoly.roots(cpoly.from_roots([1, 2, 3]), init=[1, 2])
+
+
+# --- memoized root solve ---------------------------------------------------
+
+
+def _counting_roots(monkeypatch):
+    calls = []
+    solve = cpoly.roots
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cpoly, "roots", counted)
+    return calls
+
+
+def test_root_set_is_solved_once(monkeypatch):
+    calls = _counting_roots(monkeypatch)
+    p = cpoly.ComplexPoly.from_coefficients([2, -3j, 0.5, 1])
+    first = p.root_set
+    assert p.root_set is first
+    assert len(calls) == 1
+
+
+def test_root_set_of_a_coefficient_twin_is_the_plain_solve():
+    for degree in (1, 5, 12, 20):
+        p = cpoly.from_roots(separated_points(random.Random(degree), degree, radius=2.0, min_sep=0.25))
+        twin = cpoly.ComplexPoly.from_coefficients(p.coeffs)
+        plain = cpoly.roots(cpoly.ComplexPoly(p.coeffs))
+        assert twin.root_set.roots == plain.roots
+        assert (twin.root_set.sweeps, twin.root_set.worst_residual) == (plain.sweeps, plain.worst_residual)
+
+
+def test_from_roots_equals_and_hashes_like_its_coefficients():
+    rs = [1.5, -0.5 + 1j, 2j, -1 - 1j]
+    p = cpoly.from_roots(rs)
+    twin = cpoly.ComplexPoly(p.coeffs)
+    assert p == twin and hash(p) == hash(twin) and repr(p) == repr(twin)
+    p.root_set
+    assert p == twin and hash(p) == hash(twin) and repr(p) == repr(twin)
+
+
+def test_memoized_polynomial_pickles(monkeypatch):
+    p = cpoly.from_roots([1, -2j, 0.5 + 0.5j])
+    solved = p.root_set
+    q = pickle.loads(pickle.dumps(p))
+    calls = _counting_roots(monkeypatch)
+    assert q == p
+    assert q.root_set.roots == solved.roots
+    assert calls == []
+
+
+def test_repeated_roots_take_the_cold_fallback():
+    c = 0.3 - 0.7j
+    p = cpoly.from_roots([c, c, c])
+    cold = cpoly.roots(cpoly.ComplexPoly(p.coeffs))
+    assert p.root_set == cold
+    assert p.root_set.sweeps == cold.sweeps
+    assert p.root_set.worst_residual < cpoly.DEFAULT_ROOT_TOL
+
+
+def test_near_coincident_roots_pass_the_gate():
+    c = 0.3 - 0.7j
+    for rs in ([c, c * (1 + 2**-52)], [c, c + 1e-9, c - 1e-9j], [1, 1 + 1e-12, 2]):
+        got = cpoly.from_roots(rs).root_set
+        assert got.worst_residual < cpoly.DEFAULT_ROOT_TOL
+        assert len(got) == len(rs)
 
 
 def test_rootset_is_iterable_and_sized():

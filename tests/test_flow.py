@@ -310,6 +310,28 @@ def test_trajectory_overflowing_time_is_non_finite():
         trajectory(QUARTIC, -math.inf, 1.0, steps=3)
 
 
+@pytest.mark.parametrize(
+    "t0, t1, details",
+    [
+        (-math.inf, 1e308, {"t": "-inf"}),
+        (0.0, math.inf, {"t": "inf"}),
+        (math.nan, 1.0, {"t": "nan"}),
+        (-1e308, 1e308, {"span": "inf", "t0": -1e308, "t1": 1e308}),
+    ],
+)
+def test_trajectory_names_a_non_finite_end_or_span(t0, t1, details):
+    # The grid t0 + (t1 - t0) * k / steps would turn these into a nan time.
+    with pytest.raises(NonFinite) as info:
+        trajectory(QUARTIC, t0, t1, steps=3)
+    assert info.value.record()["details"] == details
+
+
+def test_trajectory_of_from_roots_equals_its_coefficient_twin():
+    p = from_roots([1.5, -1.5 + 0.3j, 0.2 + 1.8j, -0.4 - 1.7j])
+    twin = ComplexPoly.from_coefficients(p.coeffs)
+    assert trajectory(p, 0.0, 0.5, steps=40) == trajectory(twin, 0.0, 0.5, steps=40)
+
+
 def _full_greedy(prev, cur, margin, lenient):
     """The greedy matching with a rescan of the sorted pairs for every rival: the oracle."""
     n = len(prev)

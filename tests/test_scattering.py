@@ -74,6 +74,13 @@ def test_sample_mu_rejects_small_radius():
         sample_mu(params([3.0], 1.0), radius=4.0)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_sample_mu_names_a_non_finite_radius(radius):
+    with pytest.raises(NonFinite) as info:
+        sample_mu(params([3.0], 1.0), radius=radius)
+    assert info.value.record()["details"] == {"radius": repr(radius)}
+
+
 def test_sample_mu_rejects_tiny_count():
     with pytest.raises(ValueError):
         sample_mu(params([], 1.0), radius=10.0, count=4)

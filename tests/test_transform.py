@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
@@ -178,6 +179,54 @@ def test_params_expose_roots():
     assert abs(got[0] - (-1)) < 1e-10
     assert abs(got[1] - 2j) < 1e-10
     assert abs(fp.nearest_root(1.8j) - 2j) < 1e-9
+
+
+def test_params_at_four_lambdas_share_one_root_solve(monkeypatch):
+    calls = []
+    solve = cpoly.roots
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cpoly, "roots", counted)
+    p = cpoly.from_roots([1, -1, 0.5j, 2 - 1j, -1.5 + 0.5j])
+    fps = [FaddeevParams(p, lam) for lam in (2.0, -1j, 0.5 + 0.5j, 3.0)]
+    transformed_potential(p)
+    assert len(calls) == 1
+    assert all(fp.roots == fps[0].roots for fp in fps)
+
+
+def _separated(rng, n, radius, min_sep):
+    pts = []
+    while len(pts) < n:
+        c = cmath.rect(rng.uniform(0.0, radius), rng.uniform(0.0, 2.0 * math.pi))
+        if all(abs(c - q) >= min_sep for q in pts):
+            pts.append(c)
+    return pts
+
+
+def test_params_return_roots_exactly_as_given():
+    for rs in ([1, 2], [1, -1, 0.5j], [2j, -1]):
+        assert FaddeevParams(cpoly.from_roots(rs), 2.0).roots == tuple(complex(r) for r in rs)
+
+
+@pytest.mark.parametrize("degree", range(1, 21))
+def test_params_keep_the_given_roots_in_order(degree):
+    # A given root at the rounding floor of the stored coefficients comes
+    # back bitwise; one off it (degree 20 here has one) is refined in place.
+    rs = _separated(random.Random(degree), degree, radius=2.0, min_sep=0.25)
+    p = cpoly.from_roots(rs)
+    got = FaddeevParams(p, 1.5 - 0.5j).roots
+    assert len(got) == degree
+    for i, (r, g) in enumerate(zip(rs, got)):
+        value = cpoly.horner(p.coeffs, r)
+        scale = cpoly.horner([abs(c) for c in p.coeffs], abs(r)).real
+        if abs(value) <= 2.0 * sys.float_info.epsilon * scale:
+            assert g == r
+        else:
+            assert abs(g - r) < 1e-11 * (1 + abs(r))
+        assert min(range(degree), key=lambda j: abs(g - rs[j])) == i
 
 
 def _derivative_sum_mu(fp, z):
