@@ -37,7 +37,6 @@ from .errors import (
 )
 from .flow import (
     CollisionEvent,
-    FlowState,
     RootTrajectory,
     evolve,
     potential_at,
@@ -57,7 +56,6 @@ from .transform import (
     DELTA_WEIGHT,
     DeltaPotential,
     FaddeevParams,
-    SmoothMoutardInput,
     gauge_shift,
     harmonicity_check,
     moutard_residual,
@@ -68,10 +66,8 @@ from .transform import (
     verify_eigenfunction_identity,
 )
 from .wirtinger import (
-    DEFAULT_STENCIL,
     FIRST_ORDER_STEP_SCALE,
     LAPLACIAN_STEP_SCALE,
-    StencilConfig,
     d_z,
     d_zbar,
     gradient,
@@ -88,13 +84,11 @@ __all__ = [
     "DEFAULT_RADIUS_FACTOR",
     "DEFAULT_ROOT_TOL",
     "DEFAULT_SAMPLE_COUNT",
-    "DEFAULT_STENCIL",
     "DELTA_WEIGHT",
     "DegenerateDesign",
     "DeltaPotential",
     "FIRST_ORDER_STEP_SCALE",
     "FaddeevParams",
-    "FlowState",
     "InconsistentData",
     "InsufficientRoots",
     "IoFailure",
@@ -108,8 +102,6 @@ __all__ = [
     "RootSet",
     "RootTrajectory",
     "ScatteringEstimate",
-    "SmoothMoutardInput",
-    "StencilConfig",
     "ZeroLambda",
     "count_deltas",
     "d_z",

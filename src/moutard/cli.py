@@ -21,9 +21,9 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import re
 import sys
-from dataclasses import dataclass, field
 
 from . import cpoly, flow, scattering, transform
 from .errors import IoFailure, MoutardError
@@ -67,28 +67,9 @@ def parse_complex_list(text: str) -> list[complex]:
     return [parse_complex(p) for p in parts]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one command plus everything it needs."""
-
-    command: str
-    poly: cpoly.ComplexPoly
-    lam: complex | None = None
-    z_points: tuple[complex, ...] = ()
-    t0: float = 0.0
-    t1: float = 1.0
-    steps: int = 100
-    radius: float | None = None
-    samples: int = scattering.DEFAULT_SAMPLE_COUNT
-    tol: float = 1e-3
-    fmt: str = "json"
-    out: str | None = None
-    flow_sign: int = 1
-
-
 def _build_poly(ns: argparse.Namespace) -> cpoly.ComplexPoly:
     roots_given = ns.roots is not None
-    coeffs_given = getattr(ns, "coeffs", None) is not None
+    coeffs_given = ns.coeffs is not None
     if roots_given == coeffs_given:
         raise ConfigError("provide exactly one of --roots or --coeffs")
     try:
@@ -99,47 +80,43 @@ def _build_poly(ns: argparse.Namespace) -> cpoly.ComplexPoly:
         raise ConfigError(str(e)) from None
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
+def _rejection(message: str, ns: argparse.Namespace, *names: str) -> ConfigError:
+    """ConfigError(message), or one naming the nan when an option in names is nan."""
+    for name in names:
+        if math.isnan(getattr(ns, name)):
+            return ConfigError(f"--{name} must be a number, got nan")
+    return ConfigError(message)
+
+
+def _checked(ns: argparse.Namespace) -> cpoly.ComplexPoly:
+    """The generator P, after every configuration check on ns.
+
+    Parses ``ns.lam`` and ``ns.z`` in place; raises ConfigError at the first
+    problem.
+    """
     poly = _build_poly(ns)
-    lam = parse_complex(ns.lam) if getattr(ns, "lam", None) is not None else None
-    if ns.command in ("eigen", "verify", "scatter"):
-        if lam is None or lam == 0:
+    if hasattr(ns, "lam"):
+        ns.lam = parse_complex(ns.lam)
+        if ns.lam == 0:
             raise ConfigError(f"{ns.command} requires a nonzero --lambda")
-    z_points = tuple(parse_complex_list(ns.z)) if getattr(ns, "z", None) is not None else ()
-    if ns.command == "eigen" and not z_points:
-        raise ConfigError("eigen requires at least one point in --z")
-    steps = int(getattr(ns, "steps", 100))
+    if hasattr(ns, "z"):
+        ns.z = parse_complex_list(ns.z)
+        if not ns.z:
+            raise ConfigError("eigen requires at least one point in --z")
     if ns.command == "evolve":
-        if not getattr(ns, "t1", 1.0) > getattr(ns, "t0", 0.0):
-            raise ConfigError("evolve requires --t0 < --t1")
-        if steps < 1:
+        if not ns.t1 > ns.t0:
+            raise _rejection("evolve requires --t0 < --t1", ns, "t0", "t1")
+        if ns.steps < 1:
             raise ConfigError("--steps must be >= 1")
         if poly.degree < 1:
             raise ConfigError("evolve requires a polynomial of degree >= 1")
-    samples = int(getattr(ns, "samples", scattering.DEFAULT_SAMPLE_COUNT))
-    if getattr(ns, "samples", None) is not None and samples < 8:
+    if hasattr(ns, "samples") and ns.samples < 8:
         raise ConfigError("--samples must be >= 8")
-    radius = getattr(ns, "radius", None)
-    if radius is not None and not radius > 0:
-        raise ConfigError("--radius must be positive")
-    tol = float(getattr(ns, "tol", 1e-3))
-    if not tol > 0:
-        raise ConfigError("--tol must be positive")
-    return RunConfig(
-        command=ns.command,
-        poly=poly,
-        lam=lam,
-        z_points=z_points,
-        t0=float(getattr(ns, "t0", 0.0)),
-        t1=float(getattr(ns, "t1", 1.0)),
-        steps=steps,
-        radius=radius,
-        samples=samples,
-        tol=tol,
-        fmt=ns.format,
-        out=ns.out,
-        flow_sign=int(getattr(ns, "flow_sign", 1)),
-    )
+    if getattr(ns, "radius", None) is not None and not ns.radius > 0:
+        raise _rejection("--radius must be positive", ns, "radius")
+    if hasattr(ns, "tol") and not ns.tol > 0:
+        raise _rejection("--tol must be positive", ns, "tol")
+    return poly
 
 
 def _c(z: complex) -> dict[str, float]:
@@ -174,43 +151,43 @@ def _csv_rows(header: list[str], rows: list[list[object]], comments: list[str] =
     return "\n".join(lines) + "\n"
 
 
-def _cmd_eigen(cfg: RunConfig) -> str:
-    fp = transform.FaddeevParams(cfg.poly, cfg.lam)
+def _cmd_eigen(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
+    fp = transform.FaddeevParams(poly, ns.lam)
     evaluated = []
-    for z in cfg.z_points:
+    for z in ns.z:
         mu = fp.mu(z)
         evaluated.append((z, mu, cmath.exp(fp.lam * z) * (1.0 + mu)))
-    if cfg.fmt == "csv":
+    if ns.format == "csv":
         return _csv_rows(
             ["re_z", "im_z", "re_mu", "im_mu", "re_psi", "im_psi"],
             [[z.real, z.imag, mu.real, mu.imag, psi.real, psi.imag] for z, mu, psi in evaluated],
         )
     return _emit_json(
         {
-            "lambda": _c(cfg.lam),
-            "degree": cfg.poly.degree,
+            "lambda": _c(ns.lam),
+            "degree": poly.degree,
             "points": [{"z": _c(z), "mu": _c(mu), "psi": _c(psi)} for z, mu, psi in evaluated],
         }
     )
 
 
-def _cmd_scatter(cfg: RunConfig) -> str:
-    fp = transform.FaddeevParams(cfg.poly, cfg.lam)
-    pairs = scattering.sample_mu(fp, radius=cfg.radius, count=cfg.samples)
-    est = scattering.fit_scattering(pairs, cfg.lam)
-    n = scattering.count_deltas(est.a, cfg.lam)
+def _cmd_scatter(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
+    fp = transform.FaddeevParams(poly, ns.lam)
+    pairs = scattering.sample_mu(fp, radius=ns.radius, count=ns.samples)
+    est = scattering.fit_scattering(pairs, ns.lam)
+    n = scattering.count_deltas(est.a, ns.lam)
     payload = {
         "a": _c(est.a),
         "b": _c(est.b),
         "abs_b": abs(est.b),
-        "expected_a": _c(scattering.expected_a(cfg.poly.degree, cfg.lam)),
+        "expected_a": _c(scattering.expected_a(poly.degree, ns.lam)),
         "fit_residual": est.fit_residual,
         "radius": est.radius,
         "samples": est.samples,
         "recovered_count": n,
-        "degree": cfg.poly.degree,
+        "degree": poly.degree,
     }
-    if cfg.fmt == "csv":
+    if ns.format == "csv":
         return _csv_rows(
             ["re_a", "im_a", "re_b", "im_b", "fit_residual", "radius", "samples", "recovered_count"],
             [[est.a.real, est.a.imag, est.b.real, est.b.imag, est.fit_residual, est.radius, est.samples, n]],
@@ -218,8 +195,8 @@ def _cmd_scatter(cfg: RunConfig) -> str:
     return _emit_json(payload)
 
 
-def _cmd_verify(cfg: RunConfig) -> str:
-    fp = transform.FaddeevParams(cfg.poly, cfg.lam)
+def _cmd_verify(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
+    fp = transform.FaddeevParams(poly, ns.lam)
     results: dict[str, float] = {}
 
     results["identity_residual"] = transform.verify_eigenfunction_identity(fp)
@@ -229,22 +206,22 @@ def _cmd_verify(cfg: RunConfig) -> str:
     results["harmonicity"] = harmonicity
 
     lam = fp.lam
-    pairs = scattering.sample_mu(fp, radius=cfg.radius, count=cfg.samples)
+    pairs = scattering.sample_mu(fp, radius=ns.radius, count=ns.samples)
     est = scattering.fit_scattering(pairs, lam)
-    expected = scattering.expected_a(cfg.poly.degree, lam)
+    expected = scattering.expected_a(poly.degree, lam)
     rel_a = abs(est.a - expected) / abs(expected) if expected != 0 else abs(est.a)
     results["scattering_rel_a"] = rel_a
     results["scattering_abs_b"] = abs(est.b)
 
-    results["flow_residual"] = flow.verify_flow(cfg.poly, 0.3, 0.1, cfg.flow_sign)
+    results["flow_residual"] = flow.verify_flow(poly, 0.3, 0.1, ns.flow_sign)
 
     checks = {name: results[name] < bound for name, bound in VERIFY_THRESHOLDS.items()}
     recovered = scattering.count_deltas(est.a, lam)
-    checks["count_recovered"] = recovered == cfg.poly.degree
+    checks["count_recovered"] = recovered == poly.degree
 
     payload = {
         "lambda": _c(lam),
-        "degree": cfg.poly.degree,
+        "degree": poly.degree,
         "roots": [_c(r) for r in fp.roots],
         "sample_points": sample_points,
         "results": results,
@@ -261,12 +238,12 @@ def _cmd_verify(cfg: RunConfig) -> str:
         "checks": checks,
         "all_passed": all(checks.values()),
     }
-    if cfg.fmt == "csv":
+    if ns.format == "csv":
         rows = [
             [name, results[name], VERIFY_THRESHOLDS[name], checks[name]]
             for name in sorted(VERIFY_THRESHOLDS)
         ]
-        rows.append(["count_recovered", float(recovered), float(cfg.poly.degree), checks["count_recovered"]])
+        rows.append(["count_recovered", float(recovered), float(poly.degree), checks["count_recovered"]])
         return _csv_rows(["check", "value", "threshold", "passed"], rows)
     return _emit_json(payload)
 
@@ -317,30 +294,21 @@ def export_trajectory(rt: flow.RootTrajectory, fmt: str) -> str:
     )
 
 
-def _cmd_evolve(cfg: RunConfig) -> str:
-    rt = flow.trajectory(cfg.poly, cfg.t0, cfg.t1, cfg.steps, cfg.tol, cfg.flow_sign)
-    return export_trajectory(rt, cfg.fmt)
+def _cmd_evolve(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
+    rt = flow.trajectory(poly, ns.t0, ns.t1, ns.steps, ns.tol, ns.flow_sign)
+    return export_trajectory(rt, ns.format)
 
 
-def _cmd_potential(cfg: RunConfig) -> str:
-    pot = flow.potential_at(cfg.poly, cfg.t0, cfg.flow_sign)
-    if cfg.fmt == "csv":
+def _cmd_potential(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
+    pot = flow.potential_at(poly, ns.t0, ns.flow_sign)
+    if ns.format == "csv":
         return _csv_rows(
             ["re_center", "im_center", "weight"],
             [[c.real, c.imag, pot.weight] for c in pot.centers],
         )
     return _emit_json(
-        {"t": cfg.t0, "weight": pot.weight, "centers": [_c(c) for c in pot.centers]}
+        {"t": ns.t0, "weight": pot.weight, "centers": [_c(c) for c in pot.centers]}
     )
-
-
-_COMMANDS = {
-    "eigen": _cmd_eigen,
-    "verify": _cmd_verify,
-    "scatter": _cmd_scatter,
-    "evolve": _cmd_evolve,
-    "potential": _cmd_potential,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,42 +319,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--roots", help="semicolon-separated roots of the generator, e.g. '1+2i;-1;0.5,0.5'")
-        p.add_argument("--coeffs", help="semicolon-separated coefficients, constant term first")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", help="write the report to this path instead of stdout")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--roots", help="semicolon-separated roots of the generator, e.g. '1+2i;-1;0.5,0.5'")
+    common.add_argument("--coeffs", help="semicolon-separated coefficients, constant term first")
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--out", help="write the report to this path instead of stdout")
+    spectral = argparse.ArgumentParser(add_help=False)
+    spectral.add_argument("--lambda", dest="lam", required=True, help="spectral parameter (nonzero)")
+    circle = argparse.ArgumentParser(add_help=False)
+    circle.add_argument("--radius", type=float, help="scattering circle radius")
+    circle.add_argument("--samples", type=int, default=scattering.DEFAULT_SAMPLE_COUNT)
+    sign = argparse.ArgumentParser(add_help=False)
+    sign.add_argument("--flow-sign", dest="flow_sign", type=int, choices=(1, -1), default=1)
 
-    p_eigen = sub.add_parser("eigen", help="evaluate the eigenfunction")
-    common(p_eigen)
-    p_eigen.add_argument("--lambda", dest="lam", required=True, help="spectral parameter (nonzero)")
-    p_eigen.add_argument("--z", required=True, help="evaluation points")
+    def command(name: str, handler, summary: str, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[common, *parents])
+        p.set_defaults(handler=handler)
+        return p
 
-    p_verify = sub.add_parser("verify", help="run the full verification suite")
-    common(p_verify)
-    p_verify.add_argument("--lambda", dest="lam", required=True)
-    p_verify.add_argument("--radius", type=float, help="scattering circle radius")
-    p_verify.add_argument("--samples", type=int, default=scattering.DEFAULT_SAMPLE_COUNT)
-    p_verify.add_argument("--flow-sign", dest="flow_sign", type=int, choices=(1, -1), default=1)
-
-    p_scatter = sub.add_parser("scatter", help="fit scattering data on a circle")
-    common(p_scatter)
-    p_scatter.add_argument("--lambda", dest="lam", required=True)
-    p_scatter.add_argument("--radius", type=float)
-    p_scatter.add_argument("--samples", type=int, default=scattering.DEFAULT_SAMPLE_COUNT)
-
-    p_evolve = sub.add_parser("evolve", help="sample root trajectories of the flow")
-    common(p_evolve)
+    command("eigen", _cmd_eigen, "evaluate the eigenfunction", spectral).add_argument(
+        "--z", required=True, help="evaluation points"
+    )
+    command("verify", _cmd_verify, "run the full verification suite", spectral, circle, sign)
+    command("scatter", _cmd_scatter, "fit scattering data on a circle", spectral, circle)
+    p_evolve = command("evolve", _cmd_evolve, "sample root trajectories of the flow", sign)
     p_evolve.add_argument("--t0", type=float, required=True)
     p_evolve.add_argument("--t1", type=float, required=True)
     p_evolve.add_argument("--steps", type=int, required=True)
     p_evolve.add_argument("--tol", type=float, default=1e-3, help="collision tolerance")
-    p_evolve.add_argument("--flow-sign", dest="flow_sign", type=int, choices=(1, -1), default=1)
-
-    p_pot = sub.add_parser("potential", help="delta potential at one flow time")
-    common(p_pot)
-    p_pot.add_argument("--t0", type=float, default=0.0, help="flow time (default 0)")
-    p_pot.add_argument("--flow-sign", dest="flow_sign", type=int, choices=(1, -1), default=1)
+    command("potential", _cmd_potential, "delta potential at one flow time", sign).add_argument(
+        "--t0", type=float, default=0.0, help="flow time (default 0)"
+    )
 
     return parser
 
@@ -413,11 +376,6 @@ def _attach_literals(argv: list[str]) -> list[str]:
     return out
 
 
-def run(cfg: RunConfig) -> str:
-    """Dispatch a validated configuration; returns the report text."""
-    return _COMMANDS[cfg.command](cfg)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -425,18 +383,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        cfg = _config_from(ns)
+        poly = _checked(ns)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        report = run(cfg)
-        if cfg.out is not None:
+        report = ns.handler(ns, poly)
+        if ns.out is not None:
             try:
-                with open(cfg.out, "w", encoding="utf-8") as fh:
+                with open(ns.out, "w", encoding="utf-8") as fh:
                     fh.write(report)
             except OSError as e:
-                raise IoFailure(f"cannot write report to {cfg.out!r}: {e}", path=cfg.out) from e
+                raise IoFailure(f"cannot write report to {ns.out!r}: {e}", path=ns.out) from e
         else:
             sys.stdout.write(report)
     except MoutardError as e:

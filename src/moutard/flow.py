@@ -31,17 +31,6 @@ from .transform import DeltaPotential, transformed_potential
 
 
 @dataclass(frozen=True)
-class FlowState:
-    """A generating polynomial at one instant of flow time."""
-
-    poly: cpoly.ComplexPoly
-    t: float
-
-    def advance(self, dt: float, flow_sign: int = 1) -> "FlowState":
-        return FlowState(evolve(self.poly, dt, flow_sign), self.t + dt)
-
-
-@dataclass(frozen=True)
 class CollisionEvent:
     """A time-window where some roots came closer than the collision tolerance."""
 

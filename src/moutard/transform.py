@@ -53,7 +53,7 @@ from typing import Callable
 
 from . import cpoly
 from .errors import NearPole, NonFinite, NonPositiveOmega, ZeroLambda
-from .wirtinger import DEFAULT_STENCIL, StencilConfig, laplacian, ring, ring_moments
+from .wirtinger import laplacian, ring, ring_moments
 
 ComplexFunc = Callable[[complex], complex]
 
@@ -79,18 +79,6 @@ class DeltaPotential:
         object.__setattr__(self, "centers", tuple(complex(c) for c in self.centers))
         if self.weight != DELTA_WEIGHT:
             raise ValueError(f"the per-center weight is fixed at -8*pi, got {self.weight!r}")
-
-
-@dataclass(frozen=True)
-class SmoothMoutardInput:
-    """A positive generating function w and the background potential U.
-
-    The caller is responsible for Hw = 0; this type only packages the pair.
-    ``omega`` must return positive reals on the evaluation domain.
-    """
-
-    omega: Callable[[complex], float]
-    u: ComplexFunc
 
 
 @dataclass(frozen=True)
@@ -172,22 +160,29 @@ def transformed_potential(p: cpoly.ComplexPoly) -> DeltaPotential:
     return DeltaPotential(p.root_set.roots)
 
 
-def smooth_moutard_potential(
-    inp: SmoothMoutardInput, z: complex, cfg: StencilConfig = DEFAULT_STENCIL
-) -> complex:
-    """Transformed potential U(z) - 2 * laplacian(log w)(z) for smooth positive w."""
+def smooth_moutard_potential(omega: Callable[[complex], float], u: ComplexFunc, z: complex) -> complex:
+    """Transformed potential U(z) - 2 * laplacian(log w)(z) for smooth positive w = omega.
+
+    The caller is responsible for Hw = 0.  NonPositiveOmega where omega is
+    not a positive real (a complex sample must have zero imaginary part) on
+    the stencil; NonFinite where the result is not finite, as for a non-finite
+    u(z).
+    """
 
     def log_omega(w: complex) -> complex:
-        value = inp.omega(w)
+        value = omega(w)
         real = value.real if isinstance(value, complex) else float(value)
-        if not (math.isfinite(real) and real > 0):
+        if value != real or not (math.isfinite(real) and real > 0):
             raise NonPositiveOmega(
                 f"generating function must be positive, got {value!r} at {w!r}",
                 point=w,
             )
         return math.log(real)
 
-    return complex(inp.u(z)) - 2.0 * laplacian(log_omega, z, cfg)
+    potential = complex(u(z)) - 2.0 * laplacian(log_omega, z)
+    if not cmath.isfinite(potential):
+        raise NonFinite(f"transformed potential is not finite at {z!r}", point=z)
+    return potential
 
 
 def gauge_shift(theta: ComplexFunc, c: complex, omega: ComplexFunc) -> ComplexFunc:

@@ -13,14 +13,18 @@ Richardson step, O(h^4) for any smooth f.  Step sizes balance truncation
 against rounding noise.  First derivatives divide by h, so h near eps**(1/3)
 is right; the Laplacian divides by h**2 and needs a larger step and its own
 default scale.  Both defaults grow with |z| to keep z + h representable.
+``gradient``, ``d_z``, ``d_zbar`` and ``laplacian`` take an optional step h,
+used verbatim when given (it must be finite and positive; ValueError
+otherwise) and left None for the adaptive default scale * max(1, |z|).  A
+non-finite z raises NonFinite.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import NonFinite
@@ -31,29 +35,15 @@ FIRST_ORDER_STEP_SCALE = 1e-5
 LAPLACIAN_STEP_SCALE = 5e-4
 
 
-@dataclass(frozen=True)
-class StencilConfig:
-    """Stencil step.
-
-    ``h`` is the literal step when given; leave it None for the adaptive
-    default (scale * max(1, |z|), with the scale chosen per operation as
-    described in the module docstring).
-    """
-
-    h: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.h is not None and not self.h > 0:
-            raise ValueError(f"stencil step must be positive, got {self.h!r}")
-
-    def first_order_step(self, z: complex) -> float:
-        return self.h if self.h is not None else FIRST_ORDER_STEP_SCALE * max(1.0, abs(z))
-
-    def laplacian_step(self, z: complex) -> float:
-        return self.h if self.h is not None else LAPLACIAN_STEP_SCALE * max(1.0, abs(z))
-
-
-DEFAULT_STENCIL = StencilConfig()
+def _step(h: float | None, scale: float, z: complex) -> float:
+    """h when given, else the adaptive scale * max(1, |z|); checks both z and h."""
+    if not cmath.isfinite(z):
+        raise NonFinite(f"stencil centre must be finite, got {z!r}", point=z)
+    if h is None:
+        return scale * max(1.0, abs(z))
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"stencil step must be finite and positive, got {h!r}")
+    return h
 
 
 def _sample(f: ComplexFunc, w: complex) -> complex:
@@ -93,28 +83,26 @@ def _cross(f: ComplexFunc, z: complex, s: float) -> tuple[complex, complex, comp
     return (fx - 1j * fy) / (4.0 * s), (fx + 1j * fy) / (4.0 * s), east + west + north + south
 
 
-def gradient(
-    f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL
-) -> tuple[complex, complex]:
+def gradient(f: ComplexFunc, z: complex, h: float | None = None) -> tuple[complex, complex]:
     """(d_z f, d_zbar f) at z from one cross stencil at h and h/2: 8 samples."""
-    s = cfg.first_order_step(z)
+    s = _step(h, FIRST_ORDER_STEP_SCALE, z)
     (cz, czbar, _), (fz, fzbar, _) = _cross(f, z, s), _cross(f, z, s / 2.0)
     return (4.0 * fz - cz) / 3.0, (4.0 * fzbar - czbar) / 3.0
 
 
-def d_z(f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL) -> complex:
+def d_z(f: ComplexFunc, z: complex, h: float | None = None) -> complex:
     """Central-difference estimate of (f_x - i f_y)/2 at z."""
-    return gradient(f, z, cfg)[0]
+    return gradient(f, z, h)[0]
 
 
-def d_zbar(f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL) -> complex:
+def d_zbar(f: ComplexFunc, z: complex, h: float | None = None) -> complex:
     """Central-difference estimate of (f_x + i f_y)/2 at z."""
-    return gradient(f, z, cfg)[1]
+    return gradient(f, z, h)[1]
 
 
-def laplacian(f: ComplexFunc, z: complex, cfg: StencilConfig = DEFAULT_STENCIL) -> complex:
+def laplacian(f: ComplexFunc, z: complex, h: float | None = None) -> complex:
     """Five-point estimate of f_xx + f_yy at z; agrees with 4 * d_zbar(d_z f)."""
-    s = cfg.laplacian_step(z)
+    s = _step(h, LAPLACIAN_STEP_SCALE, z)
     centre = 4.0 * _sample(f, z)
     coarse, fine = ((_cross(f, z, r)[2] - centre) / (r * r) for r in (s, s / 2.0))
     return (4.0 * fine - coarse) / 3.0

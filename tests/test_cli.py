@@ -382,6 +382,45 @@ def test_rejects_bad_time_window():
     assert err.strip() == "error: evolve requires --t0 < --t1"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eigen", "--roots", "1", "--lambda", "1", "--z", ""], "eigen requires at least one point in --z"),
+        (["evolve", "--roots", "1", "--t0", "0", "--t1", "1", "--steps", "0"], "--steps must be >= 1"),
+        (
+            ["evolve", "--roots", "", "--t0", "0", "--t1", "1", "--steps", "3"],
+            "evolve requires a polynomial of degree >= 1",
+        ),
+        (
+            ["evolve", "--roots", "1", "--t0", "0", "--t1", "1", "--steps", "3", "--tol", "0"],
+            "--tol must be positive",
+        ),
+        (["scatter", "--roots", "1", "--lambda", "1", "--samples", "4"], "--samples must be >= 8"),
+        (["verify", "--roots", "1", "--lambda", "1", "--radius", "-1"], "--radius must be positive"),
+    ],
+)
+def test_config_error_messages(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["scatter", "--roots", "1;2", "--lambda", "1", "--radius", "nan"], "radius"),
+        (["verify", "--roots", "1;2", "--lambda", "1", "--radius", "nan"], "radius"),
+        (["evolve", "--roots", "1;2", "--t0", "nan", "--t1", "1", "--steps", "3"], "t0"),
+        (["evolve", "--roots", "1;2", "--t0", "0", "--t1", "nan", "--steps", "3"], "t1"),
+        (["evolve", "--roots", "1;2", "--t0", "0", "--t1", "1", "--steps", "3", "--tol", "nan"], "tol"),
+    ],
+)
+def test_nan_options_are_named(argv, name):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err == f"error: --{name} must be a number, got nan\n"
+
+
 def test_missing_subcommand_exits_2():
     code, _, _ = run_cli([])
     assert code == 2

@@ -17,7 +17,6 @@ from moutard import cpoly
 from moutard.cpoly import ComplexPoly, from_roots
 from moutard.errors import AmbiguousMatching, NonFinite
 from moutard.flow import (
-    FlowState,
     _greedy_match,
     evolve,
     potential_at,
@@ -124,10 +123,9 @@ def test_verify_flow_rejects_non_finite_time():
         verify_flow(QUARTIC, math.nan, 0.1)
 
 
-def test_flow_state_advance_accumulates_time():
-    s = FlowState(Z3, 0.0).advance(0.25, 1).advance(0.5, 1)
-    assert s.t == pytest.approx(0.75)
-    assert s.poly.coeffs[0] == pytest.approx(complex(6 * 0.75))
+def test_successive_evolves_accumulate_time():
+    p = evolve(evolve(Z3, 0.25), 0.5)
+    assert p.coeffs[0] == pytest.approx(complex(6 * 0.75))
 
 
 # --- differential check --------------------------------------------------------

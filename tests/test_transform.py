@@ -26,7 +26,6 @@ from moutard.transform import (
     RING_POINTS,
     DeltaPotential,
     FaddeevParams,
-    SmoothMoutardInput,
     gauge_shift,
     harmonicity_check,
     moutard_residual,
@@ -82,30 +81,42 @@ def test_weight_cannot_be_overridden():
 def test_smooth_potential_harmonic_log_gives_zero():
     # log |e^{lambda z}| = Re(lambda z) is harmonic, so U = 0 stays 0.
     lam = 1.3 - 0.4j
-    inp = SmoothMoutardInput(omega=lambda z: abs(cmath.exp(lam * z)), u=lambda z: 0.0)
+    omega = lambda z: abs(cmath.exp(lam * z))
     for z in (0.2, -1 + 0.5j, 2j):
-        assert abs(smooth_moutard_potential(inp, z)) < 1e-6
+        assert abs(smooth_moutard_potential(omega, lambda z: 0.0, z)) < 1e-6
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0])
 def test_smooth_potential_cosh_generator(a):
-    inp = SmoothMoutardInput(
-        omega=lambda z: math.cosh(a * z.real), u=lambda z: a * a
-    )
-    at_zero = smooth_moutard_potential(inp, 0j)
+    omega, u = lambda z: math.cosh(a * z.real), lambda z: a * a
+    at_zero = smooth_moutard_potential(omega, u, 0j)
     assert abs(at_zero - (-a * a)) < 1e-6
     for k in range(25):
         x = -3.0 + 6.0 * k / 24
         z = complex(x, 0.4 * math.sin(3 * k))  # off-axis points hit the 2D stencil
         want = a * a - 2 * a * a / math.cosh(a * x) ** 2
-        assert abs(smooth_moutard_potential(inp, z) - want) < 1e-6
+        assert abs(smooth_moutard_potential(omega, u, z) - want) < 1e-6
 
 
 def test_smooth_potential_rejects_nonpositive_omega():
-    inp = SmoothMoutardInput(omega=lambda z: z.real, u=lambda z: 0.0)
     with pytest.raises(NonPositiveOmega) as exc:
-        smooth_moutard_potential(inp, 0j)  # stencil crosses x <= 0
+        smooth_moutard_potential(lambda z: z.real, lambda z: 0.0, 0j)  # stencil crosses x <= 0
     assert "point" in exc.value.details
+
+
+def test_smooth_potential_rejects_complex_omega():
+    # A complex sample counts only when it is real: 1+5j is not read as 1.
+    assert smooth_moutard_potential(lambda z: 1 + 0j, lambda z: 0.0, 0.5) == 0j
+    with pytest.raises(NonPositiveOmega) as exc:
+        smooth_moutard_potential(lambda z: 1 + 5j, lambda z: 0.0, 0.5)
+    assert "(1+5j)" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_smooth_potential_rejects_non_finite_u(bad):
+    with pytest.raises(NonFinite) as exc:
+        smooth_moutard_potential(lambda z: 1.0, lambda z: bad, 0.5 + 0.5j)
+    assert exc.value.details["point"] == 0.5 + 0.5j
 
 
 # --- closed-form eigenfunction ---------------------------------------------

@@ -17,10 +17,8 @@ import pytest
 from moutard import cpoly
 from moutard.errors import NonFinite
 from moutard.wirtinger import (
-    DEFAULT_STENCIL,
     FIRST_ORDER_STEP_SCALE,
     LAPLACIAN_STEP_SCALE,
-    StencilConfig,
     d_z,
     d_zbar,
     gradient,
@@ -87,7 +85,6 @@ def test_dzbar_annihilates_polynomial_evaluations():
 
 
 def test_gradient_is_the_pair_from_one_sample_set():
-    cfg = StencilConfig()
     seen = []
 
     def f(w: complex) -> complex:
@@ -95,9 +92,9 @@ def test_gradient_is_the_pair_from_one_sample_set():
         return abs(w) ** 2 + expwave(w)
 
     z = 0.7 - 1.3j
-    pair = gradient(f, z, cfg)
+    pair = gradient(f, z)
     assert len(seen) == 8
-    assert pair == (d_z(f, z, cfg), d_zbar(f, z, cfg))
+    assert pair == (d_z(f, z), d_zbar(f, z))
 
 
 def test_cross_samples_lie_exactly_on_the_axes():
@@ -109,8 +106,8 @@ def test_cross_samples_lie_exactly_on_the_axes():
         seen.append(w)
         return abs(w) ** 2
 
-    gradient(f, 0j, StencilConfig(h=0.1))
-    laplacian(f, 0j, StencilConfig(h=0.1))
+    gradient(f, 0j, h=0.1)
+    laplacian(f, 0j, h=0.1)
     assert len(seen) == 17
     assert all(w.real == 0.0 or w.imag == 0.0 for w in seen)
     assert {abs(w) for w in seen} == {0.0, 0.1, 0.05}
@@ -164,11 +161,11 @@ def test_laplacian_agrees_with_nested_wirtinger():
     # truncation plus eps/h^2-scale rounding; 1e-6 covers the combined
     # error for these smooth test functions with a wide margin (measured
     # worst 4.4e-9).
-    cfg = StencilConfig(h=1e-3)
+    h = 1e-3
     for f in (expwave, cmath.sin, lambda z: abs(z) ** 2):
         for z in (0.3 + 0.2j, 2 - 1j, -1 + 3j):
-            lap = laplacian(f, z, cfg)
-            nested = 4.0 * d_zbar(lambda w: d_z(f, w, cfg), z, cfg)
+            lap = laplacian(f, z, h)
+            nested = 4.0 * d_zbar(lambda w: d_z(f, w, h), z, h)
             assert abs(lap - nested) < 1e-6 * max(1.0, abs(f(z)))
 
 
@@ -182,31 +179,58 @@ def test_step_halving_is_noise_stable():
     # entire functions on |z| <= 5 (measured worst 6.1x).
     for f in (expwave, cmath.sin, lambda z: z * z * z - 2j * z):
         for z in (0.3, 2 - 1j, -1 + 2j, 4 + 3j, -3 - 4j, 5j):
-            coarse = d_z(f, z, StencilConfig(h=1e-3))
-            fine = d_z(f, z, StencilConfig(h=5e-4))
+            coarse = d_z(f, z, h=1e-3)
+            fine = d_z(f, z, h=5e-4)
             noise = EPS * max(1.0, abs(f(z))) / 5e-4
             assert abs(coarse - fine) < 10.0 * noise
 
 
+def step_used(op, z: complex, h: float | None = None) -> float:
+    # The coarse cross puts its east sample at z + s; for Re z = 0 its real
+    # part is s exactly, and no other sample lies farther east.
+    seen = []
+
+    def f(w: complex) -> complex:
+        seen.append(w)
+        return 0j
+
+    op(f, z, h)
+    return max(w.real for w in seen)
+
+
 def test_adaptive_steps_scale_with_z():
-    cfg = StencilConfig()
-    assert cfg.first_order_step(0.5j) == FIRST_ORDER_STEP_SCALE
-    assert cfg.first_order_step(10j) == FIRST_ORDER_STEP_SCALE * 10
-    assert cfg.laplacian_step(0) == LAPLACIAN_STEP_SCALE
-    assert cfg.laplacian_step(-4) == LAPLACIAN_STEP_SCALE * 4
+    assert step_used(gradient, 0.5j) == FIRST_ORDER_STEP_SCALE
+    assert step_used(gradient, 10j) == FIRST_ORDER_STEP_SCALE * 10
+    assert step_used(laplacian, 0j) == LAPLACIAN_STEP_SCALE
+    assert step_used(laplacian, -4j) == LAPLACIAN_STEP_SCALE * 4
 
 
 def test_explicit_step_is_used_verbatim():
-    cfg = StencilConfig(h=0.25)
-    assert cfg.first_order_step(100) == 0.25
-    assert cfg.laplacian_step(100) == 0.25
+    assert step_used(gradient, 100j, 0.25) == 0.25
+    assert step_used(laplacian, 100j, 0.25) == 0.25
 
 
 def test_step_must_be_positive():
-    with pytest.raises(ValueError):
-        StencilConfig(h=0.0)
-    with pytest.raises(ValueError):
-        StencilConfig(h=-1e-3)
+    for op in (gradient, d_z, d_zbar, laplacian):
+        for h in (0.0, -1e-3):
+            with pytest.raises(ValueError):
+                op(expwave, 0.3, h)
+
+
+def test_step_must_be_finite():
+    for op in (gradient, d_z, d_zbar, laplacian):
+        for h in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="stencil step must be finite and positive"):
+                op(expwave, 0.3, h)
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(0.0, -math.inf), math.nan])
+@pytest.mark.parametrize("op", [gradient, d_z, d_zbar, laplacian])
+def test_non_finite_centre_raises(op, z):
+    # A constant f samples finitely everywhere, so only the centre check can catch z.
+    with pytest.raises(NonFinite) as exc:
+        op(lambda w: 2.0, z)
+    assert repr(exc.value.details["point"]) == repr(z)
 
 
 def test_dz_error_is_fourth_order():
@@ -215,7 +239,7 @@ def test_dz_error_is_fourth_order():
     # 1/480.0 at h = 1e-2, 2e-2 and 5e-2); a single step h would leave 1/120.
     h = 1e-2
     z = 1.1 - 0.6j
-    err = abs(d_z(expwave, z, StencilConfig(h=h)) - LAM * expwave(z))
+    err = abs(d_z(expwave, z, h) - LAM * expwave(z))
     assert err < h**4 * abs(LAM**5 * expwave(z)) / 400
 
 
@@ -234,5 +258,5 @@ def test_non_finite_reports_sample_point():
         return complex(math.inf, 0.0) if z.real > 1.0 else 1.0
 
     with pytest.raises(NonFinite) as exc:
-        d_z(pole_like, 1.0, DEFAULT_STENCIL)
+        d_z(pole_like, 1.0)
     assert exc.value.details["point"].real > 1.0
