@@ -56,7 +56,6 @@ from .transform import (
     DELTA_WEIGHT,
     DeltaPotential,
     FaddeevParams,
-    gauge_shift,
     harmonicity_check,
     moutard_residual,
     residual_checks,
@@ -111,7 +110,6 @@ __all__ = [
     "expected_a",
     "fit_scattering",
     "from_roots",
-    "gauge_shift",
     "gradient",
     "harmonicity_check",
     "horner",

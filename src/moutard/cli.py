@@ -153,10 +153,7 @@ def _csv_rows(header: list[str], rows: list[list[object]], comments: list[str] =
 
 def _cmd_eigen(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
     fp = transform.FaddeevParams(poly, ns.lam)
-    evaluated = []
-    for z in ns.z:
-        mu = fp.mu(z)
-        evaluated.append((z, mu, cmath.exp(fp.lam * z) * (1.0 + mu)))
+    evaluated = [(z, fp.mu(z), fp.psi(z)) for z in ns.z]
     if ns.format == "csv":
         return _csv_rows(
             ["re_z", "im_z", "re_mu", "im_mu", "re_psi", "im_psi"],

@@ -98,7 +98,8 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     with holomorphic nuisance modes 1/z^2 .. 1/z^6 projected out first (as
     many as the sample count supports), then an explicit 2x2 normal-equation
     solve.  Accumulation order is canonicalized by sorting the samples, so
-    the result is independent of input order.
+    the result is independent of input order.  NonFinite where the
+    conjugate phase 2 Im(lambda z) or the misfit overflows.
     """
     lam = complex(lam)
     if lam == 0:
@@ -116,6 +117,9 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
         raise ValueError("samples must lie on a common circle")
 
     u = [1.0 / z for z in zs]
+    for z in zs:
+        if not math.isfinite(2.0 * (lam * z).imag):
+            raise NonFinite(f"the conjugate phase 2 Im(lambda z) overflows at {z!r}", point=z, lam=lam)
     v = [cmath.exp(complex(0.0, -2.0 * (lam * z).imag)) / z.conjugate() for z in zs]
 
     # Orthonormalize the nuisance block (modified Gram-Schmidt), then project
@@ -154,7 +158,12 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     a = (gvv * bu - guv * bv) / det
     b = (guu * bv - guv.conjugate() * bu) / det
 
-    misfit = math.sqrt(sum(abs(m - a * ui - b * vi) ** 2 for m, ui, vi in zip(data, u, v)) / n)
+    try:
+        misfit = math.sqrt(sum(abs(m - a * ui - b * vi) ** 2 for m, ui, vi in zip(data, u, v)) / n)
+    except OverflowError:
+        misfit = math.inf
+    if not math.isfinite(misfit):
+        raise NonFinite(f"the fit misfit overflows at lambda = {lam!r} on radius {radius!r}", lam=lam, radius=radius)
     return ScatteringEstimate(a=a, b=b, fit_residual=misfit, radius=radius, samples=n)
 
 

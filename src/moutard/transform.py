@@ -12,7 +12,8 @@ through the first-order system
     (w theta)_zbar = +i w^2 (phi / w)_zbar
 
 where phi solves H phi = 0; theta is determined modulo c / w (the integration
-constant of the system).
+constant of the system).  The system is linear, so under theta -> theta + c / w
+its residual changes by the residual of the mode theta = c / w, phi = 0 alone.
 
 This module covers the degenerate polynomial case: with U = 0 and w = P(z) a
 monic polynomial with roots z_k, the transform formally concentrates the new
@@ -145,10 +146,17 @@ class FaddeevParams:
     def psi(self, z: complex) -> complex:
         """Eigenfunction value e^{lambda z} (1 + mu(z)).
 
-        Overflows for strongly positive Re(lambda z); use :meth:`mu` when
-        only the normalized deviation is needed.
+        NonFinite where it overflows, as for strongly positive Re(lambda z);
+        use :meth:`mu` when only the normalized deviation is needed.
         """
-        return cmath.exp(self.lam * z) * (1.0 + self.mu(z))
+        mu = self.mu(z)
+        try:
+            value = cmath.exp(self.lam * z) * (1.0 + mu)
+        except (OverflowError, ValueError):
+            value = math.inf
+        if not cmath.isfinite(value):
+            raise NonFinite(f"psi overflows at {z!r} for lambda = {self.lam!r}", point=z, lam=self.lam)
+        return value
 
 
 def transformed_potential(p: cpoly.ComplexPoly) -> DeltaPotential:
@@ -185,25 +193,11 @@ def smooth_moutard_potential(omega: Callable[[complex], float], u: ComplexFunc, 
     return potential
 
 
-def gauge_shift(theta: ComplexFunc, c: complex, omega: ComplexFunc) -> ComplexFunc:
-    """The function z -> theta(z) + c / omega(z) (the modulo-1/w freedom).
-
-    A zero of omega makes the shifted value non-finite, which
-    ``ring_moments`` reports as NonFinite.
-    """
-
-    def shifted(z: complex) -> complex:
-        den = complex(omega(z))
-        if den == 0:
-            return complex("nan")
-        return complex(theta(z)) + c / den
-
-    return shifted
-
-
-def _residual(om: complex, product: tuple, quotient: tuple) -> tuple[complex, complex]:
-    """(r1, r2) from omega(z) and the ring moments of omega theta and phi / omega."""
-    return product[0] + 1j * om**2 * quotient[0], product[1] - 1j * om**2 * quotient[1]
+def _residual(om0: complex, om: list, theta: list, phi: list, radius: float) -> tuple[complex, complex]:
+    """(r1, r2) from omega(z) and omega, theta and phi on ``ring(z, radius, RING_POINTS)``."""
+    product = ring_moments([o * t for o, t in zip(om, theta)], radius)
+    quotient = ring_moments([f / o for o, f in zip(om, phi)], radius)
+    return product[0] + 1j * om0**2 * quotient[0], product[1] - 1j * om0**2 * quotient[1]
 
 
 def moutard_residual(
@@ -223,9 +217,8 @@ def moutard_residual(
     om = [complex(omega(w)) for w in points]
     if 0 in om:
         raise NonFinite(f"omega vanishes on the ring around {z!r}", point=z)
-    product = ring_moments([o * complex(theta(w)) for o, w in zip(om, points)], radius)
-    quotient = ring_moments([complex(phi(w)) / o for o, w in zip(om, points)], radius)
-    return _residual(complex(omega(z)), product, quotient)
+    thetas, phis = [complex(theta(w)) for w in points], [complex(phi(w)) for w in points]
+    return _residual(complex(omega(z)), om, thetas, phis, radius)
 
 
 def residual_sample_points(
@@ -274,6 +267,14 @@ def _ring_radius(fp: FaddeevParams, z: complex) -> float:
     return 0.5 * min(0.5 * d, 1.0 / abs(fp.lam))
 
 
+def _ring_samples(fp: FaddeevParams, z: complex) -> tuple[float, list[complex], list[complex], list[complex]]:
+    """(rho, P, e^{lambda w}, psi) at w = z and on ``ring(z, rho, RING_POINTS)``, centre first."""
+    rho = _ring_radius(fp, z)
+    ws = [z, *ring(z, rho, RING_POINTS)]
+    psi = [fp.psi(w) for w in ws]  # first: NonFinite where e^{lambda w} overflows
+    return rho, [fp.p.evaluate(w) for w in ws], [cmath.exp(fp.lam * w) for w in ws], psi
+
+
 def _harmonicity(lam: complex, z: complex, radius: float, centre: complex, samples: list[complex]) -> float:
     """Normalized |laplacian psi| from psi(z) and psi on the ring."""
     lap = 4.0 * (ring_moments(samples, radius)[2] - centre) / (radius * radius)
@@ -284,11 +285,11 @@ def harmonicity_check(fp: FaddeevParams, z: complex) -> float:
     """|laplacian psi| at z, normalized by |e^{lambda z}| (1 + |lambda|^2).
 
     psi is harmonic wherever the transformed potential vanishes, i.e. away
-    from the roots of P; a small value certifies that.  psi is sampled on the
-    ring of :func:`residual_checks`; NearPole within 1e-3 max(1, |z|) of a root.
+    from the roots of P; a small value certifies that.  psi is sampled as in
+    :func:`residual_checks`; NearPole within 1e-3 max(1, |z|) of a root.
     """
-    rho = _ring_radius(fp, z)
-    return _harmonicity(fp.lam, z, rho, fp.psi(z), [fp.psi(w) for w in ring(z, rho, RING_POINTS)])
+    rho, _, _, (centre, *psi) = _ring_samples(fp, z)
+    return _harmonicity(fp.lam, z, rho, centre, psi)
 
 
 def residual_checks(fp: FaddeevParams) -> tuple[int, float, float, float]:
@@ -296,29 +297,23 @@ def residual_checks(fp: FaddeevParams) -> tuple[int, float, float, float]:
 
     Returns (points, residual, gauge, harmonicity): the number of
     :func:`residual_sample_points`, and over them the worst
-    :func:`moutard_residual`, its worst change under theta -> theta + c /
-    omega for c in ``GAUGE_SHIFTS`` (both normalized by e^{Re(lambda z)}),
-    and the worst :func:`harmonicity_check`.  P, e = e^{lambda w} and mu are
-    evaluated once at z and on its ring; P psi, P (psi + c / P), phi / P =
-    i e / P and psi = e (1 + mu) are formed from them as the public
-    functions form them, bit for bit.
+    :func:`moutard_residual`, the worst gauge change (the residual of the
+    mode theta = c / omega, phi = 0: the ring moments of omega (c / omega)
+    for c in ``GAUGE_SHIFTS``), both normalized by e^{Re(lambda z)}, and the
+    worst :func:`harmonicity_check`.  All three read one :func:`_ring_samples`
+    set per point, formed as the public functions form it, bit for bit.
     """
     lam = fp.lam
     points = residual_sample_points(fp.roots, lam)
     worst_res = worst_gauge = worst_harm = 0.0
     for z in points:
-        rho = _ring_radius(fp, z)
-        ws = [z, *ring(z, rho, RING_POINTS)]
-        om0, *om = [fp.p.evaluate(w) for w in ws]
-        es = [cmath.exp(lam * w) for w in ws]
-        psi0, *psi = [e * (1.0 + fp.mu(w)) for e, w in zip(es, ws)]
+        rho, (om0, *om), (_, *es), (psi0, *psi) = _ring_samples(fp, z)
         scale = math.exp((lam * z).real)
-        quotient = ring_moments([1j * e / o for e, o in zip(es[1:], om)], rho)
-        r1, r2 = _residual(om0, ring_moments([o * p for o, p in zip(om, psi)], rho), quotient)
+        r1, r2 = _residual(om0, om, psi, [1j * e for e in es], rho)
         worst_res = max(worst_res, abs(r1) / scale, abs(r2) / scale)
         for c in GAUGE_SHIFTS:
-            s1, s2 = _residual(om0, ring_moments([o * (p + c / o) for o, p in zip(om, psi)], rho), quotient)
-            worst_gauge = max(worst_gauge, abs(s1 - r1) / scale, abs(s2 - r2) / scale)
+            g1, g2, _ = ring_moments([o * (c / o) for o in om], rho)
+            worst_gauge = max(worst_gauge, abs(g1) / scale, abs(g2) / scale)
         worst_harm = max(worst_harm, _harmonicity(lam, z, rho, psi0, psi))
     return len(points), worst_res, worst_gauge, worst_harm
 

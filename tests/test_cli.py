@@ -104,7 +104,7 @@ def test_verify_passes_for_symmetric_pair():
     assert doc["scattering"]["recovered_count"] == 2
 
 
-@pytest.mark.parametrize("lam", ["0.1", "20", "100", "20i", "14+14i"])
+@pytest.mark.parametrize("lam", ["0.01", "0.1", "20", "100", "20i", "14+14i"])
 def test_verify_passes_at_small_and_large_lambda(lam):
     # The h = 6e-3 cross stencil failed moutard_residual or gauge_change here.
     code, out, _ = run_cli(["verify", "--roots", "1;-1;0.5i", "--lambda", lam])
@@ -188,6 +188,25 @@ def test_scatter_infinite_radius_is_non_finite():
     rec = json.loads(err)["error"]
     assert rec["type"] == "NonFinite"
     assert rec["details"] == {"radius": "inf"}
+
+
+@pytest.mark.parametrize(
+    "argv, quantity",
+    [
+        (["scatter", "--roots", "1", "--lambda", "1", "--radius", "1e308"], "conjugate phase"),
+        (["verify", "--roots", "1", "--lambda", "1e-300"], "misfit"),
+        (["eigen", "--roots", "1", "--lambda", "1", "--z", "1e300"], "psi"),
+        (["eigen", "--roots", "1", "--lambda", "1e300+1e300i", "--z", "1e10"], "psi"),
+        (["verify", "--roots", "1;-1;0.5i", "--lambda", "1000"], "psi"),
+    ],
+)
+def test_overflow_is_a_named_non_finite_record(argv, quantity):
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec["type"] == "NonFinite"
+    assert quantity in rec["message"]
+    assert "lam" in rec["details"]
 
 
 def test_roots_are_reported_as_given():
