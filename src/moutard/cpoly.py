@@ -158,21 +158,24 @@ def differentiate(coeffs: Sequence[complex], k: int = 1) -> tuple[complex, ...]:
     return cs
 
 
-def _horner_full(coeffs: Sequence[complex], x: complex) -> tuple[complex, complex, float]:
+def _horner_full(
+    coeffs: Sequence[complex], x: complex, abs_coeffs: Sequence[float]
+) -> tuple[complex, complex, float]:
     """One pass returning p(x), p'(x), and the evaluation scale sum |c_j||x|^j.
 
-    The scale is the standard backward-error yardstick: a computed value with
+    ``abs_coeffs`` holds |c_j|, formed once per solve by the caller.  The
+    scale is the standard backward-error yardstick: a computed value with
     |p(x)| at or below eps * scale is numerically indistinguishable from an
     exact root.
     """
     ax = abs(x)
     acc = coeffs[-1]
     dacc = 0j
-    scale = abs(coeffs[-1])
+    scale = abs_coeffs[-1]
     for j in range(len(coeffs) - 2, -1, -1):
         dacc = dacc * x + acc
         acc = acc * x + coeffs[j]
-        scale = scale * ax + abs(coeffs[j])
+        scale = scale * ax + abs_coeffs[j]
     return acc, dacc, scale
 
 
@@ -198,19 +201,30 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex], max_iter: int) -> tupl
     """Aberth-Ehrlich sweeps on the guesses xs, in place.
 
     Returns the sweeps run and the final worst scaled residual, which is inf
-    as soon as an iterate or a Horner value stops being finite.
+    as soon as an iterate or a Horner value stops being finite.  A root at
+    its rounding floor never moves again, so it keeps the residual measured
+    there: later sweeps skip it, and the closing pass evaluates only the
+    roots that never reached their floor.
     """
     n = len(xs)
+    abs_coeffs = [abs(c) for c in coeffs]
     stagnate = 2.0 ** -50
+    floor = 4.0 * _EPS
     sweeps = 0
+    # Scaled residual of each root once it is at its rounding floor, else None.
+    kept: list[float | None] = [None] * n
     for sweeps in range(1, max_iter + 1):
         finished = True
         for i in range(n):
+            if kept[i] is not None:
+                continue
             x = xs[i]
-            pv, dv, scale = _horner_full(coeffs, x)
-            if not math.isfinite(abs(pv) + abs(dv) + scale):
+            pv, dv, scale = _horner_full(coeffs, x, abs_coeffs)
+            apv = abs(pv)
+            if not math.isfinite(apv + abs(dv) + scale):
                 return sweeps, math.inf
-            if abs(pv) <= 4.0 * _EPS * scale:
+            if apv <= floor * scale:
+                kept[i] = apv / max(1.0, scale)
                 continue  # at the rounding floor; moving would add noise
             if dv == 0:
                 # Dead center of a symmetric cluster; nudge deterministically.
@@ -239,11 +253,12 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex], max_iter: int) -> tupl
         if finished:
             break
     worst = 0.0
-    for x in xs:
-        pv, _, scale = _horner_full(coeffs, x)
-        r = abs(pv) / max(1.0, scale)
-        if not math.isfinite(r):
-            return sweeps, math.inf
+    for x, r in zip(xs, kept):
+        if r is None:
+            pv, _, scale = _horner_full(coeffs, x, abs_coeffs)
+            r = abs(pv) / max(1.0, scale)
+            if not math.isfinite(r):
+                return sweeps, math.inf
         worst = max(worst, r)
     return sweeps, worst
 

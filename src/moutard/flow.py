@@ -191,19 +191,22 @@ def trajectory(
 ) -> RootTrajectory:
     """Sampled root paths of the evolving polynomial on [t0, t1].
 
-    Each time's roots are solved warm from the previous time's roots
-    (``cpoly.roots`` falls back to its cold seed by itself when that start
-    fails).  Roots at the first time are ordered by (real, imag); afterwards
-    each time's roots keep the warm start's order when that is certified
-    unambiguous, and otherwise inherit labels from the previous time by
-    greedy nearest-neighbour matching with margin 0.25 * (previous minimum
-    separation); both give the same labels.  Whenever the minimum separation
-    drops below ``collision_tol`` the time is folded into a CollisionEvent
-    (consecutive flagged times merge into one event) and matching at and
-    immediately after it is exempt from the ambiguity check, since labels
-    may genuinely permute there.  Raises NonFinite when a grid time is not
-    finite or a coefficient of P(t) overflows there, and before any solve
-    when t0, t1 or the span t1 - t0 is not finite.
+    Each time's roots are solved warm from the secant prediction
+    2 x_{k-1} - x_{k-2} of the two previous labelled columns, or from x_{k-1}
+    alone at the first step and whenever either of those two times was
+    flagged as a collision (``cpoly.roots`` falls back to its cold seed by
+    itself when that start fails).  Roots at the first time are ordered by
+    (real, imag); afterwards each time's roots keep the warm start's order
+    when that is certified unambiguous against x_{k-1}, and otherwise
+    inherit labels from x_{k-1} by greedy nearest-neighbour matching with
+    margin 0.25 * (previous minimum separation); both give the same labels.
+    Whenever the minimum separation drops below ``collision_tol`` the time
+    is folded into a CollisionEvent (consecutive flagged times merge into one
+    event) and matching at and immediately after it is exempt from the
+    ambiguity check, since labels may genuinely permute there.  Raises
+    NonFinite when a grid time is not finite or a coefficient of P(t)
+    overflows there, and before any solve when t0, t1 or the span t1 - t0 is
+    not finite.
     """
     sign = _check_sign(flow_sign)
     for t in (t0, t1):
@@ -222,11 +225,15 @@ def trajectory(
     times = tuple(t0 + (t1 - t0) * k / steps for k in range(steps + 1))
 
     columns: list[list[complex]] = []
+    seps: list[float] = []  # minimum separation of each column
     flagged: list[tuple[int, float, tuple[int, ...]]] = []  # (time index, min sep, labels)
-    prev: list[complex] = []
-    sep_prev = math.inf
     for k, t in enumerate(times):
-        rts = list(cpoly.roots(_at(p0, terms, t, sign), init=prev or None).roots)
+        if k >= 2 and min(seps[-2:]) >= collision_tol:
+            # Secant prediction from the last two columns, free of Horner passes.
+            init = [2 * a - b for a, b in zip(columns[-1], columns[-2])]
+        else:
+            init = columns[-1] if columns else None
+        rts = list(cpoly.roots(_at(p0, terms, t, sign), init=init).roots)
         # Matching permutes rts, so this is also the separation of cur.
         sep = cpoly.min_root_separation(rts) if n >= 2 else math.inf
         if k == 0:
@@ -237,13 +244,12 @@ def trajectory(
             # Matching is exempt from the ambiguity check when either end of
             # the step sits at a collision: labels genuinely permute there,
             # and the CollisionEvent already marks them unreliable.
-            lenient = sep_prev < collision_tol or sep < collision_tol
-            cur = _greedy_match(prev, rts, 0.25 * sep_prev, lenient=lenient)
+            lenient = seps[-1] < collision_tol or sep < collision_tol
+            cur = _greedy_match(columns[-1], rts, 0.25 * seps[-1], lenient=lenient)
         if sep < collision_tol:
             flagged.append((k, sep, _near_min_pairs(cur, sep)))
         columns.append(cur)
-        prev = cur
-        sep_prev = sep
+        seps.append(sep)
 
     events: list[CollisionEvent] = []
     run: list[tuple[int, float, tuple[int, ...]]] = []

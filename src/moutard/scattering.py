@@ -121,6 +121,10 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
         if not math.isfinite(2.0 * (lam * z).imag):
             raise NonFinite(f"the conjugate phase 2 Im(lambda z) overflows at {z!r}", point=z, lam=lam)
     v = [cmath.exp(complex(0.0, -2.0 * (lam * z).imag)) / z.conjugate() for z in zs]
+    # The solve runs on both columns times s = 2^e ~ radius, so their Gram
+    # products stay near 1 instead of underflowing at huge radii; a power of
+    # two scales exactly, and a, b are unscaled at the end.
+    s = math.ldexp(1.0, math.frexp(radius)[1])
 
     # Orthonormalize the nuisance block (modified Gram-Schmidt), then project
     # it out of both design columns and the data; the 2x2 solve below then
@@ -141,7 +145,7 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
             x = [xi - coef * qi for xi, qi in zip(x, q)]
         return x
 
-    ud, vd, md = deflate(list(u)), deflate(list(v)), deflate(list(data))
+    ud, vd, md = deflate([s * x for x in u]), deflate([s * x for x in v]), deflate(list(data))
 
     guu = _dot(ud, ud).real
     gvv = _dot(vd, vd).real
@@ -155,8 +159,8 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
         )
     bu = _dot(ud, md)
     bv = _dot(vd, md)
-    a = (gvv * bu - guv * bv) / det
-    b = (guu * bv - guv.conjugate() * bu) / det
+    a = (gvv * bu - guv * bv) / det * s
+    b = (guu * bv - guv.conjugate() * bu) / det * s
 
     try:
         misfit = math.sqrt(sum(abs(m - a * ui - b * vi) ** 2 for m, ui, vi in zip(data, u, v)) / n)

@@ -133,9 +133,12 @@ class FaddeevParams:
         T = sum_k (-1)^k P^(k) / lambda^k, so it stays finite on large circles
         where e^{lambda z} overflows; NonFinite where 2 T / P is not finite.
         """
+        return self._mu_from_p(z, self.p.evaluate(z))
+
+    def _mu_from_p(self, z: complex, pz: complex) -> complex:
+        """mu at z given pz = P(z): the pole guard and 2 T(z) / pz."""
         if self.p.degree == 0:
             return 0j
-        pz = self.p.evaluate(z)
         if abs(pz) < self._pole_threshold:
             raise NearPole(z, self.nearest_root(z))
         value = 2.0 * cpoly.horner(self._t, z) / pz
@@ -149,14 +152,20 @@ class FaddeevParams:
         NonFinite where it overflows, as for strongly positive Re(lambda z);
         use :meth:`mu` when only the normalized deviation is needed.
         """
-        mu = self.mu(z)
+        return self._sample(z)[2]
+
+    def _sample(self, z: complex) -> tuple[complex, complex, complex]:
+        """(P(z), e^{lambda z}, psi(z)) from one evaluation of P; raises as :meth:`psi`."""
+        pz = self.p.evaluate(z)
+        mu = self._mu_from_p(z, pz)
         try:
-            value = cmath.exp(self.lam * z) * (1.0 + mu)
+            e = cmath.exp(self.lam * z)
+            value = e * (1.0 + mu)
         except (OverflowError, ValueError):
             value = math.inf
         if not cmath.isfinite(value):
             raise NonFinite(f"psi overflows at {z!r} for lambda = {self.lam!r}", point=z, lam=self.lam)
-        return value
+        return pz, e, value
 
 
 def transformed_potential(p: cpoly.ComplexPoly) -> DeltaPotential:
@@ -270,9 +279,8 @@ def _ring_radius(fp: FaddeevParams, z: complex) -> float:
 def _ring_samples(fp: FaddeevParams, z: complex) -> tuple[float, list[complex], list[complex], list[complex]]:
     """(rho, P, e^{lambda w}, psi) at w = z and on ``ring(z, rho, RING_POINTS)``, centre first."""
     rho = _ring_radius(fp, z)
-    ws = [z, *ring(z, rho, RING_POINTS)]
-    psi = [fp.psi(w) for w in ws]  # first: NonFinite where e^{lambda w} overflows
-    return rho, [fp.p.evaluate(w) for w in ws], [cmath.exp(fp.lam * w) for w in ws], psi
+    om, es, psi = zip(*(fp._sample(w) for w in (z, *ring(z, rho, RING_POINTS))))
+    return rho, list(om), list(es), list(psi)
 
 
 def _harmonicity(lam: complex, z: complex, radius: float, centre: complex, samples: list[complex]) -> float:

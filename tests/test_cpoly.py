@@ -317,6 +317,27 @@ def test_warm_start_from_equal_guesses_takes_the_cold_seed():
     assert warm == cold
 
 
+def _scaled_residual(coeffs, x):
+    """|p(x)| / max(1, sum_j |c_j||x|^j), both sums nested from the top."""
+    value, scale = 0j, 0.0
+    for c in reversed(coeffs):
+        value = value * x + c
+        scale = scale * abs(x) + abs(c)
+    return abs(value) / max(1.0, scale)
+
+
+def test_worst_residual_is_the_recomputed_max_bitwise():
+    # The solver keeps the residual it measured when a root reached its
+    # rounding floor; it must equal a fresh evaluation at the returned root.
+    rng = random.Random(31)
+    for degree in range(1, 21):
+        pts = separated_points(rng, degree, radius=2.0, min_sep=0.2)
+        p = cpoly.ComplexPoly(cpoly.from_roots(pts).coeffs)
+        nearby = [z + 1e-4 * cmath.rect(1.0, rng.uniform(0.0, 2.0 * math.pi)) for z in pts]
+        for rs in (cpoly.roots(p), cpoly.roots(p, init=pts), cpoly.roots(p, init=nearby)):
+            assert rs.worst_residual == max(_scaled_residual(p.coeffs, x) for x in rs), degree
+
+
 def test_warm_start_needs_one_guess_per_root():
     with pytest.raises(ValueError):
         cpoly.roots(cpoly.from_roots([1, 2, 3]), init=[1, 2])

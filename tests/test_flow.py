@@ -268,9 +268,14 @@ def test_trajectory_velocity_is_bounded_between_steps():
             assert abs(b - a) <= 5.0 * speed * dt
 
 
+# Degree-5 ring whose roots stay far apart over t in [0, 0.5].
+RING5 = from_roots([cmath.rect(4.0 + 0.3 * (k % 2), 2 * math.pi * k / 5 + 0.1 * k) for k in range(5)])
+
+
 def test_trajectory_warm_starts_from_previous_column(monkeypatch):
-    # Each time's solve starts from the previous time's labelled roots, ends
-    # on the same point set as a cold solve, and costs fewer sweeps.
+    # Each time's solve starts from 2 x_{k-1} - x_{k-2} of the labelled
+    # columns (from x_{k-1} at the first step), ends on the same point set as
+    # a cold solve, and costs fewer sweeps.
     solves = []
     cold_roots = cpoly.roots
 
@@ -280,17 +285,58 @@ def test_trajectory_warm_starts_from_previous_column(monkeypatch):
         return rs
 
     monkeypatch.setattr(cpoly, "roots", spy)
-    ring = from_roots([cmath.rect(4.0 + 0.3 * (k % 2), 2 * math.pi * k / 5 + 0.1 * k) for k in range(5)])
-    tr = trajectory(ring, 0.0, 0.5, steps=100)
+    tr = trajectory(RING5, 0.0, 0.5, steps=100)
+    assert tr.events == ()
     assert len(solves) == len(tr.times)
     assert solves[0][1] is None
     warm_sweeps = cold_sweeps = 0
     for k, (p, init, rs) in enumerate(solves[1:], start=1):
-        assert list(init) == [path[k - 1] for path in tr.paths]
+        if k == 1:
+            assert list(init) == [path[0] for path in tr.paths]
+        else:
+            assert list(init) == [2 * path[k - 1] - path[k - 2] for path in tr.paths]
         assert_same_points([path[k] for path in tr.paths], list(cold_roots(p)), 1e-12)
         warm_sweeps += rs.sweeps
         cold_sweeps += cold_roots(p).sweeps
-    assert warm_sweeps < 0.6 * cold_sweeps  # 300 against 606
+    assert warm_sweeps < 0.4 * cold_sweeps  # 201 against 600
+
+
+def test_trajectory_predicts_from_the_previous_column_after_a_collision(monkeypatch):
+    # z^3 collides at t = 0: the solves at the flagged time and at the two
+    # times after it start from the previous column, not a secant through it.
+    inits = []
+    solve = cpoly.roots
+
+    def spy(p, *args, **kwargs):
+        inits.append(kwargs.get("init"))
+        return solve(p, *args, **kwargs)
+
+    monkeypatch.setattr(cpoly, "roots", spy)
+    tr = trajectory(Z3, -1.0, 1.0, steps=400)
+    flagged = [k for k in range(len(tr.times)) if min(abs(a[k] - b[k]) for a, b in
+               ((tr.paths[0], tr.paths[1]), (tr.paths[0], tr.paths[2]), (tr.paths[1], tr.paths[2]))) < 1e-3]
+    assert flagged == [200]
+    for k in range(2, len(tr.times)):
+        previous = [path[k - 1] for path in tr.paths]
+        secant = [2 * path[k - 1] - path[k - 2] for path in tr.paths]
+        assert list(inits[k]) == (previous if k - 1 in flagged or k - 2 in flagged else secant)
+
+
+def test_trajectory_spends_about_two_horner_passes_per_root_per_step(monkeypatch):
+    # One sweep that lands every root and one that finds it at its rounding
+    # floor; the closing residual pass reuses the second.  4.07 passes per
+    # root per step when each solve started from x_{k-1}.
+    calls = []
+    horner_full = cpoly._horner_full
+
+    def counted(*args):
+        calls.append(1)
+        return horner_full(*args)
+
+    monkeypatch.setattr(cpoly, "_horner_full", counted)
+    trajectory(RING5, 0.0, 0.5, steps=100)
+    monkeypatch.undo()
+    assert len(calls) <= 2.2 * RING5.degree * 100
 
 
 def test_trajectory_ambiguous_matching_raises():

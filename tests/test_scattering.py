@@ -18,6 +18,7 @@ from moutard import cpoly, scattering, transform
 from moutard.errors import (
     DegenerateDesign,
     InconsistentData,
+    MoutardError,
     NonFinite,
     RadiusTooSmall,
     ZeroLambda,
@@ -150,6 +151,18 @@ def test_fit_residual_shrinks_with_radius():
     near = fit_scattering(sample_mu(fp, radius=200.0), lam).fit_residual
     far = fit_scattering(sample_mu(fp, radius=400.0), lam).fit_residual
     assert near >= 3.0 * far
+
+
+def test_fit_at_huge_radii():
+    # Unscaled, the Gram products of the 1/z and conjugate-phase columns
+    # (about n / r^2 each) underflowed and the fit divided by zero.  At 1e200
+    # P(z) = z^2 itself overflows, which mu reports as a typed error.
+    fp = params([1, 2], 1.0)
+    for radius in (1e100, 1e140, 1e150):
+        est = fit_scattering(sample_mu(fp, radius=radius), fp.lam)
+        assert abs(est.a - expected_a(2, fp.lam)) < 1e-9, radius
+    with pytest.raises(MoutardError):
+        fit_scattering(sample_mu(fp, radius=1e200), fp.lam)
 
 
 # --- prediction and inversion -------------------------------------------------

@@ -509,20 +509,26 @@ def test_residual_checks_equal_unmemoized_loop():
 
 def test_residual_checks_evaluate_mu_once_per_stencil_point(monkeypatch):
     # RING_POINTS + 1 distinct points per sample point: the centre and the
-    # ring, shared by the residual and the Laplacian (the gauge modes need no mu).
+    # ring, shared by the residual and the Laplacian (the gauge modes need no
+    # mu).  Each mu comes from the P(w) the ring samples already hold, and P
+    # is evaluated once per point too.
     seen = []
-    mu = FaddeevParams.mu
+    mu_from_p = FaddeevParams._mu_from_p
 
-    def counted(self, z):
+    def counted(self, z, pz):
         seen.append(z)
-        return mu(self, z)
+        return mu_from_p(self, z, pz)
 
-    monkeypatch.setattr(FaddeevParams, "mu", counted)
+    monkeypatch.setattr(FaddeevParams, "_mu_from_p", counted)
+    evaluated = []
+    evaluate = cpoly.ComplexPoly.evaluate
+    monkeypatch.setattr(cpoly.ComplexPoly, "evaluate", lambda self, z: evaluated.append(z) or evaluate(self, z))
     fp = FaddeevParams(cpoly.from_roots([1, -1, 0.5j]), 2.0)
     points = residual_checks(fp)[0]
     assert points == 25
     assert len(seen) == 25 * (RING_POINTS + 1)
     assert len(set(seen)) == len(seen)
+    assert evaluated == seen
 
 
 # Inputs on which the h = 6e-3 cross stencil gave false FAILs: the triple
@@ -564,9 +570,10 @@ def test_residual_checks_pass_former_false_fails():
 
 def test_residual_checks_fail_a_perturbed_mu(monkeypatch):
     # Negative control: psi with mu scaled by 1 + 1e-3 is no solution, and
-    # the residual must say so on every case above.
-    mu = FaddeevParams.mu
-    monkeypatch.setattr(FaddeevParams, "mu", lambda self, z: mu(self, z) * (1 + 1e-3))
+    # the residual must say so on every case above.  Every psi the checks
+    # read takes its mu from _mu_from_p.
+    mu_from_p = FaddeevParams._mu_from_p
+    monkeypatch.setattr(FaddeevParams, "_mu_from_p", lambda self, z, pz: mu_from_p(self, z, pz) * (1 + 1e-3))
     for fp in _fixed_cases():
         assert residual_checks(fp)[1] >= cli.VERIFY_THRESHOLDS["moutard_residual"], fp.lam
 
