@@ -110,6 +110,8 @@ def _checked(ns: argparse.Namespace) -> cpoly.ComplexPoly:
             raise ConfigError("--steps must be >= 1")
         if poly.degree < 1:
             raise ConfigError("evolve requires a polynomial of degree >= 1")
+    if ns.command == "potential" and math.isnan(ns.t0):
+        raise _rejection("--t0 must be a number", ns, "t0")
     if hasattr(ns, "samples") and ns.samples < 8:
         raise ConfigError("--samples must be >= 8")
     if getattr(ns, "radius", None) is not None and not ns.radius > 0:

@@ -133,10 +133,11 @@ def _near_min_pairs(positions: Sequence[complex], best: float) -> tuple[int, ...
 def _greedy_match(prev: Sequence[complex], cur: Sequence[complex], margin: float, lenient: bool) -> list[complex]:
     """Assign each previous root the nearest unclaimed current root.
 
-    Pairs are consumed globally closest first.  If at any pick the best
-    conflicting alternative is within ``margin`` of the chosen pair, the
-    assignment is not trustworthy; that raises AmbiguousMatching unless
-    ``lenient`` (set next to a flagged collision, where label loss is
+    Each pick is the closest pair (i, j) of a still free previous root i and
+    current root j, ties broken on (distance, i, j).  If the best conflicting
+    alternative in that free row or column is within ``margin`` of the chosen
+    pair, the assignment is not trustworthy; that raises AmbiguousMatching
+    unless ``lenient`` (set next to a flagged collision, where label loss is
     expected and annotated instead).
 
     A warm-started solve returns its roots in the order of its guesses, so
@@ -152,16 +153,14 @@ def _greedy_match(prev: Sequence[complex], cur: Sequence[complex], margin: float
         for i in range(n) for j in range(n) if j != i
     ):
         return list(cur)
-    pairs = sorted((d[i][j], i, j) for i in range(n) for j in range(n))
-    free_prev = set(range(n))
-    free_cur = set(range(n))
+    rows = set(range(n))
+    cols = set(range(n))
     out: list[complex] = [0j] * n
-    for dist, i, j in pairs:
-        if i not in free_prev or j not in free_cur:
-            continue
+    while rows:
+        dist, i, j = min((d[r][c], r, c) for r in rows for c in cols)
         if not lenient:
             rival = min(
-                [d[i][j2] for j2 in free_cur if j2 != j] + [d[i2][j] for i2 in free_prev if i2 != i],
+                [d[i][c] for c in cols if c != j] + [d[r][j] for r in rows if r != i],
                 default=math.inf,
             )
             if rival - dist < margin:
@@ -174,10 +173,8 @@ def _greedy_match(prev: Sequence[complex], cur: Sequence[complex], margin: float
                     margin=margin,
                 )
         out[i] = cur[j]
-        free_prev.remove(i)
-        free_cur.remove(j)
-        if not free_prev:
-            break
+        rows.remove(i)
+        cols.remove(j)
     return out
 
 
@@ -201,9 +198,11 @@ def trajectory(
     inherit labels from x_{k-1} by greedy nearest-neighbour matching with
     margin 0.25 * (previous minimum separation); both give the same labels.
     Whenever the minimum separation drops below ``collision_tol`` the time
-    is folded into a CollisionEvent (consecutive flagged times merge into one
-    event) and matching at and immediately after it is exempt from the
-    ambiguity check, since labels may genuinely permute there.  Raises
+    is flagged as the step is taken: it opens a CollisionEvent, or widens the
+    previous time's event when that time was flagged too (keeping the first
+    tightest time and the union of the roots involved).  Matching at and
+    immediately after a flagged time is exempt from the ambiguity check,
+    since labels may genuinely permute there.  Raises
     NonFinite when a grid time is not finite or a coefficient of P(t)
     overflows there, and before any solve when t0, t1 or the span t1 - t0 is
     not finite.
@@ -226,7 +225,7 @@ def trajectory(
 
     columns: list[list[complex]] = []
     seps: list[float] = []  # minimum separation of each column
-    flagged: list[tuple[int, float, tuple[int, ...]]] = []  # (time index, min sep, labels)
+    events: list[CollisionEvent] = []
     for k, t in enumerate(times):
         if k >= 2 and min(seps[-2:]) >= collision_tol:
             # Secant prediction from the last two columns, free of Horner passes.
@@ -238,8 +237,6 @@ def trajectory(
         sep = cpoly.min_root_separation(rts) if n >= 2 else math.inf
         if k == 0:
             cur = sorted(rts, key=lambda r: (r.real, r.imag))
-        elif n == 1:
-            cur = rts
         else:
             # Matching is exempt from the ambiguity check when either end of
             # the step sits at a collision: labels genuinely permute there,
@@ -247,32 +244,18 @@ def trajectory(
             lenient = seps[-1] < collision_tol or sep < collision_tol
             cur = _greedy_match(columns[-1], rts, 0.25 * seps[-1], lenient=lenient)
         if sep < collision_tol:
-            flagged.append((k, sep, _near_min_pairs(cur, sep)))
+            event = CollisionEvent(t, _near_min_pairs(cur, sep), sep)
+            if k and seps[-1] < collision_tol:
+                # The previous time was flagged too: widen its event, which
+                # keeps the first of its tightest times.
+                last = events.pop()
+                tightest = last if last.min_separation <= sep else event
+                involved = tuple(sorted({*last.roots_involved, *event.roots_involved}))
+                event = CollisionEvent(tightest.t_approx, involved, tightest.min_separation)
+            events.append(event)
         columns.append(cur)
         seps.append(sep)
-
-    events: list[CollisionEvent] = []
-    run: list[tuple[int, float, tuple[int, ...]]] = []
-    for entry in flagged:
-        if run and entry[0] != run[-1][0] + 1:
-            events.append(_merge_run(run, times))
-            run = []
-        run.append(entry)
-    if run:
-        events.append(_merge_run(run, times))
-
-    paths = tuple(tuple(columns[k][i] for k in range(len(times))) for i in range(n))
-    return RootTrajectory(times=times, paths=paths, events=tuple(events))
-
-
-def _merge_run(run: list[tuple[int, float, tuple[int, ...]]], times: tuple[float, ...]) -> CollisionEvent:
-    tightest = min(run, key=lambda e: e[1])
-    involved = sorted(set().union(*(e[2] for e in run)))
-    return CollisionEvent(
-        t_approx=times[tightest[0]],
-        roots_involved=tuple(involved),
-        min_separation=tightest[1],
-    )
+    return RootTrajectory(times=times, paths=tuple(zip(*columns)), events=tuple(events))
 
 
 def potential_at(p0: cpoly.ComplexPoly, t: float, flow_sign: int = 1) -> DeltaPotential:

@@ -159,6 +159,18 @@ def test_scatter_json_fields():
     assert doc["fit_residual"] >= 0.0
 
 
+def test_scatter_csv_row_equals_the_json_report():
+    argv = ["scatter", "--roots", "1;2;3", "--lambda", "0.5i"]
+    code, out, _ = run_cli(argv + ["--format", "csv"])
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == "re_a,im_a,re_b,im_b,fit_residual,radius,samples,recovered_count"
+    doc = json.loads(run_cli(argv)[1])
+    want = [doc["a"]["re"], doc["a"]["im"], doc["b"]["re"], doc["b"]["im"],
+            doc["fit_residual"], doc["radius"], doc["samples"], doc["recovered_count"]]
+    assert row.split(",") == [repr(v) for v in want]
+
+
 def test_scatter_radius_too_small_is_structured():
     code, out, err = run_cli(["scatter", "--roots", "3", "--lambda", "1", "--radius", "4"])
     assert code == 1
@@ -290,6 +302,7 @@ def test_evolve_ambiguous_matching_is_structured():
         ["evolve", "--roots", "1;2;3i;-1", "--t0=0", "--t1=1e308", "--steps=3"],
         ["evolve", "--roots", "1;2;3i;-1", "--t0=-inf", "--t1=1e308", "--steps=3"],
         ["potential", "--roots", "1;2;3i;-1", "--t0=1e308"],
+        ["potential", "--coeffs", "0;0;0;1", "--t0", "inf"],
     ],
 )
 def test_overflowing_flow_time_is_structured(argv):
@@ -432,6 +445,7 @@ def test_config_error_messages(argv, message):
         (["evolve", "--roots", "1;2", "--t0", "nan", "--t1", "1", "--steps", "3"], "t0"),
         (["evolve", "--roots", "1;2", "--t0", "0", "--t1", "nan", "--steps", "3"], "t1"),
         (["evolve", "--roots", "1;2", "--t0", "0", "--t1", "1", "--steps", "3", "--tol", "nan"], "tol"),
+        (["potential", "--coeffs", "0;0;0;1", "--t0", "nan"], "t0"),
     ],
 )
 def test_nan_options_are_named(argv, name):

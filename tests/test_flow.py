@@ -257,6 +257,18 @@ def test_trajectory_collision_event():
     assert ev.min_separation < 1e-3
 
 
+def test_trajectory_separate_collision_windows_are_separate_events():
+    # z^4 + 1 flows to z^4 + 24tz + 1.  One pair of roots comes within 0.26
+    # near t = -0.07 and the other near t = 0.07, with unflagged times between.
+    tr = trajectory(ComplexPoly.from_coefficients([1, 0, 0, 0, 1]), -1.0, 1.0, steps=200, collision_tol=0.5)
+    assert len(tr.events) == 2
+    first, second = tr.events
+    assert first.t_approx == pytest.approx(-0.07) and first.roots_involved == (2, 3)
+    assert second.t_approx == pytest.approx(0.07) and second.roots_involved == (0, 1)
+    for ev in tr.events:
+        assert ev.min_separation == pytest.approx(0.2574, abs=1e-4)
+
+
 def test_trajectory_velocity_is_bounded_between_steps():
     # |dz/dt| = 2/|z|^2 on each branch of z^3 + 6t = 0; consecutive samples
     # should never jump more than 5x the local speed times the step
