@@ -14,6 +14,7 @@ across threads.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -317,8 +318,4 @@ def min_root_separation(r: RootSet | Sequence[complex]) -> float:
         raise InsufficientRoots(
             f"separation needs at least 2 roots, got {len(pts)}"
         )
-    return min(
-        abs(pts[i] - pts[j])
-        for i in range(len(pts))
-        for j in range(i + 1, len(pts))
-    )
+    return min(abs(a - b) for a, b in itertools.combinations(pts, 2))

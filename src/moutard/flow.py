@@ -13,9 +13,10 @@ finite exponential sum
 which terminates after at most ceil(degree/3) + 1 terms: the evolution is
 exact (up to floating-point rounding in the t^m/m! weights), monic stays
 monic, and the degree never changes.  Each coefficient is a polynomial in t,
-so root trajectories are algebraic curves; this module samples them, matches
-roots across consecutive times by greedy nearest-neighbour assignment, and
-annotates close encounters instead of pretending labels survive a collision.
+so root trajectories are algebraic curves; this module samples them, labels
+roots across consecutive times (certified from each step's displacement, else
+by greedy nearest-neighbour matching), and annotates close encounters instead
+of pretending labels survive a collision.
 """
 
 from __future__ import annotations
@@ -130,6 +131,19 @@ def _near_min_pairs(positions: Sequence[complex], best: float) -> tuple[int, ...
     return tuple(sorted(involved))
 
 
+def _labels_kept(prev: Sequence[complex], cur: Sequence[complex], sep: float) -> bool:
+    """True when no root moved 3/8 of ``sep``, the minimum separation of ``prev``.
+
+    With delta the largest move, |prev_i - cur_j| >= sep - delta for i != j, so
+    every off-diagonal distance exceeds the diagonal one in its row and in its
+    column by at least sep - 2 delta >= sep / 4: greedy matching at margin
+    sep / 4 keeps the order of ``cur`` and does not raise.  The factor
+    1 - 2^-40 covers the few-ulp error of the computed (normal-range)
+    distances.  A single root has sep = inf and is always kept.
+    """
+    return max(abs(c - p) for p, c in zip(prev, cur)) <= 0.375 * (1 - 2**-40) * sep
+
+
 def _greedy_match(prev: Sequence[complex], cur: Sequence[complex], margin: float, lenient: bool) -> list[complex]:
     """Assign each previous root the nearest unclaimed current root.
 
@@ -138,21 +152,11 @@ def _greedy_match(prev: Sequence[complex], cur: Sequence[complex], margin: float
     alternative in that free row or column is within ``margin`` of the chosen
     pair, the assignment is not trustworthy; that raises AmbiguousMatching
     unless ``lenient`` (set next to a flagged collision, where label loss is
-    expected and annotated instead).
-
-    A warm-started solve returns its roots in the order of its guesses, so
-    ``cur`` usually is the answer already.  When every off-diagonal distance
-    in its row and column exceeds the diagonal one by at least ``margin`` > 0,
-    the greedy would pick exactly the diagonal without raising, and ``cur`` is
-    returned as it is.
+    expected and annotated instead).  ``trajectory`` calls it only where
+    :func:`_labels_kept` declines.
     """
     n = len(prev)
     d = [[abs(p - c) for c in cur] for p in prev]
-    if not lenient and margin > 0 and all(
-        d[i][j] - d[i][i] >= margin and d[j][i] - d[i][i] >= margin
-        for i in range(n) for j in range(n) if j != i
-    ):
-        return list(cur)
     rows = set(range(n))
     cols = set(range(n))
     out: list[complex] = [0j] * n
@@ -194,9 +198,11 @@ def trajectory(
     flagged as a collision (``cpoly.roots`` falls back to its cold seed by
     itself when that start fails).  Roots at the first time are ordered by
     (real, imag); afterwards each time's roots keep the warm start's order
-    when that is certified unambiguous against x_{k-1}, and otherwise
-    inherit labels from x_{k-1} by greedy nearest-neighbour matching with
-    margin 0.25 * (previous minimum separation); both give the same labels.
+    when no root moved 3/8 of the previous minimum separation from x_{k-1}
+    (:func:`_labels_kept`, an O(n) certificate), and otherwise inherit
+    labels from x_{k-1} by greedy nearest-neighbour matching with margin
+    0.25 * (previous minimum separation); where the certificate accepts,
+    the greedy would return the same labels.
     Whenever the minimum separation drops below ``collision_tol`` the time
     is flagged as the step is taken: it opens a CollisionEvent, or widens the
     previous time's event when that time was flagged too (keeping the first
@@ -217,6 +223,8 @@ def trajectory(
         raise ValueError(f"need t0 < t1, got {t0!r} >= {t1!r}")
     if steps < 1:
         raise ValueError(f"need steps >= 1, got {steps}")
+    if not collision_tol > 0:
+        raise ValueError(f"collision_tol must be positive, got {collision_tol!r}")
     if p0.degree < 1:
         raise ValueError("trajectory needs a generating polynomial of degree >= 1")
     n = p0.degree
@@ -242,7 +250,10 @@ def trajectory(
             # the step sits at a collision: labels genuinely permute there,
             # and the CollisionEvent already marks them unreliable.
             lenient = seps[-1] < collision_tol or sep < collision_tol
-            cur = _greedy_match(columns[-1], rts, 0.25 * seps[-1], lenient=lenient)
+            if not lenient and _labels_kept(columns[-1], rts, seps[-1]):
+                cur = rts
+            else:
+                cur = _greedy_match(columns[-1], rts, 0.25 * seps[-1], lenient=lenient)
         if sep < collision_tol:
             event = CollisionEvent(t, _near_min_pairs(cur, sep), sep)
             if k and seps[-1] < collision_tol:

@@ -220,8 +220,11 @@ def moutard_residual(
         r2 = (w theta)_zbar - i w(z)^2 (phi / w)_zbar
 
     read from one ring of ``RING_POINTS`` samples at ``radius`` around z;
-    (0, 0) certifies the triple.  NonFinite where omega vanishes on the ring.
+    (0, 0) certifies the triple.  NonFinite where omega vanishes on the ring;
+    ValueError unless the radius is finite and positive.
     """
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"ring radius must be finite and positive, got {radius!r}")
     points = ring(z, radius, RING_POINTS)
     om = [complex(omega(w)) for w in points]
     if 0 in om:
@@ -244,10 +247,13 @@ def residual_sample_points(
     quantities normalized by |e^{lambda z}| do not amplify rounding noise.
     The phase constraint is dropped if it cannot be met (far-off-axis root
     clusters); the distance constraint always can be, on a ring enclosing
-    all roots.
+    all roots.  NonFinite for a non-finite root or lambda.
     """
     roots = tuple(complex(r) for r in roots)
     lam = complex(lam)
+    for v in (*roots, lam):
+        if not cmath.isfinite(v):
+            raise NonFinite(f"sample points need finite roots and lambda, got {v!r}", value=v)
     center = sum(roots) / len(roots) if roots else 0j
     spread = max((abs(r - center) for r in roots), default=0.0)
     grid = 8 * count

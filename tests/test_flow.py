@@ -13,11 +13,12 @@ import random
 
 import pytest
 
-from moutard import cpoly
+from moutard import cpoly, flow
 from moutard.cpoly import ComplexPoly, from_roots
 from moutard.errors import AmbiguousMatching, NonFinite
 from moutard.flow import (
     _greedy_match,
+    _labels_kept,
     evolve,
     potential_at,
     trajectory,
@@ -453,6 +454,72 @@ def test_greedy_match_shortcut_equals_the_full_greedy():
     assert identities > 150 and raised > 150
 
 
+def _toward_nearest(points):
+    """The unit vector from each point towards its nearest other point."""
+    nearest = [min((q for q in points if q != p), key=lambda q: abs(q - p)) for p in points]
+    return [(q - p) / abs(q - p) for p, q in zip(points, nearest)]
+
+
+def _certificate_cases(rng):
+    """(prev, cur) pairs whose largest move sits at, just below and just above 3/8 of the separation."""
+    yield [0.5 + 0.25j], [1e6 + 0j]  # a single root: separation inf
+    for n in range(2, 9):
+        for _ in range(24):
+            # Dyadic grids: each root moves along an axis, at its nearest
+            # neighbour where that lies on the axis, so ties are exact.
+            prev = [complex(rng.randint(-8, 8), rng.randint(-8, 8)) / 4 for _ in range(n)]
+            if len(set(prev)) < n:
+                continue
+            sep = cpoly.min_root_separation(prev)
+            axes = (1, -1, 1j, -1j)
+            units = [u if u in axes else rng.choice(axes) for u in _toward_nearest(prev)]
+            for scale in (0.375 * (1 - 2**-30), 0.375, 0.375 * (1 + 2**-30)):
+                yield prev, [p + scale * sep * u for p, u in zip(prev, units)]
+            # Random pairs: every root moves up to half the separation in any
+            # direction, or straight at its nearest neighbour by the most the
+            # certificate admits.
+            prev = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+            sep = cpoly.min_root_separation(prev)
+            yield prev, [p + cmath.rect(rng.uniform(0, 0.5) * sep, rng.uniform(-math.pi, math.pi)) for p in prev]
+            yield prev, [p + 0.375 * (1 - 2**-40) * sep * u for p, u in zip(prev, _toward_nearest(prev))]
+
+
+def test_labels_kept_only_where_the_greedy_keeps_them():
+    # Soundness of the displacement certificate: wherever it accepts, the
+    # greedy at margin sep / 4 returns cur unchanged and does not raise.
+    rng = random.Random(14)
+    kept = declined = 0
+    for prev, cur in _certificate_cases(rng):
+        sep = cpoly.min_root_separation(prev) if len(prev) > 1 else math.inf
+        delta = max(abs(c - p) for p, c in zip(prev, cur))
+        if _labels_kept(prev, cur, sep):
+            kept += 1
+            assert delta < 0.375 * sep
+            assert _full_greedy(prev, cur, 0.25 * sep, lenient=False) == list(cur)
+        else:
+            declined += 1
+            assert delta >= 0.375 * (1 - 2**-40) * sep
+        if delta <= 0.375 * (1 - 2**-30) * sep:
+            assert _labels_kept(prev, cur, sep)
+    assert kept > 200 and declined > 450
+
+
+def test_trajectory_certifies_well_separated_steps_without_matching(monkeypatch):
+    # RING5's roots never move 3/8 of their separation in one step, so no
+    # step reaches the greedy matching (every step did before the
+    # certificate read the displacement).
+    strict = []
+    match = flow._greedy_match
+
+    def spy(prev, cur, margin, lenient):
+        strict.append(not lenient)
+        return match(prev, cur, margin, lenient)
+
+    monkeypatch.setattr(flow, "_greedy_match", spy)
+    tr = trajectory(RING5, 0.0, 0.5, steps=100)
+    assert tr.events == () and sum(strict) == 0
+
+
 def test_trajectory_validations():
     with pytest.raises(ValueError):
         trajectory(Z3, 1.0, 1.0, steps=10)
@@ -460,6 +527,19 @@ def test_trajectory_validations():
         trajectory(Z3, 0.0, 1.0, steps=0)
     with pytest.raises(ValueError):
         trajectory(ComplexPoly((1 + 0j,)), 0.0, 1.0, steps=10)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-3, -math.inf])
+def test_trajectory_rejects_a_collision_tol_that_is_not_positive(tol):
+    # A nan tolerance flags nothing, and z^3 over [-1, 1] then fails as an
+    # ambiguous matching instead of naming the tolerance.
+    with pytest.raises(ValueError, match=f"collision_tol must be positive, got {tol!r}"):
+        trajectory(Z3, -1.0, 1.0, steps=200, collision_tol=tol)
+
+
+def test_trajectory_accepts_an_infinite_collision_tol():
+    tr = trajectory(Z3, -1.0, 1.0, steps=20, collision_tol=math.inf)
+    assert len(tr.events) == 1 and tr.events[0].roots_involved == (0, 1, 2)
 
 
 # --- singular potential along the flow -----------------------------------------

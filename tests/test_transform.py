@@ -444,6 +444,13 @@ def test_residual_rejects_omega_zero_on_the_ring():
         moutard_residual(lambda z: z.real, rotated_phi(1.0), planewave(1.0), -1.0, 1.0)
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.25, math.nan, math.inf])
+def test_residual_rejects_a_radius_that_is_not_finite_and_positive(radius):
+    # Radius 0 divided by zero and a negative radius returned a value.
+    with pytest.raises(ValueError, match="ring radius must be finite and positive"):
+        moutard_residual(lambda w: 1.0, rotated_phi(1.0), planewave(1.0), 0.5, radius)
+
+
 def test_residual_gauge_invariance():
     # theta -> theta + c/omega leaves both residuals unchanged to 1e-10
     # even for |c| = 1e3 (the shift enters (omega theta) as an additive
@@ -641,3 +648,14 @@ def test_sample_points_custom_min_distance():
     roots = (0j,)
     pts = residual_sample_points(roots, 1.0, count=10, min_dist=3.0)
     assert all(abs(z) >= 3.0 for z in pts)
+
+
+@pytest.mark.parametrize(
+    "roots, lam",
+    [((1.0, complex("nan")), 2.0), ((complex(0, math.inf),), 2.0), ((0.3, -1j), complex("nan")), ((0.3,), math.inf)],
+)
+def test_sample_points_reject_a_non_finite_root_or_lambda(roots, lam):
+    # A nan root used to end in an untyped "no admissible sample ring", and a
+    # nan lambda dropped the phase constraint without a word.
+    with pytest.raises(NonFinite, match="sample points need finite roots and lambda"):
+        residual_sample_points(roots, lam)
