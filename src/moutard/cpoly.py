@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import InsufficientRoots, NonConvergence
+from .errors import InsufficientRoots, NonConvergence, NonFinite
 
 _EPS = sys.float_info.epsilon
 # Fractional part of the golden ratio; used to rotate the initial root guesses
@@ -141,6 +141,19 @@ def horner(coeffs: Sequence[complex], z: complex) -> complex:
     acc = 0j
     for c in reversed(coeffs):
         acc = acc * z + c
+    return acc
+
+
+def _horner_list(coeffs: Sequence[complex], points: Sequence[complex]) -> list[complex]:
+    """``horner(coeffs, z)`` for every z in points, bit for bit.
+
+    The coefficient loop runs outermost, so each coefficient costs one list
+    pass instead of one interpreted step per point; every value takes
+    exactly horner's operations in horner's order, from the same 0j start.
+    """
+    acc = [0j] * len(points)
+    for c in reversed(coeffs):
+        acc = [a * z + c for a, z in zip(acc, points)]
     return acc
 
 
@@ -312,10 +325,13 @@ def roots(
 
 
 def min_root_separation(r: RootSet | Sequence[complex]) -> float:
-    """Minimum pairwise distance between roots; needs at least two."""
+    """Minimum pairwise distance between roots; needs at least two, all finite (NonFinite)."""
     pts = tuple(r.roots if isinstance(r, RootSet) else r)
     if len(pts) < 2:
         raise InsufficientRoots(
             f"separation needs at least 2 roots, got {len(pts)}"
         )
+    for x in pts:
+        if not cmath.isfinite(x):
+            raise NonFinite(f"separation needs finite roots, got {x!r}", root=x)
     return min(abs(a - b) for a, b in itertools.combinations(pts, 2))

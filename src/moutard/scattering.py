@@ -63,7 +63,10 @@ def sample_mu(fp: FaddeevParams, radius: float | None = None, count: int = DEFAU
 
     Default radius is 1e4 * max(1, max |root|), far enough out that modes
     beyond the fitted ones sit below double-precision resolution.  mu is
-    evaluated in closed form, so the huge circle costs nothing in accuracy.
+    evaluated in closed form, so the huge circle costs nothing in accuracy;
+    all points go through one batched evaluation, bitwise as
+    :meth:`FaddeevParams.mu` point by point and raising at the first point
+    that fails.
     Raises NonFinite for a nan or inf radius and RadiusTooSmall for a finite
     one that does not exceed twice the largest root magnitude.
     """
@@ -80,11 +83,8 @@ def sample_mu(fp: FaddeevParams, radius: float | None = None, count: int = DEFAU
             radius=radius,
             max_root=max_root,
         )
-    out: MuSamples = []
-    for j in range(count):
-        z = cmath.rect(radius, 2.0 * math.pi * j / count)
-        out.append((z, fp.mu(z)))
-    return out
+    zs = [cmath.rect(radius, 2.0 * math.pi * j / count) for j in range(count)]
+    return list(zip(zs, fp._evaluate(zs, with_psi=False)[1]))
 
 
 def _dot(x: Sequence[complex], y: Sequence[complex]) -> complex:
@@ -98,15 +98,20 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     with holomorphic nuisance modes 1/z^2 .. 1/z^6 projected out first (as
     many as the sample count supports), then an explicit 2x2 normal-equation
     solve.  Accumulation order is canonicalized by sorting the samples, so
-    the result is independent of input order.  NonFinite where the
-    conjugate phase 2 Im(lambda z) or the misfit overflows.
+    the result is independent of input order.  NonFinite for the first
+    non-finite (z, mu) sample, and where the conjugate phase 2 Im(lambda z)
+    or the misfit overflows.
     """
     lam = complex(lam)
     if lam == 0:
         raise ZeroLambda("scattering data is defined for nonzero lambda")
     if len(samples) < 4:
         raise ValueError(f"need at least 4 samples, got {len(samples)}")
-    ordered = sorted(((complex(z), complex(mu)) for z, mu in samples), key=lambda t: (t[0].real, t[0].imag))
+    pairs = [(complex(z), complex(mu)) for z, mu in samples]
+    for z, mu in pairs:
+        if not (cmath.isfinite(z) and cmath.isfinite(mu)):
+            raise NonFinite(f"the sample (z, mu) = ({z!r}, {mu!r}) is not finite", point=z, mu=mu)
+    ordered = sorted(pairs, key=lambda t: (t[0].real, t[0].imag))
     zs = [z for z, _ in ordered]
     data = [mu for _, mu in ordered]
     n = len(zs)

@@ -53,7 +53,7 @@ from itertools import zip_longest
 from typing import Callable
 
 from . import cpoly
-from .errors import NearPole, NonFinite, NonPositiveOmega, ZeroLambda
+from .errors import MoutardError, NearPole, NonFinite, NonPositiveOmega, ZeroLambda
 from .wirtinger import laplacian, ring, ring_moments
 
 ComplexFunc = Callable[[complex], complex]
@@ -131,20 +131,10 @@ class FaddeevParams:
 
         Evaluated in closed form as 2 T(z) / P(z) with the precomputed
         T = sum_k (-1)^k P^(k) / lambda^k, so it stays finite on large circles
-        where e^{lambda z} overflows; NonFinite where 2 T / P is not finite.
+        where e^{lambda z} overflows; NearPole where |P(z)| is below the pole
+        guard, NonFinite where 2 T / P is not finite.
         """
-        return self._mu_from_p(z, self.p.evaluate(z))
-
-    def _mu_from_p(self, z: complex, pz: complex) -> complex:
-        """mu at z given pz = P(z): the pole guard and 2 T(z) / pz."""
-        if self.p.degree == 0:
-            return 0j
-        if abs(pz) < self._pole_threshold:
-            raise NearPole(z, self.nearest_root(z))
-        value = 2.0 * cpoly.horner(self._t, z) / pz
-        if not cmath.isfinite(value):
-            raise NonFinite(f"mu = 2 T / P is not finite at {z!r}", point=z, lam=self.lam)
-        return value
+        return self._evaluate([z], with_psi=False)[1][0]
 
     def psi(self, z: complex) -> complex:
         """Eigenfunction value e^{lambda z} (1 + mu(z)).
@@ -152,20 +142,41 @@ class FaddeevParams:
         NonFinite where it overflows, as for strongly positive Re(lambda z);
         use :meth:`mu` when only the normalized deviation is needed.
         """
-        return self._sample(z)[2]
+        return self._evaluate([z])[3][0]
 
-    def _sample(self, z: complex) -> tuple[complex, complex, complex]:
-        """(P(z), e^{lambda z}, psi(z)) from one evaluation of P; raises as :meth:`psi`."""
-        pz = self.p.evaluate(z)
-        mu = self._mu_from_p(z, pz)
-        try:
-            e = cmath.exp(self.lam * z)
-            value = e * (1.0 + mu)
-        except (OverflowError, ValueError):
-            value = math.inf
-        if not cmath.isfinite(value):
-            raise NonFinite(f"psi overflows at {z!r} for lambda = {self.lam!r}", point=z, lam=self.lam)
-        return pz, e, value
+    def _evaluate(self, points: list[complex], with_psi: bool = True) -> tuple[list[complex], ...]:
+        """(P, mu, e^{lambda w}, psi) at every point w; the last two stay empty unless ``with_psi``.
+
+        P and T take one list Horner pass each, bitwise as ``cpoly.horner``.
+        The points are then checked in order, each as :meth:`psi` (or, without
+        ``with_psi``, :meth:`mu`) checks it: the pole guard, a finite mu, a
+        finite psi (an overflowing e^{lambda w} counts as psi overflowing), so
+        an error names the first point that fails.
+        """
+        lam, threshold = self.lam, self._pole_threshold
+        ps = cpoly._horner_list(self.p.coeffs, points)
+        mus, es, psis = [], [], []
+        for z, pz, tz in zip(points, ps, cpoly._horner_list(self._t, points)):
+            if not self._t:
+                mu = 0j  # degree 0: the plane wave, no pole to guard
+            elif abs(pz) < threshold:
+                raise NearPole(z, self.nearest_root(z))
+            else:
+                mu = 2.0 * tz / pz
+                if not cmath.isfinite(mu):
+                    raise NonFinite(f"mu = 2 T / P is not finite at {z!r}", point=z, lam=lam)
+            mus.append(mu)
+            if with_psi:
+                try:
+                    e = cmath.exp(lam * z)
+                    value = e * (1.0 + mu)
+                except (OverflowError, ValueError):
+                    value = math.inf
+                if not cmath.isfinite(value):
+                    raise NonFinite(f"psi overflows at {z!r} for lambda = {lam!r}", point=z, lam=lam)
+                es.append(e)
+                psis.append(value)
+        return ps, mus, es, psis
 
 
 def transformed_potential(p: cpoly.ComplexPoly) -> DeltaPotential:
@@ -220,11 +231,14 @@ def moutard_residual(
         r2 = (w theta)_zbar - i w(z)^2 (phi / w)_zbar
 
     read from one ring of ``RING_POINTS`` samples at ``radius`` around z;
-    (0, 0) certifies the triple.  NonFinite where omega vanishes on the ring;
-    ValueError unless the radius is finite and positive.
+    (0, 0) certifies the triple.  NonFinite for a non-finite z and where
+    omega vanishes on the ring; ValueError unless the radius is finite and
+    positive.
     """
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"ring radius must be finite and positive, got {radius!r}")
+    if not cmath.isfinite(z):
+        raise NonFinite(f"ring centre must be finite, got {z!r}", point=z)
     points = ring(z, radius, RING_POINTS)
     om = [complex(omega(w)) for w in points]
     if 0 in om:
@@ -247,8 +261,13 @@ def residual_sample_points(
     quantities normalized by |e^{lambda z}| do not amplify rounding noise.
     The phase constraint is dropped if it cannot be met (far-off-axis root
     clusters); the distance constraint always can be, on a ring enclosing
-    all roots.  NonFinite for a non-finite root or lambda.
+    all roots.  NonFinite for a non-finite root or lambda; ValueError unless
+    ``count`` is at least 1 and ``min_dist`` is finite.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
+    if not math.isfinite(min_dist):
+        raise ValueError(f"min_dist must be finite, got {min_dist!r}")
     roots = tuple(complex(r) for r in roots)
     lam = complex(lam)
     for v in (*roots, lam):
@@ -282,11 +301,15 @@ def _ring_radius(fp: FaddeevParams, z: complex) -> float:
     return 0.5 * min(0.5 * d, 1.0 / abs(fp.lam))
 
 
-def _ring_samples(fp: FaddeevParams, z: complex) -> tuple[float, list[complex], list[complex], list[complex]]:
-    """(rho, P, e^{lambda w}, psi) at w = z and on ``ring(z, rho, RING_POINTS)``, centre first."""
-    rho = _ring_radius(fp, z)
-    om, es, psi = zip(*(fp._sample(w) for w in (z, *ring(z, rho, RING_POINTS))))
-    return rho, list(om), list(es), list(psi)
+def _ring_samples(fp: FaddeevParams, points: list[complex]) -> list[tuple[float, list, list, list]]:
+    """(rho, P, e^{lambda w}, psi) per point z: at w = z and on ``ring(z, rho, RING_POINTS)``, centre first.
+
+    The samples of all points go through one :meth:`FaddeevParams._evaluate`.
+    """
+    rhos = [_ring_radius(fp, z) for z in points]
+    om, _, es, psi = fp._evaluate([w for z, rho in zip(points, rhos) for w in (z, *ring(z, rho, RING_POINTS))])
+    m = RING_POINTS + 1
+    return [(rho, om[i : i + m], es[i : i + m], psi[i : i + m]) for rho, i in zip(rhos, range(0, len(om), m))]
 
 
 def _harmonicity(lam: complex, z: complex, radius: float, centre: complex, samples: list[complex]) -> float:
@@ -302,7 +325,7 @@ def harmonicity_check(fp: FaddeevParams, z: complex) -> float:
     from the roots of P; a small value certifies that.  psi is sampled as in
     :func:`residual_checks`; NearPole within 1e-3 max(1, |z|) of a root.
     """
-    rho, _, _, (centre, *psi) = _ring_samples(fp, z)
+    [(rho, _, _, (centre, *psi))] = _ring_samples(fp, [z])
     return _harmonicity(fp.lam, z, rho, centre, psi)
 
 
@@ -315,13 +338,19 @@ def residual_checks(fp: FaddeevParams) -> tuple[int, float, float, float]:
     mode theta = c / omega, phi = 0: the ring moments of omega (c / omega)
     for c in ``GAUGE_SHIFTS``), both normalized by e^{Re(lambda z)}, and the
     worst :func:`harmonicity_check`.  All three read one :func:`_ring_samples`
-    set per point, formed as the public functions form it, bit for bit.
+    set per point, formed as the public functions form it, bit for bit; the
+    samples of all points are evaluated in one batch.
     """
     lam = fp.lam
     points = residual_sample_points(fp.roots, lam)
+    try:
+        rings = _ring_samples(fp, points)
+    except (MoutardError, ArithmeticError):
+        # The batch meets a later point's error before an earlier point's
+        # checks run; sampled point by point, the first error in order is raised.
+        rings = (_ring_samples(fp, [z])[0] for z in points)
     worst_res = worst_gauge = worst_harm = 0.0
-    for z in points:
-        rho, (om0, *om), (_, *es), (psi0, *psi) = _ring_samples(fp, z)
+    for z, (rho, (om0, *om), (_, *es), (psi0, *psi)) in zip(points, rings):
         scale = math.exp((lam * z).real)
         r1, r2 = _residual(om0, om, psi, [1j * e for e in es], rho)
         worst_res = max(worst_res, abs(r1) / scale, abs(r2) / scale)

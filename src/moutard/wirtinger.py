@@ -64,8 +64,10 @@ def ring(z: complex, radius: float, m: int) -> list[complex]:
 
 
 def ring_moments(samples: Sequence[complex], radius: float) -> tuple[complex, complex, complex]:
-    """(d_z f, d_zbar f, mean of f) from f at ``ring(z, radius, len(samples))``."""
+    """(d_z f, d_zbar f, mean of f) from f at ``ring(z, radius, len(samples))``; ValueError for no samples."""
     m = len(samples)
+    if not m:
+        raise ValueError("ring moments need at least one sample")
     units = _units(m)
     dz = sum(map(operator.truediv, samples, units)) / (m * radius)
     dzbar = sum(map(operator.mul, samples, units)) / (m * radius)

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from moutard import cpoly
-from moutard.errors import InsufficientRoots, NonConvergence
+from moutard.errors import InsufficientRoots, NonConvergence, NonFinite
 
 
 def naive_eval(coeffs, z):
@@ -467,3 +467,12 @@ def test_min_root_separation_accepts_rootset():
 def test_min_root_separation_needs_two():
     with pytest.raises(InsufficientRoots):
         cpoly.min_root_separation([1.0])
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), float("nan"), complex(0, math.inf)])
+def test_min_root_separation_names_a_non_finite_root(bad):
+    # [0, nan, 1] used to return nan, and [0, 1, nan] the finite 1.0
+    for pts in ([0, bad, 1], [0, 1, bad]):
+        with pytest.raises(NonFinite, match="separation needs finite roots") as exc:
+            cpoly.min_root_separation(pts)
+        assert repr(exc.value.details["root"]) == repr(bad)

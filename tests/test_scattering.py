@@ -135,6 +135,18 @@ def test_fit_requires_enough_samples():
         fit_scattering([(1 + 0j, 0j)] * 8, 0.0)
 
 
+@pytest.mark.parametrize("k, z, mu", [(2, 2j, complex("nan")), (1, complex("nan"), 0j), (3, -2j, complex(math.inf, 0))])
+def test_fit_names_the_first_non_finite_sample(k, z, mu):
+    # A nan mu was reported as an overflowing misfit, a nan z as an
+    # overflowing conjugate phase at (nan+0j).
+    samples = [(2.0 + 0j, 0.1j), (-2.0 + 0j, 0.2j), (2j, 0.3j), (-2j, 0.4j)]
+    samples[k] = (z, mu)
+    samples.append((-2.0 + 0j, complex("nan")))  # a later one is not named
+    with pytest.raises(NonFinite, match=r"the sample \(z, mu\) = .* is not finite") as exc:
+        fit_scattering(samples, 1.0)
+    assert repr(exc.value.details) == repr({"point": complex(z), "mu": complex(mu)})
+
+
 def test_fit_degenerate_design():
     # eight copies of one point: both design columns are multiples of the
     # all-ones vector, so the normal equations are singular

@@ -19,8 +19,8 @@ import sys
 
 import pytest
 
-from moutard import cli, cpoly, transform
-from moutard.errors import NearPole, NonFinite, NonPositiveOmega, ZeroLambda
+from moutard import cli, cpoly, scattering, transform
+from moutard.errors import MoutardError, NearPole, NonFinite, NonPositiveOmega, ZeroLambda
 from moutard.transform import (
     DELTA_WEIGHT,
     RING_POINTS,
@@ -34,7 +34,7 @@ from moutard.transform import (
     transformed_potential,
     verify_eigenfunction_identity,
 )
-from moutard.wirtinger import d_zbar
+from moutard.wirtinger import d_zbar, ring
 
 
 def planewave(lam):
@@ -439,6 +439,14 @@ def test_residual_second_equation_with_antiholomorphic_pair():
         assert abs(r2 + 2j * (lam * cmath.exp(lam * z)).conjugate()) < 1e-12
 
 
+@pytest.mark.parametrize("z", [complex("nan"), complex(0, math.inf), math.nan])
+def test_residual_rejects_a_non_finite_centre(z):
+    # With omega = 1 and theta = phi = 0 a nan centre read (0j, 0j), which
+    # certifies the triple.
+    with pytest.raises(NonFinite, match="ring centre must be finite"):
+        moutard_residual(lambda w: 1 + 0j, lambda w: 0j, lambda w: 0j, z, 0.1)
+
+
 def test_residual_rejects_omega_zero_on_the_ring():
     with pytest.raises(NonFinite):
         moutard_residual(lambda z: z.real, rotated_phi(1.0), planewave(1.0), -1.0, 1.0)
@@ -517,25 +525,35 @@ def test_residual_checks_equal_unmemoized_loop():
 def test_residual_checks_evaluate_mu_once_per_stencil_point(monkeypatch):
     # RING_POINTS + 1 distinct points per sample point: the centre and the
     # ring, shared by the residual and the Laplacian (the gauge modes need no
-    # mu).  Each mu comes from the P(w) the ring samples already hold, and P
-    # is evaluated once per point too.
-    seen = []
-    mu_from_p = FaddeevParams._mu_from_p
+    # mu), all in one batch.  P is evaluated once per point too, in that
+    # batch's list Horner pass, and never point by point.
+    batches = []
+    evaluate = FaddeevParams._evaluate
 
-    def counted(self, z, pz):
-        seen.append(z)
-        return mu_from_p(self, z, pz)
+    def counted(self, points, with_psi=True):
+        batches.append(list(points))
+        return evaluate(self, points, with_psi)
 
-    monkeypatch.setattr(FaddeevParams, "_mu_from_p", counted)
-    evaluated = []
-    evaluate = cpoly.ComplexPoly.evaluate
-    monkeypatch.setattr(cpoly.ComplexPoly, "evaluate", lambda self, z: evaluated.append(z) or evaluate(self, z))
+    monkeypatch.setattr(FaddeevParams, "_evaluate", counted)
     fp = FaddeevParams(cpoly.from_roots([1, -1, 0.5j]), 2.0)
+    p_points, scalar = [], []
+    horner_list, horner = cpoly._horner_list, cpoly.horner
+
+    def listed(coeffs, points):
+        if coeffs == fp.p.coeffs:
+            p_points.extend(points)
+        return horner_list(coeffs, points)
+
+    monkeypatch.setattr(cpoly, "_horner_list", listed)
+    monkeypatch.setattr(cpoly, "horner", lambda coeffs, z: scalar.append(z) or horner(coeffs, z))
     points = residual_checks(fp)[0]
     assert points == 25
+    assert len(batches) == 1
+    (seen,) = batches
     assert len(seen) == 25 * (RING_POINTS + 1)
     assert len(set(seen)) == len(seen)
-    assert evaluated == seen
+    assert p_points == seen
+    assert scalar == []
 
 
 # Inputs on which the h = 6e-3 cross stencil gave false FAILs: the triple
@@ -578,11 +596,156 @@ def test_residual_checks_pass_former_false_fails():
 def test_residual_checks_fail_a_perturbed_mu(monkeypatch):
     # Negative control: psi with mu scaled by 1 + 1e-3 is no solution, and
     # the residual must say so on every case above.  Every psi the checks
-    # read takes its mu from _mu_from_p.
-    mu_from_p = FaddeevParams._mu_from_p
-    monkeypatch.setattr(FaddeevParams, "_mu_from_p", lambda self, z, pz: mu_from_p(self, z, pz) * (1 + 1e-3))
+    # read comes from _evaluate.
+    evaluate = FaddeevParams._evaluate
+
+    def perturbed(self, points, with_psi=True):
+        ps, mus, es, _ = evaluate(self, points, with_psi)
+        mus = [mu * (1 + 1e-3) for mu in mus]
+        return ps, mus, es, [e * (1.0 + mu) for e, mu in zip(es, mus)]
+
+    monkeypatch.setattr(FaddeevParams, "_evaluate", perturbed)
     for fp in _fixed_cases():
         assert residual_checks(fp)[1] >= cli.VERIFY_THRESHOLDS["moutard_residual"], fp.lam
+
+
+# --- batched evaluation ------------------------------------------------------
+# A scalar reference: one Horner pass per point and the per-point checks in
+# order (pole guard, finite mu, finite psi), with mu = 0 and no guard at
+# degree 0.
+
+
+def _scalar_horner(coeffs, z):
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def _reference_mu(fp, z):
+    pz = _scalar_horner(fp.p.coeffs, z)
+    if fp.p.degree == 0:
+        return 0j
+    if abs(pz) < fp._pole_threshold:
+        raise NearPole(z, fp.nearest_root(z))
+    mu = 2.0 * _scalar_horner(fp._t, z) / pz
+    if not cmath.isfinite(mu):
+        raise NonFinite(f"mu = 2 T / P is not finite at {z!r}", point=z, lam=fp.lam)
+    return mu
+
+
+def _reference_psi(fp, z):
+    mu = _reference_mu(fp, z)
+    try:
+        value = cmath.exp(fp.lam * z) * (1.0 + mu)
+    except (OverflowError, ValueError):
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise NonFinite(f"psi overflows at {z!r} for lambda = {fp.lam!r}", point=z, lam=fp.lam)
+    return value
+
+
+def _outcome(f, *args):
+    # repr tells signed zeros apart; an error by type, message and details
+    try:
+        return repr(f(*args))
+    except MoutardError as e:
+        return type(e).__name__, str(e), repr(e.details)
+
+
+def _first_sample_error(fp, centres):
+    # the error the scalar reference meets first over each centre and its ring
+    for z in centres:
+        rho = transform._ring_radius(fp, z)
+        for w in (z, *ring(z, rho, RING_POINTS)):
+            try:
+                _reference_psi(fp, w)
+            except MoutardError as e:
+                return type(e).__name__, str(e), repr(e.details)
+    return None
+
+
+def _default_circle(fp):
+    radius = scattering.DEFAULT_RADIUS_FACTOR * max(1.0, max((abs(r) for r in fp.roots), default=0.0))
+    return [cmath.rect(radius, 2.0 * math.pi * j / scattering.DEFAULT_SAMPLE_COUNT)
+            for j in range(scattering.DEFAULT_SAMPLE_COUNT)]
+
+
+@pytest.mark.parametrize("degree", range(21))
+def test_batched_mu_psi_and_sample_mu_equal_a_scalar_reference_bitwise(degree):
+    rng = random.Random(500 + degree)
+    rts = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(degree)]
+    lam = cmath.rect(rng.uniform(0.5, 3.0), rng.uniform(-math.pi, math.pi))
+    fp = FaddeevParams(cpoly.from_roots(rts), lam)
+    points = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(40)] + [r + 1e-9 for r in fp.roots[:2]]
+    for z in points:
+        assert _outcome(fp.mu, z) == _outcome(_reference_mu, fp, z), z
+        assert _outcome(fp.psi, z) == _outcome(_reference_psi, fp, z), z
+    assert repr(scattering.sample_mu(fp)) == repr([(z, _reference_mu(fp, z)) for z in _default_circle(fp)])
+
+
+def test_batch_raises_at_the_first_failing_point():
+    # Near pole at index 2, overflowing psi at index 1: the psi error comes
+    # first, as in a point-by-point loop; without psi the pole guard does.
+    fp = FaddeevParams(cpoly.from_roots([1, 2]), 1.0)
+    points = [3 + 1j, 800 + 0j, 1 + 1e-12j, 900 + 0j]
+    with pytest.raises(NonFinite, match=r"psi overflows at \(800\+0j\)"):
+        fp._evaluate(points)
+    with pytest.raises(NearPole) as exc:
+        fp._evaluate(points, with_psi=False)
+    assert exc.value.z == 1 + 1e-12j
+
+
+def test_harmonicity_check_names_the_ring_sample_inside_the_pole_guard():
+    # A root cluster: the centre clears the pole guard and the ring-radius
+    # guard, but the ring sample nearest the cluster does not.
+    fp = FaddeevParams(cpoly.from_roots([0, 1e-4, 1e-4j]), 1.0)
+    z = 2.5e-3
+    expected = _first_sample_error(fp, [z])
+    assert expected[0] == "NearPole"
+    assert f"evaluation point {z} " not in expected[1]
+    assert _outcome(harmonicity_check, fp, z) == expected
+
+
+@pytest.mark.parametrize("roots", [[1, 2, 3], [0.5j, -1, 1 + 1j, 2]])
+def test_tiny_lambda_errors_name_the_first_sample(roots):
+    # lambda = 1e-200: T's coefficients are inf, so mu fails at the first
+    # sample of residual_checks, harmonicity_check and sample_mu.
+    fp = FaddeevParams(cpoly.from_roots(roots), 1e-200)
+    centres = residual_sample_points(fp.roots, fp.lam)
+    expected = _first_sample_error(fp, centres)
+    assert expected[0] == "NonFinite" and expected[1].startswith("mu = 2 T / P is not finite")
+    assert _outcome(residual_checks, fp) == expected
+    assert _outcome(harmonicity_check, fp, centres[3]) == _first_sample_error(fp, centres[3:4])
+    assert _outcome(scattering.sample_mu, fp) == _outcome(_reference_mu, fp, _default_circle(fp)[0])
+
+
+def test_residual_checks_psi_overflow_names_the_first_sample():
+    # lambda = 600i: Re(lambda z) = -600 Im z crosses the exp range partway
+    # through the sample points.
+    fp = FaddeevParams(cpoly.from_roots([1, -1, 0.5j]), 600j)
+    expected = _first_sample_error(fp, residual_sample_points(fp.roots, fp.lam))
+    assert expected == (
+        "NonFinite",
+        "psi overflows at (-1.1042366664488286-1.5008648576140524j) for lambda = 600j",
+        repr({"point": -1.1042366664488286 - 1.5008648576140524j, "lam": 600j}),
+    )
+    assert _outcome(residual_checks, fp) == expected
+
+
+def test_residual_checks_raise_an_earlier_points_error_before_a_later_overflow():
+    # At lambda = 355 + 355i the ring sums of an earlier point overflow while
+    # its samples are finite; psi overflows only at a later point, which the
+    # one batch meets first.  The point-by-point order decides.
+    fp = FaddeevParams(cpoly.from_roots([1, -1, 0.5j]), 355 + 355j)
+    points = residual_sample_points(fp.roots, fp.lam)
+    with pytest.raises(NonFinite, match="psi overflows"):
+        transform._ring_samples(fp, points)
+    assert _outcome(residual_checks, fp) == (
+        "NonFinite",
+        "non-finite ring moments on radius 0.0009959250439247147",
+        repr({"radius": 0.0009959250439247147}),
+    )
 
 
 # --- harmonicity off the centers --------------------------------------------
@@ -648,6 +811,18 @@ def test_sample_points_custom_min_distance():
     roots = (0j,)
     pts = residual_sample_points(roots, 1.0, count=10, min_dist=3.0)
     assert all(abs(z) >= 3.0 for z in pts)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"count": 0}, "count"), ({"count": -1}, "count"), ({"min_dist": math.nan}, "min_dist"),
+     ({"min_dist": math.inf}, "min_dist")],
+)
+def test_sample_points_reject_an_empty_count_or_a_non_finite_distance(kwargs, name):
+    # These walked every ring and ended in "no admissible sample ring found";
+    # an inf min_dist returned points at (inf+infj).
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        residual_sample_points((0.3, -1j), 2.0, **kwargs)
 
 
 @pytest.mark.parametrize(

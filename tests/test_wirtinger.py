@@ -141,6 +141,12 @@ def test_ring_moments_reject_non_finite():
         ring_moments([1.0, complex("nan"), 1.0, 1.0], 0.1)
 
 
+def test_ring_moments_reject_an_empty_ring():
+    # used to divide by zero
+    with pytest.raises(ValueError, match="at least one sample"):
+        ring_moments([], 0.1)
+
+
 # --- laplacian -------------------------------------------------------------
 
 
