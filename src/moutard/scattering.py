@@ -10,16 +10,18 @@ For a generating polynomial of degree N the expected values are a = -2N/lambda
 and b = 0 identically: mu is a rational function of z alone, holomorphic
 outside the roots, so nothing multiplies the conjugate-phase mode.
 
-Extraction is a linear least-squares fit of sampled mu against the two basis
-functions above.  mu also carries higher holomorphic modes 1/z^2, 1/z^3, ...
+Extraction is a linear least-squares fit of mu against the two basis
+functions above, on points equispaced on one circle as :func:`sample_mu`
+gives them.  mu also carries higher holomorphic modes 1/z^2, 1/z^3, ...
 whose overlap with the wildly oscillatory b-column does not vanish at any
 finite sample count (the phase e^{-2i Im(lambda z)} aliases them in); fitted
 naively they leak into b at the 1/radius level and mask the reflectionless
 property.  The fit therefore includes a few of those modes as nuisance
-columns, projects them out of both the data and the (1/z, conjugate-phase)
-columns, and solves the remaining two-unknown problem explicitly; the
-coefficients a and b equal those of the full augmented least squares, while
-the reported misfit is still measured against the plain two-term model.
+columns.  On equispaced points they are exactly orthogonal to 1/z and to each
+other (discrete Fourier orthogonality), so only the conjugate-phase column is
+projected off them, and the 2x2 solve on it and 1/z with the raw data gives
+the (a, b) of the full augmented least squares; the reported misfit is still
+measured against the plain two-term model.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ def sample_mu(fp: FaddeevParams, radius: float | None = None, count: int = DEFAU
     all points go through one batched evaluation, bitwise as
     :meth:`FaddeevParams.mu` point by point and raising at the first point
     that fails.
+    The output is the equispaced input :func:`fit_scattering` requires.
     Raises NonFinite for a nan or inf radius and RadiusTooSmall for a finite
     one that does not exceed twice the largest root magnitude.
     """
@@ -92,15 +95,18 @@ def _dot(x: Sequence[complex], y: Sequence[complex]) -> complex:
 
 
 def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> ScatteringEstimate:
-    """Least-squares (a, b) from (z, mu) pairs on a common circle.
+    """Least-squares (a, b) from (z, mu) pairs equispaced on one circle.
 
     Solves min over (a, b) of sum |mu - a/z - b e^{lambda_bar z_bar - lambda z}/z_bar|^2
-    with holomorphic nuisance modes 1/z^2 .. 1/z^6 projected out first (as
-    many as the sample count supports), then an explicit 2x2 normal-equation
-    solve.  Accumulation order is canonicalized by sorting the samples, so
-    the result is independent of input order.  NonFinite for the first
-    non-finite (z, mu) sample, and where the conjugate phase 2 Im(lambda z)
-    or the misfit overflows.
+    with nuisance modes 1/z^2 .. 1/z^6 (as many as n // 4 allows) in the
+    model; only the conjugate-phase column is projected off them, which is
+    exact on equispaced points (module docstring).  Any order and rotation
+    will do, but each |z| must lie within 1e-12 of the mean in ratio and each
+    sorted angle within 1e-12 rad of the equispaced grid through the first,
+    else ValueError; within that the neglected overlaps stay at rounding level.
+    The samples are sorted first, so the result does not depend on input
+    order.  NonFinite for the first non-finite (z, mu) sample, and where the
+    conjugate phase 2 Im(lambda z) or the misfit overflows.
     """
     lam = complex(lam)
     if lam == 0:
@@ -116,10 +122,11 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     data = [mu for _, mu in ordered]
     n = len(zs)
     radius = sum(abs(z) for z in zs) / n
-    if radius == 0 or any(z == 0 for z in zs):
-        raise ValueError("samples must lie on a circle of positive radius")
-    if any(abs(abs(z) - radius) > 1e-6 * radius for z in zs):
-        raise ValueError("samples must lie on a common circle")
+    angles = sorted(cmath.phase(z) for z in zs)
+    if any(abs(abs(z) - radius) > 1e-12 * radius for z in zs) or any(
+        abs(t - angles[0] - 2.0 * math.pi * j / n) > 1e-12 for j, t in enumerate(angles)
+    ):
+        raise ValueError("samples must be equispaced on a common circle of positive radius")
 
     u = [1.0 / z for z in zs]
     for z in zs:
@@ -128,33 +135,19 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     v = [cmath.exp(complex(0.0, -2.0 * (lam * z).imag)) / z.conjugate() for z in zs]
     # The solve runs on both columns times s = 2^e ~ radius, so their Gram
     # products stay near 1 instead of underflowing at huge radii; a power of
-    # two scales exactly, and a, b are unscaled at the end.
+    # two scales exactly, and a, b are unscaled at the end.  The nuisance
+    # modes are the powers (s/z)^k, near 1 in size at any radius.
     s = math.ldexp(1.0, math.frexp(radius)[1])
-
-    # Orthonormalize the nuisance block (modified Gram-Schmidt), then project
-    # it out of both design columns and the data; the 2x2 solve below then
-    # yields the same (a, b) as the full augmented least squares.
-    nuisance: list[list[complex]] = []
+    su = [s * x for x in u]
+    sv = [s * x for x in v]
     for mode in range(2, min(MAX_NUISANCE_MODE, n // 4) + 1):
-        w = [z ** (-mode) for z in zs]
-        for q in nuisance:
-            coef = _dot(q, w)
-            w = [wi - coef * qi for wi, qi in zip(w, q)]
-        nrm = math.sqrt(_dot(w, w).real)
-        if nrm > 1e-14 * radius ** (-mode) * math.sqrt(n):
-            nuisance.append([wi / nrm for wi in w])
+        q = [x**mode for x in su]
+        coef = _dot(q, sv) / _dot(q, q)
+        sv = [vi - coef * qi for vi, qi in zip(sv, q)]
 
-    def deflate(x: list[complex]) -> list[complex]:
-        for q in nuisance:
-            coef = _dot(q, x)
-            x = [xi - coef * qi for xi, qi in zip(x, q)]
-        return x
-
-    ud, vd, md = deflate([s * x for x in u]), deflate([s * x for x in v]), deflate(list(data))
-
-    guu = _dot(ud, ud).real
-    gvv = _dot(vd, vd).real
-    guv = _dot(ud, vd)
+    guu = _dot(su, su).real
+    gvv = _dot(sv, sv).real
+    guv = _dot(su, sv)
     det = guu * gvv - (guv * guv.conjugate()).real
     if det <= 1e-20 * guu * gvv or guu == 0 or gvv == 0:
         raise DegenerateDesign(
@@ -162,8 +155,8 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
             "change lambda, the radius, or the sample count",
             collinearity=abs(guv) / math.sqrt(guu * gvv) if guu > 0 and gvv > 0 else math.inf,
         )
-    bu = _dot(ud, md)
-    bv = _dot(vd, md)
+    bu = _dot(su, data)
+    bv = _dot(sv, data)
     a = (gvv * bu - guv * bv) / det * s
     b = (guu * bv - guv.conjugate() * bu) / det * s
 

@@ -132,7 +132,7 @@ class FaddeevParams:
         Evaluated in closed form as 2 T(z) / P(z) with the precomputed
         T = sum_k (-1)^k P^(k) / lambda^k, so it stays finite on large circles
         where e^{lambda z} overflows; NearPole where |P(z)| is below the pole
-        guard, NonFinite where 2 T / P is not finite.
+        guard, NonFinite where 2 T / P (at degree 0, z itself) is not finite.
         """
         return self._evaluate([z], with_psi=False)[1][0]
 
@@ -158,6 +158,8 @@ class FaddeevParams:
         mus, es, psis = [], [], []
         for z, pz, tz in zip(points, ps, cpoly._horner_list(self._t, points)):
             if not self._t:
+                if not cmath.isfinite(z):
+                    raise NonFinite(f"the evaluation point {z!r} is not finite", point=z, lam=lam)
                 mu = 0j  # degree 0: the plane wave, no pole to guard
             elif abs(pz) < threshold:
                 raise NearPole(z, self.nearest_root(z))

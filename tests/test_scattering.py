@@ -148,11 +148,113 @@ def test_fit_names_the_first_non_finite_sample(k, z, mu):
 
 
 def test_fit_degenerate_design():
-    # eight copies of one point: both design columns are multiples of the
-    # all-ones vector, so the normal equations are singular
-    z = cmath.rect(10.0, 0.7)
-    with pytest.raises(DegenerateDesign):
-        fit_scattering([(z, 1.0 / z)] * 8, 1.0)
+    # At lambda = pi/2 the conjugate-phase column on the four points i^k is
+    # e^{-i pi Im z} / conj(z) = 1/z: both design columns are the same vector.
+    samples = [(z, 1.0 / z) for z in (1 + 0j, 1j, -1 + 0j, -1j)]
+    with pytest.raises(DegenerateDesign) as exc:
+        fit_scattering(samples, math.pi / 2)
+    assert exc.value.details["collinearity"] == pytest.approx(1.0)
+
+
+RING = circle_samples(10.0, 8, lambda z: 1.0 / z)
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        [(cmath.rect(10.0, 0.7), 0.1 + 0j)] * 8,  # eight copies of one point
+        [(z * cmath.rect(1.0, 1e-9 * (j == 3)), mu) for j, (z, mu) in enumerate(RING)],
+        [(z * (1.0 + 1e-9 * (j % 2)), mu) for j, (z, mu) in enumerate(RING)],
+    ],
+    ids=["eight-copies", "one-turned-1e-9", "two-radii"],
+)
+def test_fit_rejects_samples_not_equispaced(samples):
+    # A 1e-9 turn or radius step lies far above the 1e-12 bound.
+    with pytest.raises(ValueError, match="equispaced on a common circle"):
+        fit_scattering(samples, 1.0)
+
+
+def test_fit_makes_fifteen_inner_products_at_64_samples(monkeypatch):
+    # Two per nuisance mode 1/z^2 .. 1/z^6 and five for the 2x2 solve.
+    calls = []
+    dot = scattering._dot
+    monkeypatch.setattr(scattering, "_dot", lambda x, y: calls.append(1) or dot(x, y))
+    fit_scattering(sample_mu(params([1, -1, 0.5j], 2.0)), 2.0)
+    assert len(calls) == 15
+
+
+def _reference_fit(samples, lam):
+    """(a, b) of the full augmented least squares for points on any common circle.
+
+    The general algorithm: modified Gram-Schmidt over the nuisance columns,
+    then 1/z, the conjugate-phase column and the data all deflated by them
+    and the 2x2 normal equations solved.  Every column is scaled by s^k, as
+    fit_scattering scales its own, so no mode underflows at huge radii.
+    """
+    ordered = sorted(samples, key=lambda t: (t[0].real, t[0].imag))
+    zs = [z for z, _ in ordered]
+    data = [mu for _, mu in ordered]
+    n = len(zs)
+    radius = sum(abs(z) for z in zs) / n
+    s = math.ldexp(1.0, math.frexp(radius)[1])
+    u = [s / z for z in zs]
+    v = [s * cmath.exp(complex(0.0, -2.0 * (lam * z).imag)) / z.conjugate() for z in zs]
+    dot = scattering._dot
+    nuisance = []
+    for mode in range(2, min(scattering.MAX_NUISANCE_MODE, n // 4) + 1):
+        w = [x**mode for x in u]
+        for q in nuisance:
+            coef = dot(q, w)
+            w = [wi - coef * qi for wi, qi in zip(w, q)]
+        nrm = math.sqrt(dot(w, w).real)
+        if nrm > 1e-14 * (s / radius) ** mode * math.sqrt(n):
+            nuisance.append([wi / nrm for wi in w])
+
+    def deflate(x):
+        for q in nuisance:
+            coef = dot(q, x)
+            x = [xi - coef * qi for xi, qi in zip(x, q)]
+        return x
+
+    ud, vd, md = deflate(u), deflate(v), deflate(data)
+    guu, gvv, guv = dot(ud, ud).real, dot(vd, vd).real, dot(ud, vd)
+    det = guu * gvv - abs(guv) ** 2
+    bu, bv = dot(ud, md), dot(vd, md)
+    return (gvv * bu - guv * bv) / det * s, (guu * bv - guv.conjugate() * bu) / det * s
+
+
+def _mu_in_inverse_powers(fp, z):
+    # 2 T(z) / P(z) as 2 w T~(w) / P~(w) with w = 1/z and the reversed
+    # coefficients: finite at radii where P(z) itself overflows.
+    w = 1.0 / z
+    return 2.0 * w * cpoly.horner(fp._t[::-1], w) / cpoly.horner(fp.p.coeffs[::-1], w)
+
+
+@pytest.mark.parametrize("degree", range(21))
+def test_fit_equals_the_general_augmented_least_squares(degree):
+    # On equispaced points, rotated and shuffled, projecting the nuisance
+    # modes out of the conjugate-phase column alone gives the (a, b) of the
+    # general algorithm that also deflates 1/z and the data.
+    rng = random.Random(600 + degree)
+    rts = []
+    while len(rts) < degree:
+        c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        if all(abs(c - r) > 0.25 for r in rts):
+            rts.append(c)
+    lam = cmath.rect(rng.uniform(0.5, 3.0), rng.uniform(-math.pi, math.pi))
+    fp = params(rts, lam)
+    default = scattering.DEFAULT_RADIUS_FACTOR * max([1.0] + [abs(r) for r in rts])
+    for count in (8, 9, 16, 64):
+        for radius in (200.0, default, 1e100):
+            theta0 = rng.uniform(0.1, 3.0)
+            zs = [cmath.rect(radius, theta0 + 2.0 * math.pi * j / count) for j in range(count)]
+            samples = [(z, _mu_in_inverse_powers(fp, z)) for z in zs]
+            rng.shuffle(samples)
+            est = fit_scattering(samples, lam)
+            a_ref, b_ref = _reference_fit(samples, lam)
+            tol = 1e-12 * (1.0 + abs(a_ref))
+            assert abs(est.a - a_ref) <= tol, (count, radius)
+            assert abs(est.b - b_ref) <= tol, (count, radius)
 
 
 def test_fit_residual_shrinks_with_radius():

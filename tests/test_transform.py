@@ -183,13 +183,20 @@ def test_mu_overflow_far_out_raises_non_finite():
         fp.mu(1e200)
 
 
-@pytest.mark.parametrize("lam, z", [(1.0, 1e300), (1e300 + 1e300j, 1e10)])
+@pytest.mark.parametrize(
+    "lam, z", [(1.0, 1e300), (1e300 + 1e300j, 1e10), (1 + 1j, complex("nan")), (1 + 1j, complex(math.inf, 0))]
+)
 def test_psi_overflow_raises_non_finite_naming_point_and_lambda(lam, z):
-    # e^{lambda z} overflows (OverflowError) or lambda z itself does (ValueError)
-    fp = FaddeevParams(cpoly.from_roots([1, 2]), lam)
-    with pytest.raises(NonFinite) as exc:
-        fp.psi(z)
-    assert exc.value.details == {"point": z, "lam": lam}
+    # e^{lambda z} overflows (OverflowError) or lambda z itself does
+    # (ValueError).  At degree 0, where no pole guard runs, mu and psi both
+    # name a nan or inf point as not finite rather than as an overflow.
+    finite = cmath.isfinite(z)
+    fp = FaddeevParams(cpoly.from_roots([1, 2] if finite else []), lam)
+    message = "psi overflows" if finite else "the evaluation point .* is not finite"
+    for call in (fp.psi,) if finite else (fp.psi, fp.mu):
+        with pytest.raises(NonFinite, match=message) as exc:
+            call(z)
+        assert exc.value.details == {"point": z, "lam": lam}  # the same nan object
 
 
 def test_params_expose_roots():
