@@ -13,8 +13,6 @@ scattering fits whose reflectionless coefficient is measured, not assumed.
 from .cpoly import (
     ComplexPoly,
     RootSet,
-    DEFAULT_MAX_ITER,
-    DEFAULT_ROOT_TOL,
     differentiate,
     from_roots,
     horner,
@@ -79,9 +77,7 @@ __all__ = [
     "AmbiguousMatching",
     "CollisionEvent",
     "ComplexPoly",
-    "DEFAULT_MAX_ITER",
     "DEFAULT_RADIUS_FACTOR",
-    "DEFAULT_ROOT_TOL",
     "DEFAULT_SAMPLE_COUNT",
     "DELTA_WEIGHT",
     "DegenerateDesign",

@@ -28,8 +28,10 @@ _EPS = sys.float_info.epsilon
 # off any axis of symmetry of the polynomial.
 _GOLDEN_FRAC = 0.6180339887498949
 
-DEFAULT_ROOT_TOL = 1e-12
-DEFAULT_MAX_ITER = 200
+# Gate on the scaled residual of every root, and the sweep budget of one
+# Aberth run; read at call time.
+ROOT_TOL = 1e-12
+MAX_SWEEPS = 200
 
 
 @dataclass(frozen=True)
@@ -211,8 +213,8 @@ def _cold_seed(coeffs: Sequence[complex]) -> list[complex]:
     ]
 
 
-def _aberth(coeffs: Sequence[complex], xs: list[complex], max_iter: int) -> tuple[int, float]:
-    """Aberth-Ehrlich sweeps on the guesses xs, in place.
+def _aberth(coeffs: Sequence[complex], xs: list[complex]) -> tuple[int, float]:
+    """At most ``MAX_SWEEPS`` Aberth-Ehrlich sweeps on the guesses xs, in place.
 
     Returns the sweeps run and the final worst scaled residual, which is inf
     as soon as an iterate or a Horner value stops being finite.  A root at
@@ -227,7 +229,7 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex], max_iter: int) -> tupl
     sweeps = 0
     # Scaled residual of each root once it is at its rounding floor, else None.
     kept: list[float | None] = [None] * n
-    for sweeps in range(1, max_iter + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         finished = True
         for i in range(n):
             if kept[i] is not None:
@@ -277,12 +279,7 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex], max_iter: int) -> tupl
     return sweeps, worst
 
 
-def roots(
-    p: ComplexPoly,
-    tol: float = DEFAULT_ROOT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    init: Sequence[complex] | None = None,
-) -> RootSet:
+def roots(p: ComplexPoly, init: Sequence[complex] | None = None) -> RootSet:
     """All roots of p via deterministic Aberth-Ehrlich simultaneous iteration.
 
     Cold guesses sit on a circle of radius 2 * max_k |c_{n-k}|^(1/k) (see
@@ -295,12 +292,12 @@ def roots(
     place until every residual reaches its rounding floor or the corrections
     stagnate at machine precision.
 
-    ``tol`` bounds the scaled residual |p(x)| / max(1, sum_j |c_j||x|^j); the
-    scaling makes the gate meaningful for polynomials whose coefficients are
-    large, where an absolute bound on |p(x)| is unattainable in double
+    ``ROOT_TOL`` bounds the scaled residual |p(x)| / max(1, sum_j |c_j||x|^j);
+    the scaling makes the gate meaningful for polynomials whose coefficients
+    are large, where an absolute bound on |p(x)| is unattainable in double
     precision.  Raises NonConvergence if any root misses the gate after
-    ``max_iter`` sweeps or any value stops being finite; the result is never
-    NaN.
+    ``MAX_SWEEPS`` sweeps or any value stops being finite; the result is
+    never NaN.
     """
     n = p.degree
     if n == 0:
@@ -313,20 +310,20 @@ def roots(
             raise ValueError(f"init needs {n} guesses for degree {n}, got {len(xs)}")
         # Equal guesses would only creep apart through _aberth's 2^-50 nudges.
         if len(set(xs)) == n:
-            spent, worst = _aberth(coeffs, xs, max_iter)
-            if worst < tol:
+            spent, worst = _aberth(coeffs, xs)
+            if worst < ROOT_TOL:
                 return RootSet(tuple(xs), spent, worst)
     xs = _cold_seed(coeffs)
-    sweeps, worst = _aberth(coeffs, xs, max_iter)
+    sweeps, worst = _aberth(coeffs, xs)
     spent += sweeps
-    if not worst < tol:
+    if not worst < ROOT_TOL:
         raise NonConvergence(spent, worst)
     return RootSet(tuple(xs), spent, worst)
 
 
 def min_root_separation(r: RootSet | Sequence[complex]) -> float:
     """Minimum pairwise distance between roots; needs at least two, all finite (NonFinite)."""
-    pts = tuple(r.roots if isinstance(r, RootSet) else r)
+    pts = tuple(r)
     if len(pts) < 2:
         raise InsufficientRoots(
             f"separation needs at least 2 roots, got {len(pts)}"

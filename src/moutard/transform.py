@@ -50,10 +50,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable
+from typing import Callable, ClassVar
 
 from . import cpoly
-from .errors import MoutardError, NearPole, NonFinite, NonPositiveOmega, ZeroLambda
+from .errors import NearPole, NonFinite, NonPositiveOmega, ZeroLambda
 from .wirtinger import laplacian, ring, ring_moments
 
 ComplexFunc = Callable[[complex], complex]
@@ -65,6 +65,10 @@ POLE_GUARD = 1e-8
 # Ring points M per checked point; what the checks differentiate is holomorphic within 4 rho, so error ~ 4^-M.
 RING_POINTS = 24
 
+# Points of residual_sample_points, each at least SAMPLE_MIN_DIST from every root.
+SAMPLE_COUNT = 25
+SAMPLE_MIN_DIST = 1.5
+
 # Gauge constants c of theta -> theta + c / omega probed by residual_checks.
 GAUGE_SHIFTS = (1.0, 1e3)
 
@@ -74,12 +78,10 @@ class DeltaPotential:
     """Symbolic multi-point delta potential: centers with common weight -8*pi."""
 
     centers: tuple[complex, ...]
-    weight: float = DELTA_WEIGHT
+    weight: ClassVar[float] = DELTA_WEIGHT
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "centers", tuple(complex(c) for c in self.centers))
-        if self.weight != DELTA_WEIGHT:
-            raise ValueError(f"the per-center weight is fixed at -8*pi, got {self.weight!r}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ class FaddeevParams:
         Evaluated in closed form as 2 T(z) / P(z) with the precomputed
         T = sum_k (-1)^k P^(k) / lambda^k, so it stays finite on large circles
         where e^{lambda z} overflows; NearPole where |P(z)| is below the pole
-        guard, NonFinite where 2 T / P (at degree 0, z itself) is not finite.
+        guard, NonFinite where z or 2 T / P is not finite.
         """
         return self._evaluate([z], with_psi=False)[1][0]
 
@@ -149,24 +151,22 @@ class FaddeevParams:
 
         P and T take one list Horner pass each, bitwise as ``cpoly.horner``.
         The points are then checked in order, each as :meth:`psi` (or, without
-        ``with_psi``, :meth:`mu`) checks it: the pole guard, a finite mu, a
-        finite psi (an overflowing e^{lambda w} counts as psi overflowing), so
-        an error names the first point that fails.
+        ``with_psi``, :meth:`mu`) checks it: a finite point, the pole guard, a
+        finite mu, a finite psi (an overflowing e^{lambda w} counts as psi
+        overflowing), so an error names the first point that fails.  At degree
+        0, T is empty and P is 1, so mu is 0j and the pole guard never fires.
         """
         lam, threshold = self.lam, self._pole_threshold
         ps = cpoly._horner_list(self.p.coeffs, points)
         mus, es, psis = [], [], []
         for z, pz, tz in zip(points, ps, cpoly._horner_list(self._t, points)):
-            if not self._t:
-                if not cmath.isfinite(z):
-                    raise NonFinite(f"the evaluation point {z!r} is not finite", point=z, lam=lam)
-                mu = 0j  # degree 0: the plane wave, no pole to guard
-            elif abs(pz) < threshold:
+            if not cmath.isfinite(z):
+                raise NonFinite(f"the evaluation point {z!r} is not finite", point=z, lam=lam)
+            if abs(pz) < threshold:
                 raise NearPole(z, self.nearest_root(z))
-            else:
-                mu = 2.0 * tz / pz
-                if not cmath.isfinite(mu):
-                    raise NonFinite(f"mu = 2 T / P is not finite at {z!r}", point=z, lam=lam)
+            mu = 2.0 * tz / pz
+            if not cmath.isfinite(mu):
+                raise NonFinite(f"mu = 2 T / P is not finite at {z!r}", point=z, lam=lam)
             mus.append(mu)
             if with_psi:
                 try:
@@ -249,27 +249,17 @@ def moutard_residual(
     return _residual(complex(omega(z)), om, thetas, phis, radius)
 
 
-def residual_sample_points(
-    roots: tuple[complex, ...] | list[complex],
-    lam: complex,
-    count: int = 25,
-    min_dist: float = 1.5,
-) -> list[complex]:
-    """Deterministic well-conditioned points for residual checks.
+def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: complex) -> list[complex]:
+    """``SAMPLE_COUNT`` deterministic well-conditioned points for residual checks.
 
     Walks rings of growing radius around the root centroid and keeps points
-    that (a) stay at least ``min_dist`` from every root, so the check rings
-    stay wide, and (b) satisfy Re(lambda z) >= -0.3, so
+    that (a) stay at least ``SAMPLE_MIN_DIST`` from every root, so the check
+    rings stay wide, and (b) satisfy Re(lambda z) >= -0.3, so
     quantities normalized by |e^{lambda z}| do not amplify rounding noise.
     The phase constraint is dropped if it cannot be met (far-off-axis root
     clusters); the distance constraint always can be, on a ring enclosing
-    all roots.  NonFinite for a non-finite root or lambda; ValueError unless
-    ``count`` is at least 1 and ``min_dist`` is finite.
+    all roots.  NonFinite for a non-finite root or lambda.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count!r}")
-    if not math.isfinite(min_dist):
-        raise ValueError(f"min_dist must be finite, got {min_dist!r}")
     roots = tuple(complex(r) for r in roots)
     lam = complex(lam)
     for v in (*roots, lam):
@@ -277,19 +267,19 @@ def residual_sample_points(
             raise NonFinite(f"sample points need finite roots and lambda, got {v!r}", value=v)
     center = sum(roots) / len(roots) if roots else 0j
     spread = max((abs(r - center) for r in roots), default=0.0)
-    grid = 8 * count
+    grid = 8 * SAMPLE_COUNT
     for require_phase in (True, False):
-        rho = max(2.0, min_dist + 0.5)
-        while rho <= spread + min_dist + 3.0:
+        rho = SAMPLE_MIN_DIST + 0.5
+        while rho <= spread + SAMPLE_MIN_DIST + 3.0:
             chosen: list[complex] = []
             for k in range(grid):
                 z = center + cmath.rect(rho, 2.0 * math.pi * (k + 0.381966) / grid)
-                if roots and min(abs(z - r) for r in roots) < min_dist:
+                if roots and min(abs(z - r) for r in roots) < SAMPLE_MIN_DIST:
                     continue
                 if require_phase and (lam * z).real < -0.3:
                     continue
                 chosen.append(z)
-                if len(chosen) == count:
+                if len(chosen) == SAMPLE_COUNT:
                     return chosen
             rho += 0.25
     raise ValueError("no admissible sample ring found")  # pragma: no cover
@@ -341,16 +331,13 @@ def residual_checks(fp: FaddeevParams) -> tuple[int, float, float, float]:
     for c in ``GAUGE_SHIFTS``), both normalized by e^{Re(lambda z)}, and the
     worst :func:`harmonicity_check`.  All three read one :func:`_ring_samples`
     set per point, formed as the public functions form it, bit for bit; the
-    samples of all points are evaluated in one batch.
+    samples of all points are evaluated in one batch, before any check runs.
+    An error is a ring radius's NearPole, else the first sample that fails,
+    in sample order.
     """
     lam = fp.lam
     points = residual_sample_points(fp.roots, lam)
-    try:
-        rings = _ring_samples(fp, points)
-    except (MoutardError, ArithmeticError):
-        # The batch meets a later point's error before an earlier point's
-        # checks run; sampled point by point, the first error in order is raised.
-        rings = (_ring_samples(fp, [z])[0] for z in points)
+    rings = _ring_samples(fp, points)
     worst_res = worst_gauge = worst_harm = 0.0
     for z, (rho, (om0, *om), (_, *es), (psi0, *psi)) in zip(points, rings):
         scale = math.exp((lam * z).real)

@@ -221,10 +221,11 @@ def test_roots_residuals_below_gate():
         assert abs(p.evaluate(r)) < 1e-12 * max(1.0, eval_scale(p.coeffs, r))
 
 
-def test_roots_nonconvergence_is_reported():
+def test_roots_nonconvergence_is_reported(monkeypatch):
+    monkeypatch.setattr(cpoly, "MAX_SWEEPS", 1)
     clustered = cpoly.from_roots([1.0, 1.0 + 1e-9, -1.0, -1.0 - 1e-9j])
     with pytest.raises(NonConvergence) as exc:
-        cpoly.roots(clustered, max_iter=1)
+        cpoly.roots(clustered)
     assert exc.value.iterations == 1
     assert exc.value.worst_residual > 0
     assert exc.value.record()["details"]["iterations"] == 1
@@ -240,7 +241,7 @@ def test_roots_recover_random_box_roots_high_degree(degree):
     # iterates slipped through the gate.
     pts = box_points(random.Random(0), degree, 5.0)
     rs = cpoly.roots(cpoly.from_roots(pts))
-    assert rs.worst_residual < cpoly.DEFAULT_ROOT_TOL
+    assert rs.worst_residual < cpoly.ROOT_TOL
     for want in pts:
         assert min(abs(g - want) for g in rs) < 1e-9
 
@@ -281,7 +282,7 @@ def test_warm_start_from_own_roots_is_cheaper_and_identical():
     cold = cpoly.roots(p)
     warm = cpoly.roots(p, init=cold.roots)
     assert warm.sweeps < cold.sweeps
-    assert warm.worst_residual < cpoly.DEFAULT_ROOT_TOL
+    assert warm.worst_residual < cpoly.ROOT_TOL
     for a, b in zip(cold, warm):
         assert abs(a - b) < 1e-12
 
@@ -303,7 +304,7 @@ def test_warm_start_from_coincident_guesses_falls_back_to_cold_seed():
     cold = cpoly.roots(p)
     warm = cpoly.roots(p, init=cluster)
     assert warm.sweeps == 1 + cold.sweeps
-    assert warm.worst_residual < cpoly.DEFAULT_ROOT_TOL
+    assert warm.worst_residual < cpoly.ROOT_TOL
     assert warm == cold
 
 
@@ -357,7 +358,7 @@ def test_warm_start_at_a_critical_point_is_nudged_off_it(monkeypatch):
     rs = cpoly.roots(cpoly.ComplexPoly((-1, 0, 0, 1)), init=[0, 2, -2 + 0.5j])
     assert stalled[0]
     assert rs.sweeps == 6
-    assert rs.worst_residual < cpoly.DEFAULT_ROOT_TOL
+    assert rs.worst_residual < cpoly.ROOT_TOL
     for got, want in zip(rs, (cmath.rect(1.0, -2 * math.pi / 3), 1.0, cmath.rect(1.0, 2 * math.pi / 3))):
         assert abs(got - want) < 1e-12
 
@@ -424,14 +425,14 @@ def test_repeated_roots_take_the_cold_fallback():
     cold = cpoly.roots(cpoly.ComplexPoly(p.coeffs))
     assert p.root_set == cold
     assert p.root_set.sweeps == cold.sweeps
-    assert p.root_set.worst_residual < cpoly.DEFAULT_ROOT_TOL
+    assert p.root_set.worst_residual < cpoly.ROOT_TOL
 
 
 def test_near_coincident_roots_pass_the_gate():
     c = 0.3 - 0.7j
     for rs in ([c, c * (1 + 2**-52)], [c, c + 1e-9, c - 1e-9j], [1, 1 + 1e-12, 2]):
         got = cpoly.from_roots(rs).root_set
-        assert got.worst_residual < cpoly.DEFAULT_ROOT_TOL
+        assert got.worst_residual < cpoly.ROOT_TOL
         assert len(got) == len(rs)
 
 

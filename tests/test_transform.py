@@ -70,7 +70,7 @@ def test_symmetric_pair_centers():
 
 
 def test_weight_cannot_be_overridden():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         DeltaPotential((0j,), weight=-25.0)
 
 
@@ -188,15 +188,19 @@ def test_mu_overflow_far_out_raises_non_finite():
 )
 def test_psi_overflow_raises_non_finite_naming_point_and_lambda(lam, z):
     # e^{lambda z} overflows (OverflowError) or lambda z itself does
-    # (ValueError).  At degree 0, where no pole guard runs, mu and psi both
-    # name a nan or inf point as not finite rather than as an overflow.
-    finite = cmath.isfinite(z)
-    fp = FaddeevParams(cpoly.from_roots([1, 2] if finite else []), lam)
-    message = "psi overflows" if finite else "the evaluation point .* is not finite"
-    for call in (fp.psi,) if finite else (fp.psi, fp.mu):
-        with pytest.raises(NonFinite, match=message) as exc:
-            call(z)
-        assert exc.value.details == {"point": z, "lam": lam}  # the same nan object
+    # (ValueError).  At every degree mu and psi both name a nan or inf point
+    # as not finite, rather than as an overflow or as a non-finite 2 T / P.
+    if cmath.isfinite(z):
+        with pytest.raises(NonFinite, match="psi overflows") as exc:
+            FaddeevParams(cpoly.from_roots([1, 2]), lam).psi(z)
+        assert exc.value.details == {"point": z, "lam": lam}
+        return
+    for roots in ([], [1, 2]):
+        fp = FaddeevParams(cpoly.from_roots(roots), lam)
+        for call in (fp.psi, fp.mu):
+            with pytest.raises(NonFinite, match="^the evaluation point .* is not finite$") as exc:
+                call(z)
+            assert exc.value.details == {"point": z, "lam": lam}  # the same nan object
 
 
 def test_params_expose_roots():
@@ -474,7 +478,7 @@ def test_residual_gauge_invariance():
     lam = 2 + 0j
     fp = FaddeevParams(cpoly.from_roots(rts), lam)
     omega = fp.p.evaluate
-    pts = residual_sample_points(fp.roots, lam, count=8)
+    pts = residual_sample_points(fp.roots, lam)
     for c in (1.0, 1e3, (0.6 + 0.8j) * 1e3):
         shifted = lambda w, c=c: fp.psi(w) + c / omega(w)
         for z in pts:
@@ -491,7 +495,7 @@ def test_product_with_generator_is_holomorphic():
     rts = [0.9, -1.2 + 0.8j, 0.1 - 1.4j]
     lam = 2 + 0j
     fp = FaddeevParams(cpoly.from_roots(rts), lam)
-    for z in residual_sample_points(fp.roots, lam, count=8):
+    for z in residual_sample_points(fp.roots, lam):
         value = d_zbar(lambda w: fp.p.evaluate(w) * fp.psi(w), z)
         assert abs(value) < 1e-8 * abs(cmath.exp(lam * z))
 
@@ -729,30 +733,17 @@ def test_tiny_lambda_errors_name_the_first_sample(roots):
 
 def test_residual_checks_psi_overflow_names_the_first_sample():
     # lambda = 600i: Re(lambda z) = -600 Im z crosses the exp range partway
-    # through the sample points.
-    fp = FaddeevParams(cpoly.from_roots([1, -1, 0.5j]), 600j)
-    expected = _first_sample_error(fp, residual_sample_points(fp.roots, fp.lam))
-    assert expected == (
-        "NonFinite",
-        "psi overflows at (-1.1042366664488286-1.5008648576140524j) for lambda = 600j",
-        repr({"point": -1.1042366664488286 - 1.5008648576140524j, "lam": 600j}),
-    )
-    assert _outcome(residual_checks, fp) == expected
-
-
-def test_residual_checks_raise_an_earlier_points_error_before_a_later_overflow():
-    # At lambda = 355 + 355i the ring sums of an earlier point overflow while
-    # its samples are finite; psi overflows only at a later point, which the
-    # one batch meets first.  The point-by-point order decides.
-    fp = FaddeevParams(cpoly.from_roots([1, -1, 0.5j]), 355 + 355j)
-    points = residual_sample_points(fp.roots, fp.lam)
-    with pytest.raises(NonFinite, match="psi overflows"):
-        transform._ring_samples(fp, points)
-    assert _outcome(residual_checks, fp) == (
-        "NonFinite",
-        "non-finite ring moments on radius 0.0009959250439247147",
-        repr({"radius": 0.0009959250439247147}),
-    )
+    # through the sample points.  lambda = 355 + 355i: psi overflows only at
+    # a later point, while the ring sums of an earlier point overflow on
+    # finite samples; every sample is evaluated before any check runs, so the
+    # overflowing sample is named.
+    for lam, z in [(600j, -1.1042366664488286 - 1.5008648576140524j),
+                   (355 + 355j, 0.21209562258131479 - 1.8220553970923303j)]:
+        fp = FaddeevParams(cpoly.from_roots([1, -1, 0.5j]), lam)
+        expected = _first_sample_error(fp, residual_sample_points(fp.roots, fp.lam))
+        assert expected == ("NonFinite", f"psi overflows at {z!r} for lambda = {lam!r}",
+                            repr({"point": z, "lam": lam}))
+        assert _outcome(residual_checks, fp) == expected
 
 
 # --- harmonicity off the centers --------------------------------------------
@@ -802,7 +793,7 @@ def test_sample_points_are_deterministic():
 
 def test_sample_points_respect_count_and_distance():
     roots = (1.0, -1.0, 0.8j)
-    pts = residual_sample_points(roots, 2.0, count=25)
+    pts = residual_sample_points(roots, 2.0)
     assert len(pts) == 25
     assert all(min(abs(z - r) for r in roots) >= 1.5 for z in pts)
 
@@ -812,24 +803,6 @@ def test_sample_points_respect_phase_constraint_when_possible():
     lam = 2 + 0j
     pts = residual_sample_points(roots, lam)
     assert all((lam * z).real >= -0.3 for z in pts)
-
-
-def test_sample_points_custom_min_distance():
-    roots = (0j,)
-    pts = residual_sample_points(roots, 1.0, count=10, min_dist=3.0)
-    assert all(abs(z) >= 3.0 for z in pts)
-
-
-@pytest.mark.parametrize(
-    "kwargs, name",
-    [({"count": 0}, "count"), ({"count": -1}, "count"), ({"min_dist": math.nan}, "min_dist"),
-     ({"min_dist": math.inf}, "min_dist")],
-)
-def test_sample_points_reject_an_empty_count_or_a_non_finite_distance(kwargs, name):
-    # These walked every ring and ended in "no admissible sample ring found";
-    # an inf min_dist returned points at (inf+infj).
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        residual_sample_points((0.3, -1j), 2.0, **kwargs)
 
 
 @pytest.mark.parametrize(
