@@ -746,6 +746,20 @@ def test_residual_checks_psi_overflow_names_the_first_sample():
         assert _outcome(residual_checks, fp) == expected
 
 
+def test_residual_checks_raise_an_earlier_points_error_before_a_later_overflow():
+    # lambda = 600i: psi overflows at every one of the 25 sample points.  The
+    # order of the points decides which overflow is named: residual_checks
+    # names the first point's, and the batch over the reversed points the last
+    # point's.
+    fp = FaddeevParams(cpoly.from_roots([1, -1, 0.5j]), 600j)
+    points = residual_sample_points(fp.roots, fp.lam)
+    errors = [_first_sample_error(fp, [z]) for z in points]
+    assert all(e is not None and e[1].startswith("psi overflows at") for e in errors)
+    assert len(set(errors)) == len(points)
+    assert _outcome(residual_checks, fp) == errors[0]
+    assert _outcome(transform._ring_samples, fp, points[::-1]) == errors[-1]
+
+
 # --- harmonicity off the centers --------------------------------------------
 
 
