@@ -310,46 +310,45 @@ def _cmd_potential(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMON = (("--roots", {"help": "semicolon-separated roots of the generator, e.g. '1+2i;-1;0.5,0.5'"}),
+           ("--coeffs", {"help": "semicolon-separated coefficients, constant term first"}),
+           ("--format", {"choices": ("json", "csv"), "default": "json"}),
+           ("--out", {"help": "write the report to this path instead of stdout"}))
+_SPECTRAL = (("--lambda", {"dest": "lam", "required": True, "help": "spectral parameter (nonzero)"}),)
+_CIRCLE = (("--radius", {"type": float, "help": "scattering circle radius"}),
+           ("--samples", {"type": int, "default": scattering.DEFAULT_SAMPLE_COUNT}))
+_SIGN = (("--flow-sign", {"dest": "flow_sign", "type": int, "choices": (1, -1), "default": 1}),)
+
+# Each command's handler, summary and options, in the order its help lists them.  A parser built
+# for one command still has every name and summary, which is all top-level help and errors read.
+_COMMANDS = {
+    "eigen": (_cmd_eigen, "evaluate the eigenfunction",
+              _COMMON + _SPECTRAL + (("--z", {"required": True, "help": "evaluation points"}),)),
+    "verify": (_cmd_verify, "run the full verification suite", _COMMON + _SPECTRAL + _CIRCLE + _SIGN),
+    "scatter": (_cmd_scatter, "fit scattering data on a circle", _COMMON + _SPECTRAL + _CIRCLE),
+    "evolve": (_cmd_evolve, "sample root trajectories of the flow", _COMMON + _SIGN + (
+        ("--t0", {"type": float, "required": True}), ("--t1", {"type": float, "required": True}),
+        ("--steps", {"type": int, "required": True}),
+        ("--tol", {"type": float, "default": 1e-3, "help": "collision tolerance"}))),
+    "potential": (_cmd_potential, "delta potential at one flow time",
+                  _COMMON + _SIGN + (("--t0", {"type": float, "default": 0.0, "help": "flow time (default 0)"}),)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser; only command's subparser (every one if command is None) gets its options and -h."""
     parser = argparse.ArgumentParser(
         prog="moutard",
         description="Delta potentials, eigenfunctions, scattering data, and root "
         "dynamics from polynomial Moutard transforms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--roots", help="semicolon-separated roots of the generator, e.g. '1+2i;-1;0.5,0.5'")
-    common.add_argument("--coeffs", help="semicolon-separated coefficients, constant term first")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", help="write the report to this path instead of stdout")
-    spectral = argparse.ArgumentParser(add_help=False)
-    spectral.add_argument("--lambda", dest="lam", required=True, help="spectral parameter (nonzero)")
-    circle = argparse.ArgumentParser(add_help=False)
-    circle.add_argument("--radius", type=float, help="scattering circle radius")
-    circle.add_argument("--samples", type=int, default=scattering.DEFAULT_SAMPLE_COUNT)
-    sign = argparse.ArgumentParser(add_help=False)
-    sign.add_argument("--flow-sign", dest="flow_sign", type=int, choices=(1, -1), default=1)
-
-    def command(name: str, handler, summary: str, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary, parents=[common, *parents])
-        p.set_defaults(handler=handler)
-        return p
-
-    command("eigen", _cmd_eigen, "evaluate the eigenfunction", spectral).add_argument(
-        "--z", required=True, help="evaluation points"
-    )
-    command("verify", _cmd_verify, "run the full verification suite", spectral, circle, sign)
-    command("scatter", _cmd_scatter, "fit scattering data on a circle", spectral, circle)
-    p_evolve = command("evolve", _cmd_evolve, "sample root trajectories of the flow", sign)
-    p_evolve.add_argument("--t0", type=float, required=True)
-    p_evolve.add_argument("--t1", type=float, required=True)
-    p_evolve.add_argument("--steps", type=int, required=True)
-    p_evolve.add_argument("--tol", type=float, default=1e-3, help="collision tolerance")
-    command("potential", _cmd_potential, "delta potential at one flow time", sign).add_argument(
-        "--t0", type=float, default=0.0, help="flow time (default 0)"
-    )
-
+    for name, (handler, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary, add_help=command in (None, name))
+        if p.add_help:
+            p.set_defaults(handler=handler)
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -376,9 +375,9 @@ def _attach_literals(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    args = _attach_literals(sys.argv[1:] if argv is None else argv)
     try:
-        ns = parser.parse_args(_attach_literals(sys.argv[1:] if argv is None else argv))
+        ns = build_parser(args[0] if args and args[0] in _COMMANDS else None).parse_args(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

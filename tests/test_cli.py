@@ -459,6 +459,83 @@ def test_missing_subcommand_exits_2():
     assert code == 2
 
 
+# --- parser built for the invoked command ----------------------------------------------
+
+# Each ends at the parser: help, usage or an argparse error.
+PARSER_EXITS = [
+    ["-h"],
+    ["--help"],
+    ["-h", "verify"],
+    ["eigen", "-h"],
+    ["verify", "-h"],
+    ["scatter", "-h"],
+    ["evolve", "-h"],
+    ["potential", "--help"],
+    ["nosuch"],
+    ["Verify"],
+    [],
+    ["--bogus"],
+    ["--bogus", "verify"],  # reaches verify's options, though the first token names no command
+    ["verify"],
+    ["verify", "--roots", "1"],
+    ["verify", "--roots", "1", "--lambda", "2", "--flow-sign", "2"],
+    ["scatter", "--roots", "1", "--lambda", "2", "--samples", "x"],
+    ["evolve", "--roots", "1"],
+    ["evolve", "--roots", "1", "--t0", "0", "--t1", "1", "--steps", "2.5"],
+    ["eigen", "--roots", "1", "--lambda", "1"],
+    ["potential", "--roots", "1", "--format", "xml"],
+    ["verify", "--roots", "1", "--lambda", "2", "--bogus"],
+    ["verify", "--roots", "1", "--lambda", "2", "extra"],
+    ["verify", "--r", "1", "--lambda", "2"],
+]
+
+
+def full_tree_exit(argv):
+    """(status, stdout, stderr) of the parser with every command's options built."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(cli._attach_literals(argv))
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_help_usage_and_errors_match_the_full_parser(argv):
+    assert run_cli(argv) == full_tree_exit(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eigen", "--roots", "-1;1", "--lambda", "2", "--z", "3;4i"],
+        ["verify", "--roots", "1;-1", "--lam", "2", "--samples", "16", "--flow-sign", "-1"],
+        ["scatter", "--coeffs", "1;0;1", "--lambda", "1+1i", "--radius", "50", "--format", "csv"],
+        ["evolve", "--roots", "1;2", "--t0", "-1e-3", "--t1", "1", "--steps", "3", "--tol", "0.1"],
+        ["potential", "--roots", "1", "--t0", "0.5", "--out", "report.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_one_command_parser_gives_the_full_namespace(argv):
+    args = cli._attach_literals(argv)
+    assert vars(cli.build_parser(argv[0]).parse_args(args)) == vars(cli.build_parser().parse_args(args))
+
+
+def test_parser_without_a_command_builds_every_option():
+    parser = cli.build_parser()
+    common = ["--roots", "1", "--coeffs", "1;1", "--format", "csv", "--out", "r"]
+    circle = ["--radius", "5", "--samples", "9"]
+    full = {
+        "eigen": common + ["--lambda", "2", "--z", "1;2"],
+        "verify": common + ["--lambda", "2"] + circle + ["--flow-sign", "-1"],
+        "scatter": common + ["--lambda", "2"] + circle,
+        "evolve": common + ["--flow-sign", "-1", "--t0", "0", "--t1", "1", "--steps", "3", "--tol", "0.5"],
+        "potential": common + ["--flow-sign", "-1", "--t0", "0.5"],
+    }
+    for command, options in full.items():
+        ns = vars(parser.parse_args([command] + options))
+        assert ns.pop("command") == command and ns.pop("handler") is cli._COMMANDS[command][0]
+        assert len(ns) == len(options) // 2, command  # one destination per option given
+
+
 # --- output redirection -----------------------------------------------------------------
 
 
