@@ -319,8 +319,7 @@ _CIRCLE = (("--radius", {"type": float, "help": "scattering circle radius"}),
            ("--samples", {"type": int, "default": scattering.DEFAULT_SAMPLE_COUNT}))
 _SIGN = (("--flow-sign", {"dest": "flow_sign", "type": int, "choices": (1, -1), "default": 1}),)
 
-# Each command's handler, summary and options, in the order its help lists them.  A parser built
-# for one command still has every name and summary, which is all top-level help and errors read.
+# Each command's handler, summary and options, in the order its help lists them.
 _COMMANDS = {
     "eigen": (_cmd_eigen, "evaluate the eigenfunction",
               _COMMON + _SPECTRAL + (("--z", {"required": True, "help": "evaluation points"}),)),
@@ -335,21 +334,41 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser; only command's subparser (every one if command is None) gets its options and -h."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand with its options.  ``_parse`` says when ``main`` needs it."""
     parser = argparse.ArgumentParser(
         prog="moutard",
         description="Delta potentials, eigenfunctions, scattering data, and root "
         "dynamics from polynomial Moutard transforms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, summary, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary, add_help=command in (None, name))
-        if p.add_help:
-            p.set_defaults(handler=handler)
-            for flag, kwargs in options:
-                p.add_argument(flag, **kwargs)
+    for name, (_, summary, _) in _COMMANDS.items():
+        _with_options(sub.add_parser(name, help=summary), name)
     return parser
+
+
+def _with_options(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    handler, _, options = _COMMANDS[name]
+    parser.set_defaults(command=name, handler=handler)
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+def _parse(args: list[str]) -> argparse.Namespace:
+    """The namespace of args, or SystemExit as argparse gives it.
+
+    When args[0] names a command, one parser with that subparser's prog and
+    options reads the rest, as the subparser would.  Only no command, an
+    unknown one, top-level help and leftover arguments (which the full parser
+    reports as unrecognized) build the full parser.
+    """
+    if args and args[0] in _COMMANDS:
+        parser = _with_options(argparse.ArgumentParser(prog="moutard " + args[0]), args[0])
+        ns, extra = parser.parse_known_args(args[1:])
+        if not extra:
+            return ns
+    return build_parser().parse_args(args)
 
 
 def _is_literal(text: str) -> bool:
@@ -377,7 +396,7 @@ def _attach_literals(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     args = _attach_literals(sys.argv[1:] if argv is None else argv)
     try:
-        ns = build_parser(args[0] if args and args[0] in _COMMANDS else None).parse_args(args)
+        ns = _parse(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

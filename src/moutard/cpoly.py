@@ -322,7 +322,7 @@ def roots(p: ComplexPoly, init: Sequence[complex] | None = None) -> RootSet:
 
 
 def min_root_separation(r: RootSet | Sequence[complex]) -> float:
-    """Minimum pairwise distance between roots; needs at least two, all finite (NonFinite)."""
+    """Minimum pairwise distance between at least two roots; NonFinite for a non-finite root or distance."""
     pts = tuple(r)
     if len(pts) < 2:
         raise InsufficientRoots(
@@ -331,4 +331,7 @@ def min_root_separation(r: RootSet | Sequence[complex]) -> float:
     for x in pts:
         if not cmath.isfinite(x):
             raise NonFinite(f"separation needs finite roots, got {x!r}", root=x)
-    return min(abs(a - b) for a, b in itertools.combinations(pts, 2))
+    sep = min(abs(a - b) for a, b in itertools.combinations(pts, 2))
+    if sep == math.inf:
+        raise NonFinite("minimum root separation overflows")
+    return sep

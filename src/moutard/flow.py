@@ -232,7 +232,9 @@ def trajectory(
     times = tuple(t0 + (t1 - t0) * k / steps for k in range(steps + 1))
 
     columns: list[list[complex]] = []
-    seps: list[float] = []  # minimum separation of each column
+    # Minimum separation of each column, or a lower bound on it that is >= collision_tol.
+    seps: list[float] = []
+    bound = False  # whether seps[-1] is a bound
     events: list[CollisionEvent] = []
     for k, t in enumerate(times):
         if k >= 2 and min(seps[-2:]) >= collision_tol:
@@ -241,6 +243,21 @@ def trajectory(
         else:
             init = columns[-1] if columns else None
         rts = list(cpoly.roots(_at(p0, terms, t, sign), init=init).roots)
+        if k:
+            # If no root moved more than delta <= 3/8 of seps[-1], rts keeps its labels
+            # and its roots lie at least seps[-1] - 2 delta apart (times 1 - 2^-40 for
+            # rounding).  While that bound is >= collision_tol the step is neither lenient
+            # nor flagged, so it needs no O(n^2) scan; other steps scan and run as before.
+            delta = max(abs(c - p) for p, c in zip(columns[-1], rts))
+            least = (seps[-1] - 2.0 * delta) * (1 - 2**-40)
+            if delta <= 0.375 * (1 - 2**-40) * seps[-1] and least >= collision_tol:
+                columns.append(rts)
+                seps.append(least)
+                bound = True
+                continue
+            if bound:
+                seps[-1] = cpoly.min_root_separation(columns[-1])
+                bound = False
         # Matching permutes rts, so this is also the separation of cur.
         sep = cpoly.min_root_separation(rts) if n >= 2 else math.inf
         if k == 0:

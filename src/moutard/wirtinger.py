@@ -14,9 +14,9 @@ against rounding noise.  First derivatives divide by h, so h near eps**(1/3)
 is right; the Laplacian divides by h**2 and needs a larger step and its own
 default scale.  Both defaults grow with |z| to keep z + h representable.
 ``gradient``, ``d_z``, ``d_zbar`` and ``laplacian`` take an optional step h,
-used verbatim when given (it must be finite and positive; ValueError
-otherwise) and left None for the adaptive default scale * max(1, |z|).  A
-non-finite z raises NonFinite.
+used verbatim when given (it must be finite and positive, with (h/2)**k > 0
+for a derivative of order k; ValueError otherwise) and left None for the
+adaptive default scale * max(1, |z|).  A non-finite z raises NonFinite.
 """
 
 from __future__ import annotations
@@ -35,14 +35,17 @@ FIRST_ORDER_STEP_SCALE = 1e-5
 LAPLACIAN_STEP_SCALE = 5e-4
 
 
-def _step(h: float | None, scale: float, z: complex) -> float:
-    """h when given, else the adaptive scale * max(1, |z|); checks both z and h."""
+def _step(h: float | None, scale: float, z: complex, order: int) -> float:
+    """h when given, else the adaptive scale * max(1, |z|); checks both z and h.
+
+    A derivative of this order divides by (h/2)**order, which must not be 0.
+    """
     if not cmath.isfinite(z):
         raise NonFinite(f"stencil centre must be finite, got {z!r}", point=z)
     if h is None:
         return scale * max(1.0, abs(z))
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"stencil step must be finite and positive, got {h!r}")
+    if not (math.isfinite(h) and h > 0 and (h / 2.0) ** order > 0):
+        raise ValueError(f"stencil step must be finite and positive with (h/2)**{order} > 0, got {h!r}")
     return h
 
 
@@ -87,7 +90,7 @@ def _cross(f: ComplexFunc, z: complex, s: float) -> tuple[complex, complex, comp
 
 def gradient(f: ComplexFunc, z: complex, h: float | None = None) -> tuple[complex, complex]:
     """(d_z f, d_zbar f) at z from one cross stencil at h and h/2: 8 samples."""
-    s = _step(h, FIRST_ORDER_STEP_SCALE, z)
+    s = _step(h, FIRST_ORDER_STEP_SCALE, z, 1)
     (cz, czbar, _), (fz, fzbar, _) = _cross(f, z, s), _cross(f, z, s / 2.0)
     return (4.0 * fz - cz) / 3.0, (4.0 * fzbar - czbar) / 3.0
 
@@ -104,7 +107,7 @@ def d_zbar(f: ComplexFunc, z: complex, h: float | None = None) -> complex:
 
 def laplacian(f: ComplexFunc, z: complex, h: float | None = None) -> complex:
     """Five-point estimate of f_xx + f_yy at z; agrees with 4 * d_zbar(d_z f)."""
-    s = _step(h, LAPLACIAN_STEP_SCALE, z)
+    s = _step(h, LAPLACIAN_STEP_SCALE, z, 2)
     centre = 4.0 * _sample(f, z)
     coarse, fine = ((_cross(f, z, r)[2] - centre) / (r * r) for r in (s, s / 2.0))
     return (4.0 * fine - coarse) / 3.0

@@ -487,6 +487,12 @@ PARSER_EXITS = [
     ["verify", "--roots", "1", "--lambda", "2", "--bogus"],
     ["verify", "--roots", "1", "--lambda", "2", "extra"],
     ["verify", "--r", "1", "--lambda", "2"],
+    ["verify", "--roots", "1", "--lambda", "2", "--", "x"],
+    ["scatter", "--roots", "1", "--roots", "2", "--lambda", "1", "--bogus"],
+    ["verify", "-h", "--bogus"],
+    ["verify", "--bogus", "-h"],
+    ["verify", "--he"],
+    ["evolve", "--roots", "-1;1", "--t0", "-1e-3", "--t1", "1", "--steps", "2", "--bogus"],
 ]
 
 
@@ -514,9 +520,28 @@ def test_help_usage_and_errors_match_the_full_parser(argv):
     ],
     ids=lambda argv: argv[0],
 )
-def test_one_command_parser_gives_the_full_namespace(argv):
+def test_one_command_parser_gives_the_full_namespace(argv, monkeypatch):
     args = cli._attach_literals(argv)
-    assert vars(cli.build_parser(argv[0]).parse_args(args)) == vars(cli.build_parser().parse_args(args))
+    full = vars(cli.build_parser().parse_args(args))
+    monkeypatch.setattr(cli, "build_parser", no_full_parser)
+    assert vars(cli._parse(args)) == full
+
+
+def no_full_parser():
+    raise AssertionError("the full parser was built")
+
+
+def test_valid_invocations_never_build_the_full_parser(monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", no_full_parser)
+    for argv in (
+        ["eigen", "--roots", "1", "--lambda", "2", "--z", "3"],
+        ["verify", "--roots", "1;-1", "--lambda", "2"],
+        ["scatter", "--roots", "1;2", "--lambda", "1"],
+        ["evolve", "--roots", "1;2", "--t0", "0", "--t1", "0.5", "--steps", "3"],
+        ["potential", "--roots", "1", "--t0", "0.5"],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, ""), argv
 
 
 def test_parser_without_a_command_builds_every_option():

@@ -477,3 +477,10 @@ def test_min_root_separation_names_a_non_finite_root(bad):
         with pytest.raises(NonFinite, match="separation needs finite roots") as exc:
             cpoly.min_root_separation(pts)
         assert repr(exc.value.details["root"]) == repr(bad)
+
+
+def test_min_root_separation_overflow_is_non_finite():
+    # Finite roots whose every distance overflows used to give inf.
+    with pytest.raises(NonFinite, match="minimum root separation overflows"):
+        cpoly.min_root_separation([1e308, -1e308])
+    assert cpoly.min_root_separation([1e308, -1e308, 0]) == 1e308

@@ -520,6 +520,37 @@ def test_trajectory_certifies_well_separated_steps_without_matching(monkeypatch)
     assert tr.events == () and sum(strict) == 0
 
 
+def test_trajectory_scans_separations_only_where_the_bound_gives_out(monkeypatch):
+    # A wide degree-10 ring (separation 3.1) whose roots move up to 1.5 in
+    # all keeps its carried lower bound above collision_tol, so the O(n^2)
+    # scan runs at the first time only, not at each of the 401 times.
+    scans = []
+    scan = cpoly.min_root_separation
+
+    def counted(pts):
+        scans.append(len(pts))
+        return scan(pts)
+
+    monkeypatch.setattr(cpoly, "min_root_separation", counted)
+    ring = from_roots([cmath.rect(5.0, 2 * math.pi * k / 10 + 0.1) for k in range(10)])
+    tr = trajectory(ring, 0.0, 0.4, steps=400)
+    assert tr.events == () and len(tr.times) == 401
+    assert scans == [10]
+    # On a narrower ring the bound gives out; those steps rescan, so the
+    # greedy matching still gets its margin from the exact separation.
+    margins = []
+    match = flow._greedy_match
+
+    def spy(prev, cur, margin, lenient):
+        margins.append((margin, 0.25 * scan(prev)))
+        return match(prev, cur, margin, lenient)
+
+    monkeypatch.setattr(flow, "_greedy_match", spy)
+    ring = from_roots([cmath.rect(3.0, 2 * math.pi * k / 10 + 0.1) for k in range(10)])
+    trajectory(ring, 0.0, 1.0, steps=100)
+    assert 1 < len(scans) < 101 and margins and all(m == exact for m, exact in margins)
+
+
 def test_trajectory_validations():
     with pytest.raises(ValueError):
         trajectory(Z3, 1.0, 1.0, steps=10)

@@ -221,6 +221,15 @@ def test_step_must_be_positive():
         for h in (0.0, -1e-3):
             with pytest.raises(ValueError):
                 op(expwave, 0.3, h)
+    # Positive steps whose half-step (squared, for the Laplacian) is 0 used to
+    # escape as ZeroDivisionError.
+    message = r"stencil step must be finite and positive with \(h/2\)\*\*{} > 0, got {!r}"
+    for op in (gradient, d_z, d_zbar):
+        with pytest.raises(ValueError, match=message.format(1, 5e-324)):
+            op(expwave, 0.3, 5e-324)
+    for h in (5e-324, 1e-200, 1e-162):
+        with pytest.raises(ValueError, match=message.format(2, h)):
+            laplacian(expwave, 0.3, h)
 
 
 def test_step_must_be_finite():
