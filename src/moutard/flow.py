@@ -131,17 +131,21 @@ def _near_min_pairs(positions: Sequence[complex], best: float) -> tuple[int, ...
     return tuple(sorted(involved))
 
 
-def _labels_kept(prev: Sequence[complex], cur: Sequence[complex], sep: float) -> bool:
-    """True when no root moved 3/8 of ``sep``, the minimum separation of ``prev``.
+def _labels_kept(delta: float, sep: float) -> float | None:
+    """A lower bound on the separation of cur when no root moved 3/8 of ``sep``, else None.
 
-    With delta the largest move, |prev_i - cur_j| >= sep - delta for i != j, so
-    every off-diagonal distance exceeds the diagonal one in its row and in its
-    column by at least sep - 2 delta >= sep / 4: greedy matching at margin
-    sep / 4 keeps the order of ``cur`` and does not raise.  The factor
-    1 - 2^-40 covers the few-ulp error of the computed (normal-range)
-    distances.  A single root has sep = inf and is always kept.
+    ``sep`` is the minimum separation of ``prev``, or a lower bound on it, and
+    delta = max |cur_i - prev_i| the largest move.  Then |prev_i - cur_j| >=
+    sep - delta for i != j, so every off-diagonal distance exceeds the
+    diagonal one in its row and in its column by at least sep - 2 delta >=
+    sep / 4: greedy matching at margin sep / 4 keeps the order of ``cur`` and
+    does not raise, and the roots of ``cur`` lie at least sep - 2 delta apart.
+    The factor 1 - 2^-40 covers the few-ulp error of the computed
+    (normal-range) distances.  A single root has sep = inf and is always kept.
     """
-    return max(abs(c - p) for p, c in zip(prev, cur)) <= 0.375 * (1 - 2**-40) * sep
+    if delta <= 0.375 * (1 - 2**-40) * sep:
+        return (sep - 2.0 * delta) * (1 - 2**-40)
+    return None
 
 
 def _greedy_match(prev: Sequence[complex], cur: Sequence[complex], margin: float, lenient: bool) -> list[complex]:
@@ -244,13 +248,12 @@ def trajectory(
             init = columns[-1] if columns else None
         rts = list(cpoly.roots(_at(p0, terms, t, sign), init=init).roots)
         if k:
-            # If no root moved more than delta <= 3/8 of seps[-1], rts keeps its labels
-            # and its roots lie at least seps[-1] - 2 delta apart (times 1 - 2^-40 for
-            # rounding).  While that bound is >= collision_tol the step is neither lenient
-            # nor flagged, so it needs no O(n^2) scan; other steps scan and run as before.
+            # A step that keeps its labels with a carried bound >= collision_tol is
+            # neither lenient nor flagged, so it stores the bound and skips the O(n^2)
+            # scan; any other step rescans a carried bound and runs as before.
             delta = max(abs(c - p) for p, c in zip(columns[-1], rts))
-            least = (seps[-1] - 2.0 * delta) * (1 - 2**-40)
-            if delta <= 0.375 * (1 - 2**-40) * seps[-1] and least >= collision_tol:
+            least = _labels_kept(delta, seps[-1])
+            if least is not None and least >= collision_tol:
                 columns.append(rts)
                 seps.append(least)
                 bound = True
@@ -258,6 +261,7 @@ def trajectory(
             if bound:
                 seps[-1] = cpoly.min_root_separation(columns[-1])
                 bound = False
+                least = _labels_kept(delta, seps[-1])
         # Matching permutes rts, so this is also the separation of cur.
         sep = cpoly.min_root_separation(rts) if n >= 2 else math.inf
         if k == 0:
@@ -267,7 +271,7 @@ def trajectory(
             # the step sits at a collision: labels genuinely permute there,
             # and the CollisionEvent already marks them unreliable.
             lenient = seps[-1] < collision_tol or sep < collision_tol
-            if not lenient and _labels_kept(columns[-1], rts, seps[-1]):
+            if not lenient and least is not None:
                 cur = rts
             else:
                 cur = _greedy_match(columns[-1], rts, 0.25 * seps[-1], lenient=lenient)

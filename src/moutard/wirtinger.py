@@ -38,13 +38,14 @@ LAPLACIAN_STEP_SCALE = 5e-4
 def _step(h: float | None, scale: float, z: complex, order: int) -> float:
     """h when given, else the adaptive scale * max(1, |z|); checks both z and h.
 
-    A derivative of this order divides by (h/2)**order, which must not be 0.
+    A derivative of this order divides by (h/2)**order, which must not be 0;
+    the check caps h/2 at 1 so that a large h does not overflow it.
     """
     if not cmath.isfinite(z):
         raise NonFinite(f"stencil centre must be finite, got {z!r}", point=z)
     if h is None:
         return scale * max(1.0, abs(z))
-    if not (math.isfinite(h) and h > 0 and (h / 2.0) ** order > 0):
+    if not (math.isfinite(h) and h > 0 and min(h / 2.0, 1.0) ** order > 0):
         raise ValueError(f"stencil step must be finite and positive with (h/2)**{order} > 0, got {h!r}")
     return h
 

@@ -492,15 +492,17 @@ def test_labels_kept_only_where_the_greedy_keeps_them():
     for prev, cur in _certificate_cases(rng):
         sep = cpoly.min_root_separation(prev) if len(prev) > 1 else math.inf
         delta = max(abs(c - p) for p, c in zip(prev, cur))
-        if _labels_kept(prev, cur, sep):
+        least = _labels_kept(delta, sep)
+        if least is not None:
             kept += 1
+            assert least <= cpoly.min_root_separation(cur) if len(cur) > 1 else least == math.inf
             assert delta < 0.375 * sep
             assert _full_greedy(prev, cur, 0.25 * sep, lenient=False) == list(cur)
         else:
             declined += 1
             assert delta >= 0.375 * (1 - 2**-40) * sep
         if delta <= 0.375 * (1 - 2**-30) * sep:
-            assert _labels_kept(prev, cur, sep)
+            assert least is not None
     assert kept > 200 and declined > 450
 
 

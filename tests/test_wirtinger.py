@@ -230,6 +230,13 @@ def test_step_must_be_positive():
     for h in (5e-324, 1e-200, 1e-162):
         with pytest.raises(ValueError, match=message.format(2, h)):
             laplacian(expwave, 0.3, h)
+    # A large finite step passes the check without overflowing it: a constant
+    # gives 0 and a sample that blows up is NonFinite.
+    for op in (gradient, d_z, d_zbar, laplacian):
+        for h in (1e200, 1.7e308):
+            assert op(lambda w: 0j, 0.3, h) in (0j, (0j, 0j))
+        with pytest.raises(NonFinite, match="non-finite sample"):
+            op(lambda w: w * w, 0.3, 1e200)
 
 
 def test_step_must_be_finite():
