@@ -215,11 +215,15 @@ def smooth_moutard_potential(omega: Callable[[complex], float], u: ComplexFunc, 
     return potential
 
 
-def _residual(om0: complex, om: list, theta: list, phi: list, radius: float) -> tuple[complex, complex]:
-    """(r1, r2) from omega(z) and omega, theta and phi on ``ring(z, radius, RING_POINTS)``."""
+def _residual(z: complex, om0: complex, om: list, theta: list, phi: list, radius: float) -> tuple[complex, complex]:
+    """(r1, r2) from omega(z) and omega, theta and phi on ``ring(z, radius, RING_POINTS)``; NonFinite if not finite."""
     product = ring_moments([o * t for o, t in zip(om, theta)], radius)
     quotient = ring_moments([f / o for o, f in zip(om, phi)], radius)
-    return product[0] + 1j * om0**2 * quotient[0], product[1] - 1j * om0**2 * quotient[1]
+    square = om0 * om0  # om0**2 raises OverflowError where this gives inf
+    r1, r2 = product[0] + 1j * square * quotient[0], product[1] - 1j * square * quotient[1]
+    if not (cmath.isfinite(r1) and cmath.isfinite(r2)):
+        raise NonFinite(f"Moutard residual is not finite at {z!r}", point=z)
+    return r1, r2
 
 
 def moutard_residual(
@@ -233,9 +237,9 @@ def moutard_residual(
         r2 = (w theta)_zbar - i w(z)^2 (phi / w)_zbar
 
     read from one ring of ``RING_POINTS`` samples at ``radius`` around z;
-    (0, 0) certifies the triple.  NonFinite for a non-finite z and where
-    omega vanishes on the ring; ValueError unless the radius is finite and
-    positive.
+    (0, 0) certifies the triple.  NonFinite for a non-finite z, where
+    omega vanishes on the ring and where r1 or r2 is not finite; ValueError
+    unless the radius is finite and positive.
     """
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"ring radius must be finite and positive, got {radius!r}")
@@ -246,7 +250,7 @@ def moutard_residual(
     if 0 in om:
         raise NonFinite(f"omega vanishes on the ring around {z!r}", point=z)
     thetas, phis = [complex(theta(w)) for w in points], [complex(phi(w)) for w in points]
-    return _residual(complex(omega(z)), om, thetas, phis, radius)
+    return _residual(z, complex(omega(z)), om, thetas, phis, radius)
 
 
 def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: complex) -> list[complex]:
@@ -286,9 +290,9 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
 
 
 def _ring_radius(fp: FaddeevParams, z: complex) -> float:
-    """min(d/2, 1/|lambda|) / 2, d = distance to the nearest root; NearPole if d < 1e-3 max(1, |z|)."""
+    """min(d/2, 1/|lambda|) / 2, d = distance to the nearest root; NearPole if d < 1e-3."""
     d = min((abs(z - r) for r in fp.roots), default=math.inf)
-    if d < 1e-3 * max(1.0, abs(z)):
+    if d < 1e-3:
         raise NearPole(z, fp.nearest_root(z))
     return 0.5 * min(0.5 * d, 1.0 / abs(fp.lam))
 
@@ -315,7 +319,8 @@ def harmonicity_check(fp: FaddeevParams, z: complex) -> float:
 
     psi is harmonic wherever the transformed potential vanishes, i.e. away
     from the roots of P; a small value certifies that.  psi is sampled as in
-    :func:`residual_checks`; NearPole within 1e-3 max(1, |z|) of a root.
+    :func:`residual_checks`; NearPole within 1e-3 of a root, an absolute
+    distance as ``SAMPLE_MIN_DIST`` is, at any |z|.
     """
     [(rho, _, _, (centre, *psi))] = _ring_samples(fp, [z])
     return _harmonicity(fp.lam, z, rho, centre, psi)
@@ -341,7 +346,7 @@ def residual_checks(fp: FaddeevParams) -> tuple[int, float, float, float]:
     worst_res = worst_gauge = worst_harm = 0.0
     for z, (rho, (om0, *om), (_, *es), (psi0, *psi)) in zip(points, rings):
         scale = math.exp((lam * z).real)
-        r1, r2 = _residual(om0, om, psi, [1j * e for e in es], rho)
+        r1, r2 = _residual(z, om0, om, psi, [1j * e for e in es], rho)
         worst_res = max(worst_res, abs(r1) / scale, abs(r2) / scale)
         for c in GAUGE_SHIFTS:
             g1, g2, _ = ring_moments([o * (c / o) for o in om], rho)

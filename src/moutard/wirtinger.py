@@ -8,22 +8,20 @@ and the Laplacian factors as 4 * d_zbar(d_z f).  On a ring of M points and
 radius r around z, d_z and d_zbar are the +1 and -1 Fourier coefficients of
 f over r and the Laplacian is 4 (mean - f(z)) / r^2 (``ring_moments``), with
 error ~ (r/R)^M for f holomorphic within R.  ``gradient`` and ``laplacian``
-difference the M = 4 ring (a plus-shaped stencil) at h and h/2 with one
-Richardson step, O(h^4) for any smooth f.  Step sizes balance truncation
-against rounding noise.  First derivatives divide by h, so h near eps**(1/3)
-is right; the Laplacian divides by h**2 and needs a larger step and its own
-default scale.  Both defaults grow with |z| to keep z + h representable.
-``gradient``, ``d_z``, ``d_zbar`` and ``laplacian`` take an optional step h,
-used verbatim when given (it must be finite and positive, with (h/2)**k > 0
-for a derivative of order k; ValueError otherwise) and left None for the
-adaptive default scale * max(1, |z|).  A non-finite z raises NonFinite.
+difference the M = 4 ring (a plus-shaped stencil) at s and s/2 with one
+Richardson step, O(s^4) for any smooth f.  The step s balances truncation
+against rounding noise.  First derivatives divide by s, so s near eps**(1/3)
+is right; the Laplacian divides by s**2 and needs a larger step.  Each takes
+its step as its module scale times max(1, |z|), which keeps z + s
+representable: FIRST_ORDER_STEP_SCALE for ``gradient``, ``d_z`` and
+``d_zbar``, LAPLACIAN_STEP_SCALE for ``laplacian``, both read at call time.
+A non-finite z raises NonFinite.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import math
 import operator
 from typing import Callable, Sequence
 
@@ -35,19 +33,11 @@ FIRST_ORDER_STEP_SCALE = 1e-5
 LAPLACIAN_STEP_SCALE = 5e-4
 
 
-def _step(h: float | None, scale: float, z: complex, order: int) -> float:
-    """h when given, else the adaptive scale * max(1, |z|); checks both z and h.
-
-    A derivative of this order divides by (h/2)**order, which must not be 0;
-    the check caps h/2 at 1 so that a large h does not overflow it.
-    """
+def _step(scale: float, z: complex) -> float:
+    """The stencil step scale * max(1, |z|) at a finite centre z."""
     if not cmath.isfinite(z):
         raise NonFinite(f"stencil centre must be finite, got {z!r}", point=z)
-    if h is None:
-        return scale * max(1.0, abs(z))
-    if not (math.isfinite(h) and h > 0 and min(h / 2.0, 1.0) ** order > 0):
-        raise ValueError(f"stencil step must be finite and positive with (h/2)**{order} > 0, got {h!r}")
-    return h
+    return scale * max(1.0, abs(z))
 
 
 def _sample(f: ComplexFunc, w: complex) -> complex:
@@ -89,26 +79,26 @@ def _cross(f: ComplexFunc, z: complex, s: float) -> tuple[complex, complex, comp
     return (fx - 1j * fy) / (4.0 * s), (fx + 1j * fy) / (4.0 * s), east + west + north + south
 
 
-def gradient(f: ComplexFunc, z: complex, h: float | None = None) -> tuple[complex, complex]:
-    """(d_z f, d_zbar f) at z from one cross stencil at h and h/2: 8 samples."""
-    s = _step(h, FIRST_ORDER_STEP_SCALE, z, 1)
+def gradient(f: ComplexFunc, z: complex) -> tuple[complex, complex]:
+    """(d_z f, d_zbar f) at z from one cross stencil at s and s/2: 8 samples."""
+    s = _step(FIRST_ORDER_STEP_SCALE, z)
     (cz, czbar, _), (fz, fzbar, _) = _cross(f, z, s), _cross(f, z, s / 2.0)
     return (4.0 * fz - cz) / 3.0, (4.0 * fzbar - czbar) / 3.0
 
 
-def d_z(f: ComplexFunc, z: complex, h: float | None = None) -> complex:
+def d_z(f: ComplexFunc, z: complex) -> complex:
     """Central-difference estimate of (f_x - i f_y)/2 at z."""
-    return gradient(f, z, h)[0]
+    return gradient(f, z)[0]
 
 
-def d_zbar(f: ComplexFunc, z: complex, h: float | None = None) -> complex:
+def d_zbar(f: ComplexFunc, z: complex) -> complex:
     """Central-difference estimate of (f_x + i f_y)/2 at z."""
-    return gradient(f, z, h)[1]
+    return gradient(f, z)[1]
 
 
-def laplacian(f: ComplexFunc, z: complex, h: float | None = None) -> complex:
+def laplacian(f: ComplexFunc, z: complex) -> complex:
     """Five-point estimate of f_xx + f_yy at z; agrees with 4 * d_zbar(d_z f)."""
-    s = _step(h, LAPLACIAN_STEP_SCALE, z, 2)
+    s = _step(LAPLACIAN_STEP_SCALE, z)
     centre = 4.0 * _sample(f, z)
     coarse, fine = ((_cross(f, z, r)[2] - centre) / (r * r) for r in (s, s / 2.0))
     return (4.0 * fine - coarse) / 3.0

@@ -112,6 +112,15 @@ def test_verify_passes_at_small_and_large_lambda(lam):
     assert json.loads(out)["all_passed"] is True
 
 
+@pytest.mark.parametrize("roots", ["2000", "10000;10001"])
+def test_verify_passes_for_roots_far_from_the_origin(roots):
+    # Sample points keep 1.5 from every root; a ring guard relative to |z|
+    # raised NearPole for them once the roots lay beyond |z| ~ 1500.
+    code, out, err = run_cli(["verify", "--roots", roots, "--lambda", "1i"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["all_passed"] is True
+
+
 def test_verify_is_deterministic():
     argv = ["verify", "--roots", "1;-1", "--lambda", "2"]
     assert run_cli(argv) == run_cli(argv)

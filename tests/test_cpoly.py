@@ -363,6 +363,54 @@ def test_warm_start_at_a_critical_point_is_nudged_off_it(monkeypatch):
         assert abs(got - want) < 1e-12
 
 
+def test_aberth_nudges_a_zero_correction_denominator(monkeypatch):
+    # At 2, next to 1.25, on z^2 - 1: newton 0.75 times repulse 4/3 rounds to
+    # exactly 1.0, so the Aberth correction would divide by zero.
+    monkeypatch.setattr(cpoly, "MAX_SWEEPS", 1)
+    xs = [2 + 0j, 1.25 + 0j]
+    cpoly._aberth((-1, 0, 1), xs)
+    assert xs[0] == 2 + 3 * 2.0**-50 * (1 + 1j)
+    monkeypatch.undo()
+    rs = cpoly.roots(cpoly.ComplexPoly((-1, 0, 1)), init=[2, 1.25])
+    assert rs.sweeps == 5 and rs.worst_residual < cpoly.ROOT_TOL
+    assert sorted(x.real for x in rs) == pytest.approx([-1.0, 1.0], abs=1e-15)
+
+
+def test_aberth_nudges_coincident_iterates():
+    # roots ignores equal guesses, so only a direct call starts from them;
+    # the repulsion would divide by zero without the nudge.
+    xs = [1 + 1j, 1 + 1j]
+    sweeps, worst = cpoly._aberth((-1, 0, 1), xs)
+    assert sweeps == 30 and worst < cpoly.ROOT_TOL
+    assert sorted(x.real for x in xs) == pytest.approx([-1.0, 1.0], abs=1e-15)
+
+
+def test_aberth_stops_at_a_non_finite_iterate():
+    # On z^2 + 1 at 1e-310, newton 1 / 2e-310 overflows and the step is nan.
+    xs = [1e-310 + 0j, 5 + 0j]
+    assert cpoly._aberth((1, 0, 1), xs) == (1, math.inf)
+    assert not cmath.isfinite(xs[0])
+    p = cpoly.ComplexPoly((1, 0, 1))
+    cold = cpoly.roots(p)
+    rs = cpoly.roots(p, init=[1e-310, 5])
+    assert (tuple(rs), rs.sweeps) == (tuple(cold), 1 + cold.sweeps)
+
+
+def test_aberth_stops_at_a_non_finite_closing_residual(monkeypatch):
+    # The last sweep throws 5e-151 (just under newton * repulse = 1 against
+    # -1e150) out to ~2e165, where z^2 + 1 overflows.  A sweep that ends by
+    # stagnating moves no root far enough to overflow, so only the sweep cap
+    # reaches this return.
+    monkeypatch.setattr(cpoly, "MAX_SWEEPS", 1)
+    init = [5e-151 * (1 - 2.0**-52), -1e150]
+    xs = [complex(x) for x in init]
+    assert cpoly._aberth((1, 0, 1), xs) == (1, math.inf)
+    assert all(map(cmath.isfinite, xs)) and abs(xs[0]) > 1e165
+    with pytest.raises(NonConvergence) as exc:
+        cpoly.roots(cpoly.ComplexPoly((1, 0, 1)), init=init)
+    assert exc.value.iterations == 2
+
+
 def test_warm_start_needs_one_guess_per_root():
     with pytest.raises(ValueError):
         cpoly.roots(cpoly.from_roots([1, 2, 3]), init=[1, 2])

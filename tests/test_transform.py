@@ -458,6 +458,15 @@ def test_residual_rejects_a_non_finite_centre(z):
         moutard_residual(lambda w: 1 + 0j, lambda w: 0j, lambda w: 0j, z, 0.1)
 
 
+@pytest.mark.parametrize("z", [1e308 + 1e308j, -1e300])
+def test_residual_rejects_an_overflowing_omega_square(z):
+    # omega(z)**2 overflowed: times a zero moment it read (nan+nanj) at the
+    # first centre and raised an untyped OverflowError at the second.
+    with pytest.raises(NonFinite, match="Moutard residual is not finite") as exc:
+        moutard_residual(lambda w: w, lambda w: 0j, lambda w: 0j, z, 0.1)
+    assert exc.value.details["point"] == z
+
+
 def test_residual_rejects_omega_zero_on_the_ring():
     with pytest.raises(NonFinite):
         moutard_residual(lambda z: z.real, rotated_phi(1.0), planewave(1.0), -1.0, 1.0)
@@ -795,6 +804,10 @@ def test_harmonicity_guards_near_roots():
     fp = FaddeevParams(cpoly.from_roots([1.0]), 1.0)
     with pytest.raises(NearPole):
         harmonicity_check(fp, 1.0 + 1e-4)
+    # The guard distance is absolute: 2.0 from a root at 2000 is no nearer
+    # than 2.0 from a root at 1 (it raised NearPole, relative to |z|).
+    far = FaddeevParams(cpoly.from_roots([2000.0]), 1j)
+    assert harmonicity_check(far, 2002.0) < cli.VERIFY_THRESHOLDS["harmonicity"]
 
 
 # --- sample-point selection --------------------------------------------------
