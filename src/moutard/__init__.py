@@ -29,7 +29,6 @@ from .errors import (
     NearPole,
     NonConvergence,
     NonFinite,
-    NonPositiveOmega,
     RadiusTooSmall,
     ZeroLambda,
 )
@@ -42,8 +41,6 @@ from .flow import (
     verify_flow,
 )
 from .scattering import (
-    DEFAULT_RADIUS_FACTOR,
-    DEFAULT_SAMPLE_COUNT,
     ScatteringEstimate,
     count_deltas,
     expected_a,
@@ -58,13 +55,10 @@ from .transform import (
     moutard_residual,
     residual_checks,
     residual_sample_points,
-    smooth_moutard_potential,
     transformed_potential,
     verify_eigenfunction_identity,
 )
 from .wirtinger import (
-    FIRST_ORDER_STEP_SCALE,
-    LAPLACIAN_STEP_SCALE,
     d_z,
     d_zbar,
     gradient,
@@ -77,22 +71,17 @@ __all__ = [
     "AmbiguousMatching",
     "CollisionEvent",
     "ComplexPoly",
-    "DEFAULT_RADIUS_FACTOR",
-    "DEFAULT_SAMPLE_COUNT",
     "DELTA_WEIGHT",
     "DegenerateDesign",
     "DeltaPotential",
-    "FIRST_ORDER_STEP_SCALE",
     "FaddeevParams",
     "InconsistentData",
     "InsufficientRoots",
     "IoFailure",
-    "LAPLACIAN_STEP_SCALE",
     "MoutardError",
     "NearPole",
     "NonConvergence",
     "NonFinite",
-    "NonPositiveOmega",
     "RadiusTooSmall",
     "RootSet",
     "RootTrajectory",
@@ -117,7 +106,6 @@ __all__ = [
     "residual_sample_points",
     "roots",
     "sample_mu",
-    "smooth_moutard_potential",
     "transformed_potential",
     "trajectory",
     "verify_eigenfunction_identity",

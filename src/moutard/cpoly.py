@@ -79,12 +79,6 @@ class ComplexPoly:
     def evaluate(self, z: complex) -> complex:
         return horner(self.coeffs, z)
 
-    __call__ = evaluate
-
-    def derivative(self, k: int = 1) -> tuple[complex, ...]:
-        """k-th derivative as a plain (generally non-monic) coefficient tuple."""
-        return differentiate(self.coeffs, k)
-
     @cached_property
     def root_set(self) -> RootSet:
         """All roots by :func:`roots`, solved on first access and then kept.
@@ -139,10 +133,12 @@ def from_roots(roots: Sequence[complex]) -> ComplexPoly:
 
 
 def horner(coeffs: Sequence[complex], z: complex) -> complex:
-    """Evaluate an ascending coefficient sequence at z by nested multiplication."""
+    """Evaluate an ascending coefficient sequence at z by nested multiplication; NonFinite where the value is not."""
     acc = 0j
     for c in reversed(coeffs):
         acc = acc * z + c
+    if not cmath.isfinite(acc):
+        raise NonFinite(f"polynomial value is not finite at {z!r}", point=z)
     return acc
 
 

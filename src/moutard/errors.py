@@ -62,10 +62,6 @@ class NonFinite(MoutardError):
     """A value was or came back inf/nan: a non-finite input, or a stencil sample near a pole."""
 
 
-class NonPositiveOmega(MoutardError):
-    """A generating function sample was <= 0 where positivity is required."""
-
-
 class ZeroLambda(MoutardError):
     """The spectral parameter must be nonzero."""
 

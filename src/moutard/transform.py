@@ -53,8 +53,8 @@ from itertools import zip_longest
 from typing import Callable, ClassVar
 
 from . import cpoly
-from .errors import NearPole, NonFinite, NonPositiveOmega, ZeroLambda
-from .wirtinger import laplacian, ring, ring_moments
+from .errors import NearPole, NonFinite, ZeroLambda
+from .wirtinger import ring, ring_moments
 
 ComplexFunc = Callable[[complex], complex]
 
@@ -62,7 +62,10 @@ DELTA_WEIGHT = -8.0 * math.pi
 
 POLE_GUARD = 1e-8
 
-# Ring points M per checked point; what the checks differentiate is holomorphic within 4 rho, so error ~ 4^-M.
+# Ring points M per checked point.  What the checks differentiate is holomorphic
+# within 4 rho, but the nearest root may lie on that circle and r1 multiplies
+# (phi / P)_z by P(z)^2, so the truncation error is C 4^-M with a C that grows
+# with degree: two degree-10 generators read 3.1e-6 and 1.1e-6.
 RING_POINTS = 24
 
 # Points of residual_sample_points, each at least SAMPLE_MIN_DIST from every root.
@@ -81,7 +84,11 @@ class DeltaPotential:
     weight: ClassVar[float] = DELTA_WEIGHT
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "centers", tuple(complex(c) for c in self.centers))
+        centers = tuple(complex(c) for c in self.centers)
+        for c in centers:
+            if not cmath.isfinite(c):
+                raise NonFinite(f"delta centres must be finite, got {c!r}", center=c)
+        object.__setattr__(self, "centers", centers)
 
 
 @dataclass(frozen=True)
@@ -188,31 +195,6 @@ def transformed_potential(p: cpoly.ComplexPoly) -> DeltaPotential:
     ``root_set``; root-finder NonConvergence propagates.
     """
     return DeltaPotential(p.root_set.roots)
-
-
-def smooth_moutard_potential(omega: Callable[[complex], float], u: ComplexFunc, z: complex) -> complex:
-    """Transformed potential U(z) - 2 * laplacian(log w)(z) for smooth positive w = omega.
-
-    The caller is responsible for Hw = 0.  NonPositiveOmega where omega is
-    not a positive real (a complex sample must have zero imaginary part) on
-    the stencil; NonFinite where the result is not finite, as for a non-finite
-    u(z).
-    """
-
-    def log_omega(w: complex) -> complex:
-        value = omega(w)
-        real = value.real if isinstance(value, complex) else float(value)
-        if value != real or not (math.isfinite(real) and real > 0):
-            raise NonPositiveOmega(
-                f"generating function must be positive, got {value!r} at {w!r}",
-                point=w,
-            )
-        return math.log(real)
-
-    potential = complex(u(z)) - 2.0 * laplacian(log_omega, z)
-    if not cmath.isfinite(potential):
-        raise NonFinite(f"transformed potential is not finite at {z!r}", point=z)
-    return potential
 
 
 def _residual(z: complex, om0: complex, om: list, theta: list, phi: list, radius: float) -> tuple[complex, complex]:

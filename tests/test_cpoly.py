@@ -114,9 +114,12 @@ def test_evaluate_matches_naive_oracle_degree_12_large_z():
         )
 
 
-def test_poly_is_callable():
-    p = cpoly.from_roots([2])
-    assert p(5) == p.evaluate(5) == 3 + 0j
+@pytest.mark.parametrize("z", [1e200 + 1e200j, 1e200, complex(math.nan, 0.0), math.inf])
+def test_evaluate_raises_where_the_value_is_not_finite(z):
+    with pytest.raises(NonFinite) as exc:
+        cpoly.from_roots([1, 2]).evaluate(z)
+    assert f"at {z!r}" in str(exc.value)
+    assert exc.value.details["point"] is z
 
 
 # --- differentiation -------------------------------------------------------
@@ -129,7 +132,7 @@ def test_derivative_power_rule():
 
 def test_derivative_order_zero_is_identity():
     p = cpoly.from_roots([1j, -2])
-    assert p.derivative(0) == p.coeffs
+    assert cpoly.differentiate(p.coeffs, 0) == p.coeffs
 
 
 def test_derivative_below_degree_is_zero():

@@ -1,9 +1,6 @@
 """Transform-layer tests: delta potentials, eigenfunctions, residual checks.
 
 Independent references used here:
-  * cosh generator: for w(x) = cosh(a x) and background U = a^2 (so that
-    -Delta w + U w = 0), hand differentiation gives the transformed
-    potential a^2 - 2 a^2 sech^2(a x).
   * single-center eigenfunction: P = z - z1 reduces the closed form to
     e^{lambda z} (1 - 2 / (lambda (z - z1))).
   * single-center coefficient identity: Q = P - 2/lambda gives
@@ -20,7 +17,7 @@ import sys
 import pytest
 
 from moutard import cli, cpoly, scattering, transform
-from moutard.errors import MoutardError, NearPole, NonFinite, NonPositiveOmega, ZeroLambda
+from moutard.errors import MoutardError, NearPole, NonFinite, ZeroLambda
 from moutard.transform import (
     DELTA_WEIGHT,
     RING_POINTS,
@@ -30,7 +27,6 @@ from moutard.transform import (
     moutard_residual,
     residual_checks,
     residual_sample_points,
-    smooth_moutard_potential,
     transformed_potential,
     verify_eigenfunction_identity,
 )
@@ -74,48 +70,12 @@ def test_weight_cannot_be_overridden():
         DeltaPotential((0j,), weight=-25.0)
 
 
-# --- smooth generating functions -------------------------------------------
-
-
-def test_smooth_potential_harmonic_log_gives_zero():
-    # log |e^{lambda z}| = Re(lambda z) is harmonic, so U = 0 stays 0.
-    lam = 1.3 - 0.4j
-    omega = lambda z: abs(cmath.exp(lam * z))
-    for z in (0.2, -1 + 0.5j, 2j):
-        assert abs(smooth_moutard_potential(omega, lambda z: 0.0, z)) < 1e-6
-
-
-@pytest.mark.parametrize("a", [1.0, 2.0])
-def test_smooth_potential_cosh_generator(a):
-    omega, u = lambda z: math.cosh(a * z.real), lambda z: a * a
-    at_zero = smooth_moutard_potential(omega, u, 0j)
-    assert abs(at_zero - (-a * a)) < 1e-6
-    for k in range(25):
-        x = -3.0 + 6.0 * k / 24
-        z = complex(x, 0.4 * math.sin(3 * k))  # off-axis points hit the 2D stencil
-        want = a * a - 2 * a * a / math.cosh(a * x) ** 2
-        assert abs(smooth_moutard_potential(omega, u, z) - want) < 1e-6
-
-
-def test_smooth_potential_rejects_nonpositive_omega():
-    with pytest.raises(NonPositiveOmega) as exc:
-        smooth_moutard_potential(lambda z: z.real, lambda z: 0.0, 0j)  # stencil crosses x <= 0
-    assert "point" in exc.value.details
-
-
-def test_smooth_potential_rejects_complex_omega():
-    # A complex sample counts only when it is real: 1+5j is not read as 1.
-    assert smooth_moutard_potential(lambda z: 1 + 0j, lambda z: 0.0, 0.5) == 0j
-    with pytest.raises(NonPositiveOmega) as exc:
-        smooth_moutard_potential(lambda z: 1 + 5j, lambda z: 0.0, 0.5)
-    assert "(1+5j)" in str(exc.value)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
-def test_smooth_potential_rejects_non_finite_u(bad):
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_delta_potential_rejects_non_finite_centres(bad):
     with pytest.raises(NonFinite) as exc:
-        smooth_moutard_potential(lambda z: 1.0, lambda z: bad, 0.5 + 0.5j)
-    assert exc.value.details["point"] == 0.5 + 0.5j
+        DeltaPotential((1j, bad, math.nan))
+    assert str(exc.value).endswith(f"got {complex(bad)!r}")  # the first non-finite centre
+    assert repr(exc.value.details["center"]) == repr(complex(bad))
 
 
 # --- closed-form eigenfunction ---------------------------------------------
@@ -263,7 +223,7 @@ def _derivative_sum_mu(fp, z):
     # mu as one Horner pass per derivative of P, combined by Horner in 1/lambda.
     acc = 0j
     for k in range(fp.p.degree, 0, -1):
-        term = cpoly.horner(fp.p.derivative(k), z)
+        term = cpoly.horner(cpoly.differentiate(fp.p.coeffs, k), z)
         acc = (acc - term if k % 2 else acc + term) / fp.lam
     return 2.0 * acc / fp.p.evaluate(z)
 
@@ -272,7 +232,7 @@ def _mu_rounding_scale(fp, z):
     # 2 sum_k |P^(k)|(|z|) / |lambda|^k / |P(z)|, |P^(k)| with absolute
     # coefficients: the yardstick of the rounding error of either form.
     total = sum(
-        cpoly.horner([abs(c) for c in fp.p.derivative(k)], abs(z)).real / abs(fp.lam) ** k
+        cpoly.horner([abs(c) for c in cpoly.differentiate(fp.p.coeffs, k)], abs(z)).real / abs(fp.lam) ** k
         for k in range(1, fp.p.degree + 1)
     )
     return 2.0 * total / abs(fp.p.evaluate(z))
