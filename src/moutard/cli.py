@@ -170,28 +170,26 @@ def _cmd_eigen(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
     )
 
 
+def _scattering(
+    ns: argparse.Namespace, fp: transform.FaddeevParams
+) -> tuple[scattering.ScatteringEstimate, complex, dict]:
+    """The fit on the circle of ``--radius`` and ``--samples``, -2N/lambda, and the report fields of both."""
+    est = scattering.fit_scattering(scattering.sample_mu(fp, radius=ns.radius, count=ns.samples), fp.lam)
+    expected = scattering.expected_a(fp.p.degree, fp.lam)
+    fields = {"a": _c(est.a), "b": _c(est.b), "expected_a": _c(expected),
+              "fit_residual": est.fit_residual, "radius": est.radius, "samples": est.samples}
+    return est, expected, fields
+
+
 def _cmd_scatter(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
-    fp = transform.FaddeevParams(poly, ns.lam)
-    pairs = scattering.sample_mu(fp, radius=ns.radius, count=ns.samples)
-    est = scattering.fit_scattering(pairs, ns.lam)
+    est, _, fields = _scattering(ns, transform.FaddeevParams(poly, ns.lam))
     n = scattering.count_deltas(est.a, ns.lam)
-    payload = {
-        "a": _c(est.a),
-        "b": _c(est.b),
-        "abs_b": abs(est.b),
-        "expected_a": _c(scattering.expected_a(poly.degree, ns.lam)),
-        "fit_residual": est.fit_residual,
-        "radius": est.radius,
-        "samples": est.samples,
-        "recovered_count": n,
-        "degree": poly.degree,
-    }
     if ns.format == "csv":
         return _csv_rows(
             ["re_a", "im_a", "re_b", "im_b", "fit_residual", "radius", "samples", "recovered_count"],
             [[est.a.real, est.a.imag, est.b.real, est.b.imag, est.fit_residual, est.radius, est.samples, n]],
         )
-    return _emit_json(payload)
+    return _emit_json({**fields, "abs_b": abs(est.b), "recovered_count": n, "degree": poly.degree})
 
 
 def _cmd_verify(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
@@ -205,9 +203,7 @@ def _cmd_verify(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
     results["harmonicity"] = harmonicity
 
     lam = fp.lam
-    pairs = scattering.sample_mu(fp, radius=ns.radius, count=ns.samples)
-    est = scattering.fit_scattering(pairs, lam)
-    expected = scattering.expected_a(poly.degree, lam)
+    est, expected, fields = _scattering(ns, fp)
     rel_a = abs(est.a - expected) / abs(expected) if expected != 0 else abs(est.a)
     results["scattering_rel_a"] = rel_a
     results["scattering_abs_b"] = abs(est.b)
@@ -224,15 +220,7 @@ def _cmd_verify(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
         "roots": [_c(r) for r in fp.roots],
         "sample_points": sample_points,
         "results": results,
-        "scattering": {
-            "a": _c(est.a),
-            "expected_a": _c(expected),
-            "b": _c(est.b),
-            "fit_residual": est.fit_residual,
-            "radius": est.radius,
-            "samples": est.samples,
-            "recovered_count": recovered,
-        },
+        "scattering": {**fields, "recovered_count": recovered},
         "thresholds": dict(VERIFY_THRESHOLDS),
         "checks": checks,
         "all_passed": all(checks.values()),
@@ -400,12 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        poly = _checked(ns)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        report = ns.handler(ns, poly)
+        report = ns.handler(ns, _checked(ns))
         if ns.out is not None:
             try:
                 with open(ns.out, "w", encoding="utf-8") as fh:
@@ -414,6 +397,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise IoFailure(f"cannot write report to {ns.out!r}: {e}", path=ns.out) from e
         else:
             sys.stdout.write(report)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except MoutardError as e:
         sys.stderr.write(_emit_json({"error": e.record()}))
         return 1

@@ -62,7 +62,8 @@ class ComplexPoly:
         """Build from an arbitrary coefficient list, normalizing to monic.
 
         Trailing (highest-degree) zeros are stripped first; the remaining
-        coefficients are divided by the leading one.
+        coefficients are divided by the leading one.  NonFinite where that
+        division overflows a finite coefficient list.
         """
         cs = [complex(c) for c in coeffs]
         while cs and cs[-1] == 0:
@@ -70,14 +71,14 @@ class ComplexPoly:
         if not cs:
             raise ValueError("the zero polynomial has no monic form")
         lead = cs[-1]
-        return cls(tuple(c / lead for c in cs[:-1]) + (1 + 0j,))
+        monic = tuple(c / lead for c in cs[:-1]) + (1 + 0j,)
+        if all(map(cmath.isfinite, cs)) and not all(map(cmath.isfinite, monic)):
+            raise NonFinite(f"a coefficient overflows when divided by the leading one {lead!r}", lead=lead)
+        return cls(monic)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def evaluate(self, z: complex) -> complex:
-        return horner(self.coeffs, z)
 
     @cached_property
     def root_set(self) -> RootSet:
@@ -120,6 +121,7 @@ def from_roots(roots: Sequence[complex]) -> ComplexPoly:
     """Monic polynomial with exactly the given roots; [] gives the constant 1.
 
     The roots are kept as the starting guesses of its ``root_set`` solve.
+    NonFinite where multiplying out finite roots overflows a coefficient.
     """
     given = tuple(complex(r) for r in roots)
     coeffs = [1 + 0j]
@@ -127,6 +129,8 @@ def from_roots(roots: Sequence[complex]) -> ComplexPoly:
         coeffs.insert(0, 0j)
         for j in range(len(coeffs) - 1):
             coeffs[j] -= rc * coeffs[j + 1]
+    if all(map(cmath.isfinite, given)) and not all(map(cmath.isfinite, coeffs)):
+        raise NonFinite(f"a coefficient overflows when the {len(given)} roots are multiplied out", degree=len(given))
     p = ComplexPoly(tuple(coeffs))
     object.__setattr__(p, "_given_roots", given)
     return p
@@ -134,20 +138,18 @@ def from_roots(roots: Sequence[complex]) -> ComplexPoly:
 
 def horner(coeffs: Sequence[complex], z: complex) -> complex:
     """Evaluate an ascending coefficient sequence at z by nested multiplication; NonFinite where the value is not."""
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
+    [acc] = _horner_list(coeffs, (z,))
     if not cmath.isfinite(acc):
         raise NonFinite(f"polynomial value is not finite at {z!r}", point=z)
     return acc
 
 
 def _horner_list(coeffs: Sequence[complex], points: Sequence[complex]) -> list[complex]:
-    """``horner(coeffs, z)`` for every z in points, bit for bit.
+    """Unchecked Horner values of an ascending coefficient sequence at every z in points.
 
     The coefficient loop runs outermost, so each coefficient costs one list
-    pass instead of one interpreted step per point; every value takes
-    exactly horner's operations in horner's order, from the same 0j start.
+    pass instead of one interpreted step per point.  :func:`horner` takes its
+    value from here, so the two agree bit for bit.
     """
     acc = [0j] * len(points)
     for c in reversed(coeffs):
@@ -159,6 +161,7 @@ def differentiate(coeffs: Sequence[complex], k: int = 1) -> tuple[complex, ...]:
     """k-th derivative of an ascending coefficient sequence, exact factors.
 
     Dropping below degree 0 yields the zero polynomial, represented as (0j,).
+    NonFinite where a result coefficient is not finite.
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
@@ -167,6 +170,8 @@ def differentiate(coeffs: Sequence[complex], k: int = 1) -> tuple[complex, ...]:
         if len(cs) <= 1:
             return (0j,)
         cs = tuple(cs[j + 1] * (j + 1) for j in range(len(cs) - 1))
+    if not all(map(cmath.isfinite, cs)):
+        raise NonFinite(f"a coefficient of the order-{k} derivative is not finite", order=k)
     return cs
 
 
@@ -292,25 +297,28 @@ def roots(p: ComplexPoly, init: Sequence[complex] | None = None) -> RootSet:
     the scaling makes the gate meaningful for polynomials whose coefficients
     are large, where an absolute bound on |p(x)| is unattainable in double
     precision.  Raises NonConvergence if any root misses the gate after
-    ``MAX_SWEEPS`` sweeps or any value stops being finite; the result is
-    never NaN.
+    ``MAX_SWEEPS`` sweeps or any value stops being finite, and NonFinite where
+    a modulus of finite components overflows; the result is never NaN.
     """
     n = p.degree
     if n == 0:
         return RootSet(())
     coeffs = p.coeffs
     spent = 0
-    if init is not None:
-        xs = [complex(x) for x in init]
-        if len(xs) != n:
-            raise ValueError(f"init needs {n} guesses for degree {n}, got {len(xs)}")
-        # Equal guesses would only creep apart through _aberth's 2^-50 nudges.
-        if len(set(xs)) == n:
-            spent, worst = _aberth(coeffs, xs)
-            if worst < ROOT_TOL:
-                return RootSet(tuple(xs), spent, worst)
-    xs = _cold_seed(coeffs)
-    sweeps, worst = _aberth(coeffs, xs)
+    try:
+        if init is not None:
+            xs = [complex(x) for x in init]
+            if len(xs) != n:
+                raise ValueError(f"init needs {n} guesses for degree {n}, got {len(xs)}")
+            # Equal guesses would only creep apart through _aberth's 2^-50 nudges.
+            if len(set(xs)) == n:
+                spent, worst = _aberth(coeffs, xs)
+                if worst < ROOT_TOL:
+                    return RootSet(tuple(xs), spent, worst)
+        xs = _cold_seed(coeffs)
+        sweeps, worst = _aberth(coeffs, xs)
+    except OverflowError:  # abs() of finite components whose modulus overflows
+        raise NonFinite(f"a modulus overflows in the degree-{n} root solve", degree=n) from None
     spent += sweeps
     if not worst < ROOT_TOL:
         raise NonConvergence(spent, worst)
@@ -327,7 +335,10 @@ def min_root_separation(r: RootSet | Sequence[complex]) -> float:
     for x in pts:
         if not cmath.isfinite(x):
             raise NonFinite(f"separation needs finite roots, got {x!r}", root=x)
-    sep = min(abs(a - b) for a, b in itertools.combinations(pts, 2))
+    try:
+        sep = min(abs(a - b) for a, b in itertools.combinations(pts, 2))
+    except OverflowError:  # a distance of finite components whose modulus overflows
+        sep = math.inf
     if sep == math.inf:
         raise NonFinite("minimum root separation overflows")
     return sep

@@ -6,8 +6,10 @@ With z = x + iy the Wirtinger derivatives are
 
 and the Laplacian factors as 4 * d_zbar(d_z f).  On a ring of M points and
 radius r around z, d_z and d_zbar are the +1 and -1 Fourier coefficients of
-f over r and the Laplacian is 4 (mean - f(z)) / r^2 (``ring_moments``), with
-error ~ (r/R)^M for f holomorphic within R.  ``gradient`` and ``laplacian``
+f over r and the Laplacian is 4 (mean - f(z)) / r^2 (``ring_moments``).  For
+f holomorphic within 4r the truncation error is C 4^-M, with a C that grows
+with the size of f near that circle; for the verification rings it grows with
+the generator's degree (see transform.RING_POINTS).  ``gradient`` and ``laplacian``
 difference the M = 4 ring (a plus-shaped stencil) at s and s/2 with one
 Richardson step, O(s^4) for any smooth f.  The step s balances truncation
 against rounding noise.  First derivatives divide by s, so s near eps**(1/3)

@@ -230,6 +230,27 @@ def test_overflow_is_a_named_non_finite_record(argv, quantity):
     assert "lam" in rec["details"]
 
 
+@pytest.mark.parametrize(
+    "argv, kind, message",
+    [
+        (["verify", "--roots", "1e200,1e200", "--lambda", "1i"], "NearPole", "too close to the root"),
+        (["verify", "--roots", "1e200,1e200", "--lambda", "1"], "NearPole", "too close to the root"),
+        (["eigen", "--roots", "1.7e308,1.7e308", "--lambda", "1", "--z", "0"], "NonFinite", "modulus overflows"),
+        (["potential", "--roots", "1.7e308,1.7e308"], "NonFinite", "modulus overflows"),
+        (["potential", "--roots", "1e200;1e200;1e200", "--t0", "0"], "NonFinite", "roots are multiplied out"),
+        (["scatter", "--coeffs", "1e300;1e-300", "--lambda", "1"], "NonFinite", "divided by the leading one"),
+    ],
+)
+def test_extreme_magnitudes_are_typed_records(argv, kind, message):
+    # These used to end in a traceback, an OverflowError record or (for the
+    # overflowing coefficients) a configuration error with exit status 2.
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    rec = json.loads(err)["error"]
+    assert rec["type"] == kind
+    assert message in rec["message"]
+
+
 def test_roots_are_reported_as_given():
     code, out, _ = run_cli(["verify", "--roots", "1;-1;0.5i", "--lambda", "2"])
     assert code == 0

@@ -71,6 +71,21 @@ def test_from_coefficients_normalizes_and_strips():
         cpoly.ComplexPoly.from_coefficients([0, 0, 0])
 
 
+def test_overflowing_coefficients_are_non_finite():
+    # Finite inputs whose coefficients overflow used to raise a plain ValueError.
+    with pytest.raises(NonFinite, match="roots are multiplied out") as exc:
+        cpoly.from_roots([1e200, 1e200, 1e200])
+    assert exc.value.details == {"degree": 3}
+    with pytest.raises(NonFinite, match="divided by the leading one") as exc:
+        cpoly.ComplexPoly.from_coefficients([1e300, 1e-300])
+    assert exc.value.details == {"lead": 1e-300 + 0j}
+    # A non-finite input is still the constructor's ValueError.
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        cpoly.from_roots([complex("nan")])
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        cpoly.ComplexPoly.from_coefficients([math.inf, 1])
+
+
 def test_degree():
     assert cpoly.from_roots([]).degree == 0
     assert cpoly.from_roots([1, 2, 3]).degree == 3
@@ -80,12 +95,12 @@ def test_degree():
 
 
 def test_evaluate_quadratic_at_two():
-    assert cpoly.from_roots([1, -1]).evaluate(2) == 3 + 0j
+    assert cpoly.horner(cpoly.from_roots([1, -1]).coeffs, 2) == 3 + 0j
 
 
 def test_evaluate_at_a_root_is_zero():
     z1 = 0.7 - 2.2j
-    assert cpoly.from_roots([z1]).evaluate(z1) == 0j
+    assert cpoly.horner(cpoly.from_roots([z1]).coeffs, z1) == 0j
 
 
 def test_evaluate_matches_naive_oracle_degree_8():
@@ -96,7 +111,7 @@ def test_evaluate_matches_naive_oracle_degree_8():
         ) + (1 + 0j,)
         p = cpoly.ComplexPoly(coeffs)
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        assert abs(p.evaluate(z) - naive_eval(coeffs, z)) <= 1e-13 * max(
+        assert abs(cpoly.horner(p.coeffs, z) - naive_eval(coeffs, z)) <= 1e-13 * max(
             1.0, eval_scale(coeffs, z)
         )
 
@@ -109,7 +124,7 @@ def test_evaluate_matches_naive_oracle_degree_12_large_z():
         ) + (1 + 0j,)
         p = cpoly.ComplexPoly(coeffs)
         z = cmath.rect(rng.uniform(0.0, 10.0), rng.uniform(0.0, 2.0 * math.pi))
-        assert abs(p.evaluate(z) - naive_eval(coeffs, z)) <= 1e-12 * max(
+        assert abs(cpoly.horner(p.coeffs, z) - naive_eval(coeffs, z)) <= 1e-12 * max(
             1.0, eval_scale(coeffs, z)
         )
 
@@ -117,7 +132,7 @@ def test_evaluate_matches_naive_oracle_degree_12_large_z():
 @pytest.mark.parametrize("z", [1e200 + 1e200j, 1e200, complex(math.nan, 0.0), math.inf])
 def test_evaluate_raises_where_the_value_is_not_finite(z):
     with pytest.raises(NonFinite) as exc:
-        cpoly.from_roots([1, 2]).evaluate(z)
+        cpoly.horner(cpoly.from_roots([1, 2]).coeffs, z)
     assert f"at {z!r}" in str(exc.value)
     assert exc.value.details["point"] is z
 
@@ -144,6 +159,14 @@ def test_derivative_below_degree_is_zero():
 def test_derivative_rejects_negative_order():
     with pytest.raises(ValueError):
         cpoly.differentiate((1 + 0j,), -1)
+
+
+def test_derivative_overflow_is_non_finite():
+    # The order-2 derivative of 1e308 (1 + z + z^2) used to be ((inf+nanj),).
+    with pytest.raises(NonFinite, match="order-2 derivative is not finite") as exc:
+        cpoly.differentiate([1e308, 1e308, 1e308], 2)
+    assert exc.value.details == {"order": 2}
+    assert cpoly.differentiate([1e300, 1e300, 1e300], 2) == (2e300 + 0j,)
 
 
 def test_derivative_linearity_exact():
@@ -221,7 +244,7 @@ def test_roots_residuals_below_gate():
     pts = separated_points(rng, 7, radius=3.0, min_sep=0.5)
     p = cpoly.from_roots(pts)
     for r in cpoly.roots(p):
-        assert abs(p.evaluate(r)) < 1e-12 * max(1.0, eval_scale(p.coeffs, r))
+        assert abs(cpoly.horner(p.coeffs, r)) < 1e-12 * max(1.0, eval_scale(p.coeffs, r))
 
 
 def test_roots_nonconvergence_is_reported(monkeypatch):
@@ -259,7 +282,7 @@ def test_roots_degree_60_is_finite_or_typed_error():
         assert len(rs) == 60
         assert all(cmath.isfinite(r) for r in rs)
         for r in rs:
-            assert abs(p.evaluate(r)) < 1e-12 * max(1.0, eval_scale(p.coeffs, r))
+            assert abs(cpoly.horner(p.coeffs, r)) < 1e-12 * max(1.0, eval_scale(p.coeffs, r))
 
 
 def test_roots_horner_overflow_raises_nonconvergence():
@@ -535,3 +558,20 @@ def test_min_root_separation_overflow_is_non_finite():
     with pytest.raises(NonFinite, match="minimum root separation overflows"):
         cpoly.min_root_separation([1e308, -1e308])
     assert cpoly.min_root_separation([1e308, -1e308, 0]) == 1e308
+
+
+def test_min_root_separation_modulus_overflow_is_non_finite():
+    # A distance with finite components whose modulus overflows used to raise
+    # an untyped OverflowError from abs().
+    with pytest.raises(NonFinite, match="minimum root separation overflows"):
+        cpoly.min_root_separation([1.5e308, -1.5e308j])
+
+
+def test_root_solve_modulus_overflow_is_non_finite():
+    # abs() of the coefficient -r overflows in the cold seed and in _aberth;
+    # both solves used to end in an untyped OverflowError.
+    r = complex(1.7e308, 1.7e308)
+    for solve in (lambda: cpoly.roots(cpoly.ComplexPoly((-r, 1))), lambda: cpoly.from_roots([r]).root_set):
+        with pytest.raises(NonFinite, match="modulus overflows in the degree-1 root solve") as exc:
+            solve()
+        assert exc.value.details == {"degree": 1}

@@ -225,7 +225,7 @@ def _derivative_sum_mu(fp, z):
     for k in range(fp.p.degree, 0, -1):
         term = cpoly.horner(cpoly.differentiate(fp.p.coeffs, k), z)
         acc = (acc - term if k % 2 else acc + term) / fp.lam
-    return 2.0 * acc / fp.p.evaluate(z)
+    return 2.0 * acc / cpoly.horner(fp.p.coeffs, z)
 
 
 def _mu_rounding_scale(fp, z):
@@ -235,7 +235,7 @@ def _mu_rounding_scale(fp, z):
         cpoly.horner([abs(c) for c in cpoly.differentiate(fp.p.coeffs, k)], abs(z)).real / abs(fp.lam) ** k
         for k in range(1, fp.p.degree + 1)
     )
-    return 2.0 * total / abs(fp.p.evaluate(z))
+    return 2.0 * total / abs(cpoly.horner(fp.p.coeffs, z))
 
 
 def test_mu_matches_derivative_sum_form():
@@ -362,7 +362,7 @@ def test_residual_certified_triple_small_off_roots():
                     if min(abs(z - rr) for rr in rts) <= 0.5:
                         continue
                     rho = transform._ring_radius(fp, z)
-                    r1, r2 = moutard_residual(fp.p.evaluate, rotated_phi(lam), fp.psi, z, rho)
+                    r1, r2 = moutard_residual(lambda w: cpoly.horner(fp.p.coeffs, w), rotated_phi(lam), fp.psi, z, rho)
                     assert abs(r1) < 1e-6
                     assert abs(r2) < 1e-6
 
@@ -446,7 +446,7 @@ def test_residual_gauge_invariance():
     rts = [0.9, -1.2 + 0.8j, 0.1 - 1.4j]
     lam = 2 + 0j
     fp = FaddeevParams(cpoly.from_roots(rts), lam)
-    omega = fp.p.evaluate
+    omega = lambda w: cpoly.horner(fp.p.coeffs, w)
     pts = residual_sample_points(fp.roots, lam)
     for c in (1.0, 1e3, (0.6 + 0.8j) * 1e3):
         shifted = lambda w, c=c: fp.psi(w) + c / omega(w)
@@ -465,14 +465,14 @@ def test_product_with_generator_is_holomorphic():
     lam = 2 + 0j
     fp = FaddeevParams(cpoly.from_roots(rts), lam)
     for z in residual_sample_points(fp.roots, lam):
-        value = d_zbar(lambda w: fp.p.evaluate(w) * fp.psi(w), z)
+        value = d_zbar(lambda w: cpoly.horner(fp.p.coeffs, w) * fp.psi(w), z)
         assert abs(value) < 1e-8 * abs(cmath.exp(lam * z))
 
 
 def _unmemoized_residual_checks(fp):
     # residual_checks as a plain loop over the public functions at the same
     # ring radius: every ring sample evaluates psi, P and phi afresh.
-    omega = fp.p.evaluate
+    omega = lambda w: cpoly.horner(fp.p.coeffs, w)
     phi = rotated_phi(fp.lam)
     points = residual_sample_points(fp.roots, fp.lam)
     res = gauge = harm = 0.0
@@ -801,3 +801,16 @@ def test_sample_points_reject_a_non_finite_root_or_lambda(roots, lam):
     # nan lambda dropped the phase constraint without a word.
     with pytest.raises(NonFinite, match="sample points need finite roots and lambda"):
         residual_sample_points(roots, lam)
+
+
+@pytest.mark.parametrize("lam", [1j, 1.0])
+def test_sample_points_near_1e200_are_a_near_pole(lam):
+    # Every candidate centre + rect(rho, theta) rounds back onto the root, so
+    # none is admissible; this used to be an untyped "no admissible sample ring".
+    root = complex(1e200, 1e200)
+    with pytest.raises(NearPole) as exc:
+        residual_sample_points((root,), lam)
+    assert exc.value.nearest_root == root
+    assert abs(exc.value.z - root) < transform.SAMPLE_MIN_DIST
+    with pytest.raises(NearPole):
+        residual_checks(FaddeevParams(cpoly.from_roots([root]), lam))
