@@ -175,27 +175,6 @@ def differentiate(coeffs: Sequence[complex], k: int = 1) -> tuple[complex, ...]:
     return cs
 
 
-def _horner_full(
-    coeffs: Sequence[complex], x: complex, abs_coeffs: Sequence[float]
-) -> tuple[complex, complex, float]:
-    """One pass returning p(x), p'(x), and the evaluation scale sum |c_j||x|^j.
-
-    ``abs_coeffs`` holds |c_j|, formed once per solve by the caller.  The
-    scale is the standard backward-error yardstick: a computed value with
-    |p(x)| at or below eps * scale is numerically indistinguishable from an
-    exact root.
-    """
-    ax = abs(x)
-    acc = coeffs[-1]
-    dacc = 0j
-    scale = abs_coeffs[-1]
-    for j in range(len(coeffs) - 2, -1, -1):
-        dacc = dacc * x + acc
-        acc = acc * x + coeffs[j]
-        scale = scale * ax + abs_coeffs[j]
-    return acc, dacc, scale
-
-
 def _cold_seed(coeffs: Sequence[complex]) -> list[complex]:
     """n guesses on a circle that encloses every root, rotated off the axes.
 
@@ -218,13 +197,18 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex]) -> tuple[int, float]:
     """At most ``MAX_SWEEPS`` Aberth-Ehrlich sweeps on the guesses xs, in place.
 
     Returns the sweeps run and the final worst scaled residual, which is inf
-    as soon as an iterate or a Horner value stops being finite.  A root at
-    its rounding floor never moves again, so it keeps the residual measured
-    there: later sweeps skip it, and the closing pass evaluates only the
-    roots that never reached their floor.
+    as soon as an iterate or a Horner value stops being finite.  Each root
+    costs one Horner pass per sweep for p(x), p'(x) and the evaluation scale
+    sum |c_j||x|^j, the standard backward-error yardstick: a computed value
+    with |p(x)| at or below eps * scale is numerically indistinguishable from
+    an exact root.  A root at its rounding floor never moves again, so it
+    keeps the residual measured there: later sweeps skip it, and the closing
+    pass evaluates only the roots that never reached their floor.
     """
     n = len(xs)
-    abs_coeffs = [abs(c) for c in coeffs]
+    # (c_j, |c_j|) from j = degree - 1 down to 0; the pass starts at the leading coefficient.
+    lower = [(c, abs(c)) for c in coeffs[-2::-1]]
+    lead, abs_lead = coeffs[-1], abs(coeffs[-1])
     stagnate = 2.0 ** -50
     floor = 4.0 * _EPS
     sweeps = 0
@@ -236,7 +220,12 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex]) -> tuple[int, float]:
             if kept[i] is not None:
                 continue
             x = xs[i]
-            pv, dv, scale = _horner_full(coeffs, x, abs_coeffs)
+            ax = abs(x)
+            pv, dv, scale = lead, 0j, abs_lead
+            for c, ac in lower:
+                dv = dv * x + pv
+                pv = pv * x + c
+                scale = scale * ax + ac
             apv = abs(pv)
             if not math.isfinite(apv + abs(dv) + scale):
                 return sweeps, math.inf
@@ -250,12 +239,11 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex]) -> tuple[int, float]:
                 continue
             newton = pv / dv
             repulse = 0j
-            for j in range(n):
-                if j != i:
-                    diff = x - xs[j]
-                    if diff == 0:
-                        diff = stagnate * (1 + abs(x)) * (1 + 1j)
-                    repulse += 1 / diff
+            for y in xs[:i] + xs[i + 1:]:
+                diff = x - y
+                if diff == 0:
+                    diff = stagnate * (1 + abs(x)) * (1 + 1j)
+                repulse += 1 / diff
             denom = 1 - newton * repulse
             if denom == 0:
                 xs[i] = x + (stagnate + stagnate * abs(x)) * (1 + 1j)
@@ -272,7 +260,11 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex]) -> tuple[int, float]:
     worst = 0.0
     for x, r in zip(xs, kept):
         if r is None:
-            pv, _, scale = _horner_full(coeffs, x, abs_coeffs)
+            ax = abs(x)
+            pv, scale = lead, abs_lead
+            for c, ac in lower:
+                pv = pv * x + c
+                scale = scale * ax + ac
             r = abs(pv) / max(1.0, scale)
             if not math.isfinite(r):
                 return sweeps, math.inf
@@ -300,10 +292,20 @@ def roots(p: ComplexPoly, init: Sequence[complex] | None = None) -> RootSet:
     ``MAX_SWEEPS`` sweeps or any value stops being finite, and NonFinite where
     a modulus of finite components overflows; the result is never NaN.
     """
-    n = p.degree
+    xs, sweeps, worst = _solve(p.coeffs, init)
+    return RootSet(tuple(xs), sweeps, worst)
+
+
+def _solve(coeffs: Sequence[complex], init: Sequence[complex] | None = None) -> tuple[list[complex], int, float]:
+    """The solve behind :func:`roots` on a monic ascending coefficient sequence.
+
+    Returns (roots, sweeps spent, worst scaled residual) and raises as
+    :func:`roots` does.  :func:`moutard.flow.trajectory` calls it on each
+    step's coefficients, with no ComplexPoly or RootSet in between.
+    """
+    n = len(coeffs) - 1
     if n == 0:
-        return RootSet(())
-    coeffs = p.coeffs
+        return [], 0, 0.0
     spent = 0
     try:
         if init is not None:
@@ -314,7 +316,7 @@ def roots(p: ComplexPoly, init: Sequence[complex] | None = None) -> RootSet:
             if len(set(xs)) == n:
                 spent, worst = _aberth(coeffs, xs)
                 if worst < ROOT_TOL:
-                    return RootSet(tuple(xs), spent, worst)
+                    return xs, spent, worst
         xs = _cold_seed(coeffs)
         sweeps, worst = _aberth(coeffs, xs)
     except OverflowError:  # abs() of finite components whose modulus overflows
@@ -322,7 +324,7 @@ def roots(p: ComplexPoly, init: Sequence[complex] | None = None) -> RootSet:
     spent += sweeps
     if not worst < ROOT_TOL:
         raise NonConvergence(spent, worst)
-    return RootSet(tuple(xs), spent, worst)
+    return xs, spent, worst
 
 
 def min_root_separation(r: RootSet | Sequence[complex]) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,10 +70,12 @@ def _series(p0: cpoly.ComplexPoly) -> list[tuple[complex, ...]]:
     return terms
 
 
-def _at(p0: cpoly.ComplexPoly, terms: list[tuple[complex, ...]], t: float, sign: int) -> cpoly.ComplexPoly:
-    """P0 + sum_m (s^m / m!) terms[m-1] with s = sign * t.
+def _at(p0: cpoly.ComplexPoly, terms: list[tuple[complex, ...]], t: float, sign: int) -> tuple[complex, ...]:
+    """Coefficients of P0 + sum_m (s^m / m!) terms[m-1] with s = sign * t.
 
-    Raises NonFinite when t is not finite or a coefficient of P(t) overflows.
+    They are monic by construction: every term is at least three
+    coefficients shorter than P0, so the leading 1 is never touched.  Raises
+    NonFinite when t is not finite or a coefficient of P(t) overflows.
     """
     s = float(t) * sign
     if not math.isfinite(s):
@@ -81,11 +84,10 @@ def _at(p0: cpoly.ComplexPoly, terms: list[tuple[complex, ...]], t: float, sign:
     weight = 1.0
     for m, term in enumerate(terms, start=1):
         weight *= s / m
-        for j, c in enumerate(term):
-            out[j] += weight * c
+        out[:len(term)] = [o + weight * c for o, c in zip(out, term)]
     if not all(map(cmath.isfinite, out)):
         raise NonFinite(f"a coefficient of P(t) overflows at t = {t!r}", t=t)
-    return cpoly.ComplexPoly(tuple(out))
+    return tuple(out)
 
 
 def evolve(p0: cpoly.ComplexPoly, t: float, flow_sign: int = 1) -> cpoly.ComplexPoly:
@@ -95,7 +97,7 @@ def evolve(p0: cpoly.ComplexPoly, t: float, flow_sign: int = 1) -> cpoly.Complex
     differ only by t -> -t).  Raises NonFinite when t is not finite or a
     coefficient of P(t) overflows.
     """
-    return _at(p0, _series(p0), t, _check_sign(flow_sign))
+    return cpoly.ComplexPoly(_at(p0, _series(p0), t, _check_sign(flow_sign)))
 
 
 def verify_flow(p0: cpoly.ComplexPoly, t: float, dt: float, flow_sign: int = 1) -> float:
@@ -115,9 +117,9 @@ def verify_flow(p0: cpoly.ComplexPoly, t: float, dt: float, flow_sign: int = 1) 
     diff = [0j] * len(p0.coeffs)
     for j in range(1, k + 1):
         w = (-1) ** (j + 1) * math.factorial(k) ** 2 / (j * math.factorial(k - j) * math.factorial(k + j))
-        pairs = zip(_at(p0, terms, t + j * dt, sign).coeffs, _at(p0, terms, t - j * dt, sign).coeffs)
+        pairs = zip(_at(p0, terms, t + j * dt, sign), _at(p0, terms, t - j * dt, sign))
         diff = [d + w * (a - b) for d, (a, b) in zip(diff, pairs)]
-    rhs = cpoly.differentiate(_at(p0, terms, t, sign).coeffs, 3) + (0j,) * 3
+    rhs = cpoly.differentiate(_at(p0, terms, t, sign), 3) + (0j,) * 3
     return max(abs(d / dt - sign * r) for d, r in zip(diff, rhs))
 
 
@@ -196,17 +198,20 @@ def trajectory(
 ) -> RootTrajectory:
     """Sampled root paths of the evolving polynomial on [t0, t1].
 
-    Each time's roots are solved warm from the secant prediction
+    Each time's roots are solved on P(t)'s coefficient tuple by the solve
+    behind ``cpoly.roots``, warm from the secant prediction
     2 x_{k-1} - x_{k-2} of the two previous labelled columns, or from x_{k-1}
     alone at the first step and whenever either of those two times was
-    flagged as a collision (``cpoly.roots`` falls back to its cold seed by
-    itself when that start fails).  Roots at the first time are ordered by
-    (real, imag); afterwards each time's roots keep the warm start's order
-    when no root moved 3/8 of the previous minimum separation from x_{k-1}
-    (:func:`_labels_kept`, an O(n) certificate), and otherwise inherit
-    labels from x_{k-1} by greedy nearest-neighbour matching with margin
-    0.25 * (previous minimum separation); where the certificate accepts,
-    the greedy would return the same labels.
+    flagged as a collision (the solve falls back to its cold seed by itself
+    when that start fails); the result equals
+    ``cpoly.roots(evolve(p0, t), init=...)`` bit for bit.  Roots at the
+    first time are ordered by (real, imag); afterwards each time's roots
+    keep the warm start's order when no root moved 3/8 of the previous
+    minimum separation from x_{k-1} (:func:`_labels_kept`, an O(n)
+    certificate), and otherwise inherit labels from x_{k-1} by greedy
+    nearest-neighbour matching with margin 0.25 * (previous minimum
+    separation); where the certificate accepts, the greedy would return the
+    same labels.
     Whenever the minimum separation drops below ``collision_tol`` the time
     is flagged as the step is taken: it opens a CollisionEvent, or widens the
     previous time's event when that time was flagged too (keeping the first
@@ -246,12 +251,12 @@ def trajectory(
             init = [2 * a - b for a, b in zip(columns[-1], columns[-2])]
         else:
             init = columns[-1] if columns else None
-        rts = list(cpoly.roots(_at(p0, terms, t, sign), init=init).roots)
+        rts, _, _ = cpoly._solve(_at(p0, terms, t, sign), init)
         if k:
             # A step that keeps its labels with a carried bound >= collision_tol is
             # neither lenient nor flagged, so it stores the bound and skips the O(n^2)
             # scan; any other step rescans a carried bound and runs as before.
-            delta = max(abs(c - p) for p, c in zip(columns[-1], rts))
+            delta = max(map(abs, map(operator.sub, rts, columns[-1])))
             least = _labels_kept(delta, seps[-1])
             if least is not None and least >= collision_tol:
                 columns.append(rts)

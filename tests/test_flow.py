@@ -285,47 +285,50 @@ def test_trajectory_velocity_is_bounded_between_steps():
 RING5 = from_roots([cmath.rect(4.0 + 0.3 * (k % 2), 2 * math.pi * k / 5 + 0.1 * k) for k in range(5)])
 
 
+def _spy_solves(monkeypatch):
+    """Record (coefficients, init, (roots, sweeps, worst)) of every per-step solve."""
+    solves = []
+    solve = cpoly._solve
+
+    def spy(coeffs, init=None):
+        out = solve(coeffs, init)
+        solves.append((coeffs, init, out))
+        return out
+
+    monkeypatch.setattr(cpoly, "_solve", spy)
+    return solves
+
+
 def test_trajectory_warm_starts_from_previous_column(monkeypatch):
     # Each time's solve starts from 2 x_{k-1} - x_{k-2} of the labelled
     # columns (from x_{k-1} at the first step), ends on the same point set as
     # a cold solve, and costs fewer sweeps.
-    solves = []
-    cold_roots = cpoly.roots
-
-    def spy(p, *args, **kwargs):
-        rs = cold_roots(p, *args, **kwargs)
-        solves.append((p, kwargs.get("init"), rs))
-        return rs
-
-    monkeypatch.setattr(cpoly, "roots", spy)
+    solves = _spy_solves(monkeypatch)
     tr = trajectory(RING5, 0.0, 0.5, steps=100)
+    monkeypatch.undo()
     assert tr.events == ()
     assert len(solves) == len(tr.times)
     assert solves[0][1] is None
     warm_sweeps = cold_sweeps = 0
-    for k, (p, init, rs) in enumerate(solves[1:], start=1):
+    for k, (coeffs, init, (_, sweeps, _)) in enumerate(solves[1:], start=1):
         if k == 1:
             assert list(init) == [path[0] for path in tr.paths]
         else:
             assert list(init) == [2 * path[k - 1] - path[k - 2] for path in tr.paths]
-        assert_same_points([path[k] for path in tr.paths], list(cold_roots(p)), 1e-12)
-        warm_sweeps += rs.sweeps
-        cold_sweeps += cold_roots(p).sweeps
+        cold = cpoly.roots(ComplexPoly(coeffs))
+        assert_same_points([path[k] for path in tr.paths], list(cold), 1e-12)
+        warm_sweeps += sweeps
+        cold_sweeps += cold.sweeps
     assert warm_sweeps < 0.4 * cold_sweeps  # 201 against 600
 
 
 def test_trajectory_predicts_from_the_previous_column_after_a_collision(monkeypatch):
     # z^3 collides at t = 0: the solves at the flagged time and at the two
     # times after it start from the previous column, not a secant through it.
-    inits = []
-    solve = cpoly.roots
-
-    def spy(p, *args, **kwargs):
-        inits.append(kwargs.get("init"))
-        return solve(p, *args, **kwargs)
-
-    monkeypatch.setattr(cpoly, "roots", spy)
+    solves = _spy_solves(monkeypatch)
     tr = trajectory(Z3, -1.0, 1.0, steps=400)
+    inits = [init for _, init, _ in solves]
+    assert len(inits) == len(tr.times)
     flagged = [k for k in range(len(tr.times)) if min(abs(a[k] - b[k]) for a, b in
                ((tr.paths[0], tr.paths[1]), (tr.paths[0], tr.paths[2]), (tr.paths[1], tr.paths[2]))) < 1e-3]
     assert flagged == [200]
@@ -337,19 +340,48 @@ def test_trajectory_predicts_from_the_previous_column_after_a_collision(monkeypa
 
 def test_trajectory_spends_about_two_horner_passes_per_root_per_step(monkeypatch):
     # One sweep that lands every root and one that finds it at its rounding
-    # floor; the closing residual pass reuses the second.  4.07 passes per
-    # root per step when each solve started from x_{k-1}.
-    calls = []
-    horner_full = cpoly._horner_full
-
-    def counted(*args):
-        calls.append(1)
-        return horner_full(*args)
-
-    monkeypatch.setattr(cpoly, "_horner_full", counted)
+    # floor; the closing residual pass reuses the second.  A sweep costs at
+    # most one Horner pass per root, so the sweeps bound the passes: 207 over
+    # the 101 solves, 306 when each solve started from x_{k-1}.
+    solves = _spy_solves(monkeypatch)
     trajectory(RING5, 0.0, 0.5, steps=100)
     monkeypatch.undo()
-    assert len(calls) <= 2.2 * RING5.degree * 100
+    assert len(solves) == 101
+    assert sum(sweeps for _, _, (_, sweeps, _) in solves) <= 2.2 * 100
+
+
+def _warm_starts(tr, collision_tol):
+    """Each step's warm start rebuilt from the labelled paths by trajectory's rule."""
+    columns = list(zip(*tr.paths))
+    flagged = [len(c) > 1 and cpoly.min_root_separation(c) < collision_tol for c in columns]
+    inits = [None]
+    for k in range(1, len(columns)):
+        if k >= 2 and not (flagged[k - 1] or flagged[k - 2]):
+            inits.append([2 * a - b for a, b in zip(columns[k - 1], columns[k - 2])])
+        else:
+            inits.append(list(columns[k - 1]))
+    return columns, flagged, inits
+
+
+_JITTERED6 = random.Random(6)
+JITTERED6 = from_roots([cmath.rect(3.0 + _JITTERED6.uniform(-0.4, 0.4), 2 * math.pi * k / 6 + _JITTERED6.uniform(-0.2, 0.2))
+                        for k in range(6)])
+
+
+@pytest.mark.parametrize("p0, t0, t1, steps", [(RING5, 0.0, 0.5, 100), (Z3, -1.0, 1.0, 400), (JITTERED6, 0.0, 0.5, 100)])
+def test_trajectory_step_solve_equals_the_public_solve_bit_for_bit(p0, t0, t1, steps):
+    # Each column is what cpoly.roots gives on evolve(p0, t_k) from the same
+    # warm start: the same points as a multiset, and in the same order where
+    # neither end of the step was flagged (there labels are kept).
+    tr = trajectory(p0, t0, t1, steps)
+    columns, flagged, inits = _warm_starts(tr, 1e-3)
+    assert any(flagged) == (p0 is Z3)
+    key = lambda z: (z.real, z.imag)  # noqa: E731
+    for k, t in enumerate(tr.times):
+        want = cpoly.roots(evolve(p0, t), init=inits[k]).roots
+        assert sorted(columns[k], key=key) == sorted(want, key=key), k
+        if k and not (flagged[k] or flagged[k - 1]):
+            assert columns[k] == want, k
 
 
 def test_trajectory_ambiguous_matching_raises():
