@@ -36,7 +36,6 @@ from .flow import (
     CollisionEvent,
     RootTrajectory,
     evolve,
-    potential_at,
     trajectory,
     verify_flow,
 )
@@ -48,7 +47,6 @@ from .scattering import (
     sample_mu,
 )
 from .transform import (
-    DELTA_WEIGHT,
     DeltaPotential,
     FaddeevParams,
     harmonicity_check,
@@ -58,12 +56,6 @@ from .transform import (
     transformed_potential,
     verify_eigenfunction_identity,
 )
-from .wirtinger import (
-    d_z,
-    d_zbar,
-    gradient,
-    laplacian,
-)
 
 __version__ = "0.1.0"
 
@@ -71,7 +63,6 @@ __all__ = [
     "AmbiguousMatching",
     "CollisionEvent",
     "ComplexPoly",
-    "DELTA_WEIGHT",
     "DegenerateDesign",
     "DeltaPotential",
     "FaddeevParams",
@@ -88,20 +79,15 @@ __all__ = [
     "ScatteringEstimate",
     "ZeroLambda",
     "count_deltas",
-    "d_z",
-    "d_zbar",
     "differentiate",
     "evolve",
     "expected_a",
     "fit_scattering",
     "from_roots",
-    "gradient",
     "harmonicity_check",
     "horner",
-    "laplacian",
     "min_root_separation",
     "moutard_residual",
-    "potential_at",
     "residual_checks",
     "residual_sample_points",
     "roots",

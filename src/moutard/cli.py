@@ -287,7 +287,7 @@ def _cmd_evolve(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
 
 
 def _cmd_potential(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
-    pot = flow.potential_at(poly, ns.t0, ns.flow_sign)
+    pot = transform.transformed_potential(flow.evolve(poly, ns.t0, ns.flow_sign))
     if ns.format == "csv":
         return _csv_rows(
             ["re_center", "im_center", "weight"],

@@ -29,7 +29,6 @@ from typing import Sequence
 
 from . import cpoly
 from .errors import AmbiguousMatching, NonFinite
-from .transform import DeltaPotential, transformed_potential
 
 
 @dataclass(frozen=True)
@@ -293,8 +292,3 @@ def trajectory(
         columns.append(cur)
         seps.append(sep)
     return RootTrajectory(times=times, paths=tuple(zip(*columns)), events=tuple(events))
-
-
-def potential_at(p0: cpoly.ComplexPoly, t: float, flow_sign: int = 1) -> DeltaPotential:
-    """The moving delta potential at flow time t: -8*pi at each root of P(., t)."""
-    return transformed_potential(evolve(p0, t, flow_sign))

@@ -58,8 +58,6 @@ from .wirtinger import ring, ring_moments
 
 ComplexFunc = Callable[[complex], complex]
 
-DELTA_WEIGHT = -8.0 * math.pi
-
 POLE_GUARD = 1e-8
 
 # Ring points M per checked point.  What the checks differentiate is holomorphic
@@ -81,7 +79,7 @@ class DeltaPotential:
     """Symbolic multi-point delta potential: centers with common weight -8*pi."""
 
     centers: tuple[complex, ...]
-    weight: ClassVar[float] = DELTA_WEIGHT
+    weight: ClassVar[float] = -8.0 * math.pi
 
     def __post_init__(self) -> None:
         centers = tuple(complex(c) for c in self.centers)

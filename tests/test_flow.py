@@ -20,10 +20,10 @@ from moutard.flow import (
     _greedy_match,
     _labels_kept,
     evolve,
-    potential_at,
     trajectory,
     verify_flow,
 )
+from moutard.transform import transformed_potential
 
 Z3 = ComplexPoly((0j, 0j, 0j, 1 + 0j))
 Z4 = ComplexPoly((0j, 0j, 0j, 0j, 1 + 0j))
@@ -611,7 +611,7 @@ def test_trajectory_accepts_an_infinite_collision_tol():
 
 
 def test_potential_at_cubic():
-    pot = potential_at(Z3, 1.0)
+    pot = transformed_potential(evolve(Z3, 1.0))
     assert pot.weight == pytest.approx(-8.0 * math.pi)
     assert len(pot.centers) == 3
     for c in pot.centers:
@@ -619,10 +619,10 @@ def test_potential_at_cubic():
 
 
 def test_potential_at_constant_is_free():
-    assert potential_at(ComplexPoly((1 + 0j,)), 3.0).centers == ()
+    assert transformed_potential(evolve(ComplexPoly((1 + 0j,)), 3.0)).centers == ()
 
 
 def test_potential_at_static_linear():
-    pot = potential_at(from_roots([5.0]), 2.0)
+    pot = transformed_potential(evolve(from_roots([5.0]), 2.0))
     assert len(pot.centers) == 1
     assert abs(pot.centers[0] - 5.0) < 1e-12

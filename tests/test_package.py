@@ -32,12 +32,11 @@ def test_every_public_name_resolves():
 
 def test_public_surface_is_pinned():
     assert sorted(moutard.__all__) == [
-        "AmbiguousMatching", "CollisionEvent", "ComplexPoly", "DELTA_WEIGHT", "DegenerateDesign",
-        "DeltaPotential", "FaddeevParams", "InconsistentData", "InsufficientRoots", "IoFailure",
-        "MoutardError", "NearPole", "NonConvergence", "NonFinite", "RadiusTooSmall", "RootSet",
-        "RootTrajectory", "ScatteringEstimate", "ZeroLambda", "count_deltas", "d_z", "d_zbar",
-        "differentiate", "evolve", "expected_a", "fit_scattering", "from_roots", "gradient",
-        "harmonicity_check", "horner", "laplacian", "min_root_separation", "moutard_residual",
-        "potential_at", "residual_checks", "residual_sample_points", "roots", "sample_mu",
+        "AmbiguousMatching", "CollisionEvent", "ComplexPoly", "DegenerateDesign", "DeltaPotential",
+        "FaddeevParams", "InconsistentData", "InsufficientRoots", "IoFailure", "MoutardError",
+        "NearPole", "NonConvergence", "NonFinite", "RadiusTooSmall", "RootSet", "RootTrajectory",
+        "ScatteringEstimate", "ZeroLambda", "count_deltas", "differentiate", "evolve", "expected_a",
+        "fit_scattering", "from_roots", "harmonicity_check", "horner", "min_root_separation",
+        "moutard_residual", "residual_checks", "residual_sample_points", "roots", "sample_mu",
         "trajectory", "transformed_potential", "verify_eigenfunction_identity", "verify_flow",
     ]

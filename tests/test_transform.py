@@ -19,7 +19,6 @@ import pytest
 from moutard import cli, cpoly, scattering, transform
 from moutard.errors import MoutardError, NearPole, NonFinite, ZeroLambda
 from moutard.transform import (
-    DELTA_WEIGHT,
     RING_POINTS,
     DeltaPotential,
     FaddeevParams,
@@ -45,7 +44,7 @@ def rotated_phi(lam):
 
 
 def test_weight_is_minus_eight_pi():
-    assert DELTA_WEIGHT == -8.0 * math.pi
+    assert DeltaPotential.weight == -8.0 * math.pi
 
 
 def test_single_center():
