@@ -254,7 +254,7 @@ def trajectory(
         if k:
             # A step that keeps its labels with a carried bound >= collision_tol is
             # neither lenient nor flagged, so it stores the bound and skips the O(n^2)
-            # scan; any other step rescans a carried bound and runs as before.
+            # scan; any other step first rescans a carried bound.
             delta = max(map(abs, map(operator.sub, rts, columns[-1])))
             least = _labels_kept(delta, seps[-1])
             if least is not None and least >= collision_tol:

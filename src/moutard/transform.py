@@ -61,9 +61,10 @@ ComplexFunc = Callable[[complex], complex]
 POLE_GUARD = 1e-8
 
 # Ring points M per checked point.  What the checks differentiate is holomorphic
-# within 4 rho, but the nearest root may lie on that circle and r1 multiplies
-# (phi / P)_z by P(z)^2, so the truncation error is C 4^-M with a C that grows
-# with degree: two degree-10 generators read 3.1e-6 and 1.1e-6.
+# within 8 rho (_ring_radius), but the nearest root may lie on that circle and r1
+# multiplies (phi / P)_z by P(z)^2, so the truncation error is C 8^-M with a C
+# that grows with degree: two degree-10 generators read 5.1e-9 and 1.6e-9, and
+# 3.1e-6 and 1.1e-6 at twice the radius.
 RING_POINTS = 24
 
 # Points of residual_sample_points, each at least SAMPLE_MIN_DIST from every root.
@@ -272,11 +273,11 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
 
 
 def _ring_radius(fp: FaddeevParams, z: complex) -> float:
-    """min(d/2, 1/|lambda|) / 2, d = distance to the nearest root; NearPole if d < 1e-3."""
+    """min(d/2, 1/|lambda|) / 4, d = distance to the nearest root; NearPole if d < 1e-3."""
     d = min((abs(z - r) for r in fp.roots), default=math.inf)
     if d < 1e-3:
         raise NearPole(z, fp.nearest_root(z))
-    return 0.5 * min(0.5 * d, 1.0 / abs(fp.lam))
+    return 0.25 * min(0.5 * d, 1.0 / abs(fp.lam))
 
 
 def _ring_samples(fp: FaddeevParams, points: list[complex]) -> list[tuple[float, list, list, list]]:

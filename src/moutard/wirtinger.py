@@ -9,15 +9,17 @@ radius r around z, d_z and d_zbar are the +1 and -1 Fourier coefficients of
 f over r and the Laplacian is 4 (mean - f(z)) / r^2 (``ring_moments``).  For
 f holomorphic within 4r the truncation error is C 4^-M, with a C that grows
 with the size of f near that circle; for the verification rings it grows with
-the generator's degree (see transform.RING_POINTS).  ``gradient`` and ``laplacian``
-difference the M = 4 ring (a plus-shaped stencil) at s and s/2 with one
-Richardson step, O(s^4) for any smooth f.  The step s balances truncation
-against rounding noise.  First derivatives divide by s, so s near eps**(1/3)
-is right; the Laplacian divides by s**2 and needs a larger step.  Each takes
-its step as its module scale times max(1, |z|), which keeps z + s
-representable: FIRST_ORDER_STEP_SCALE for ``gradient``, ``d_z`` and
-``d_zbar``, LAPLACIAN_STEP_SCALE for ``laplacian``, both read at call time.
-A non-finite z raises NonFinite.
+the generator's degree (transform.RING_POINTS: two degree-10 generators read
+5.1e-9 and 1.6e-9 at M = 24, and 3.1e-6 and 1.1e-6 on rings twice as wide).
+No package code calls, or re-exports, the generic stencil: ``gradient`` and
+``laplacian`` difference the M = 4 ring (a plus-shaped stencil) at s and s/2
+with one Richardson step, O(s^4) for any smooth f; the step s balances
+truncation against rounding noise.  First derivatives divide by s, so s near
+eps**(1/3) is right; the Laplacian divides by s**2 and needs a larger step.
+Each takes its step as its module scale times max(1, |z|), which keeps z + s
+representable: FIRST_ORDER_STEP_SCALE for ``gradient``, ``d_z`` and ``d_zbar``,
+LAPLACIAN_STEP_SCALE for ``laplacian``, both read at call time.  A non-finite z
+raises NonFinite.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
-"""Package-level guards: stdlib-only imports and a resolvable, pinned public API."""
+"""Package-level guards: stdlib-only imports, a resolvable, pinned public API and
+the names the benchmark tracer wraps."""
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import pathlib
 import sys
 
@@ -40,3 +42,20 @@ def test_public_surface_is_pinned():
         "moutard_residual", "residual_checks", "residual_sample_points", "roots", "sample_mu",
         "trajectory", "transformed_potential", "verify_eigenfunction_identity", "verify_flow",
     ]
+
+
+def test_every_traced_layer_resolves():
+    # bench/tracing.py wraps these names by attribute lookup; a refactor that
+    # deletes or renames one would otherwise crash only the traced benchmark.
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("moutard_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, attr, _, _ in tracing.LAYERS:
+        target = importlib.import_module(module)
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(f"{module}.{attr}")
+    assert tracing.LAYERS and missing == []
