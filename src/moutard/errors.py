@@ -59,7 +59,7 @@ class InsufficientRoots(MoutardError):
 
 
 class NonFinite(MoutardError):
-    """A value was or came back inf/nan: a non-finite input, or a stencil sample near a pole."""
+    """A value was or came back inf/nan: a non-finite input, or a ring sample near a pole."""
 
 
 class ZeroLambda(MoutardError):

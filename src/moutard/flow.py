@@ -93,10 +93,14 @@ def evolve(p0: cpoly.ComplexPoly, t: float, flow_sign: int = 1) -> cpoly.Complex
     """P(., t) by the terminating exponential sum; no time stepping.
 
     ``flow_sign=-1`` runs dP/dt = -d^3P/dz^3 instead (the two conventions
-    differ only by t -> -t).  Raises NonFinite when t is not finite or a
-    coefficient of P(t) overflows.
+    differ only by t -> -t).  Where the flow leaves P unchanged (t == 0, or
+    degree <= 2, whose series is empty) it returns ``p0`` itself, so its
+    memoized roots, and for ``from_roots`` the given ones, carry over.
+    Raises NonFinite when t is not finite or a coefficient of P(t) overflows.
     """
-    return cpoly.ComplexPoly(_at(p0, _series(p0), t, _check_sign(flow_sign)))
+    terms = _series(p0)
+    coeffs = _at(p0, terms, t, _check_sign(flow_sign))
+    return p0 if t == 0 or not terms else cpoly.ComplexPoly(coeffs)
 
 
 def verify_flow(p0: cpoly.ComplexPoly, t: float, dt: float, flow_sign: int = 1) -> float:
@@ -157,8 +161,9 @@ def _greedy_match(prev: Sequence[complex], cur: Sequence[complex], margin: float
     alternative in that free row or column is within ``margin`` of the chosen
     pair, the assignment is not trustworthy; that raises AmbiguousMatching
     unless ``lenient`` (set next to a flagged collision, where label loss is
-    expected and annotated instead).  ``trajectory`` calls it only where
-    :func:`_labels_kept` declines.
+    expected and annotated instead).  ``trajectory`` calls it on every step
+    after the first except those that keep their labels by
+    :func:`_labels_kept` with a carried separation bound.
     """
     n = len(prev)
     d = [[abs(p - c) for c in cur] for p in prev]
@@ -204,13 +209,13 @@ def trajectory(
     flagged as a collision (the solve falls back to its cold seed by itself
     when that start fails); the result equals
     ``cpoly.roots(evolve(p0, t), init=...)`` bit for bit.  Roots at the
-    first time are ordered by (real, imag); afterwards each time's roots
-    keep the warm start's order when no root moved 3/8 of the previous
-    minimum separation from x_{k-1} (:func:`_labels_kept`, an O(n)
-    certificate), and otherwise inherit labels from x_{k-1} by greedy
-    nearest-neighbour matching with margin 0.25 * (previous minimum
-    separation); where the certificate accepts, the greedy would return the
-    same labels.
+    first time are ordered by (real, imag); afterwards a time's roots keep
+    the warm start's order, unscanned, when no root moved 3/8 of the previous
+    minimum separation from x_{k-1} and the bound this gives stays at or
+    above ``collision_tol`` (:func:`_labels_kept`, an O(n) certificate);
+    other steps inherit labels from x_{k-1} by greedy nearest-neighbour
+    matching with margin 0.25 * (previous minimum separation), which keeps
+    the warm start's order wherever the certificate holds.
     Whenever the minimum separation drops below ``collision_tol`` the time
     is flagged as the step is taken: it opens a CollisionEvent, or widens the
     previous time's event when that time was flagged too (keeping the first
@@ -265,7 +270,6 @@ def trajectory(
             if bound:
                 seps[-1] = cpoly.min_root_separation(columns[-1])
                 bound = False
-                least = _labels_kept(delta, seps[-1])
         # Matching permutes rts, so this is also the separation of cur.
         sep = cpoly.min_root_separation(rts) if n >= 2 else math.inf
         if k == 0:
@@ -275,10 +279,7 @@ def trajectory(
             # the step sits at a collision: labels genuinely permute there,
             # and the CollisionEvent already marks them unreliable.
             lenient = seps[-1] < collision_tol or sep < collision_tol
-            if not lenient and least is not None:
-                cur = rts
-            else:
-                cur = _greedy_match(columns[-1], rts, 0.25 * seps[-1], lenient=lenient)
+            cur = _greedy_match(columns[-1], rts, 0.25 * seps[-1], lenient=lenient)
         if sep < collision_tol:
             event = CollisionEvent(t, _near_min_pairs(cur, sep), sep)
             if k and seps[-1] < collision_tol:

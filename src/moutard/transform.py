@@ -242,10 +242,11 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
     rings stay wide, and (b) satisfy Re(lambda z) >= -0.3, so
     quantities normalized by |e^{lambda z}| do not amplify rounding noise.
     The phase constraint is dropped if it cannot be met (far-off-axis root
-    clusters); the distance constraint can be too, on a ring enclosing all
-    roots, unless the roots are so large that every candidate rounds back
-    onto one (near 1e200), and then NearPole names the last candidate and its
-    nearest root.  NonFinite for a non-finite root or lambda.
+    clusters); the distance constraint never is: the outer rings, of radius
+    above spread + SAMPLE_MIN_DIST, clear every root by it.  Only roots so
+    large that every candidate rounds back onto one (near 1e200) leave no
+    point, and then NearPole names the last candidate and its nearest root.
+    NonFinite for a non-finite root or lambda.
     """
     roots = tuple(complex(r) for r in roots)
     lam = complex(lam)

@@ -437,6 +437,23 @@ def test_potential_csv_weight_column():
         assert float(line.split(",")[2]) == -8.0 * math.pi
 
 
+@pytest.mark.parametrize(
+    "text, extra, roots",
+    [
+        ("1;-1;0.5i;0.3+0.7i;2.1-0.4i", [], [1, -1, 0.5j, 0.3 + 0.7j, 2.1 - 0.4j]),
+        ("1;2", ["--t0", "0.7"], [1, 2]),
+    ],
+)
+def test_potential_lists_the_given_roots_where_the_flow_leaves_p_unchanged(text, extra, roots):
+    # At t0 = 0, or at degree <= 2, P(t) is P: the centres are the given
+    # roots, bit for bit and in the given order, as verify lists them.
+    code, out, _ = run_cli(["potential", "--roots", text, "--format", "csv", *extra])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    got = [(float(re).hex(), float(im).hex()) for re, im, _ in rows]
+    assert got == [(complex(z).real.hex(), complex(z).imag.hex()) for z in roots]
+
+
 # --- validation diagnostics -----------------------------------------------------------
 
 

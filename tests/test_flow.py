@@ -75,6 +75,21 @@ def test_evolve_low_degree_is_static():
     assert evolve(p, 5.0).coeffs == p.coeffs
 
 
+@pytest.mark.parametrize("t", [0.0, -0.0])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_evolve_at_time_zero_returns_p0(t, sign):
+    # p0 itself keeps its memoized solve, warm from the given roots.
+    assert evolve(QUARTIC, t, flow_sign=sign) is QUARTIC
+    with pytest.raises(ValueError):
+        evolve(QUARTIC, t, flow_sign=2)
+
+
+def test_evolve_with_an_empty_series_returns_p0():
+    p = from_roots([1, 2])
+    assert evolve(p, 0.7) is p
+    assert evolve(p, 0.7).root_set.roots == (1 + 0j, 2 + 0j)
+
+
 def test_evolve_group_law():
     rng = random.Random(23)
     p = rand_poly(rng, 7)

@@ -6,7 +6,9 @@ from __future__ import annotations
 import ast
 import importlib.util
 import pathlib
+import subprocess
 import sys
+import types
 
 import moutard
 
@@ -27,21 +29,25 @@ def test_imports_are_relative_or_stdlib():
 
 
 def test_every_public_name_resolves():
-    missing = [name for name in moutard.__all__ if not hasattr(moutard, name)]
-    assert missing == []
+    for name in moutard.__all__:
+        module = getattr(moutard, name)
+        assert isinstance(module, types.ModuleType), name
+        assert module.__name__ == f"moutard.{name}", name
     assert len(set(moutard.__all__)) == len(moutard.__all__)
 
 
 def test_public_surface_is_pinned():
-    assert sorted(moutard.__all__) == [
-        "AmbiguousMatching", "CollisionEvent", "ComplexPoly", "DegenerateDesign", "DeltaPotential",
-        "FaddeevParams", "InconsistentData", "InsufficientRoots", "IoFailure", "MoutardError",
-        "NearPole", "NonConvergence", "NonFinite", "RadiusTooSmall", "RootSet", "RootTrajectory",
-        "ScatteringEstimate", "ZeroLambda", "count_deltas", "differentiate", "evolve", "expected_a",
-        "fit_scattering", "from_roots", "harmonicity_check", "horner", "min_root_separation",
-        "moutard_residual", "residual_checks", "residual_sample_points", "roots", "sample_mu",
-        "trajectory", "transformed_potential", "verify_eigenfunction_identity", "verify_flow",
-    ]
+    assert moutard.__all__ == ["cpoly", "errors", "flow", "scattering", "transform", "wirtinger"]
+
+
+def test_importing_the_package_does_not_load_the_cli():
+    # The command line, and argparse with it, stays out of library imports.
+    code = "import sys, moutard; print('moutard.cli' in sys.modules, 'argparse' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); {code}"],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.split() == ["False", "False"]
 
 
 def test_every_traced_layer_resolves():
