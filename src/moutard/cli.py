@@ -403,10 +403,6 @@ def main(argv: list[str] | None = None) -> int:
     except MoutardError as e:
         sys.stderr.write(_emit_json({"error": e.record()}))
         return 1
-    except (OverflowError, ZeroDivisionError) as e:
-        record = {"type": type(e).__name__, "message": str(e), "details": {}}
-        sys.stderr.write(_emit_json({"error": record}))
-        return 1
     return 0
 
 

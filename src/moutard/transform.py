@@ -111,6 +111,8 @@ class FaddeevParams:
             raise ZeroLambda("the spectral parameter lambda must be nonzero")
         if not cmath.isfinite(lam):
             raise NonFinite(f"the spectral parameter lambda must be finite, got {lam!r}", lam=lam)
+        if math.hypot(lam.real, lam.imag) == math.inf:
+            raise NonFinite(f"the modulus of lambda = {lam!r} overflows", lam=lam)
         object.__setattr__(self, "lam", lam)
         # T by Horner in 1/lambda over the derivatives, highest order first;
         # verify_eigenfunction_identity builds its own exact multiple of T.
@@ -168,7 +170,8 @@ class FaddeevParams:
         for z, pz, tz in zip(points, ps, cpoly._horner_list(self._t, points)):
             if not cmath.isfinite(z):
                 raise NonFinite(f"the evaluation point {z!r} is not finite", point=z, lam=lam)
-            if abs(pz) < threshold:
+            # the parts first: abs(pz) raises OverflowError where |P(z)| leaves the float range
+            if abs(pz.real) < threshold and abs(pz.imag) < threshold and abs(pz) < threshold:
                 raise NearPole(z, self.nearest_root(z))
             mu = 2.0 * tz / pz
             if not cmath.isfinite(mu):
@@ -247,6 +250,10 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
     large that every candidate rounds back onto one (near 1e200) leave no
     point, and then NearPole names the last candidate and its nearest root.
     NonFinite for a non-finite root or lambda.
+
+    The rings have radius rho = 2 + 0.25 j.  Pass 1 starts one ring inside
+    the first that can face lambda, and is skipped where that ring lies
+    beyond the walk; either pass stops once rho + 0.25 rounds back to rho.
     """
     roots = tuple(complex(r) for r in roots)
     lam = complex(lam)
@@ -256,9 +263,17 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
     center = sum(roots) / len(roots) if roots else 0j
     spread = max((abs(r - center) for r in roots), default=0.0)
     grid = 8 * SAMPLE_COUNT
+    first, limit = SAMPLE_MIN_DIST + 0.5, spread + SAMPLE_MIN_DIST + 3.0
+    # Only rings with rho >= facing hold a candidate with Re(lambda z) >= -0.3.  hypot
+    # gives inf, not OverflowError, where |lambda| leaves the float range.
+    facing = (-0.3 - (lam * center).real) / math.hypot(lam.real, lam.imag) if lam else -math.inf
     for require_phase in (True, False):
-        rho = SAMPLE_MIN_DIST + 0.5
-        while rho <= spread + SAMPLE_MIN_DIST + 3.0:
+        j = 0
+        if require_phase and facing > first:
+            if facing > limit or facing == math.inf:
+                continue
+            j = math.ceil((facing - first) / 0.25) - 1  # one ring early, for the rounding of lambda z
+        while (rho := first + 0.25 * j) <= limit:
             chosen: list[complex] = []
             for k in range(grid):
                 z = center + cmath.rect(rho, 2.0 * math.pi * (k + 0.381966) / grid)
@@ -269,7 +284,9 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
                 chosen.append(z)
                 if len(chosen) == SAMPLE_COUNT:
                     return chosen
-            rho += 0.25
+            if rho + 0.25 == rho:
+                break
+            j += 1
     raise NearPole(z, min(roots, key=lambda r: abs(z - r)))
 
 
@@ -292,10 +309,25 @@ def _ring_samples(fp: FaddeevParams, points: list[complex]) -> list[tuple[float,
     return [(rho, om[i : i + m], es[i : i + m], psi[i : i + m]) for rho, i in zip(rhos, range(0, len(om), m))]
 
 
-def _harmonicity(lam: complex, z: complex, radius: float, centre: complex, samples: list[complex]) -> float:
-    """Normalized |laplacian psi| from psi(z) and psi on the ring."""
+def _scale(lam: complex, z: complex) -> float:
+    """e^{Re(lambda z)}, which normalizes every ring check at z; NonFinite where it underflows to 0."""
+    scale = math.exp((lam * z).real)
+    if scale == 0.0:
+        raise NonFinite(f"e^Re(lambda z) underflows at {z!r} for lambda = {lam!r}", point=z, lam=lam)
+    return scale
+
+
+def _harmonicity(lam: complex, scale: float, radius: float, centre: complex, samples: list[complex]) -> float:
+    """|laplacian psi| from psi(z) and psi on the ring, over scale (1 + |lambda|^2).
+
+    ``scale`` is :func:`_scale` at z.  NonFinite where |lambda|^2 overflows.
+    """
+    try:
+        norm = scale * (1.0 + abs(lam) ** 2)
+    except OverflowError:
+        raise NonFinite(f"|lambda|^2 overflows for lambda = {lam!r}", lam=lam) from None
     lap = 4.0 * (ring_moments(samples, radius)[2] - centre) / (radius * radius)
-    return abs(lap) / (math.exp((lam * z).real) * (1.0 + abs(lam) ** 2))
+    return abs(lap) / norm
 
 
 def harmonicity_check(fp: FaddeevParams, z: complex) -> float:
@@ -307,7 +339,7 @@ def harmonicity_check(fp: FaddeevParams, z: complex) -> float:
     distance as ``SAMPLE_MIN_DIST`` is, at any |z|.
     """
     [(rho, _, _, (centre, *psi))] = _ring_samples(fp, [z])
-    return _harmonicity(fp.lam, z, rho, centre, psi)
+    return _harmonicity(fp.lam, _scale(fp.lam, z), rho, centre, psi)
 
 
 def residual_checks(fp: FaddeevParams) -> tuple[int, float, float, float]:
@@ -329,13 +361,13 @@ def residual_checks(fp: FaddeevParams) -> tuple[int, float, float, float]:
     rings = _ring_samples(fp, points)
     worst_res = worst_gauge = worst_harm = 0.0
     for z, (rho, (om0, *om), (_, *es), (psi0, *psi)) in zip(points, rings):
-        scale = math.exp((lam * z).real)
         r1, r2 = _residual(z, om0, om, psi, [1j * e for e in es], rho)
+        scale = _scale(lam, z)
         worst_res = max(worst_res, abs(r1) / scale, abs(r2) / scale)
         for c in GAUGE_SHIFTS:
             g1, g2, _ = ring_moments([o * (c / o) for o in om], rho)
             worst_gauge = max(worst_gauge, abs(g1) / scale, abs(g2) / scale)
-        worst_harm = max(worst_harm, _harmonicity(lam, z, rho, psi0, psi))
+        worst_harm = max(worst_harm, _harmonicity(lam, scale, rho, psi0, psi))
     return len(points), worst_res, worst_gauge, worst_harm
 
 

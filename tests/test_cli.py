@@ -11,11 +11,12 @@ import io
 import json
 import math
 import random
+import signal
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from moutard import cli, cpoly, flow, transform
+from moutard import cli, cpoly, errors, flow, transform
 from moutard.cli import ConfigError, parse_complex, parse_complex_list
 
 
@@ -263,16 +264,76 @@ def test_overflow_is_a_named_non_finite_record(argv, quantity):
         (["potential", "--roots", "1.7e308,1.7e308"], "NonFinite", "modulus overflows"),
         (["potential", "--roots", "1e200;1e200;1e200", "--t0", "0"], "NonFinite", "roots are multiplied out"),
         (["scatter", "--coeffs", "1e300;1e-300", "--lambda", "1"], "NonFinite", "divided by the leading one"),
+        (["verify", "--roots", "-800", "--lambda", "1"], "NonFinite", "e^Re(lambda z) underflows"),
+        (["verify", "--roots", "1500;0", "--lambda", "-1"], "NonFinite", "e^Re(lambda z) underflows"),
+        (["eigen", "--roots", "0", "--lambda", "1", "--z", "1.5e308,1.5e308"], "NonFinite", "psi overflows"),
+        (["verify", "--roots", "1", "--lambda", "1.5e308,1.5e308"], "NonFinite", "modulus of lambda"),
     ],
 )
 def test_extreme_magnitudes_are_typed_records(argv, kind, message):
-    # These used to end in a traceback, an OverflowError record or (for the
-    # overflowing coefficients) a configuration error with exit status 2.
+    # These used to end in a traceback, an OverflowError or ZeroDivisionError
+    # record or (for the overflowing coefficients) a configuration error with
+    # exit status 2.
     code, out, err = run_cli(argv)
     assert code == 1 and out == ""
     rec = json.loads(err)["error"]
     assert rec["type"] == kind
     assert message in rec["message"]
+
+
+_EXTREMES = ("0", "1", "8", "-8", "-40", "-800", "-1500", "1e4", "-1e20", "1e150", "1e200", "1e300", "1.5e308", "1e-300")
+_EXTREME_ROOTS = _EXTREMES + tuple(m + "i" for m in _EXTREMES)
+_EXTREME_LAMBDAS = ("1", "-1", "1i", "-1i", "1e-300", "1e-10", "1e10", "1e155", "1e300", "0.5+0.5i", "1.5e308,1.5e308")
+
+
+def _extreme_grid():
+    """Every command over extreme roots, lambdas, points, times, radii and sample counts."""
+    for r in _EXTREME_ROOTS:
+        for lam in _EXTREME_LAMBDAS:
+            for roots in (r, r + ";0"):
+                yield ["verify", "--roots", roots, "--lambda", lam]
+            for z in ("0.5", "-700", "1.5e308+1.5e308i", "1e-320"):
+                yield ["eigen", "--roots", r, "--lambda", lam, "--z", z]
+        for radius in ("1e-300", "3", "1e300", "1.7e308"):
+            for samples in ("8", "9", "1000"):
+                yield ["scatter", "--roots", r + ";1", "--lambda", "1", "--radius", radius, "--samples", samples]
+        for t in ("0", "1", "-1", "1e10", "1e100", "1e300"):
+            yield ["potential", "--roots", r + ";0;1", "--t0", t]
+            yield ["evolve", "--roots", r + ";0;1", "--t0", "0", "--t1", t, "--steps", "3"]
+
+
+def _time_out(signum, frame):
+    raise TimeoutError
+
+
+def test_every_failure_over_the_extreme_grid_is_a_typed_record():
+    # main has two failure exits, ConfigError (2) and MoutardError (1, its
+    # record), so any other exception escapes it; each run gets 5 s.
+    typed = {c.__name__ for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.MoutardError)}
+    escaped, untyped, over_budget, runs = [], [], [], 0
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    try:
+        for argv in _extreme_grid():
+            runs += 1
+            signal.alarm(5)
+            try:
+                code, out, err = run_cli(argv)
+            except TimeoutError:
+                over_budget.append(argv)
+                continue
+            except Exception as e:
+                escaped.append((argv, repr(e)))
+                continue
+            finally:
+                signal.alarm(0)
+            assert code in (0, 1, 2), (argv, code)
+            record = json.loads(err)["error"] if code == 1 else None
+            if record is not None and record["type"] not in typed:
+                untyped.append((argv, record))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert runs > 2000
+    assert (escaped, untyped, over_budget) == ([], [], [])
 
 
 def test_roots_are_reported_as_given():

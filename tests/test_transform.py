@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import signal
 import sys
 
 import pytest
@@ -120,7 +121,10 @@ def test_zero_lambda_rejected():
         FaddeevParams(cpoly.from_roots([1.0]), 0)
 
 
-@pytest.mark.parametrize("lam", [math.nan, math.inf, complex(math.inf, 0), complex(0, -math.inf)])
+# The last has finite parts, but every |lambda| raised OverflowError.
+@pytest.mark.parametrize(
+    "lam", [math.nan, math.inf, complex(math.inf, 0), complex(0, -math.inf), complex(1.5e308, 1.5e308)]
+)
 def test_non_finite_lambda_rejected(lam):
     with pytest.raises(NonFinite):
         FaddeevParams(cpoly.from_roots([1, 2]), lam)
@@ -160,6 +164,16 @@ def test_psi_overflow_raises_non_finite_naming_point_and_lambda(lam, z):
             with pytest.raises(NonFinite, match="^the evaluation point .* is not finite$") as exc:
                 call(z)
             assert exc.value.details == {"point": z, "lam": lam}  # the same nan object
+
+
+def test_mu_where_the_modulus_of_p_overflows():
+    # P(z) = z is finite at 1.5e308(1 + i), but |P(z)| is not; the pole guard
+    # raised OverflowError computing it.  mu is -2 / z, and psi overflows.
+    z = complex(1.5e308, 1.5e308)
+    fp = FaddeevParams(cpoly.from_roots([0]), 1)
+    assert fp.mu(z) == -2.0 / z
+    with pytest.raises(NonFinite, match="psi overflows"):
+        fp.psi(z)
 
 
 def test_params_expose_roots():
@@ -769,6 +783,24 @@ def test_harmonicity_guards_near_roots():
     assert harmonicity_check(far, 2002.0) < cli.VERIFY_THRESHOLDS["harmonicity"]
 
 
+@pytest.mark.parametrize("z", [-746.0, -800.0 + 3j, -1e20])
+def test_harmonicity_where_the_plane_wave_underflows_is_non_finite(z):
+    # psi and the Laplacian read 0 there, and the check divided 0 by 0.
+    fp = FaddeevParams(cpoly.from_roots([1.0]), 1.0)
+    with pytest.raises(NonFinite, match="underflows") as exc:
+        harmonicity_check(fp, z)
+    assert exc.value.details == {"point": z, "lam": 1.0}
+
+
+@pytest.mark.parametrize("lam", [1e155, 1e200j, 1e300])
+def test_harmonicity_where_lambda_squared_overflows_is_non_finite(lam):
+    # The normaliser's |lambda|^2 raised OverflowError, and beyond ~1e161 the
+    # ring radius squared underflowed to 0 first (ZeroDivisionError).
+    for roots in ([], [5j]):
+        with pytest.raises(NonFinite, match=r"^\|lambda\|\^2 overflows"):
+            harmonicity_check(FaddeevParams(cpoly.from_roots(roots), lam), 1j / lam * abs(lam))
+
+
 # --- sample-point selection --------------------------------------------------
 
 
@@ -813,3 +845,66 @@ def test_sample_points_near_1e200_are_a_near_pole(lam):
     assert abs(exc.value.z - root) < transform.SAMPLE_MIN_DIST
     with pytest.raises(NearPole):
         residual_checks(FaddeevParams(cpoly.from_roots([root]), lam))
+
+
+def _unbounded_walk(roots, lam):
+    """residual_sample_points as it walked before its start radius and stop rule: every ring from 2."""
+    center = sum(roots) / len(roots) if roots else 0j
+    spread = max((abs(r - center) for r in roots), default=0.0)
+    for require_phase in (True, False):
+        rho = 2.0
+        while rho <= spread + 4.5:
+            chosen = []
+            for k in range(200):
+                z = center + cmath.rect(rho, 2.0 * math.pi * (k + 0.381966) / 200)
+                if roots and min(abs(z - r) for r in roots) < 1.5:
+                    continue
+                if require_phase and (lam * z).real < -0.3:
+                    continue
+                chosen.append(z)
+                if len(chosen) == 25:
+                    return chosen
+            rho += 0.25
+    return None
+
+
+def _walk_cases():
+    rng = random.Random(2026)
+    cases = [((300.0, 0.0), -1.0), ((-800.0,), 1.0), ((-40.0, 0.0), 1j), ((3.0, -2j), 0j)]
+    # The first ring that can face lambda already holds 25 facing candidates.
+    cases += [((cmath.rect(2.4 + 0.1 * k, 2.0 + k),), cmath.rect(1.0, math.pi - 2.0 - k)) for k in range(12)]
+    for _ in range(60):
+        centre = complex(rng.uniform(-100, 100), rng.uniform(-100, 100))
+        roots = tuple(centre + complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(rng.randint(1, 6)))
+        cases.append((roots, cmath.rect(rng.choice([1e-3, 0.1, 1.0, 3.0]), rng.uniform(-math.pi, math.pi))))
+    return cases
+
+
+@pytest.mark.parametrize("roots, lam", _walk_cases())
+def test_sample_walk_skips_only_rings_that_cannot_face_lambda(roots, lam):
+    # Pass 1 starts near the first ring that can face lambda; the points are
+    # those of the walk from radius 2, bit for bit.
+    assert residual_sample_points(roots, lam) == _unbounded_walk(roots, lam)
+
+
+def _time_out(signum, frame):
+    raise TimeoutError("the sample walk took over 5 s")
+
+
+@pytest.mark.parametrize("roots, lam", [((1e20, 0.0), -1.0), ((1e150, 1.0), -1.0), ((-1e20, 0.0), 1e300)])
+def test_sample_walk_ends_where_rho_stops_growing(roots, lam):
+    # Pass 1 walked to spread + 4.5 in steps of 0.25, and rho += 0.25 stops
+    # changing rho near 2^51, so these never returned.  Now pass 1 starts at
+    # the ring that can first face lambda and stops there, and pass 2 gives
+    # its first ring.
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.alarm(5)
+    try:
+        points = residual_sample_points(roots, lam)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    center = sum(roots) / len(roots)
+    assert len(points) == transform.SAMPLE_COUNT
+    assert all(abs(z - center) < 2.0 + 1e-9 * abs(center) for z in points)
+
