@@ -6,9 +6,9 @@ toolkit.  Evaluation is Horner, differentiation is exact coefficient
 arithmetic, and root finding is a deterministic Aberth-Ehrlich simultaneous
 iteration so repeated runs give bit-identical output.
 
-Everything here is immutable, with a memoized root solve that is
-deterministic, so a race only repeats work; instances are safe to share
-across threads.
+Everything here is immutable, with a memoized root solve and derivative
+chain that are deterministic, so a race only repeats work; instances are
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -91,6 +91,20 @@ class ComplexPoly:
         equality, hashing and repr see only ``coeffs``.
         """
         return roots(self, init=self.__dict__.get("_given_roots"))
+
+    @cached_property
+    def derivatives(self) -> tuple[tuple[complex, ...], ...]:
+        """(P', ..., P^(N)), each :func:`differentiate` of the one before; formed on first access, then kept.
+
+        ``derivatives[k - 1]`` equals ``differentiate(coeffs, k)`` bit for bit;
+        degree 0 gives ().  NonFinite, and nothing kept, where a derivative
+        overflows.  Not a field, like ``root_set``.
+        """
+        chain, cs = [], self.coeffs
+        for _ in range(self.degree):
+            cs = differentiate(cs, 1)
+            chain.append(cs)
+        return tuple(chain)
 
 
 @dataclass(frozen=True)

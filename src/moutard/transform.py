@@ -50,6 +50,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
+from operator import mul
 from typing import Callable, ClassVar
 
 from . import cpoly
@@ -96,10 +97,11 @@ class FaddeevParams:
 
     Construction precomputes everything reusable: the coefficients of
     T = sum_{k=1..N} (-1)^k P^(k) / lambda^k (so that mu = 2 T / P costs one
-    Horner pass), the roots of P (for pole guarding; P's memoized
-    ``root_set``, so every lambda on one P shares one solve), and the
-    pole-guard threshold.  Instances are immutable afterwards, so they are
-    safe to share across threads.
+    Horner pass), combined from P's memoized ``derivatives``, the roots of P
+    (for pole guarding; P's memoized ``root_set``), and the pole-guard
+    threshold.  So every lambda on one P shares one derivative chain and one
+    solve; NonFinite where a derivative of P overflows.  Instances are
+    immutable afterwards, so they are safe to share across threads.
     """
 
     p: cpoly.ComplexPoly
@@ -114,16 +116,11 @@ class FaddeevParams:
         if math.hypot(lam.real, lam.imag) == math.inf:
             raise NonFinite(f"the modulus of lambda = {lam!r} overflows", lam=lam)
         object.__setattr__(self, "lam", lam)
-        # T by Horner in 1/lambda over the derivatives, highest order first;
-        # verify_eigenfunction_identity builds its own exact multiple of T.
-        n = self.p.degree
-        derivs = []
-        cs = self.p.coeffs
-        for _ in range(n):
-            cs = cpoly.differentiate(cs, 1)
-            derivs.append(cs)
+        # T by Horner in 1/lambda over P's kept derivative chain, highest order
+        # first; verify_eigenfunction_identity builds its own exact multiple of T.
+        derivs = self.p.derivatives
         t: list[complex] = []
-        for k in range(n, 0, -1):
+        for k in range(len(derivs), 0, -1):
             t = [(a - c if k % 2 else a + c) / lam for a, c in zip(t + [0j], derivs[k - 1])]
         object.__setattr__(self, "_t", tuple(t))
         threshold = POLE_GUARD * math.prod(1.0 + abs(r) for r in self.roots)
@@ -252,8 +249,9 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
     NonFinite for a non-finite root or lambda.
 
     The rings have radius rho = 2 + 0.25 j.  Pass 1 starts one ring inside
-    the first that can face lambda, and is skipped where that ring lies
-    beyond the walk; either pass stops once rho + 0.25 rounds back to rho.
+    the first whose arc facing lambda is wide enough to hold ``SAMPLE_COUNT``
+    grid points, and is skipped where that ring lies beyond the walk; either
+    pass stops once rho + 0.25 rounds back to rho.
     """
     roots = tuple(complex(r) for r in roots)
     lam = complex(lam)
@@ -264,15 +262,18 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
     spread = max((abs(r - center) for r in roots), default=0.0)
     grid = 8 * SAMPLE_COUNT
     first, limit = SAMPLE_MIN_DIST + 0.5, spread + SAMPLE_MIN_DIST + 3.0
-    # Only rings with rho >= facing hold a candidate with Re(lambda z) >= -0.3.  hypot
-    # gives inf, not OverflowError, where |lambda| leaves the float range.
+    # A candidate at angle phi from the direction of conj(lambda) has Re(lambda z) >= -0.3
+    # iff cos(phi) >= facing / rho, and a ring returns only if that arc holds
+    # SAMPLE_COUNT grid points, i.e. spans SAMPLE_COUNT - 1 grid steps.  hypot gives
+    # inf, not OverflowError, where |lambda| leaves the float range.
     facing = (-0.3 - (lam * center).real) / math.hypot(lam.real, lam.imag) if lam else -math.inf
+    start = facing / math.cos((SAMPLE_COUNT - 1) * math.pi / grid)
     for require_phase in (True, False):
         j = 0
-        if require_phase and facing > first:
-            if facing > limit or facing == math.inf:
+        if require_phase and start > first:
+            if start > limit or start == math.inf:
                 continue
-            j = math.ceil((facing - first) / 0.25) - 1  # one ring early, for the rounding of lambda z
+            j = math.ceil((start - first) / 0.25) - 1  # one ring early, for the rounding of lambda z
         while (rho := first + 0.25 * j) <= limit:
             chosen: list[complex] = []
             for k in range(grid):
@@ -377,6 +378,10 @@ def residual_checks(fp: FaddeevParams) -> tuple[int, float, float, float]:
 # integers ((re, im) int pairs) and s^{N+2} lambda^N times the identity is
 # D = s W' + l W + s l^N P~' = 0, W = sum_k (-s)^k l^{N-k} P~^(k) = s^{N+1} lambda^N T,
 # exact in ints; a float assembly's rounding grows like N! |lambda|^-N max|coeff|.
+# W is assembled by columns: with q_m = m! P~_m and g_k = (-s)^k l^{N-k},
+# W_j = (1/j!) sum_{k=1..N-j} g_k q_{j+k}, four integer dot products and one
+# exact division per coefficient; the g_k come from one power chain of l,
+# shifted by k log2(s) bits.
 
 _GInt = tuple[int, int]
 
@@ -386,15 +391,24 @@ def _deriv(poly: list[_GInt]) -> list[_GInt]:
 
 
 def _scaled(fp: FaddeevParams) -> tuple[int, _GInt, list[_GInt], list[_GInt]]:
-    """(s, l, P~, W) for fp, with W by Horner in l over k = 1..N."""
+    """(s, l, P~, W) for fp, with W by column sums."""
     ratios = [(x.real.as_integer_ratio(), x.imag.as_integer_ratio()) for x in (fp.lam, *fp.p.coeffs)]
     s = max(d for pair in ratios for _, d in pair)  # every denominator is a power of two
     (lr, li), *p = [tuple(n * (s // d) for n, d in pair) for pair in ratios]
-    w, dk = [], p
-    for k in range(1, len(p)):
-        dk, c = _deriv(dk), (-s) ** k
-        w = [(lr * x - li * y + c * a, lr * y + li * x + c * b)
-             for (x, y), (a, b) in zip_longest(w, dk, fillvalue=(0, 0))]
+    n, e = len(p) - 1, s.bit_length() - 1
+    qr = [math.factorial(m) * a for m, (a, _) in enumerate(p)]
+    qi = [math.factorial(m) * b for m, (_, b) in enumerate(p)]
+    gr, gi, xr, xi = [0] * n, [0] * n, 1, 0
+    for k in range(n, 0, -1):  # g_k = (-s)^k l^{N-k}, as l^{N-k} runs up the power chain
+        sign = -1 if k % 2 else 1
+        gr[k - 1], gi[k - 1] = sign * (xr << e * k), sign * (xi << e * k)
+        xr, xi = xr * lr - xi * li, xr * li + xi * lr
+    w = []
+    for j in range(n):
+        cr, ci = qr[j + 1 :], qi[j + 1 :]
+        re = sum(map(mul, gr, cr)) - sum(map(mul, gi, ci))
+        im = sum(map(mul, gr, ci)) + sum(map(mul, gi, cr))
+        w.append((re // math.factorial(j), im // math.factorial(j)))
     return s, (lr, li), p, w
 
 

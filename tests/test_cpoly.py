@@ -8,6 +8,7 @@ from the implementation under test.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import pickle
 import random
@@ -185,6 +186,30 @@ def test_derivative_linearity_exact():
                 for x, y in zip(cpoly.differentiate(a, k), cpoly.differentiate(b, k))
             )
             assert lhs == rhs
+
+
+def _bits(cs):
+    return [(c.real.hex(), c.imag.hex()) for c in cs]
+
+
+def test_derivative_chain_is_differentiate_bit_for_bit():
+    rng = random.Random(9)
+    for degree in (0, 1, 5, 16):
+        p = cpoly.from_roots([complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(degree)])
+        chain = p.derivatives
+        assert len(chain) == degree
+        for k, dk in enumerate(chain, 1):
+            assert _bits(dk) == _bits(cpoly.differentiate(p.coeffs, k))
+        assert p.derivatives is chain
+
+
+def test_derivative_chain_is_not_a_field():
+    p = cpoly.from_roots([1.5, -0.5 + 1j, 2j])
+    twin = cpoly.ComplexPoly(p.coeffs)
+    seen = (hash(p), repr(p))
+    p.derivatives
+    assert p == twin and (hash(p), repr(p)) == seen == (hash(twin), repr(twin))
+    assert [f.name for f in dataclasses.fields(p)] == ["coeffs"]
 
 
 def test_derivative_at_roots_matches_product_rule():

@@ -10,6 +10,7 @@ Independent references used here:
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 import signal
@@ -17,7 +18,7 @@ import sys
 
 import pytest
 
-from moutard import cli, cpoly, scattering, transform
+from moutard import cli, cpoly, flow, scattering, transform
 from moutard.errors import MoutardError, NearPole, NonFinite, ZeroLambda
 from moutard.transform import (
     RING_POINTS,
@@ -200,6 +201,32 @@ def test_params_at_four_lambdas_share_one_root_solve(monkeypatch):
     assert all(fp.roots == fps[0].roots for fp in fps)
 
 
+def test_params_at_four_lambdas_share_one_derivative_chain(monkeypatch):
+    calls = []
+    differentiate = cpoly.differentiate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return differentiate(*args, **kwargs)
+
+    monkeypatch.setattr(cpoly, "differentiate", counted)
+    p = cpoly.from_roots([1, -1, 0.5j, 2 - 1j, -1.5 + 0.5j])
+    for lam in (2.0, -1j, 0.5 + 0.5j, 3.0):
+        FaddeevParams(p, lam)
+    assert len(calls) == p.degree  # P', ..., P^(5) once, for all four
+
+
+def test_params_where_a_derivative_overflows_are_non_finite_at_every_lambda():
+    # P' = 3z^2 + 2e308 z overflows, so nothing is kept and every lambda
+    # raises; the flow reads only D^3 P = 6 and still moves P.
+    p = cpoly.ComplexPoly((0j, 0j, 1e308 + 0j, 1 + 0j))
+    for lam in (2.0, -1j, 0.5 + 0.5j, 1e-300):
+        with pytest.raises(NonFinite, match="order-1 derivative is not finite"):
+            FaddeevParams(p, lam)
+    assert "derivatives" not in p.__dict__
+    assert flow.evolve(p, 1.0).coeffs[1:] == p.coeffs[1:]
+
+
 def _separated(rng, n, radius, min_sep):
     pts = []
     while len(pts) < n:
@@ -306,11 +333,37 @@ def test_identity_exact_at_extreme_lambda(lam):
     assert verify_eigenfunction_identity(_random_params(random.Random(33), 10, lam)) == 0.0
 
 
-def test_identity_exact_with_subnormal_coefficient_and_degree_40():
+def _subnormal_params():
     coeffs = [complex(5e-320, 0.5)] + [0.25 * (-1) ** j for j in range(9)] + [1]
-    fp = FaddeevParams(cpoly.ComplexPoly(tuple(coeffs)), 0.7 - 1.3j)
-    assert verify_eigenfunction_identity(fp) == 0.0
+    return FaddeevParams(cpoly.ComplexPoly(tuple(coeffs)), 0.7 - 1.3j)
+
+
+def test_identity_exact_with_subnormal_coefficient_and_degree_40():
+    assert verify_eigenfunction_identity(_subnormal_params()) == 0.0
     assert verify_eigenfunction_identity(_random_params(random.Random(34), 40, 1.2 + 0.4j)) == 0.0
+
+
+def _horner_scaled(fp):
+    """_scaled as it assembled W before the column sums: Horner in l over k = 1..N."""
+    ratios = [(x.real.as_integer_ratio(), x.imag.as_integer_ratio()) for x in (fp.lam, *fp.p.coeffs)]
+    s = max(d for pair in ratios for _, d in pair)
+    (lr, li), *p = [tuple(n * (s // d) for n, d in pair) for pair in ratios]
+    w, dk = [], p
+    for k in range(1, len(p)):
+        dk, c = transform._deriv(dk), (-s) ** k
+        w = [(lr * x - li * y + c * a, lr * y + li * x + c * b)
+             for (x, y), (a, b) in itertools.zip_longest(w, dk, fillvalue=(0, 0))]
+    return s, (lr, li), p, w
+
+
+def test_column_sums_give_the_horner_integers():
+    rng = random.Random(36)
+    for degree in (*range(21), 40):
+        for lam in (cmath.rect(rng.uniform(0.1, 10.0), rng.uniform(-math.pi, math.pi)), 5e-324, 1e-300j, 1e300):
+            fp = _random_params(rng, degree, lam)
+            assert transform._scaled(fp) == _horner_scaled(fp), (degree, lam)
+    fp = _subnormal_params()
+    assert transform._scaled(fp) == _horner_scaled(fp)
 
 
 def test_identity_negative_controls_read_the_analytic_defect(monkeypatch):
@@ -847,12 +900,15 @@ def test_sample_points_near_1e200_are_a_near_pole(lam):
         residual_checks(FaddeevParams(cpoly.from_roots([root]), lam))
 
 
-def _unbounded_walk(roots, lam):
-    """residual_sample_points as it walked before its start radius and stop rule: every ring from 2."""
+def _unbounded_walk(roots, lam, phase_start=2.0):
+    """residual_sample_points as it walked before its start radius and stop rule: every ring from 2.
+
+    With ``phase_start``, pass 1 starts at that ring instead.
+    """
     center = sum(roots) / len(roots) if roots else 0j
     spread = max((abs(r - center) for r in roots), default=0.0)
     for require_phase in (True, False):
-        rho = 2.0
+        rho = phase_start if require_phase else 2.0
         while rho <= spread + 4.5:
             chosen = []
             for k in range(200):
@@ -885,6 +941,40 @@ def test_sample_walk_skips_only_rings_that_cannot_face_lambda(roots, lam):
     # Pass 1 starts near the first ring that can face lambda; the points are
     # those of the walk from radius 2, bit for bit.
     assert residual_sample_points(roots, lam) == _unbounded_walk(roots, lam)
+
+
+def _facing_ring(roots, lam):
+    """Where pass 1 started before it skipped narrow arcs: one ring inside the first with rho >= facing."""
+    facing = (-0.3 - (lam * sum(roots) / len(roots)).real) / abs(lam)
+    return 2.0 + 0.25 * max(0, math.ceil((facing - 2.0) / 0.25) - 1)
+
+
+def _far_walk_cases():
+    rng = random.Random(2027)
+    cases = [((1e4j, 0j), 0.5 + 0.5j)]
+    # The arc facing lambda on the ring rho_j is 24 grid steps wide to within
+    # 1e-15 and centred on 25 grid points, so rho_j is the first ring that
+    # returns; the two roots lie off that arc.
+    half = 24 * math.pi / 200
+    for j in range(40, 60):
+        lam = cmath.rect(1.0, -2.0 * math.pi * (j + 12.381966) / 200)  # arc centred on grid points j..j+24
+        rho = 2.0 + 0.25 * j
+        centre = -(0.3 + rho * math.cos(half) * (1 - 1e-15)) * lam.conjugate()
+        cases.append(((centre + 1j * rho * lam.conjugate(), centre - 1j * rho * lam.conjugate()), lam))
+    # Roots spread over a disc of radius 20-300, so the walk reaches well past
+    # the facing line and pass 1 runs.
+    for _ in range(30):
+        size = rng.uniform(20, 300)
+        roots = tuple(cmath.rect(rng.uniform(0, size), rng.uniform(-math.pi, math.pi)) for _ in range(rng.randint(2, 4)))
+        cases.append((roots, cmath.rect(rng.choice([0.1, 1.0, 3.0]), rng.uniform(-math.pi, math.pi))))
+    return cases
+
+
+@pytest.mark.parametrize("roots, lam", _far_walk_cases())
+def test_sample_walk_skips_only_rings_too_narrow_to_return(roots, lam):
+    # Pass 1 now starts where the arc facing lambda can hold 25 grid points,
+    # near 1.076 facing instead of facing, and returns the same points.
+    assert residual_sample_points(roots, lam) == _unbounded_walk(roots, lam, _facing_ring(roots, lam))
 
 
 def _time_out(signum, frame):
