@@ -17,9 +17,8 @@ import cmath
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from .errors import InsufficientRoots, NonConvergence, NonFinite
 
@@ -34,8 +33,42 @@ ROOT_TOL = 1e-12
 MAX_SWEEPS = 200
 
 
-@dataclass(frozen=True)
-class ComplexPoly:
+class _Record:
+    """Immutable record whose fields ``__match_args__`` names in constructor order.
+
+    The repr shows every field; equality, only between instances of one
+    class, and hashing see the fields named in ``_compared``.  Fields are set
+    once, at construction, in the instance ``__dict__``, so memoized values
+    kept there never take part, and instances pickle as they are.  Assigning
+    or deleting an attribute raises AttributeError.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ComplexPoly(_Record):
     """Monic complex polynomial, coefficients in ascending degree order.
 
     ``coeffs[j]`` multiplies z**j and the last entry is exactly 1.  Use
@@ -44,9 +77,10 @@ class ComplexPoly:
     """
 
     coeffs: tuple[complex, ...]
+    __match_args__ = _compared = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(complex(c) for c in self.coeffs)
+    def __init__(self, coeffs: Iterable[complex]) -> None:
+        coeffs = tuple(complex(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a polynomial needs at least one coefficient")
         if coeffs[-1] != 1:
@@ -87,7 +121,7 @@ class ComplexPoly:
         A polynomial built by :func:`from_roots` passes the roots it was
         multiplied out from as ``init``: they come back in the given order,
         bitwise where a root sits at the rounding floor of the stored
-        coefficients, and repeated ones take the cold seed.  Not a field, so
+        coefficients, and repeated ones take the cold seed.  Not compared:
         equality, hashing and repr see only ``coeffs``.
         """
         return roots(self, init=self.__dict__.get("_given_roots"))
@@ -98,7 +132,7 @@ class ComplexPoly:
 
         ``derivatives[k - 1]`` equals ``differentiate(coeffs, k)`` bit for bit;
         degree 0 gives ().  NonFinite, and nothing kept, where a derivative
-        overflows.  Not a field, like ``root_set``.
+        overflows.  Not compared: equality, hashing and repr see only ``coeffs``.
         """
         chain, cs = [], self.coeffs
         for _ in range(self.degree):
@@ -107,8 +141,7 @@ class ComplexPoly:
         return tuple(chain)
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(_Record):
     """All roots of a polynomial, multiplicity by repetition.
 
     The order is deterministic for a given input but carries no meaning,
@@ -120,9 +153,11 @@ class RootSet:
     part in equality.
     """
 
-    roots: tuple[complex, ...]
-    sweeps: int = field(default=0, compare=False)
-    worst_residual: float = field(default=0.0, compare=False)
+    __match_args__ = ("roots", "sweeps", "worst_residual")
+    _compared = ("roots",)
+
+    def __init__(self, roots: tuple[complex, ...], sweeps: int = 0, worst_residual: float = 0.0) -> None:
+        vars(self).update(roots=roots, sweeps=sweeps, worst_residual=worst_residual)
 
     def __len__(self) -> int:
         return len(self.roots)

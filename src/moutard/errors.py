@@ -9,17 +9,16 @@ traceback.
 from __future__ import annotations
 
 import math
-from typing import Any
 
 
 class MoutardError(Exception):
     """Base class for all toolkit errors."""
 
-    def __init__(self, message: str, **details: Any):
+    def __init__(self, message: str, **details: object):
         super().__init__(message)
         self.details = details
 
-    def record(self) -> dict[str, Any]:
+    def record(self) -> dict[str, object]:
         """Structured, JSON-serializable description of the failure."""
         return {
             "type": type(self).__name__,
@@ -28,7 +27,7 @@ class MoutardError(Exception):
         }
 
 
-def _plain(value: Any) -> Any:
+def _plain(value: object) -> object:
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)  # "inf" / "nan": strict JSON has no such numbers
     if isinstance(value, complex):

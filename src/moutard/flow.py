@@ -24,33 +24,34 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import cpoly
 from .errors import AmbiguousMatching, NonFinite
 
 
-@dataclass(frozen=True)
-class CollisionEvent:
+class CollisionEvent(cpoly._Record):
     """A time-window where some roots came closer than the collision tolerance."""
 
-    t_approx: float
-    roots_involved: tuple[int, ...]
-    min_separation: float
+    __match_args__ = _compared = ("t_approx", "roots_involved", "min_separation")
+
+    def __init__(self, t_approx: float, roots_involved: tuple[int, ...], min_separation: float) -> None:
+        vars(self).update(t_approx=t_approx, roots_involved=roots_involved, min_separation=min_separation)
 
 
-@dataclass(frozen=True)
-class RootTrajectory:
+class RootTrajectory(cpoly._Record):
     """Root paths sampled on a uniform time grid.
 
     ``paths[i][k]`` is the position of root i at ``times[k]``; path labels are
     only meaningful between collision events.
     """
 
-    times: tuple[float, ...]
-    paths: tuple[tuple[complex, ...], ...]
-    events: tuple[CollisionEvent, ...]
+    __match_args__ = _compared = ("times", "paths", "events")
+
+    def __init__(
+        self, times: tuple[float, ...], paths: tuple[tuple[complex, ...], ...], events: tuple[CollisionEvent, ...]
+    ) -> None:
+        vars(self).update(times=times, paths=paths, events=events)
 
 
 def _check_sign(flow_sign: int) -> int:

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
+from .cpoly import _Record
 from .errors import DegenerateDesign, InconsistentData, NonFinite, RadiusTooSmall, ZeroLambda
 from .transform import FaddeevParams
 
@@ -43,21 +43,17 @@ MAX_NUISANCE_MODE = 6
 MuSamples = list[tuple[complex, complex]]
 
 
-@dataclass(frozen=True)
-class ScatteringEstimate:
+class ScatteringEstimate(_Record):
     """Fitted scattering data from one circle of eigenfunction samples."""
 
-    a: complex
-    b: complex
-    fit_residual: float
-    radius: float
-    samples: int
+    __match_args__ = _compared = ("a", "b", "fit_residual", "radius", "samples")
 
-    def __post_init__(self) -> None:
-        if not self.fit_residual >= 0:
-            raise ValueError(f"fit_residual must be nonnegative, got {self.fit_residual!r}")
-        if self.samples < 4:
-            raise ValueError(f"need at least 4 samples (two complex unknowns), got {self.samples}")
+    def __init__(self, a: complex, b: complex, fit_residual: float, radius: float, samples: int) -> None:
+        if not fit_residual >= 0:
+            raise ValueError(f"fit_residual must be nonnegative, got {fit_residual!r}")
+        if samples < 4:
+            raise ValueError(f"need at least 4 samples (two complex unknowns), got {samples}")
+        vars(self).update(a=a, b=b, fit_residual=fit_residual, radius=radius, samples=samples)
 
 
 def sample_mu(fp: FaddeevParams, radius: float | None = None, count: int = DEFAULT_SAMPLE_COUNT) -> MuSamples:

@@ -48,10 +48,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from itertools import zip_longest
 from operator import mul
-from typing import Callable, ClassVar
 
 from . import cpoly
 from .errors import NearPole, NonFinite, ZeroLambda
@@ -76,23 +75,22 @@ SAMPLE_MIN_DIST = 1.5
 GAUGE_SHIFTS = (1.0, 1e3)
 
 
-@dataclass(frozen=True)
-class DeltaPotential:
+class DeltaPotential(cpoly._Record):
     """Symbolic multi-point delta potential: centers with common weight -8*pi."""
 
     centers: tuple[complex, ...]
-    weight: ClassVar[float] = -8.0 * math.pi
+    weight = -8.0 * math.pi
+    __match_args__ = _compared = ("centers",)
 
-    def __post_init__(self) -> None:
-        centers = tuple(complex(c) for c in self.centers)
+    def __init__(self, centers: Iterable[complex]) -> None:
+        centers = tuple(complex(c) for c in centers)
         for c in centers:
             if not cmath.isfinite(c):
                 raise NonFinite(f"delta centres must be finite, got {c!r}", center=c)
         object.__setattr__(self, "centers", centers)
 
 
-@dataclass(frozen=True)
-class FaddeevParams:
+class FaddeevParams(cpoly._Record):
     """Generating polynomial P and finite spectral parameter lambda != 0.
 
     Construction precomputes everything reusable: the coefficients of
@@ -104,10 +102,14 @@ class FaddeevParams:
     immutable afterwards, so they are safe to share across threads.
     """
 
-    p: cpoly.ComplexPoly
-    lam: complex
+    __match_args__ = _compared = ("p", "lam")
+
+    def __init__(self, p: cpoly.ComplexPoly, lam: complex) -> None:
+        vars(self).update(p=p, lam=lam)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """The step of ``__init__`` after the fields are set: check ``lam``, then precompute."""
         lam = complex(self.lam)
         if lam == 0:
             raise ZeroLambda("the spectral parameter lambda must be nonzero")

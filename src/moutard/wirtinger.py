@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import functools
 import operator
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import NonFinite
 

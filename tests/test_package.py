@@ -1,18 +1,31 @@
-"""Package-level guards: stdlib-only imports, a resolvable, pinned public API and
-the names the benchmark tracer wraps."""
+"""Package-level guards: stdlib-only, lean imports, a resolvable, pinned public
+API, the names the benchmark tracer wraps and the semantics of the record types."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
 import pathlib
+import pickle
 import subprocess
 import sys
 import types
 
+import pytest
+
 import moutard
+from moutard import cpoly, flow, scattering, transform
 
 PACKAGE = pathlib.Path(moutard.__file__).parent
+
+
+def _fresh(code: str, *flags: str) -> str:
+    """stdout of code run in a new isolated interpreter that imports moutard from this checkout."""
+    done = subprocess.run(
+        [sys.executable, "-I", *flags, "-c", f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); {code}"],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return done.stdout
 
 
 def test_imports_are_relative_or_stdlib():
@@ -42,12 +55,18 @@ def test_public_surface_is_pinned():
 
 def test_importing_the_package_does_not_load_the_cli():
     # The command line, and argparse with it, stays out of library imports.
-    code = "import sys, moutard; print('moutard.cli' in sys.modules, 'argparse' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); {code}"],
-        capture_output=True, text=True, timeout=60, check=True,
+    code = "import moutard; print('moutard.cli' in sys.modules, 'argparse' in sys.modules)"
+    assert _fresh(code).split() == ["False", "False"]
+
+
+def test_the_command_line_loads_no_dataclasses_inspect_or_typing():
+    # Each costs milliseconds on every command.  -S, because a site module may
+    # preload typing itself.
+    code = (
+        "import moutard, moutard.cli; moutard.cli.build_parser(); "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
-    assert done.stdout.split() == ["False", "False"]
+    assert _fresh(code, "-S").strip() == "[]"
 
 
 def test_every_traced_layer_resolves():
@@ -65,3 +84,74 @@ def test_every_traced_layer_resolves():
         if not callable(target):
             missing.append(f"{module}.{attr}")
     assert tracing.LAYERS and missing == []
+
+
+_P = "ComplexPoly(coeffs=(2j, (-1-2j), (1+0j)))"
+_EVENT = "CollisionEvent(t_approx=0.5, roots_involved=(0, 1), min_separation=0.0001)"
+
+# (record, its repr, an equal record, a record that differs in one compared field)
+RECORDS = [
+    pytest.param(
+        lambda: cpoly.from_roots([1, 2j]), _P,
+        lambda: cpoly.ComplexPoly((2j, -1 - 2j, 1)), lambda: cpoly.ComplexPoly((2j, -1, 1)),
+        id="ComplexPoly",
+    ),
+    pytest.param(
+        lambda: cpoly.RootSet((1 + 0j, 2j), sweeps=1, worst_residual=0.0),
+        "RootSet(roots=((1+0j), 2j), sweeps=1, worst_residual=0.0)",
+        lambda: cpoly.RootSet((1 + 0j, 2j), 7, 1e-13), lambda: cpoly.RootSet((2j, 1 + 0j), 1, 0.0),
+        id="RootSet",
+    ),
+    pytest.param(
+        lambda: transform.DeltaPotential((1j,)), "DeltaPotential(centers=(1j,))",
+        lambda: transform.DeltaPotential([1j]), lambda: transform.DeltaPotential((2j,)),
+        id="DeltaPotential",
+    ),
+    pytest.param(
+        lambda: transform.FaddeevParams(cpoly.from_roots([1, 2j]), 2), f"FaddeevParams(p={_P}, lam=(2+0j))",
+        lambda: transform.FaddeevParams(cpoly.ComplexPoly((2j, -1 - 2j, 1)), 2 + 0j),
+        lambda: transform.FaddeevParams(cpoly.from_roots([1, 2j]), 2j),
+        id="FaddeevParams",
+    ),
+    pytest.param(
+        lambda: scattering.ScatteringEstimate(1 + 1j, 0j, 0.5, 10.0, 8),
+        "ScatteringEstimate(a=(1+1j), b=0j, fit_residual=0.5, radius=10.0, samples=8)",
+        lambda: scattering.ScatteringEstimate(a=1 + 1j, b=0j, fit_residual=0.5, radius=10.0, samples=8),
+        lambda: scattering.ScatteringEstimate(1 + 1j, 0j, 0.5, 10.0, 9),
+        id="ScatteringEstimate",
+    ),
+    pytest.param(
+        lambda: flow.CollisionEvent(0.5, (0, 1), 1e-4), _EVENT,
+        lambda: flow.CollisionEvent(t_approx=0.5, roots_involved=(0, 1), min_separation=1e-4),
+        lambda: flow.CollisionEvent(0.5, (0, 1), 2e-4),
+        id="CollisionEvent",
+    ),
+    pytest.param(
+        lambda: flow.RootTrajectory((0.0, 1.0), ((1j, 2j),), (flow.CollisionEvent(0.5, (0, 1), 1e-4),)),
+        f"RootTrajectory(times=(0.0, 1.0), paths=((1j, 2j),), events=({_EVENT},))",
+        lambda: flow.RootTrajectory((0.0, 1.0), ((1j, 2j),), (flow.CollisionEvent(0.5, (0, 1), 1e-4),)),
+        lambda: flow.RootTrajectory((0.0, 1.0), ((1j, 2j),), ()),
+        id="RootTrajectory",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, text, twin, other", RECORDS)
+def test_records_print_compare_freeze_and_pickle_by_their_fields(build, text, twin, other):
+    record = build()
+    if isinstance(record, cpoly.ComplexPoly):
+        record.root_set, record.derivatives  # memos are kept but never compared or printed
+    assert repr(record) == text
+    assert record == twin() and hash(record) == hash(twin())
+    assert record != other()
+    # Another type never compares equal, not even one with the same attributes.
+    assert record != text and record.__eq__(types.SimpleNamespace(**vars(record))) is NotImplemented
+    kept = dict(vars(record))
+    for name in (record.__match_args__[0], "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert vars(record) == kept
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is type(record) and back == record and repr(back) == text and vars(back) == kept
