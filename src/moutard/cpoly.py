@@ -140,6 +140,18 @@ class ComplexPoly(_Record):
             chain.append(cs)
         return tuple(chain)
 
+    @cached_property
+    def _gaussian(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(s, ((re, im), ...)): one power of two s and the Gaussian integers s c_j; formed on first access, then kept.
+
+        s is the largest denominator among the coefficients' parts, all of
+        them powers of two, as every float is a dyadic rational.  Not
+        compared: equality, hashing and repr see only ``coeffs``.
+        """
+        ratios = [(c.real.as_integer_ratio(), c.imag.as_integer_ratio()) for c in self.coeffs]
+        s = max(d for pair in ratios for _, d in pair)
+        return s, tuple(tuple(n * (s // d) for n, d in pair) for pair in ratios)
+
 
 class RootSet(_Record):
     """All roots of a polynomial, multiplicity by repetition.
@@ -376,8 +388,19 @@ def _solve(coeffs: Sequence[complex], init: Sequence[complex] | None = None) -> 
     return xs, spent, worst
 
 
+def _modulus_or_inf(z: complex) -> float:
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def min_root_separation(r: RootSet | Sequence[complex]) -> float:
-    """Minimum pairwise distance between at least two roots; NonFinite for a non-finite root or distance."""
+    """Minimum pairwise distance between at least two roots; NonFinite for a non-finite root or minimum.
+
+    A distance whose modulus overflows counts as inf, so only a minimum
+    that overflows raises.
+    """
     pts = tuple(r)
     if len(pts) < 2:
         raise InsufficientRoots(
@@ -388,8 +411,8 @@ def min_root_separation(r: RootSet | Sequence[complex]) -> float:
             raise NonFinite(f"separation needs finite roots, got {x!r}", root=x)
     try:
         sep = min(abs(a - b) for a, b in itertools.combinations(pts, 2))
-    except OverflowError:  # a distance of finite components whose modulus overflows
-        sep = math.inf
+    except OverflowError:  # a distance of finite components whose modulus overflows: rescan, counting it as inf
+        sep = min(_modulus_or_inf(a - b) for a, b in itertools.combinations(pts, 2))
     if sep == math.inf:
         raise NonFinite("minimum root separation overflows")
     return sep

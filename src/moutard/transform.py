@@ -49,8 +49,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable, Iterable
+from functools import cached_property
 from itertools import zip_longest
-from operator import mul
+from operator import add, mul
 
 from . import cpoly
 from .errors import NearPole, NonFinite, ZeroLambda
@@ -93,13 +94,14 @@ class DeltaPotential(cpoly._Record):
 class FaddeevParams(cpoly._Record):
     """Generating polynomial P and finite spectral parameter lambda != 0.
 
-    Construction precomputes everything reusable: the coefficients of
-    T = sum_{k=1..N} (-1)^k P^(k) / lambda^k (so that mu = 2 T / P costs one
-    Horner pass), combined from P's memoized ``derivatives``, the roots of P
-    (for pole guarding; P's memoized ``root_set``), and the pole-guard
-    threshold.  So every lambda on one P shares one derivative chain and one
-    solve; NonFinite where a derivative of P overflows.  Instances are
-    immutable afterwards, so they are safe to share across threads.
+    Construction reads P's memoized ``derivatives`` (NonFinite where a
+    derivative of P overflows) and ``root_set`` (for pole guarding), and
+    forms the pole-guard threshold, so every lambda on one P shares one
+    derivative chain and one solve.  The coefficients of
+    T = sum_{k=1..N} (-1)^k P^(k) / lambda^k, which make mu = 2 T / P one
+    Horner pass, are formed on the first evaluation and then kept; the exact
+    certificate never reads them.  Instances are immutable afterwards, so
+    they are safe to share across threads.
     """
 
     __match_args__ = _compared = ("p", "lam")
@@ -109,7 +111,7 @@ class FaddeevParams(cpoly._Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        """The step of ``__init__`` after the fields are set: check ``lam``, then precompute."""
+        """The step of ``__init__`` after the fields are set: check ``lam``, read P's memos, form the pole guard."""
         lam = complex(self.lam)
         if lam == 0:
             raise ZeroLambda("the spectral parameter lambda must be nonzero")
@@ -118,15 +120,18 @@ class FaddeevParams(cpoly._Record):
         if math.hypot(lam.real, lam.imag) == math.inf:
             raise NonFinite(f"the modulus of lambda = {lam!r} overflows", lam=lam)
         object.__setattr__(self, "lam", lam)
-        # T by Horner in 1/lambda over P's kept derivative chain, highest order
-        # first; verify_eigenfunction_identity builds its own exact multiple of T.
-        derivs = self.p.derivatives
+        self.p.derivatives  # NonFinite here, at construction, where a derivative overflows
+        threshold = POLE_GUARD * math.prod(1.0 + abs(r) for r in self.roots)
+        object.__setattr__(self, "_pole_threshold", threshold)
+
+    @cached_property
+    def _t(self) -> tuple[complex, ...]:
+        """T's coefficients by Horner in 1/lambda over P's kept derivative chain, highest order first."""
+        derivs, lam = self.p.derivatives, self.lam
         t: list[complex] = []
         for k in range(len(derivs), 0, -1):
             t = [(a - c if k % 2 else a + c) / lam for a, c in zip(t + [0j], derivs[k - 1])]
-        object.__setattr__(self, "_t", tuple(t))
-        threshold = POLE_GUARD * math.prod(1.0 + abs(r) for r in self.roots)
-        object.__setattr__(self, "_pole_threshold", threshold)
+        return tuple(t)
 
     @property
     def roots(self) -> tuple[complex, ...]:
@@ -138,7 +143,7 @@ class FaddeevParams(cpoly._Record):
     def mu(self, z: complex) -> complex:
         """Deviation from the plane wave: psi * e^{-lambda z} - 1.
 
-        Evaluated in closed form as 2 T(z) / P(z) with the precomputed
+        Evaluated in closed form as 2 T(z) / P(z) with the kept
         T = sum_k (-1)^k P^(k) / lambda^k, so it stays finite on large circles
         where e^{lambda z} overflows; NearPole where |P(z)| is below the pole
         guard, NonFinite where z or 2 T / P is not finite.
@@ -380,10 +385,13 @@ def residual_checks(fp: FaddeevParams) -> tuple[int, float, float, float]:
 # integers ((re, im) int pairs) and s^{N+2} lambda^N times the identity is
 # D = s W' + l W + s l^N P~' = 0, W = sum_k (-s)^k l^{N-k} P~^(k) = s^{N+1} lambda^N T,
 # exact in ints; a float assembly's rounding grows like N! |lambda|^-N max|coeff|.
-# W is assembled by columns: with q_m = m! P~_m and g_k = (-s)^k l^{N-k},
-# W_j = (1/j!) sum_{k=1..N-j} g_k q_{j+k}, four integer dot products and one
-# exact division per coefficient; the g_k come from one power chain of l,
-# shifted by k log2(s) bits.
+# P's Gaussian integers over its own power of two are kept on P
+# (``ComplexPoly._gaussian``), so each lambda only rescales them where its
+# denominators are finer.  W is assembled by columns: with q_m = m! P~_m and
+# g_k = (-s)^k l^{N-k}, W_j = (1/j!) sum_{k=1..N-j} g_k q_{j+k}, three integer
+# dot products (the real parts, the imaginary parts, and the sums of the two
+# against each other) and one exact division per coefficient; the g_k come
+# from one power chain of l, shifted by k log2(s) bits.
 
 _GInt = tuple[int, int]
 
@@ -394,9 +402,11 @@ def _deriv(poly: list[_GInt]) -> list[_GInt]:
 
 def _scaled(fp: FaddeevParams) -> tuple[int, _GInt, list[_GInt], list[_GInt]]:
     """(s, l, P~, W) for fp, with W by column sums."""
-    ratios = [(x.real.as_integer_ratio(), x.imag.as_integer_ratio()) for x in (fp.lam, *fp.p.coeffs)]
-    s = max(d for pair in ratios for _, d in pair)  # every denominator is a power of two
-    (lr, li), *p = [tuple(n * (s // d) for n, d in pair) for pair in ratios]
+    sp, p = fp.p._gaussian
+    (lr, dr), (li, di) = fp.lam.real.as_integer_ratio(), fp.lam.imag.as_integer_ratio()
+    s = max(sp, dr, di)  # every denominator is a power of two
+    lr, li, f = lr * (s // dr), li * (s // di), s // sp
+    p = [(a * f, b * f) for a, b in p]
     n, e = len(p) - 1, s.bit_length() - 1
     qr = [math.factorial(m) * a for m, (a, _) in enumerate(p)]
     qi = [math.factorial(m) * b for m, (_, b) in enumerate(p)]
@@ -405,12 +415,11 @@ def _scaled(fp: FaddeevParams) -> tuple[int, _GInt, list[_GInt], list[_GInt]]:
         sign = -1 if k % 2 else 1
         gr[k - 1], gi[k - 1] = sign * (xr << e * k), sign * (xi << e * k)
         xr, xi = xr * lr - xi * li, xr * li + xi * lr
-    w = []
+    gs, qs, w = list(map(add, gr, gi)), list(map(add, qr, qi)), []
     for j in range(n):
-        cr, ci = qr[j + 1 :], qi[j + 1 :]
-        re = sum(map(mul, gr, cr)) - sum(map(mul, gi, ci))
-        im = sum(map(mul, gr, ci)) + sum(map(mul, gi, cr))
-        w.append((re // math.factorial(j), im // math.factorial(j)))
+        rr, ii = sum(map(mul, gr, qr[j + 1 :])), sum(map(mul, gi, qi[j + 1 :]))
+        ss = sum(map(mul, gs, qs[j + 1 :]))
+        w.append(((rr - ii) // math.factorial(j), (ss - rr - ii) // math.factorial(j)))
     return s, (lr, li), p, w
 
 

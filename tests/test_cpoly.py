@@ -585,6 +585,15 @@ def test_min_root_separation_modulus_overflow_is_non_finite():
     # an untyped OverflowError from abs().
     with pytest.raises(NonFinite, match="minimum root separation overflows"):
         cpoly.min_root_separation([1.5e308, -1.5e308j])
+    with pytest.raises(NonFinite, match="minimum root separation overflows"):
+        cpoly.min_root_separation([1.5e308 + 1.5e308j, -1.5e308 - 1.5e308j])
+
+
+@pytest.mark.parametrize("pts", [[1.5e308 + 1.5e308j, 0, 1e-3], [0, 1e-3, 1.5e308 + 1.5e308j]])
+def test_min_root_separation_counts_an_overflowing_modulus_as_inf(pts):
+    # abs() of 1.5e308(1 + i) raises OverflowError; that pair used to abort
+    # the whole minimum, whether it came before or after the closest pair.
+    assert cpoly.min_root_separation(pts) == 1e-3
 
 
 def test_root_solve_modulus_overflow_is_non_finite():

@@ -140,7 +140,9 @@ RECORDS = [
 def test_records_print_compare_freeze_and_pickle_by_their_fields(build, text, twin, other):
     record = build()
     if isinstance(record, cpoly.ComplexPoly):
-        record.root_set, record.derivatives  # memos are kept but never compared or printed
+        record.root_set, record.derivatives, record._gaussian  # memos are kept but never compared or printed
+    if isinstance(record, transform.FaddeevParams):
+        record.mu(5j)  # forms the memo _t
     assert repr(record) == text
     assert record == twin() and hash(record) == hash(twin())
     assert record != other()

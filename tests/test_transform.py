@@ -366,6 +366,47 @@ def test_column_sums_give_the_horner_integers():
     assert transform._scaled(fp) == _horner_scaled(fp)
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 10])
+def test_one_kept_gaussian_form_serves_every_lambda_in_either_order(degree):
+    # 1e-20 has dyadic denominator 2^119, finer than any coefficient's, so s
+    # comes from lambda and P's kept integers are rescaled; at the Gaussian
+    # integer 3 - i, s is P's own.  Either lambda first, the kept form is P's
+    # and the integers are the Horner ones.
+    fine, coarse = 1.5 + 1e-20j, 3 - 1j
+    roots = [complex(x, y) for x, y in ((0.3, -1.1), (1.7, 0.2), (-0.9, 0.6))] * 4
+    for lams in ((fine, coarse), (coarse, fine)):
+        p = cpoly.from_roots(roots[:degree])
+        for lam in lams:
+            fp = FaddeevParams(p, lam)
+            scaled = transform._scaled(fp)
+            assert scaled == _horner_scaled(fp), (degree, lam)
+            assert p._gaussian == cpoly.ComplexPoly(p.coeffs)._gaussian
+            assert scaled[0] == (2**119 if lam == fine else p._gaussian[0]), (degree, lam)
+
+
+def _eager_t(fp):
+    """T's coefficients as construction formed them before they became a memo."""
+    t = []
+    for k in range(fp.p.degree, 0, -1):
+        t = [(a - c if k % 2 else a + c) / fp.lam for a, c in zip(t + [0j], cpoly.differentiate(fp.p.coeffs, k))]
+    return tuple(t)
+
+
+def _bits(zs):
+    return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+
+def test_t_is_formed_on_first_evaluation_bit_for_bit():
+    rng = random.Random(37)
+    for degree in (0, 1, 5, 16):
+        fp = _random_params(rng, degree, cmath.rect(rng.uniform(0.5, 3.0), rng.uniform(-math.pi, math.pi)))
+        assert "_t" not in vars(fp)
+        verify_eigenfunction_identity(fp)
+        assert "_t" not in vars(fp)  # the certificate never reads T
+        fp.mu(5.0 + 5.0j)
+        assert _bits(vars(fp)["_t"]) == _bits(_eager_t(fp)), degree
+
+
 def test_identity_negative_controls_read_the_analytic_defect(monkeypatch):
     # |lambda| = 2.5 exactly, so each expected value below is rounded once.
     # Adding 1 to W_j moves D_{j-1} by s j and D_j by l, so the defect is
