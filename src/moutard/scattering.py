@@ -29,6 +29,8 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
+from functools import reduce
+from operator import add
 
 from .cpoly import _Record
 from .errors import DegenerateDesign, InconsistentData, NonFinite, RadiusTooSmall, ZeroLambda
@@ -117,7 +119,9 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     zs = [z for z, _ in ordered]
     data = [mu for _, mu in ordered]
     n = len(zs)
-    radius = sum(abs(z) for z in zs) / n
+    # Float sums run left to right (reduce, not sum, which compensates from
+    # Python 3.12 on), so a report reads the same on every Python.
+    radius = reduce(add, (abs(z) for z in zs), 0.0) / n
     angles = sorted(cmath.phase(z) for z in zs)
     if any(abs(abs(z) - radius) > 1e-12 * radius for z in zs) or any(
         abs(t - angles[0] - 2.0 * math.pi * j / n) > 1e-12 for j, t in enumerate(angles)
@@ -157,7 +161,7 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     b = (guu * bv - guv.conjugate() * bu) / det * s
 
     try:
-        misfit = math.sqrt(sum(abs(m - a * ui - b * vi) ** 2 for m, ui, vi in zip(data, u, v)) / n)
+        misfit = math.sqrt(reduce(add, (abs(m - a * ui - b * vi) ** 2 for m, ui, vi in zip(data, u, v)), 0.0) / n)
     except OverflowError:
         misfit = math.inf
     if not math.isfinite(misfit):

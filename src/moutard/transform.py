@@ -203,12 +203,11 @@ def transformed_potential(p: cpoly.ComplexPoly) -> DeltaPotential:
     return DeltaPotential(p.root_set.roots)
 
 
-def _residual(z: complex, om0: complex, om: list, theta: list, phi: list, radius: float) -> tuple[complex, complex]:
-    """(r1, r2) from omega(z) and omega, theta and phi on ``ring(z, radius, RING_POINTS)``; NonFinite if not finite."""
-    product = ring_moments([o * t for o, t in zip(om, theta)], radius)
-    quotient = ring_moments([f / o for o, f in zip(om, phi)], radius)
+def _residual(z: complex, om0: complex, product: list, quotient: list, radius: float) -> tuple[complex, complex]:
+    """(r1, r2) from omega(z) and omega theta and phi / omega on ``ring(z, radius, RING_POINTS)``; NonFinite if not finite."""
+    (pz, pzbar), (qz, qzbar) = ring_moments(product, radius), ring_moments(quotient, radius)
     square = om0 * om0  # om0**2 raises OverflowError where this gives inf
-    r1, r2 = product[0] + 1j * square * quotient[0], product[1] - 1j * square * quotient[1]
+    r1, r2 = pz + 1j * square * qz, pzbar - 1j * square * qzbar
     if not (cmath.isfinite(r1) and cmath.isfinite(r2)):
         raise NonFinite(f"Moutard residual is not finite at {z!r}", point=z)
     return r1, r2
@@ -238,7 +237,8 @@ def moutard_residual(
     if 0 in om:
         raise NonFinite(f"omega vanishes on the ring around {z!r}", point=z)
     thetas, phis = [complex(theta(w)) for w in points], [complex(phi(w)) for w in points]
-    return _residual(z, complex(omega(z)), om, thetas, phis, radius)
+    product, quotient = list(map(mul, om, thetas)), [f / o for o, f in zip(om, phis)]
+    return _residual(z, complex(omega(z)), product, quotient, radius)
 
 
 def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: complex) -> list[complex]:
@@ -306,15 +306,16 @@ def _ring_radius(fp: FaddeevParams, z: complex) -> float:
     return 0.25 * min(0.5 * d, 1.0 / abs(fp.lam))
 
 
-def _ring_samples(fp: FaddeevParams, points: list[complex]) -> list[tuple[float, list, list, list]]:
-    """(rho, P, e^{lambda w}, psi) per point z: at w = z and on ``ring(z, rho, RING_POINTS)``, centre first.
+def _ring_samples(fp: FaddeevParams, points: list[complex]) -> tuple[list[float], list, list, list]:
+    """(rhos, P, e^{lambda w}, psi): the ring radius rho of each point z, then the three sample lists.
 
-    The samples of all points go through one :meth:`FaddeevParams._evaluate`.
+    Each list holds ``RING_POINTS + 1`` samples per point, in point order: at
+    w = z, then on ``ring(z, rho, RING_POINTS)``.  The samples of all points
+    go through one :meth:`FaddeevParams._evaluate`.
     """
     rhos = [_ring_radius(fp, z) for z in points]
     om, _, es, psi = fp._evaluate([w for z, rho in zip(points, rhos) for w in (z, *ring(z, rho, RING_POINTS))])
-    m = RING_POINTS + 1
-    return [(rho, om[i : i + m], es[i : i + m], psi[i : i + m]) for rho, i in zip(rhos, range(0, len(om), m))]
+    return rhos, om, es, psi
 
 
 def _scale(lam: complex, z: complex) -> float:
@@ -326,16 +327,24 @@ def _scale(lam: complex, z: complex) -> float:
 
 
 def _harmonicity(lam: complex, scale: float, radius: float, centre: complex, samples: list[complex]) -> float:
-    """|laplacian psi| from psi(z) and psi on the ring, over scale (1 + |lambda|^2).
+    """|laplacian psi| = 4 |mean - psi(z)| / radius^2 from psi on the ring, over scale (1 + |lambda|^2).
 
-    ``scale`` is :func:`_scale` at z.  NonFinite where |lambda|^2 overflows.
+    ``scale`` is :func:`_scale` at z.  NonFinite where |lambda|^2 overflows,
+    and where the ring mean of psi, or the Laplacian read from it, is not
+    finite (a mean that is not finite gives a result that is not).
     """
     try:
         norm = scale * (1.0 + abs(lam) ** 2)
     except OverflowError:
         raise NonFinite(f"|lambda|^2 overflows for lambda = {lam!r}", lam=lam) from None
-    lap = 4.0 * (ring_moments(samples, radius)[2] - centre) / (radius * radius)
-    return abs(lap) / norm
+    lap = 4.0 * (sum(samples) / len(samples) - centre) / (radius * radius)
+    try:
+        harm = abs(lap) / norm
+    except OverflowError:  # |lap| leaves the float range
+        harm = math.inf
+    if not math.isfinite(harm):
+        raise NonFinite(f"non-finite ring moments on radius {radius!r}", radius=radius)
+    return harm
 
 
 def harmonicity_check(fp: FaddeevParams, z: complex) -> float:
@@ -346,7 +355,7 @@ def harmonicity_check(fp: FaddeevParams, z: complex) -> float:
     :func:`residual_checks`; NearPole within 1e-3 of a root, an absolute
     distance as ``SAMPLE_MIN_DIST`` is, at any |z|.
     """
-    [(rho, _, _, (centre, *psi))] = _ring_samples(fp, [z])
+    [rho], _, _, (centre, *psi) = _ring_samples(fp, [z])
     return _harmonicity(fp.lam, _scale(fp.lam, z), rho, centre, psi)
 
 
@@ -358,24 +367,31 @@ def residual_checks(fp: FaddeevParams) -> tuple[int, float, float, float]:
     :func:`moutard_residual`, the worst gauge change (the residual of the
     mode theta = c / omega, phi = 0: the ring moments of omega (c / omega)
     for c in ``GAUGE_SHIFTS``), both normalized by e^{Re(lambda z)}, and the
-    worst :func:`harmonicity_check`.  All three read one :func:`_ring_samples`
-    set per point, formed as the public functions form it, bit for bit; the
-    samples of all points are evaluated in one batch, before any check runs.
-    An error is a ring radius's NearPole, else the first sample that fails,
-    in sample order.
+    worst :func:`harmonicity_check`.  The samples of all points are
+    evaluated in one :func:`_ring_samples` batch, before any check runs; over
+    that batch four lists are formed once each, bit for bit as the public
+    functions form them: omega psi, phi / omega = i e^{lambda w} / omega, and
+    omega (c / omega) for each c.  Each point's checks read its ring's slice
+    of them and of psi: two ring moments each for the residual and the two
+    gauge modes, and the ring mean of psi.  An error is a ring radius's
+    NearPole, else the first sample that fails, in sample order, else the
+    first point whose check fails.
     """
     lam = fp.lam
     points = residual_sample_points(fp.roots, lam)
-    rings = _ring_samples(fp, points)
+    rhos, om, es, psi = _ring_samples(fp, points)
+    product, quotient = list(map(mul, om, psi)), [1j * e / o for o, e in zip(om, es)]
+    gauges = [[o * (c / o) for o in om] for c in GAUGE_SHIFTS]
     worst_res = worst_gauge = worst_harm = 0.0
-    for z, (rho, (om0, *om), (_, *es), (psi0, *psi)) in zip(points, rings):
-        r1, r2 = _residual(z, om0, om, psi, [1j * e for e in es], rho)
+    for z, rho, i in zip(points, rhos, range(0, len(om), RING_POINTS + 1)):
+        on_ring = slice(i + 1, i + 1 + RING_POINTS)
+        r1, r2 = _residual(z, om[i], product[on_ring], quotient[on_ring], rho)
         scale = _scale(lam, z)
         worst_res = max(worst_res, abs(r1) / scale, abs(r2) / scale)
-        for c in GAUGE_SHIFTS:
-            g1, g2, _ = ring_moments([o * (c / o) for o in om], rho)
+        for gauge in gauges:
+            g1, g2 = ring_moments(gauge[on_ring], rho)
             worst_gauge = max(worst_gauge, abs(g1) / scale, abs(g2) / scale)
-        worst_harm = max(worst_harm, _harmonicity(lam, scale, rho, psi0, psi))
+        worst_harm = max(worst_harm, _harmonicity(lam, scale, rho, psi[i], psi[on_ring]))
     return len(points), worst_res, worst_gauge, worst_harm
 
 

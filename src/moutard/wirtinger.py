@@ -5,12 +5,14 @@ With z = x + iy the Wirtinger derivatives are
     d_z    = (f_x - i f_y) / 2        d_zbar = (f_x + i f_y) / 2
 
 and the Laplacian factors as 4 * d_zbar(d_z f).  On a ring of M points and
-radius r around z, d_z and d_zbar are the +1 and -1 Fourier coefficients of
-f over r and the Laplacian is 4 (mean - f(z)) / r^2 (``ring_moments``).  For
-f holomorphic within 4r the truncation error is C 4^-M, with a C that grows
-with the size of f near that circle; for the verification rings it grows with
-the generator's degree (transform.RING_POINTS: two degree-10 generators read
-5.1e-9 and 1.6e-9 at M = 24, and 3.1e-6 and 1.1e-6 on rings twice as wide).
+radius r around z, ``ring_moments`` returns the pair (d_z f, d_zbar f), the
++1 and -1 Fourier coefficients of f over r; the Laplacian is 4 (mean - f(z))
+/ r^2 from the ring mean, which transform's harmonicity check forms itself.
+What the verification rings differentiate is
+holomorphic within 8r (transform.RING_POINTS), so the truncation error is
+C 8^-M, with a C that grows with the generator's degree: two degree-10
+generators read 5.1e-9 and 1.6e-9 at M = 24, and 3.1e-6 and 1.1e-6 on rings
+twice as wide.
 No package code calls, or re-exports, the generic stencil: ``gradient`` and
 ``laplacian`` difference the M = 4 ring (a plus-shaped stencil) at s and s/2
 with one Richardson step, O(s^4) for any smooth f; the step s balances
@@ -61,18 +63,17 @@ def ring(z: complex, radius: float, m: int) -> list[complex]:
     return [z + radius * u for u in _units(m)]
 
 
-def ring_moments(samples: Sequence[complex], radius: float) -> tuple[complex, complex, complex]:
-    """(d_z f, d_zbar f, mean of f) from f at ``ring(z, radius, len(samples))``; ValueError for no samples."""
+def ring_moments(samples: Sequence[complex], radius: float) -> tuple[complex, complex]:
+    """(d_z f, d_zbar f) from f at ``ring(z, radius, len(samples))``; ValueError for no samples."""
     m = len(samples)
     if not m:
         raise ValueError("ring moments need at least one sample")
     units = _units(m)
     dz = sum(map(operator.truediv, samples, units)) / (m * radius)
     dzbar = sum(map(operator.mul, samples, units)) / (m * radius)
-    mean = sum(samples) / m
-    if not all(map(cmath.isfinite, (dz, dzbar, mean))):
+    if not (cmath.isfinite(dz) and cmath.isfinite(dzbar)):
         raise NonFinite(f"non-finite ring moments on radius {radius!r}", radius=radius)
-    return dz, dzbar, mean
+    return dz, dzbar
 
 
 def _cross(f: ComplexFunc, z: complex, s: float) -> tuple[complex, complex, complex]:

@@ -151,6 +151,21 @@ def test_verify_is_deterministic():
     assert run_cli(argv) == run_cli(argv)
 
 
+SIXTEEN_ROOTS = "1.25;-1.25;1.25i;-1.25i;0.5,0.5;-0.5,0.5;0.5,-0.5;-0.5,-0.5;0.75;-0.75;0.75i;-0.75i;1,1;-1,1;1,-1;-1,-1"
+
+
+@pytest.mark.parametrize("roots, lam, fit_residual", [
+    ("1;-1;0.5i", "0.01", 0.0012000604193124949),
+    (SIXTEEN_ROOTS, "1.5-0.5i", 9.600001881600257e-07),
+])
+def test_verify_fit_residual_is_the_same_on_every_python(roots, lam, fit_residual):
+    # The fit's float sums run left to right; builtin sum compensates them
+    # from Python 3.12 on and printed 0.001200060419312495 for the first case.
+    code, out, _ = run_cli(["verify", "--roots", roots, "--lambda", lam])
+    assert code == 0
+    assert json.loads(out)["scattering"]["fit_residual"] == fit_residual
+
+
 def test_verify_csv_rows():
     code, out, _ = run_cli(
         ["verify", "--roots", "1;-1", "--lambda", "2", "--format", "csv"]

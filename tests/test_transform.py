@@ -598,7 +598,7 @@ def _unmemoized_residual_checks(fp):
 
 def test_residual_checks_equal_unmemoized_loop():
     rng = random.Random(62)
-    for deg in range(1, 7):
+    for deg in range(1, 11):
         rts = []
         while len(rts) < deg:
             c = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
@@ -606,7 +606,36 @@ def test_residual_checks_equal_unmemoized_loop():
                 rts.append(c)
         lam = cmath.rect(rng.uniform(1.0, 3.0), rng.uniform(0, 2 * math.pi))
         fp = FaddeevParams(cpoly.from_roots(rts), lam)
-        assert residual_checks(fp) == _unmemoized_residual_checks(fp)
+        assert residual_checks(fp) == _unmemoized_residual_checks(fp), deg
+    # Real lambda and real roots: P has real coefficients, so signed zeros
+    # can reach the samples and the batch lists.
+    for rts, lam in [([-1.0, 0.5, 2.0], 1.5), ([0.0, 1.0, -1.25, 2.5], -0.75)]:
+        fp = FaddeevParams(cpoly.from_roots(rts), lam)
+        assert residual_checks(fp) == _unmemoized_residual_checks(fp), (rts, lam)
+
+
+def test_residual_checks_take_only_the_ring_moments_they_read(monkeypatch):
+    # Four ring_moments calls per sample point, each on that point's ring:
+    # omega psi and phi / omega for the residual, then the two gauge modes.
+    # The Laplacian reads the ring mean of psi, which ring_moments no longer
+    # forms.
+    calls = []
+    moments = transform.ring_moments
+
+    def counted(samples, radius):
+        calls.append((len(samples), radius))
+        return moments(samples, radius)
+
+    monkeypatch.setattr(transform, "ring_moments", counted)
+    fp = FaddeevParams(cpoly.from_roots([1, -1, 0.5j]), 2.0)
+    points = residual_sample_points(fp.roots, fp.lam)
+    assert residual_checks(fp)[0] == len(points) == 25
+    assert len(calls) == 4 * len(points)
+    radii = [transform._ring_radius(fp, z) for z in points]
+    assert calls == [(RING_POINTS, rho) for rho in radii for _ in range(4)]
+    calls.clear()
+    harmonicity_check(fp, points[0])
+    assert calls == []
 
 
 def test_residual_checks_evaluate_mu_once_per_stencil_point(monkeypatch):
@@ -893,6 +922,16 @@ def test_harmonicity_where_lambda_squared_overflows_is_non_finite(lam):
     for roots in ([], [5j]):
         with pytest.raises(NonFinite, match=r"^\|lambda\|\^2 overflows"):
             harmonicity_check(FaddeevParams(cpoly.from_roots(roots), lam), 1j / lam * abs(lam))
+
+
+@pytest.mark.parametrize("lam, z", [(1e20, 6.56e-18), (1e40, 6e-38), (1e100, 7e-98)])
+def test_harmonicity_where_the_laplacian_overflows_is_non_finite(lam, z):
+    # psi = e^{lambda z} above 1e280 on a ring of radius 0.25 / lambda: the
+    # Laplacian 4 (mean - psi(z)) / rho^2 of the rounding overflows, and so
+    # does the normaliser; the check returned inf / inf = nan.
+    fp = FaddeevParams(cpoly.from_roots([]), lam)
+    with pytest.raises(NonFinite, match="^non-finite ring moments on radius"):
+        harmonicity_check(fp, z)
 
 
 # --- sample-point selection --------------------------------------------------

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from moutard import cpoly, wirtinger
+from moutard import cpoly, transform, wirtinger
 from moutard.errors import NonFinite
 from moutard.wirtinger import (
     FIRST_ORDER_STEP_SCALE,
@@ -120,22 +120,35 @@ def test_cross_samples_lie_exactly_on_the_axes(monkeypatch):
 
 def test_ring_moments_of_modulus_squared():
     # On the ring, |w|^2 = |z|^2 + r (u zbar + conj(u) z) + r^2 exactly, so
-    # the moments are zbar, z and |z|^2 + r^2 (Laplacian 4) up to rounding.
+    # the moments are zbar and z up to rounding.
     z, r = 0.7 - 1.3j, 0.3
-    dz, dzbar, mean = ring_moments([abs(w) ** 2 for w in ring(z, r, 24)], r)
+    dz, dzbar = ring_moments([abs(w) ** 2 for w in ring(z, r, 24)], r)
     assert abs(dz - z.conjugate()) < 1e-14
     assert abs(dzbar - z) < 1e-14
-    assert abs(4.0 * (mean - abs(z) ** 2) / r**2 - 4.0) < 1e-12
 
 
 def test_ring_moments_are_spectrally_accurate_for_holomorphic_f():
     # 24 points at |lambda| r = 0.7: the aliased Taylor terms are ~0.7^23/23!.
     z, r = 0.4 + 0.2j, 0.5
-    dz, dzbar, mean = ring_moments([expwave(w) for w in ring(z, r, 24)], r)
+    dz, dzbar = ring_moments([expwave(w) for w in ring(z, r, 24)], r)
     scale = abs(expwave(z))
     assert abs(dz - LAM * expwave(z)) < 1e-14 * scale
     assert abs(dzbar) < 1e-14 * scale
-    assert abs(mean - expwave(z)) < 1e-14 * scale
+
+
+def test_ring_laplacian_of_modulus_squared_and_holomorphic_f():
+    # transform._harmonicity reads the ring mean: 4 |mean - centre| / r^2 over
+    # scale (1 + |lambda|^2).  For |w|^2 the mean is |z|^2 + r^2, so the
+    # Laplacian is 4, and measured from |z|^2 + r^2 it is 0; for e^{lambda w}
+    # the mean is f(z) to within 1e-14 |f(z)|.
+    z, r = 0.7 - 1.3j, 0.3
+    samples = [abs(w) ** 2 for w in ring(z, r, 24)]
+    assert abs(transform._harmonicity(0j, 1.0, r, abs(z) ** 2, samples) - 4.0) < 1e-12
+    assert transform._harmonicity(0j, 1.0, r, abs(z) ** 2 + r * r, samples) < 1e-12
+    z, r = 0.4 + 0.2j, 0.5
+    scale = abs(expwave(z))
+    harm = transform._harmonicity(LAM, scale, r, expwave(z), [expwave(w) for w in ring(z, r, 24)])
+    assert harm < 4.0 * 1e-14 / (r * r * (1.0 + abs(LAM) ** 2))
 
 
 def test_ring_moments_reject_non_finite():
