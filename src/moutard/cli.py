@@ -154,8 +154,8 @@ def _csv_rows(header: list[str], rows: list[list[object]], comments: list[str] =
 
 
 def _cmd_eigen(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
-    fp = transform.FaddeevParams(poly, ns.lam)
-    evaluated = [(z, fp.mu(z), fp.psi(z)) for z in ns.z]
+    _, mus, _, psis = transform.FaddeevParams(poly, ns.lam)._evaluate(ns.z)
+    evaluated = list(zip(ns.z, mus, psis))
     if ns.format == "csv":
         return _csv_rows(
             ["re_z", "im_z", "re_mu", "im_mu", "re_psi", "im_psi"],

@@ -58,7 +58,7 @@ class InsufficientRoots(MoutardError):
 
 
 class NonFinite(MoutardError):
-    """A value was or came back inf/nan: a non-finite input, or a ring sample near a pole."""
+    """A value was or came back inf/nan (e.g. a ring sample near a pole), or no sample ring faces lambda."""
 
 
 class ZeroLambda(MoutardError):

@@ -246,19 +246,18 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
 
     Walks rings of growing radius around the root centroid and keeps points
     that (a) stay at least ``SAMPLE_MIN_DIST`` from every root, so the check
-    rings stay wide, and (b) satisfy Re(lambda z) >= -0.3, so
-    quantities normalized by |e^{lambda z}| do not amplify rounding noise.
-    The phase constraint is dropped if it cannot be met (far-off-axis root
-    clusters); the distance constraint never is: the outer rings, of radius
-    above spread + SAMPLE_MIN_DIST, clear every root by it.  Only roots so
-    large that every candidate rounds back onto one (near 1e200) leave no
-    point, and then NearPole names the last candidate and its nearest root.
-    NonFinite for a non-finite root or lambda.
+    rings stay wide, and (b) satisfy Re(lambda z) >= -0.3, so quantities
+    normalized by |e^{lambda z}| do not amplify rounding noise.  The rings
+    have radius rho = 2 + 0.25 j, up to spread + SAMPLE_MIN_DIST + 3, so the
+    outer rings clear every root.  The walk starts one ring inside the first
+    whose arc facing lambda is wide enough to hold ``SAMPLE_COUNT`` grid
+    points, and stops once rho + 0.25 rounds back to rho.
 
-    The rings have radius rho = 2 + 0.25 j.  Pass 1 starts one ring inside
-    the first whose arc facing lambda is wide enough to hold ``SAMPLE_COUNT``
-    grid points, and is skipped where that ring lies beyond the walk; either
-    pass stops once rho + 0.25 rounds back to rho.
+    NonFinite where no ring of the walk can face lambda (a centroid far
+    behind lambda), and where none holds ``SAMPLE_COUNT`` points facing it;
+    NearPole where every candidate rounds back onto a root (roots near
+    1e200), naming the last candidate and its nearest root; NonFinite for a
+    non-finite root or lambda.
     """
     roots = tuple(complex(r) for r in roots)
     lam = complex(lam)
@@ -275,27 +274,27 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
     # inf, not OverflowError, where |lambda| leaves the float range.
     facing = (-0.3 - (lam * center).real) / math.hypot(lam.real, lam.imag) if lam else -math.inf
     start = facing / math.cos((SAMPLE_COUNT - 1) * math.pi / grid)
-    for require_phase in (True, False):
-        j = 0
-        if require_phase and start > first:
-            if start > limit or start == math.inf:
+    if start > limit or start == math.inf:  # the first ring that can face lambda lies beyond the walk
+        raise NonFinite(f"no sample ring around the centroid {center!r} faces lambda = {lam!r}",
+                        center=center, lam=lam)
+    j = math.ceil((start - first) / 0.25) - 1 if start > first else 0  # one ring early, for the rounding of lambda z
+    while (rho := first + 0.25 * j) <= limit:
+        chosen: list[complex] = []
+        for k in range(grid):
+            z = center + cmath.rect(rho, 2.0 * math.pi * (k + 0.381966) / grid)
+            if roots and min(abs(z - r) for r in roots) < SAMPLE_MIN_DIST or (lam * z).real < -0.3:
                 continue
-            j = math.ceil((start - first) / 0.25) - 1  # one ring early, for the rounding of lambda z
-        while (rho := first + 0.25 * j) <= limit:
-            chosen: list[complex] = []
-            for k in range(grid):
-                z = center + cmath.rect(rho, 2.0 * math.pi * (k + 0.381966) / grid)
-                if roots and min(abs(z - r) for r in roots) < SAMPLE_MIN_DIST:
-                    continue
-                if require_phase and (lam * z).real < -0.3:
-                    continue
-                chosen.append(z)
-                if len(chosen) == SAMPLE_COUNT:
-                    return chosen
-            if rho + 0.25 == rho:
-                break
-            j += 1
-    raise NearPole(z, min(roots, key=lambda r: abs(z - r)))
+            chosen.append(z)
+            if len(chosen) == SAMPLE_COUNT:
+                return chosen
+        if rho + 0.25 == rho:
+            break
+        j += 1
+    nearest = min(roots, key=lambda r: abs(z - r))
+    if abs(z - nearest) < SAMPLE_MIN_DIST:
+        raise NearPole(z, nearest)
+    raise NonFinite(f"no sample ring around the centroid {center!r} has {SAMPLE_COUNT} points facing lambda = {lam!r}",
+                    center=center, lam=lam)
 
 
 def _ring_radius(fp: FaddeevParams, z: complex) -> float:

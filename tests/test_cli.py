@@ -82,6 +82,20 @@ def test_eigen_csv_columns():
     assert float(row[4]) == pytest.approx(math.e)
 
 
+@pytest.mark.parametrize(
+    "points, kind, detail",
+    [("0;1;1e300", "NearPole", {"z": {"re": 1.0, "im": 0.0}, "nearest_root": {"re": 1.0, "im": 0.0}}),
+     ("0;1e300;1", "NonFinite", {"point": {"re": 1e300, "im": 0.0}, "lam": {"re": 1.0, "im": 0.0}})],
+)
+def test_eigen_names_the_first_point_that_fails(points, kind, detail):
+    # The points are evaluated in one batch and checked in order, so the
+    # failing third point does not hide the second.
+    code, out, err = run_cli(["eigen", "--roots", "1", "--lambda", "1", "--z", points])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == kind
+    assert json.loads(err)["error"]["details"] == detail
+
+
 # --- verify -----------------------------------------------------------------------
 
 
@@ -273,14 +287,14 @@ def test_overflow_is_a_named_non_finite_record(argv, quantity):
 @pytest.mark.parametrize(
     "argv, kind, message",
     [
-        (["verify", "--roots", "1e200,1e200", "--lambda", "1i"], "NearPole", "too close to the root"),
+        (["verify", "--roots", "1e200,1e200", "--lambda", "1i"], "NonFinite", "faces lambda"),
         (["verify", "--roots", "1e200,1e200", "--lambda", "1"], "NearPole", "too close to the root"),
         (["eigen", "--roots", "1.7e308,1.7e308", "--lambda", "1", "--z", "0"], "NonFinite", "modulus overflows"),
         (["potential", "--roots", "1.7e308,1.7e308"], "NonFinite", "modulus overflows"),
         (["potential", "--roots", "1e200;1e200;1e200", "--t0", "0"], "NonFinite", "roots are multiplied out"),
         (["scatter", "--coeffs", "1e300;1e-300", "--lambda", "1"], "NonFinite", "divided by the leading one"),
-        (["verify", "--roots", "-800", "--lambda", "1"], "NonFinite", "e^Re(lambda z) underflows"),
-        (["verify", "--roots", "1500;0", "--lambda", "-1"], "NonFinite", "e^Re(lambda z) underflows"),
+        (["verify", "--roots", "-800", "--lambda", "1"], "NonFinite", "faces lambda"),
+        (["verify", "--roots", "1500;0", "--lambda", "-1"], "NonFinite", "faces lambda"),
         (["eigen", "--roots", "0", "--lambda", "1", "--z", "1.5e308,1.5e308"], "NonFinite", "psi overflows"),
         (["verify", "--roots", "1", "--lambda", "1.5e308,1.5e308"], "NonFinite", "modulus of lambda"),
     ],
@@ -349,6 +363,39 @@ def test_every_failure_over_the_extreme_grid_is_a_typed_record():
         signal.signal(signal.SIGALRM, previous)
     assert runs > 2000
     assert (escaped, untyped, over_budget) == ([], [], [])
+
+
+def _census():
+    """12 seeded generators of degrees 1-6 with roots in [-1, 1]^2, 1 <= |lambda| <= 3, and a unit u."""
+    rng = random.Random(77)
+    for i in range(12):
+        roots = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(1 + i % 6)]
+        yield roots, cmath.rect(rng.uniform(1, 3), rng.uniform(-math.pi, math.pi)), cmath.rect(1, rng.uniform(0, 6))
+
+
+def _verdict(roots, lam):
+    code, out, err = run_cli(["verify", "--roots=" + ";".join(f"{r.real!r},{r.imag!r}" for r in roots),
+                              f"--lambda={lam.real!r},{lam.imag!r}"])
+    if code:
+        return "{type}: {message}".format(**json.loads(err)["error"])
+    return "PASS" if json.loads(out)["all_passed"] else "FAIL"
+
+
+def test_verdicts_do_not_depend_on_where_the_generator_sits():
+    # psi_{P(. - c)}(z) = e^{lambda c} psi_P(z - c), and every ring check is
+    # normalised by e^{Re(lambda z)}, so moving the roots moves no verdict.
+    # Far behind lambda no sample ring faces it, and verify says so; it used
+    # to sample there anyway and FAIL on rounding from d = 5 on.  Rotation
+    # (roots u, lambda / u) and conjugation are exact symmetries too.
+    for roots, lam, u in _census():
+        base, mean, ahead = _verdict(roots, lam), sum(roots) / len(roots), lam.conjugate() / abs(lam)
+        assert base == "PASS"
+        for d in (0, 2, 4, 6, 8, 20):
+            moved = _verdict([r - mean - d * ahead for r in roots], lam)
+            assert moved == "PASS" or (d > 4 and moved.startswith("NonFinite: no sample ring around the centroid"))
+        assert _verdict([r - mean + 10j * ahead for r in roots], lam) == "PASS"
+        assert _verdict([r * u for r in roots], lam / u) == base
+        assert _verdict([r.conjugate() for r in roots], lam.conjugate()) == base
 
 
 def test_roots_are_reported_as_given():

@@ -33,7 +33,8 @@ import workloads  # noqa: E402  (puts the checkout's src/ first on sys.path)
 
 from moutard import cli  # noqa: E402
 
-ROUNDS = {"verify": 2, "scatter": 2, "evolve": 2, "certify": 2}
+WORKLOADS = ("verify", "scatter", "evolve", "certify")
+ROUNDS = 2
 SEEDS = (1, 7)
 # A moutard command at the start of a line, after "; " or inside "$(", up to a
 # line continuation, "||", a redirection or the closing parenthesis.
@@ -57,10 +58,10 @@ def _outputs():
     """(name, output) of every golden op, in order."""
     for argv in ci_commands():
         yield "ci: moutard " + shlex.join(argv), _cli(argv)
-    for name, count in ROUNDS.items():
+    for name in WORKLOADS:
         for seed in SEEDS:
             rng = random.Random(f"{name}/{seed}")  # bench/run.py's generator for this workload and seed
-            for r in range(count):
+            for r in range(ROUNDS):
                 for i, op in enumerate(workloads.WORKLOADS[name].make_round(rng, r)):
                     yield f"{name} seed {seed} round {r} op {i}", _cli(op.argv) if op.argv else workloads.execute(op)
 

@@ -950,10 +950,16 @@ def test_sample_points_respect_count_and_distance():
 
 
 def test_sample_points_respect_phase_constraint_when_possible():
-    roots = (0.3, -0.4 + 0.2j)
-    lam = 2 + 0j
-    pts = residual_sample_points(roots, lam)
-    assert all((lam * z).real >= -0.3 for z in pts)
+    # One rule for every returned point: Re(lambda z) >= -0.3.
+    faced = 0
+    for roots, lam in [((0.3, -0.4 + 0.2j), 2 + 0j), *_walk_cases(), *_far_walk_cases()]:
+        try:
+            pts = residual_sample_points(roots, lam)
+        except NonFinite:
+            continue
+        faced += 1
+        assert all((lam * z).real >= -0.3 for z in pts), (roots, lam)
+    assert faced > 80
 
 
 @pytest.mark.parametrize(
@@ -967,7 +973,7 @@ def test_sample_points_reject_a_non_finite_root_or_lambda(roots, lam):
         residual_sample_points(roots, lam)
 
 
-@pytest.mark.parametrize("lam", [1j, 1.0])
+@pytest.mark.parametrize("lam", [1.0])
 def test_sample_points_near_1e200_are_a_near_pole(lam):
     # Every candidate centre + rect(rho, theta) rounds back onto the root, so
     # none is admissible; this used to be an untyped "no admissible sample ring".
@@ -980,27 +986,49 @@ def test_sample_points_near_1e200_are_a_near_pole(lam):
         residual_checks(FaddeevParams(cpoly.from_roots([root]), lam))
 
 
-def _unbounded_walk(roots, lam, phase_start=2.0):
+# 4.5 behind lambda = 1, two roots 0.1 apart: the first ring that can face
+# lambda, rho = 4.52, lies within the walk's reach, spread + 4.5 = 4.55, but
+# the walk's last ring, 4.5, is narrower, so none holds 25 facing points.
+_NARROW = -(0.3 + 4.52 * math.cos(24 * math.pi / 200))
+
+
+@pytest.mark.parametrize(
+    "roots, lam",
+    [((complex(1e200, 1e200),), 1j), ((-8.0,), 1.0), ((-800.0,), 1.0), ((1e20, 0.0), -1.0),
+     ((_NARROW - 0.05, _NARROW + 0.05), 1.0)],
+)
+def test_sample_points_far_behind_lambda_cannot_face_it(roots, lam):
+    # Each centroid lies so far behind lambda that no ring of the walk holds
+    # 25 points facing it.  The walk used to drop the phase rule there and
+    # sample where Re(lambda z) << 0, so that the ring checks, divided by
+    # e^{Re(lambda z)}, read rounding as a failure (-8 at lambda = 1:
+    # gauge_change 3.1e-10) or underflowed (-800).
+    with pytest.raises(NonFinite, match="^no sample ring around the centroid") as exc:
+        residual_sample_points(roots, lam)
+    assert exc.value.details == {"center": sum(roots) / len(roots), "lam": lam}
+    with pytest.raises(NonFinite, match="^no sample ring"):
+        residual_checks(FaddeevParams(cpoly.from_roots(roots), lam))
+
+
+def _unbounded_walk(roots, lam, start=2.0):
     """residual_sample_points as it walked before its start radius and stop rule: every ring from 2.
 
-    With ``phase_start``, pass 1 starts at that ring instead.
+    With ``start``, the walk starts at that ring instead.  None where no ring
+    of the walk holds 25 admissible points.
     """
     center = sum(roots) / len(roots) if roots else 0j
     spread = max((abs(r - center) for r in roots), default=0.0)
-    for require_phase in (True, False):
-        rho = phase_start if require_phase else 2.0
-        while rho <= spread + 4.5:
-            chosen = []
-            for k in range(200):
-                z = center + cmath.rect(rho, 2.0 * math.pi * (k + 0.381966) / 200)
-                if roots and min(abs(z - r) for r in roots) < 1.5:
-                    continue
-                if require_phase and (lam * z).real < -0.3:
-                    continue
-                chosen.append(z)
-                if len(chosen) == 25:
-                    return chosen
-            rho += 0.25
+    rho = start
+    while rho <= spread + 4.5:
+        chosen = []
+        for k in range(200):
+            z = center + cmath.rect(rho, 2.0 * math.pi * (k + 0.381966) / 200)
+            if roots and min(abs(z - r) for r in roots) < 1.5 or (lam * z).real < -0.3:
+                continue
+            chosen.append(z)
+            if len(chosen) == 25:
+                return chosen
+        rho += 0.25
     return None
 
 
@@ -1018,9 +1046,15 @@ def _walk_cases():
 
 @pytest.mark.parametrize("roots, lam", _walk_cases())
 def test_sample_walk_skips_only_rings_that_cannot_face_lambda(roots, lam):
-    # Pass 1 starts near the first ring that can face lambda; the points are
-    # those of the walk from radius 2, bit for bit.
-    assert residual_sample_points(roots, lam) == _unbounded_walk(roots, lam)
+    # The walk starts near the first ring that can face lambda; the points are
+    # those of the walk from radius 2, bit for bit, and where that walk finds
+    # none, no ring faces lambda (it used to drop the phase rule there).
+    expected = _unbounded_walk(roots, lam)
+    if expected is None:
+        with pytest.raises(NonFinite, match="^no sample ring around the centroid"):
+            residual_sample_points(roots, lam)
+    else:
+        assert residual_sample_points(roots, lam) == expected
 
 
 def _facing_ring(roots, lam):
@@ -1063,18 +1097,17 @@ def _time_out(signum, frame):
 
 @pytest.mark.parametrize("roots, lam", [((1e20, 0.0), -1.0), ((1e150, 1.0), -1.0), ((-1e20, 0.0), 1e300)])
 def test_sample_walk_ends_where_rho_stops_growing(roots, lam):
-    # Pass 1 walked to spread + 4.5 in steps of 0.25, and rho += 0.25 stops
-    # changing rho near 2^51, so these never returned.  Now pass 1 starts at
-    # the ring that can first face lambda and stops there, and pass 2 gives
-    # its first ring.
+    # The walk went to spread + 4.5 in steps of 0.25, and rho += 0.25 stops
+    # changing rho near 2^51, so these never returned.  The centroid sits far
+    # behind lambda, so no ring of the walk can face it, and the walk ends
+    # before its first ring.
     previous = signal.signal(signal.SIGALRM, _time_out)
     signal.alarm(5)
     try:
-        points = residual_sample_points(roots, lam)
+        with pytest.raises(NonFinite, match="^no sample ring around the centroid .* faces lambda") as exc:
+            residual_sample_points(roots, lam)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    center = sum(roots) / len(roots)
-    assert len(points) == transform.SAMPLE_COUNT
-    assert all(abs(z - center) < 2.0 + 1e-9 * abs(center) for z in points)
+    assert exc.value.details == {"center": sum(roots) / len(roots), "lam": lam}
 
