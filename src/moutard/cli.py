@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import cpoly, flow, scattering, transform
 from .errors import IoFailure, MoutardError
@@ -126,7 +126,38 @@ def _c(z: complex) -> dict[str, float]:
 
 
 def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """payload byte for byte as ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` writes it."""
+    return _json(payload, "") + "\n"
+
+
+def _json(x: object, indent: str) -> str:
+    """x as json.dumps(sort_keys=True, indent=2) writes a value whose line starts at indent.
+
+    Covers dicts with str keys, lists, tuples, str, float, int, bool and
+    None; TypeError for anything else.  Unlike json's pure-Python indenting
+    encoder, it leaves no reference cycles behind.
+    """
+    if isinstance(x, float):
+        return _num(x)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    inner = indent + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(x.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(x, (list, tuple)):
+        return _json_list([_json(v, inner) for v in x], indent)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return _num(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 _JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -330,33 +361,70 @@ def build_parser() -> argparse.ArgumentParser:
         "dynamics from polynomial Moutard transforms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, summary, _) in _COMMANDS.items():
-        _with_options(sub.add_parser(name, help=summary), name)
+    for name, (handler, summary, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        command.set_defaults(command=name, handler=handler)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
     return parser
 
 
-def _with_options(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    handler, _, options = _COMMANDS[name]
-    parser.set_defaults(command=name, handler=handler)
-    for flag, kwargs in options:
-        parser.add_argument(flag, **kwargs)
-    return parser
+def _read(args: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parser gives a well-formed command, or None.
+
+    Well formed: a command, then only ``--flag=value`` and ``--flag value``
+    tokens, where a flag is one of the command's options or a unique ``--``
+    prefix of one, as argparse abbreviates; no value is "--" and none after
+    a space starts with "-"; each value passes its option's ``type`` and
+    ``choices``; and every required option is given.  Anything else (help,
+    "--", a positional, an unknown or ambiguous flag, a bad value, a missing
+    option) gives None, and the full parser writes the help, usage or error.
+    """
+    if not args or args[0] not in _COMMANDS:
+        return None
+    handler, _, options = _COMMANDS[args[0]]
+    spec = {flag: (kwargs.get("dest") or flag[2:].replace("-", "_"), kwargs) for flag, kwargs in options}
+    given: dict[str, object] = {}
+    i = 1
+    while i < len(args):
+        flag, eq, value = args[i].partition("=")
+        if not flag.startswith("--"):
+            return None
+        if not eq:
+            i += 1
+            if i == len(args) or args[i].startswith("-"):
+                return None
+            value = args[i]
+        i += 1
+        if value == "--":  # argparse 3.10-3.12 read --flag=-- as an empty list
+            return None
+        if flag not in spec:
+            found = [f for f in (*spec, "--help") if f.startswith(flag)]
+            if len(found) != 1 or found[0] not in spec:
+                return None
+            flag = found[0]
+        dest, kwargs = spec[flag]
+        try:
+            value = kwargs.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[dest] = value
+    if any(kwargs.get("required") and dest not in given for dest, kwargs in spec.values()):
+        return None
+    values = {dest: given.get(dest, kwargs.get("default")) for dest, kwargs in spec.values()}
+    return argparse.Namespace(command=args[0], **values, handler=handler)
 
 
 def _parse(args: list[str]) -> argparse.Namespace:
     """The namespace of args, or SystemExit as argparse gives it.
 
-    When args[0] names a command, one parser with that subparser's prog and
-    options reads the rest, as the subparser would.  Only no command, an
-    unknown one, top-level help and leftover arguments (which the full parser
-    reports as unrecognized) build the full parser.
+    ``_read`` takes a well-formed command; only what it declines builds the
+    full parser, so help, usage and error text all come from one tree.
     """
-    if args and args[0] in _COMMANDS:
-        parser = _with_options(argparse.ArgumentParser(prog="moutard " + args[0]), args[0])
-        ns, extra = parser.parse_known_args(args[1:])
-        if not extra:
-            return ns
-    return build_parser().parse_args(args)
+    ns = _read(args)
+    return ns if ns is not None else build_parser().parse_args(args)
 
 
 def _is_literal(text: str) -> bool:

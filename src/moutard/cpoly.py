@@ -80,7 +80,9 @@ class ComplexPoly(_Record):
     __match_args__ = _compared = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[complex]) -> None:
-        coeffs = tuple(complex(c) for c in coeffs)
+        # From a list, like the package's other coefficient and root tuples: CPython 3.11's tuple(<generator>)
+        # grows its tuple by resizing, so it never reuses a freed tuple, and freed ones pile up on the free lists.
+        coeffs = tuple([complex(c) for c in coeffs])
         if not coeffs:
             raise ValueError("a polynomial needs at least one coefficient")
         if coeffs[-1] != 1:
@@ -184,7 +186,7 @@ def from_roots(roots: Sequence[complex]) -> ComplexPoly:
     The roots are kept as the starting guesses of its ``root_set`` solve.
     NonFinite where multiplying out finite roots overflows a coefficient.
     """
-    given = tuple(complex(r) for r in roots)
+    given = tuple([complex(r) for r in roots])
     coeffs = [1 + 0j]
     for rc in given:
         coeffs.insert(0, 0j)
@@ -226,11 +228,11 @@ def differentiate(coeffs: Sequence[complex], k: int = 1) -> tuple[complex, ...]:
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    cs = tuple(complex(c) for c in coeffs)
+    cs = tuple([complex(c) for c in coeffs])
     for _ in range(k):
         if len(cs) <= 1:
             return (0j,)
-        cs = tuple(cs[j + 1] * (j + 1) for j in range(len(cs) - 1))
+        cs = tuple([cs[j + 1] * (j + 1) for j in range(len(cs) - 1)])
     if not all(map(cmath.isfinite, cs)):
         raise NonFinite(f"a coefficient of the order-{k} derivative is not finite", order=k)
     return cs

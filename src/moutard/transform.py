@@ -84,7 +84,7 @@ class DeltaPotential(cpoly._Record):
     __match_args__ = _compared = ("centers",)
 
     def __init__(self, centers: Iterable[complex]) -> None:
-        centers = tuple(complex(c) for c in centers)
+        centers = tuple([complex(c) for c in centers])
         for c in centers:
             if not cmath.isfinite(c):
                 raise NonFinite(f"delta centres must be finite, got {c!r}", center=c)
@@ -259,7 +259,7 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
     1e200), naming the last candidate and its nearest root; NonFinite for a
     non-finite root or lambda.
     """
-    roots = tuple(complex(r) for r in roots)
+    roots = tuple([complex(r) for r in roots])
     lam = complex(lam)
     for v in (*roots, lam):
         if not cmath.isfinite(v):

@@ -6,7 +6,9 @@ assertions see exactly the bytes a shell user would.
 
 from __future__ import annotations
 
+import argparse
 import cmath
+import gc
 import io
 import json
 import math
@@ -653,7 +655,7 @@ def test_missing_subcommand_exits_2():
     assert code == 2
 
 
-# --- parser built for the invoked command ----------------------------------------------
+# --- the reader and the full parser ----------------------------------------------------
 
 # Each ends at the parser: help, usage or an argparse error.
 PARSER_EXITS = [
@@ -725,8 +727,12 @@ def no_full_parser():
     raise AssertionError("the full parser was built")
 
 
+def no_parser(*args, **kwargs):
+    raise AssertionError("an ArgumentParser was built")
+
+
 def test_valid_invocations_never_build_the_full_parser(monkeypatch):
-    monkeypatch.setattr(cli, "build_parser", no_full_parser)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_parser)
     for argv in (
         ["eigen", "--roots", "1", "--lambda", "2", "--z", "3"],
         ["verify", "--roots", "1;-1", "--lambda", "2"],
@@ -753,6 +759,113 @@ def test_parser_without_a_command_builds_every_option():
         ns = vars(parser.parse_args([command] + options))
         assert ns.pop("command") == command and ns.pop("handler") is cli._COMMANDS[command][0]
         assert len(ns) == len(options) // 2, command  # one destination per option given
+
+
+# Option values of every kind: good and bad numbers, lists, choices, and tokens argparse reads as flags.
+VALUES = ["1", "2", "-1", "0", "3", "2.5", "x", "", "nan", "-inf", "1e-3", "-1e-3", "1_0", "+1", " 1", "1 2",
+          "1;2", "-1;1", "1+2i", "-2i", "3;4i", "json", "csv", "xml", "-", "--", "-h", "--roots", "a=b"]
+# A valid value per option, for the required ones most argvs carry.
+GOOD = {"--lambda": ["2", "1+1i", "-1"], "--z": ["3;4i", "-1"], "--t0": ["0", "-1e-3"], "--t1": ["1", "0.5"],
+        "--steps": ["3", "1"]}
+
+
+def _argv_corpus(count, seed):
+    """Seeded argvs over every command, after _attach_literals; the reader takes about a quarter of them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        command = rng.choice(list(cli._COMMANDS))
+        flags = [flag for flag, _ in cli._COMMANDS[command][2]]
+        pairs = [[flag, rng.choice(GOOD[flag])] for flag in flags if flag in GOOD and rng.random() < 0.85]
+        for _ in range(rng.randrange(4)):
+            flag = rng.choice(flags + ["--help", "--bogus", "--f", "--t", "--", "-h", "--lam", "--flow"])
+            if rng.random() < 0.3:
+                flag = flag[: rng.randint(2, len(flag))]  # an abbreviation, unique or not
+            pairs.append([flag, rng.choice(VALUES)])
+        rng.shuffle(pairs)
+        argv = [command]
+        for flag, value in pairs:
+            form = rng.random()
+            argv += [f"{flag}={value}"] if form < 0.45 else [flag, value] if form < 0.95 else [flag]
+        if rng.random() < 0.1:
+            argv.insert(rng.randint(1, len(argv)), rng.choice(["-h", "--", "x", "--help", "-1"]))
+        yield cli._attach_literals(argv)
+
+
+def test_reader_agrees_with_the_full_parser():
+    parser = cli.build_parser()
+    taken = 0
+    for args in _argv_corpus(3000, seed=32):
+        ns = cli._read(args)
+        if ns is None:
+            continue
+        taken += 1
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            full = parser.parse_args(args)
+        # repr, so that nan values compare equal
+        assert repr(sorted(vars(ns).items())) == repr(sorted(vars(full).items())), args
+    assert 300 < taken < 2700, taken
+
+
+REPORTS = [
+    ["eigen", "--roots", "1;-1", "--lambda", "2", "--z", "3;4i"],
+    ["verify", "--roots", "1;-1;0.5i", "--lambda", "2"],
+    ["scatter", "--roots", "1;2", "--lambda", "1"],
+    ["potential", "--roots", "1;2", "--t0", "0.5"],
+    ["potential", "--roots", "", "--t0", "0.5"],  # no centres: an empty list
+    # The rest end in error records.
+    ["eigen", "--roots", "0;1;1e300", "--lambda", "1", "--z", "1e-300"],
+    ["verify", "--roots", "1e200,1e200", "--lambda", "1i"],
+    ["scatter", "--roots", "1;2", "--lambda", "1", "--radius", "1"],
+    ["evolve", "--roots", "1;2;3i;-1", "--t0=-inf", "--t1=1e308", "--steps=3"],
+]
+
+
+def _records():
+    """Error records with every kind of detail the writer meets."""
+    yield errors.NearPole(1 + 2j, complex(math.inf, -0.0)).record()
+    yield errors.NonFinite("\u03bb = \u221e \"quoted\" \\ \t\n\x00\x1f\x7f \U0001f600",
+                           values=[math.nan, -math.inf, [1j, (2, -0.0)], {}], flag=True, none=None).record()
+    yield errors.MoutardError("", count=0, big=10**30, tiny=5e-324, huge=1e308, neg=-1.5e-7, empty=[]).record()
+
+
+def test_report_writer_matches_json_dumps(monkeypatch):
+    payloads = []
+    write = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json", lambda payload: payloads.append(payload) or write(payload))
+    for argv in REPORTS:
+        run_cli(argv)
+    assert len(payloads) == len(REPORTS)
+    payloads += [{"error": record} for record in _records()]
+    payloads += [{}, {"a": [], "b": {}, "c": (), "t": True, "f": False, "n": None, "z": -0.0, "l": [[1, [2.5]], []]}]
+    for payload in payloads:
+        assert write(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [{"x": 1j}, {"x": {1, 2}}, {"x": [b"bytes"]}, {"x": object()}],
+                         ids=["complex", "set", "bytes", "object"])
+def test_report_writer_rejects_what_json_rejects(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli._emit_json(payload)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--roots", "1;-1", "--lambda", "2"],
+        ["scatter", "--roots", "1;2", "--lambda", "1"],
+        ["evolve", "--roots", "1;2", "--t0", "0", "--t1", "0.5", "--steps", "3"],
+        ["evolve", "--roots", "1;2", "--t0", "0", "--t1", "0.5", "--steps", "3", "--format", "csv"],
+        ["eigen", "--roots", "0;1;1e300", "--lambda", "1", "--z", "1e-300"],
+    ],
+    ids=["verify", "scatter", "evolve-json", "evolve-csv", "error-record"],
+)
+def test_main_leaves_no_cyclic_garbage(argv):
+    run_cli(argv)  # warm-up: first-use imports and memos
+    gc.collect()
+    run_cli(argv)
+    assert gc.collect() == 0
 
 
 # --- output redirection -----------------------------------------------------------------
