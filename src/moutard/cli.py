@@ -18,12 +18,10 @@ byte-identical for identical configurations.
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import math
-import re
 import sys
-from json.encoder import encode_basestring_ascii
+import types
 
 from . import cpoly, flow, scattering, transform
 from .errors import IoFailure, MoutardError
@@ -63,11 +61,10 @@ def parse_complex(text: str) -> complex:
 
 def parse_complex_list(text: str) -> list[complex]:
     """Semicolon- or whitespace-separated complex literals; '' is the empty list."""
-    parts = [p for p in re.split(r"[;\s]+", text.strip()) if p]
-    return [parse_complex(p) for p in parts]
+    return [parse_complex(p) for p in text.replace(";", " ").split()]
 
 
-def _build_poly(ns: argparse.Namespace) -> cpoly.ComplexPoly:
+def _build_poly(ns: types.SimpleNamespace) -> cpoly.ComplexPoly:
     roots_given = ns.roots is not None
     coeffs_given = ns.coeffs is not None
     if roots_given == coeffs_given:
@@ -80,7 +77,7 @@ def _build_poly(ns: argparse.Namespace) -> cpoly.ComplexPoly:
         raise ConfigError(str(e)) from None
 
 
-def _rejection(message: str, ns: argparse.Namespace, *names: str) -> ConfigError:
+def _rejection(message: str, ns: types.SimpleNamespace, *names: str) -> ConfigError:
     """ConfigError(message), or one naming the nan when an option in names is nan."""
     for name in names:
         if math.isnan(getattr(ns, name)):
@@ -88,7 +85,7 @@ def _rejection(message: str, ns: argparse.Namespace, *names: str) -> ConfigError
     return ConfigError(message)
 
 
-def _checked(ns: argparse.Namespace) -> cpoly.ComplexPoly:
+def _checked(ns: types.SimpleNamespace) -> cpoly.ComplexPoly:
     """The generator P, after every configuration check on ns.
 
     Parses ``ns.lam`` and ``ns.z`` in place; raises ConfigError at the first
@@ -140,12 +137,12 @@ def _json(x: object, indent: str) -> str:
     if isinstance(x, float):
         return _num(x)
     if isinstance(x, str):
-        return encode_basestring_ascii(x)
+        return _str(x)
     inner = indent + "  "
     if isinstance(x, dict):
         if not x:
             return "{}"
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(x.items())]
+        items = [f"{_str(k)}: {_json(v, inner)}" for k, v in sorted(x.items())]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if isinstance(x, (list, tuple)):
         return _json_list([_json(v, inner) for v in x], indent)
@@ -158,6 +155,14 @@ def _json(x: object, indent: str) -> str:
     if isinstance(x, int):
         return _num(x)
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _str(s: str) -> str:
+    """s as json.encoder.encode_basestring_ascii writes it; json is imported only for escapes."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    from json.encoder import encode_basestring_ascii
+    return encode_basestring_ascii(s)
 
 
 _JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -184,7 +189,7 @@ def _csv_rows(header: list[str], rows: list[list[object]], comments: list[str] =
     return "\n".join(lines) + "\n"
 
 
-def _cmd_eigen(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
+def _cmd_eigen(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
     _, mus, _, psis = transform.FaddeevParams(poly, ns.lam)._evaluate(ns.z)
     evaluated = list(zip(ns.z, mus, psis))
     if ns.format == "csv":
@@ -202,7 +207,7 @@ def _cmd_eigen(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
 
 
 def _scattering(
-    ns: argparse.Namespace, fp: transform.FaddeevParams
+    ns: types.SimpleNamespace, fp: transform.FaddeevParams
 ) -> tuple[scattering.ScatteringEstimate, complex, dict]:
     """The fit on the circle of ``--radius`` and ``--samples``, -2N/lambda, and the report fields of both."""
     est = scattering.fit_scattering(scattering.sample_mu(fp, radius=ns.radius, count=ns.samples), fp.lam)
@@ -212,7 +217,7 @@ def _scattering(
     return est, expected, fields
 
 
-def _cmd_scatter(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
+def _cmd_scatter(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
     est, _, fields = _scattering(ns, transform.FaddeevParams(poly, ns.lam))
     n = scattering.count_deltas(est.a, ns.lam)
     if ns.format == "csv":
@@ -223,7 +228,7 @@ def _cmd_scatter(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
     return _emit_json({**fields, "abs_b": abs(est.b), "recovered_count": n, "degree": poly.degree})
 
 
-def _cmd_verify(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
+def _cmd_verify(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
     fp = transform.FaddeevParams(poly, ns.lam)
     results: dict[str, float] = {}
 
@@ -312,12 +317,12 @@ def export_trajectory(rt: flow.RootTrajectory, fmt: str) -> str:
     )
 
 
-def _cmd_evolve(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
+def _cmd_evolve(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
     rt = flow.trajectory(poly, ns.t0, ns.t1, ns.steps, ns.tol, ns.flow_sign)
     return export_trajectory(rt, ns.format)
 
 
-def _cmd_potential(ns: argparse.Namespace, poly: cpoly.ComplexPoly) -> str:
+def _cmd_potential(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
     pot = transform.transformed_potential(flow.evolve(poly, ns.t0, ns.flow_sign))
     if ns.format == "csv":
         return _csv_rows(
@@ -355,6 +360,7 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser: every subcommand with its options.  ``_parse`` says when ``main`` needs it."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="moutard",
         description="Delta potentials, eigenfunctions, scattering data, and root "
@@ -369,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(args: list[str]) -> argparse.Namespace | None:
+def _read(args: list[str]) -> types.SimpleNamespace | None:
     """The namespace the full parser gives a well-formed command, or None.
 
     Well formed: a command, then only ``--flag=value`` and ``--flag value``
@@ -414,17 +420,18 @@ def _read(args: list[str]) -> argparse.Namespace | None:
     if any(kwargs.get("required") and dest not in given for dest, kwargs in spec.values()):
         return None
     values = {dest: given.get(dest, kwargs.get("default")) for dest, kwargs in spec.values()}
-    return argparse.Namespace(command=args[0], **values, handler=handler)
+    return types.SimpleNamespace(command=args[0], **values, handler=handler)
 
 
-def _parse(args: list[str]) -> argparse.Namespace:
+def _parse(args: list[str]) -> types.SimpleNamespace:
     """The namespace of args, or SystemExit as argparse gives it.
 
     ``_read`` takes a well-formed command; only what it declines builds the
-    full parser, so help, usage and error text all come from one tree.
+    full parser (and imports argparse), so help, usage and error text all
+    come from one tree.
     """
     ns = _read(args)
-    return ns if ns is not None else build_parser().parse_args(args)
+    return ns if ns is not None else types.SimpleNamespace(**vars(build_parser().parse_args(args)))
 
 
 def _is_literal(text: str) -> bool:

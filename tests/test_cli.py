@@ -13,6 +13,7 @@ import io
 import json
 import math
 import random
+import re
 import signal
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -57,6 +58,61 @@ def test_parse_complex_list():
     assert parse_complex_list("1;2,3;4i") == [1 + 0j, 2 + 3j, 4j]
     assert parse_complex_list("1 -1") == [1 + 0j, -1 + 0j]
     assert parse_complex_list("") == []
+
+
+# Every str.isspace() code point that re's \s and str.split() both take, up to U+3000.
+SPACES = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+
+
+def _regex_rule(text):
+    """parse_complex_list as it was while it split with re."""
+    return [parse_complex(p) for p in re.split(r"[;\s]+", text.strip()) if p]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ConfigError as e:
+        return str(e)
+
+
+def test_list_split_matches_the_regex_rule():
+    assert {"\x1c", "\x1f", "\x85", "\xa0", "\u1680", "\u2028", "\u3000"} <= set(SPACES)
+    texts = ["", ";", ";;;", "1", ";1;", "1;;2i"]
+    for ws in SPACES:
+        texts += [ws, ws + ";" + ws, f"{ws}1{ws};{ws}-2i;;{ws}", f";1{ws}{ws}3,4{ws};", f"1{ws}2", f"1{ws}x"]
+    # Tokens, separators, and two look-alikes that are not spaces.
+    pieces = ["1", "-2i", "1e-3", "3,4", "1.5-0.5i", "\u200b", "\ufeff", ";", ";;"] + SPACES
+    rng = random.Random(33)
+    texts += ["".join(rng.choices(pieces, k=rng.randint(1, 8))) for _ in range(3000)]
+    for text in texts:
+        assert _outcome(parse_complex_list, text) == _outcome(_regex_rule, text), repr(text)
+
+
+def _keys(x):
+    if isinstance(x, dict):
+        for key, value in x.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(x, list):
+        for value in x:
+            yield from _keys(value)
+
+
+def test_string_writer_matches_json():
+    keys = set()
+    for argv in REPORTS[:4] + [["evolve", "--roots", "1;2", "--t0", "0", "--t1", "0.5", "--steps", "3"]]:
+        code, out, _ = run_cli(argv)
+        assert code == 0, argv
+        keys |= set(_keys(json.loads(out)))
+    assert {"all_passed", "recovered_count", "times", "weight", "psi"} <= keys
+    rng = random.Random(33)
+    bmp = [chr(c) for c in rng.sample(range(0x80, 0x10000), 3000)]
+    astral = [chr(c) for c in rng.sample(range(0x10000, 0x110000), 1000)]
+    ascii_ = [chr(c) for c in range(0x80)]
+    mixed = ["".join(rng.choices(ascii_ + bmp[:50] + astral[:50], k=rng.randint(1, 12))) for _ in range(2000)]
+    for s in ascii_ + ['"', "\\", "", '""', "a\\b"] + bmp + astral + mixed + sorted(keys):
+        assert cli._str(s) == json.encoder.encode_basestring_ascii(s), repr(s)
 
 
 # --- eigen ----------------------------------------------------------------------

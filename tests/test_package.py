@@ -69,6 +69,29 @@ def test_the_command_line_loads_no_dataclasses_inspect_or_typing():
     assert _fresh(code, "-S").strip() == "[]"
 
 
+WELL_FORMED = [
+    ["eigen", "--roots", "1;-1", "--lambda", "2", "--z", "3;4i"],
+    ["verify", "--roots", "1;-1;0.5i", "--lambda=2"],
+    ["scatter", "--roots", "1;2", "--lambda", "1"],
+    ["evolve", "--roots", "1;2", "--t0", "0", "--t1", "0.5", "--steps", "3"],
+    ["evolve", "--roots", "1;2", "--t0", "0", "--t1", "0.5", "--steps", "3", "--format", "csv"],
+    ["potential", "--roots", "1;2", "--t0", "0.5"],
+]
+
+
+def test_a_well_formed_command_loads_no_argparse_json_or_re():
+    # Each costs milliseconds on every command.  -S, because a site module may
+    # preload re.  Only a command the reader declines pays for argparse.
+    code = (
+        "import io, moutard.cli; sys.stdout = sys.stderr = io.StringIO(); "
+        f"codes = [moutard.cli.main(argv) for argv in {WELL_FORMED!r}]; "
+        "loaded = sorted({'argparse', 'json', 're', 'gettext', 'locale', 'enum'} & set(sys.modules)); "
+        "declined = moutard.cli.main(['verify', '--roots=1', '--lambda=2', '--bogus']); "
+        "sys.__stdout__.write(repr((codes, loaded, declined, 'argparse' in sys.modules)))"
+    )
+    assert ast.literal_eval(_fresh(code, "-S")) == ([0] * len(WELL_FORMED), [], 2, True)
+
+
 def test_every_traced_layer_resolves():
     # bench/tracing.py wraps these names by attribute lookup; a refactor that
     # deletes or renames one would otherwise crash only the traced benchmark.
