@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 import types
 
@@ -303,18 +304,21 @@ def export_trajectory(rt: flow.RootTrajectory, fmt: str) -> str:
         f'      "t_approx": {_num(ev.t_approx)}\n    }}'
         for ev in rt.events
     ]
+    # A path is one join of its points' (repr(im), repr(re)) pairs, so no float
+    # passes through an interpreted call; the closing replace spells nan and inf
+    # as json does, and no other text of the paths and times holds an "n".
+    point, pair = '\n      },\n      {\n        "im": ', ',\n        "re": '
+    imag, real = operator.attrgetter("imag"), operator.attrgetter("real")
     paths = [
-        _json_list(
-            [f'{{\n        "im": {_num(z.imag)},\n        "re": {_num(z.real)}\n      }}' for z in path],
-            "    ",
-        )
+        '[\n      {\n        "im": '
+        + point.join(map(pair.join, zip(map(repr, map(imag, path)), map(repr, map(real, path)))))
+        + "\n      }\n    ]" if path else "[]"
         for path in rt.paths
     ]
-    times = _json_list([_num(t) for t in rt.times], "  ")
-    return (
-        f'{{\n  "events": {_json_list(events, "  ")},\n  "paths": {_json_list(paths, "  ")},\n'
-        f'  "times": {times}\n}}\n'
-    )
+    body = f'{_json_list(paths, "  ")},\n  "times": {_json_list(list(map(repr, rt.times)), "  ")}'
+    if "n" in body:
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+    return f'{{\n  "events": {_json_list(events, "  ")},\n  "paths": {body}\n}}\n'
 
 
 def _cmd_evolve(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:

@@ -17,8 +17,6 @@ import cmath
 import itertools
 import math
 import sys
-from collections.abc import Iterable, Sequence
-from functools import cached_property
 
 from .errors import InsufficientRoots, NonConvergence, NonFinite
 
@@ -66,6 +64,22 @@ class _Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _memo:
+    """A method read as an attribute, called on first access, whose value is then kept in the instance ``__dict__``.
+
+    Being a non-data descriptor, it is not consulted again once the value is kept there; the value pickles along.
+    """
+
+    def __init__(self, method) -> None:
+        self.method, self.name, self.__doc__ = method, method.__name__, method.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
 
 
 class ComplexPoly(_Record):
@@ -116,7 +130,7 @@ class ComplexPoly(_Record):
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @cached_property
+    @_memo
     def root_set(self) -> RootSet:
         """All roots by :func:`roots`, solved on first access and then kept.
 
@@ -128,7 +142,7 @@ class ComplexPoly(_Record):
         """
         return roots(self, init=self.__dict__.get("_given_roots"))
 
-    @cached_property
+    @_memo
     def derivatives(self) -> tuple[tuple[complex, ...], ...]:
         """(P', ..., P^(N)), each :func:`differentiate` of the one before; formed on first access, then kept.
 
@@ -142,7 +156,7 @@ class ComplexPoly(_Record):
             chain.append(cs)
         return tuple(chain)
 
-    @cached_property
+    @_memo
     def _gaussian(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """(s, ((re, im), ...)): one power of two s and the Gaussian integers s c_j; formed on first access, then kept.
 
@@ -266,7 +280,11 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex]) -> tuple[int, float]:
     with |p(x)| at or below eps * scale is numerically indistinguishable from
     an exact root.  A root at its rounding floor never moves again, so it
     keeps the residual measured there: later sweeps skip it, and the closing
-    pass evaluates only the roots that never reached their floor.
+    pass evaluates only the roots that never reached their floor.  The
+    repulsion sum_{j != i} 1 / (x_i - x_j) runs over the iterates before i,
+    then over those after it, with no test per term; only an iterate that
+    coincides exactly with another divides by zero, and then the sum is
+    formed again with each zero difference nudged by 2^-50 (1 + |x_i|)(1 + i).
     """
     n = len(xs)
     # (c_j, |c_j|) from j = degree - 1 down to 0; the pass starts at the leading coefficient.
@@ -293,30 +311,38 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex]) -> tuple[int, float]:
             if not math.isfinite(apv + abs(dv) + scale):
                 return sweeps, math.inf
             if apv <= floor * scale:
-                kept[i] = apv / max(1.0, scale)
+                kept[i] = apv / (scale if scale > 1.0 else 1.0)
                 continue  # at the rounding floor; moving would add noise
             if dv == 0:
                 # Dead center of a symmetric cluster; nudge deterministically.
-                xs[i] = x + (stagnate + stagnate * abs(x)) * (1 + 1j)
+                xs[i] = x + (stagnate + stagnate * ax) * (1 + 1j)
                 finished = False
                 continue
             newton = pv / dv
-            repulse = 0j
-            for y in xs[:i] + xs[i + 1:]:
-                diff = x - y
-                if diff == 0:
-                    diff = stagnate * (1 + abs(x)) * (1 + 1j)
-                repulse += 1 / diff
+            try:
+                repulse = 0j
+                for y in xs[:i]:
+                    repulse += 1 / (x - y)
+                for y in xs[i + 1:]:
+                    repulse += 1 / (x - y)
+            except ZeroDivisionError:
+                # A coincident iterate: sum again, nudging each zero difference.
+                repulse = 0j
+                for y in xs[:i] + xs[i + 1:]:
+                    diff = x - y
+                    if diff == 0:
+                        diff = stagnate * (1 + ax) * (1 + 1j)
+                    repulse += 1 / diff
             denom = 1 - newton * repulse
             if denom == 0:
-                xs[i] = x + (stagnate + stagnate * abs(x)) * (1 + 1j)
+                xs[i] = x + (stagnate + stagnate * ax) * (1 + 1j)
                 finished = False
                 continue
             delta = newton / denom
-            xs[i] = x - delta
-            if not cmath.isfinite(xs[i]):
+            xs[i] = new = x - delta
+            if not cmath.isfinite(new):
                 return sweeps, math.inf
-            if abs(delta) > stagnate * (1 + abs(x)):
+            if abs(delta) > stagnate * (1 + ax):
                 finished = False
         if finished:
             break
@@ -328,10 +354,11 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex]) -> tuple[int, float]:
             for c, ac in lower:
                 pv = pv * x + c
                 scale = scale * ax + ac
-            r = abs(pv) / max(1.0, scale)
+            r = abs(pv) / (scale if scale > 1.0 else 1.0)
             if not math.isfinite(r):
                 return sweeps, math.inf
-        worst = max(worst, r)
+        if r > worst:
+            worst = r
     return sweeps, worst
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from collections.abc import Sequence
 
 from . import cpoly
 from .errors import AmbiguousMatching, NonFinite

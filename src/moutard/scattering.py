@@ -28,9 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
-from functools import reduce
-from operator import add
 
 from .cpoly import _Record
 from .errors import DegenerateDesign, InconsistentData, NonFinite, RadiusTooSmall, ZeroLambda
@@ -88,6 +85,14 @@ def sample_mu(fp: FaddeevParams, radius: float | None = None, count: int = DEFAU
     return list(zip(zs, fp._evaluate(zs, with_psi=False)[1]))
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """values added left to right from 0.0; the builtin ``sum`` compensates float sums from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _dot(x: Sequence[complex], y: Sequence[complex]) -> complex:
     return sum(xi.conjugate() * yi for xi, yi in zip(x, y))
 
@@ -119,9 +124,7 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     zs = [z for z, _ in ordered]
     data = [mu for _, mu in ordered]
     n = len(zs)
-    # Float sums run left to right (reduce, not sum, which compensates from
-    # Python 3.12 on), so a report reads the same on every Python.
-    radius = reduce(add, (abs(z) for z in zs), 0.0) / n
+    radius = _left_sum(abs(z) for z in zs) / n
     angles = sorted(cmath.phase(z) for z in zs)
     if any(abs(abs(z) - radius) > 1e-12 * radius for z in zs) or any(
         abs(t - angles[0] - 2.0 * math.pi * j / n) > 1e-12 for j, t in enumerate(angles)
@@ -161,7 +164,7 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     b = (guu * bv - guv.conjugate() * bu) / det * s
 
     try:
-        misfit = math.sqrt(reduce(add, (abs(m - a * ui - b * vi) ** 2 for m, ui, vi in zip(data, u, v)), 0.0) / n)
+        misfit = math.sqrt(_left_sum(abs(m - a * ui - b * vi) ** 2 for m, ui, vi in zip(data, u, v)) / n)
     except OverflowError:
         misfit = math.inf
     if not math.isfinite(misfit):

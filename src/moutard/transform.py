@@ -48,8 +48,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable, Iterable
-from functools import cached_property
 from itertools import zip_longest
 from operator import add, mul
 
@@ -57,7 +55,7 @@ from . import cpoly
 from .errors import NearPole, NonFinite, ZeroLambda
 from .wirtinger import ring, ring_moments
 
-ComplexFunc = Callable[[complex], complex]
+ComplexFunc = "Callable[[complex], complex]"  # read only in annotations, which stay unevaluated
 
 POLE_GUARD = 1e-8
 
@@ -124,7 +122,7 @@ class FaddeevParams(cpoly._Record):
         threshold = POLE_GUARD * math.prod(1.0 + abs(r) for r in self.roots)
         object.__setattr__(self, "_pole_threshold", threshold)
 
-    @cached_property
+    @cpoly._memo
     def _t(self) -> tuple[complex, ...]:
         """T's coefficients by Horner in 1/lambda over P's kept derivative chain, highest order first."""
         derivs, lam = self.p.derivatives, self.lam

@@ -27,13 +27,11 @@ raises NonFinite.
 from __future__ import annotations
 
 import cmath
-import functools
 import operator
-from collections.abc import Callable, Sequence
 
 from .errors import NonFinite
 
-ComplexFunc = Callable[[complex], complex]
+ComplexFunc = "Callable[[complex], complex]"  # read only in annotations, which stay unevaluated
 
 FIRST_ORDER_STEP_SCALE = 1e-5
 LAPLACIAN_STEP_SCALE = 5e-4
@@ -53,14 +51,20 @@ def _sample(f: ComplexFunc, w: complex) -> complex:
     return value
 
 
-@functools.cache
-def _units(m: int) -> tuple[complex, ...]:
-    return tuple(cmath.rect(1.0, 2.0 * cmath.pi * k / m) for k in range(m))
+class _Units(dict):
+    """The m-th roots of unity e^{2 pi i k / m}, k = 0..m-1, by m: formed on the first lookup of m, then kept."""
+
+    def __missing__(self, m: int) -> tuple[complex, ...]:
+        units = self[m] = tuple(cmath.rect(1.0, 2.0 * cmath.pi * k / m) for k in range(m))
+        return units
+
+
+_units = _Units()
 
 
 def ring(z: complex, radius: float, m: int) -> list[complex]:
     """The m points z + radius e^{2 pi i k / m}, k = 0..m-1."""
-    return [z + radius * u for u in _units(m)]
+    return [z + radius * u for u in _units[m]]
 
 
 def ring_moments(samples: Sequence[complex], radius: float) -> tuple[complex, complex]:
@@ -68,7 +72,7 @@ def ring_moments(samples: Sequence[complex], radius: float) -> tuple[complex, co
     m = len(samples)
     if not m:
         raise ValueError("ring moments need at least one sample")
-    units = _units(m)
+    units = _units[m]
     dz = sum(map(operator.truediv, samples, units)) / (m * radius)
     dzbar = sum(map(operator.mul, samples, units)) / (m * radius)
     if not (cmath.isfinite(dz) and cmath.isfinite(dzbar)):

@@ -582,6 +582,10 @@ def _writer_cases():
         paths=(tuple(complex(a, b) for a, b in zip(odd, reversed(odd))), tuple(complex(a, -a) for a in odd)),
         events=(flow.CollisionEvent(math.nan, (), math.inf), flow.CollisionEvent(-0.0, (0, 1), 5e-324)),
     )
+    # Every repr form, as times and, over the cases, as both parts of a one-point path beside an empty one.
+    forms = (5e-324, 1e16, 1e-07, -0.0, 1.7976931348623157e308, -math.inf, math.nan)
+    for re, im in zip(forms, reversed(forms)):
+        yield flow.RootTrajectory(times=forms, paths=((), (complex(re, im),)), events=())
 
 
 def test_trajectory_json_writer_matches_json_dumps():

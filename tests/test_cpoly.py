@@ -431,6 +431,30 @@ def test_aberth_nudges_coincident_iterates():
     assert sorted(x.real for x in xs) == pytest.approx([-1.0, 1.0], abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "coeffs, init, sweeps, worst, final",
+    [
+        pytest.param(
+            (-1, 0, 0, 1), [0.5, 0.5, 2j], 29, 1.2412670766236366e-16,
+            ["(1+8.470329472543003e-22j)", "(-0.5-0.8660254037844386j)", "(-0.5+0.8660254037844387j)"],
+            id="duplicate",
+        ),
+        pytest.param(
+            (-1, 0, 0, 0, 1), [0.1, 0.1, -0.1, -0.1], 31, 6.611714337233374e-16,
+            ["(0.9999999999999998+2.449144945008974e-16j)", "-1j", "(1.0339757656912846e-25+1j)", "(-1+0j)"],
+            id="symmetric-cluster",
+        ),
+    ],
+)
+def test_aberth_from_coincident_guesses_is_pinned(coeffs, init, sweeps, worst, final):
+    # The first sweep divides by an exact zero difference, so the repulsion is
+    # summed again with the nudge; the figures are those of the per-term test
+    # that sum had before, bit for bit (repr pins every bit of a finite float).
+    xs = [complex(x) for x in init]
+    assert cpoly._aberth(coeffs, xs) == (sweeps, worst)
+    assert list(map(repr, xs)) == final
+
+
 def test_aberth_stops_at_a_non_finite_iterate():
     # On z^2 + 1 at 1e-310, newton 1 / 2e-310 overflows and the step is nan.
     xs = [1e-310 + 0j, 5 + 0j]

@@ -80,12 +80,14 @@ WELL_FORMED = [
 
 
 def test_a_well_formed_command_loads_no_argparse_json_or_re():
-    # Each costs milliseconds on every command.  -S, because a site module may
-    # preload re.  Only a command the reader declines pays for argparse.
+    # Each costs milliseconds on every command, as do functools and collections,
+    # which argparse and re import.  -S, because a site module may preload re.
+    # Only a command the reader declines pays for argparse.
     code = (
         "import io, moutard.cli; sys.stdout = sys.stderr = io.StringIO(); "
         f"codes = [moutard.cli.main(argv) for argv in {WELL_FORMED!r}]; "
-        "loaded = sorted({'argparse', 'json', 're', 'gettext', 'locale', 'enum'} & set(sys.modules)); "
+        "loaded = sorted({'argparse', 'json', 're', 'gettext', 'locale', 'enum', 'functools', 'collections'} "
+        "& set(sys.modules)); "
         "declined = moutard.cli.main(['verify', '--roots=1', '--lambda=2', '--bogus']); "
         "sys.__stdout__.write(repr((codes, loaded, declined, 'argparse' in sys.modules)))"
     )
