@@ -136,7 +136,7 @@ def _json(x: object, indent: str) -> str:
     encoder, it leaves no reference cycles behind.
     """
     if isinstance(x, float):
-        return _num(x)
+        return _spelled(repr(x))
     if isinstance(x, str):
         return _str(x)
     inner = indent + "  "
@@ -154,7 +154,7 @@ def _json(x: object, indent: str) -> str:
     if x is False:
         return "false"
     if isinstance(x, int):
-        return _num(x)
+        return repr(x)
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
@@ -166,13 +166,9 @@ def _str(s: str) -> str:
     return encode_basestring_ascii(s)
 
 
-_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _num(x: float) -> str:
-    """A number as json.dumps writes it."""
-    text = repr(x)
-    return _JSON_CONSTANTS.get(text, text)
+def _spelled(text: str) -> str:
+    """Number reprs in text with nan and inf spelled as json spells them; text holds no other "n"."""
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
 
 
 def _json_list(items: list[str], indent: str) -> str:
@@ -298,15 +294,8 @@ def export_trajectory(rt: flow.RootTrajectory, fmt: str) -> str:
             for ev in rt.events
         ]
         return _csv_rows(header, rows, comments)
-    events = [
-        f'{{\n      "min_separation": {_num(ev.min_separation)},\n'
-        f'      "roots_involved": {_json_list([_num(i) for i in ev.roots_involved], "      ")},\n'
-        f'      "t_approx": {_num(ev.t_approx)}\n    }}'
-        for ev in rt.events
-    ]
     # A path is one join of its points' (repr(im), repr(re)) pairs, so no float
-    # passes through an interpreted call; the closing replace spells nan and inf
-    # as json does, and no other text of the paths and times holds an "n".
+    # passes through an interpreted call; no other text of the paths and times holds an "n".
     point, pair = '\n      },\n      {\n        "im": ', ',\n        "re": '
     imag, real = operator.attrgetter("imag"), operator.attrgetter("real")
     paths = [
@@ -315,10 +304,10 @@ def export_trajectory(rt: flow.RootTrajectory, fmt: str) -> str:
         + "\n      }\n    ]" if path else "[]"
         for path in rt.paths
     ]
-    body = f'{_json_list(paths, "  ")},\n  "times": {_json_list(list(map(repr, rt.times)), "  ")}'
-    if "n" in body:
-        body = body.replace("nan", "NaN").replace("inf", "Infinity")
-    return f'{{\n  "events": {_json_list(events, "  ")},\n  "paths": {body}\n}}\n'
+    events = [{"min_separation": ev.min_separation, "roots_involved": ev.roots_involved, "t_approx": ev.t_approx}
+              for ev in rt.events]
+    body = _spelled(f'{_json_list(paths, "  ")},\n  "times": {_json_list(list(map(repr, rt.times)), "  ")}')
+    return f'{{\n  "events": {_json(events, "  ")},\n  "paths": {body}\n}}\n'
 
 
 def _cmd_evolve(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:

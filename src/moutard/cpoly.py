@@ -438,10 +438,7 @@ def min_root_separation(r: RootSet | Sequence[complex]) -> float:
     for x in pts:
         if not cmath.isfinite(x):
             raise NonFinite(f"separation needs finite roots, got {x!r}", root=x)
-    try:
-        sep = min(abs(a - b) for a, b in itertools.combinations(pts, 2))
-    except OverflowError:  # a distance of finite components whose modulus overflows: rescan, counting it as inf
-        sep = min(_modulus_or_inf(a - b) for a, b in itertools.combinations(pts, 2))
+    sep = min(_modulus_or_inf(a - b) for a, b in itertools.combinations(pts, 2))
     if sep == math.inf:
         raise NonFinite("minimum root separation overflows")
     return sep

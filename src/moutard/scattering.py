@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .cpoly import _Record
 from .errors import DegenerateDesign, InconsistentData, NonFinite, RadiusTooSmall, ZeroLambda
@@ -66,7 +67,7 @@ def sample_mu(fp: FaddeevParams, radius: float | None = None, count: int = DEFAU
     that fails.
     The output is the equispaced input :func:`fit_scattering` requires.
     Raises NonFinite for a nan or inf radius and RadiusTooSmall for a finite
-    one that does not exceed twice the largest root magnitude.
+    one that does not exceed twice the largest root magnitude or is subnormal.
     """
     if count < 8:
         raise ValueError(f"need at least 8 circle samples, got {count}")
@@ -81,6 +82,8 @@ def sample_mu(fp: FaddeevParams, radius: float | None = None, count: int = DEFAU
             radius=radius,
             max_root=max_root,
         )
+    if radius < sys.float_info.min:  # too few bits to space the points equally
+        raise RadiusTooSmall(f"sampling radius {radius!r} is subnormal", radius=radius, max_root=max_root)
     zs = [cmath.rect(radius, 2.0 * math.pi * j / count) for j in range(count)]
     return list(zip(zs, fp._evaluate(zs, with_psi=False)[1]))
 
@@ -124,33 +127,32 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     zs = [z for z, _ in ordered]
     data = [mu for _, mu in ordered]
     n = len(zs)
-    radius = _left_sum(abs(z) for z in zs) / n
+    # The fit runs on w = z / s, s a power of two with |w| near 1, so its sums stay in range at any radius;
+    # a power of two scales exactly, so a, b, the misfit and the radius are those of the fit on z.
+    s = math.ldexp(1.0, math.frexp(max(abs(zs[0].real), abs(zs[0].imag)))[1] - 1)
+    ws = [z / s for z in zs]
+    radius = _left_sum(abs(w) for w in ws) / n
     angles = sorted(cmath.phase(z) for z in zs)
-    if any(abs(abs(z) - radius) > 1e-12 * radius for z in zs) or any(
+    if any(abs(abs(w) - radius) > 1e-12 * radius for w in ws) or any(
         abs(t - angles[0] - 2.0 * math.pi * j / n) > 1e-12 for j, t in enumerate(angles)
     ):
         raise ValueError("samples must be equispaced on a common circle of positive radius")
 
-    u = [1.0 / z for z in zs]
     for z in zs:
         if not math.isfinite(2.0 * (lam * z).imag):
             raise NonFinite(f"the conjugate phase 2 Im(lambda z) overflows at {z!r}", point=z, lam=lam)
-    v = [cmath.exp(complex(0.0, -2.0 * (lam * z).imag)) / z.conjugate() for z in zs]
-    # The solve runs on both columns times s = 2^e ~ radius, so their Gram
-    # products stay near 1 instead of underflowing at huge radii; a power of
-    # two scales exactly, and a, b are unscaled at the end.  The nuisance
-    # modes are the powers (s/z)^k, near 1 in size at any radius.
-    s = math.ldexp(1.0, math.frexp(radius)[1])
-    su = [s * x for x in u]
-    sv = [s * x for x in v]
+    # The columns s/z and s e^{lambda_bar z_bar - lambda z}/z_bar of a/s and b/s; the nuisance modes are (s/z)^k.
+    u = [1.0 / w for w in ws]
+    v = [cmath.exp(complex(0.0, -2.0 * (lam * z).imag)) / w.conjugate() for z, w in zip(zs, ws)]
+    pv = v
     for mode in range(2, min(MAX_NUISANCE_MODE, n // 4) + 1):
-        q = [x**mode for x in su]
-        coef = _dot(q, sv) / _dot(q, q)
-        sv = [vi - coef * qi for vi, qi in zip(sv, q)]
+        q = [x**mode for x in u]
+        coef = _dot(q, pv) / _dot(q, q)
+        pv = [vi - coef * qi for vi, qi in zip(pv, q)]
 
-    guu = _dot(su, su).real
-    gvv = _dot(sv, sv).real
-    guv = _dot(su, sv)
+    guu = _dot(u, u).real
+    gvv = _dot(pv, pv).real
+    guv = _dot(u, pv)
     det = guu * gvv - (guv * guv.conjugate()).real
     if det <= 1e-20 * guu * gvv or guu == 0 or gvv == 0:
         raise DegenerateDesign(
@@ -158,18 +160,19 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
             "change lambda, the radius, or the sample count",
             collinearity=abs(guv) / math.sqrt(guu * gvv) if guu > 0 and gvv > 0 else math.inf,
         )
-    bu = _dot(su, data)
-    bv = _dot(sv, data)
-    a = (gvv * bu - guv * bv) / det * s
-    b = (guu * bv - guv.conjugate() * bu) / det * s
+    bu = _dot(u, data)
+    bv = _dot(pv, data)
+    a = (gvv * bu - guv * bv) / det
+    b = (guu * bv - guv.conjugate() * bu) / det
 
     try:
         misfit = math.sqrt(_left_sum(abs(m - a * ui - b * vi) ** 2 for m, ui, vi in zip(data, u, v)) / n)
     except OverflowError:
         misfit = math.inf
+    radius *= s
     if not math.isfinite(misfit):
         raise NonFinite(f"the fit misfit overflows at lambda = {lam!r} on radius {radius!r}", lam=lam, radius=radius)
-    return ScatteringEstimate(a=a, b=b, fit_residual=misfit, radius=radius, samples=n)
+    return ScatteringEstimate(a=a * s, b=b * s, fit_residual=misfit, radius=radius, samples=n)
 
 
 def expected_a(n: int, lam: complex) -> complex:

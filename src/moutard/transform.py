@@ -276,6 +276,13 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
         raise NonFinite(f"no sample ring around the centroid {center!r} faces lambda = {lam!r}",
                         center=center, lam=lam)
     j = math.ceil((start - first) / 0.25) - 1 if start > first else 0  # one ring early, for the rounding of lambda z
+    # The grid sits offset rad off conj(lambda), so a ring holds SAMPLE_COUNT facing points only from
+    # facing / cos((SAMPLE_COUNT - 1) pi / grid + offset) on.  Below 2^51, where rings are exactly 0.25 apart,
+    # start one ring before that, or at the last ring where that lies past the limit: the rings skipped are empty.
+    offset = abs(math.remainder(2.0 * math.pi * 0.381966 / grid + cmath.phase(lam), 2.0 * math.pi / grid))
+    exact = facing / math.cos((SAMPLE_COUNT - 1) * math.pi / grid + offset)
+    if first < exact < 2.0**51:
+        j = math.ceil((exact - first) / 0.25) - 1 if exact <= limit else math.floor((limit - first) / 0.25)
     while (rho := first + 0.25 * j) <= limit:
         chosen: list[complex] = []
         for k in range(grid):

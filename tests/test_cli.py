@@ -387,10 +387,24 @@ def _extreme_grid():
         for t in ("0", "1", "-1", "1e10", "1e100", "1e300"):
             yield ["potential", "--roots", r + ";0;1", "--t0", t]
             yield ["evolve", "--roots", r + ";0;1", "--t0", "0", "--t1", t, "--steps", "3"]
+    # A sample walk that crossed 10^5 empty rings, a fit whose radius sum overflowed, and a subnormal circle.
+    yield ["verify", "--roots", "-1e8;1e8;3e7i", "--lambda", "1i"]
+    yield ["scatter", "--roots", "1", "--lambda", "1e-300", "--radius", "1e308"]
+    yield ["scatter", "--roots", "", "--lambda", "2.5", "--radius", "5e-324"]
 
 
 def _time_out(signum, frame):
     raise TimeoutError
+
+
+def test_a_far_walk_and_a_huge_circle_give_their_reports():
+    # The verify record is the one the walk from facing / cos(24 pi / 200) gave
+    # after 54 s; the scatter run divided by zero where its radius sum overflowed.
+    code, _, err = run_cli(["verify", "--roots", "-1e8;1e8;3e7i", "--lambda", "1i"])
+    assert code == 1
+    assert json.loads(err)["error"]["message"] == "psi overflows at (-3857604.6626542015-95479.18482241407j) for lambda = 1j"
+    code, out, _ = run_cli(["scatter", "--roots", "1", "--lambda", "1e-300", "--radius", "1e308"])
+    assert code == 0 and json.loads(out)["recovered_count"] == 1
 
 
 def test_every_failure_over_the_extreme_grid_is_a_typed_record():

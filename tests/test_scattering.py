@@ -75,6 +75,14 @@ def test_sample_mu_rejects_small_radius():
         sample_mu(params([3.0], 1.0), radius=4.0)
 
 
+@pytest.mark.parametrize("radius", [5e-324, 1e-315, 1e-310])
+def test_sample_mu_rejects_a_subnormal_radius(radius):
+    # Rounded to so few bits the circle points are not equispaced, and the fit
+    # rejected them with the ValueError meant for a caller's points.
+    with pytest.raises(RadiusTooSmall, match="is subnormal"):
+        sample_mu(params([], 2.5), radius=radius)
+
+
 @pytest.mark.parametrize("radius", [math.nan, math.inf])
 def test_sample_mu_names_a_non_finite_radius(radius):
     with pytest.raises(NonFinite) as info:
@@ -277,6 +285,23 @@ def test_fit_at_huge_radii():
         assert abs(est.a - expected_a(2, fp.lam)) < 1e-9, radius
     with pytest.raises(MoutardError):
         fit_scattering(sample_mu(fp, radius=1e200), fp.lam)
+
+
+@pytest.mark.parametrize("k", [-40, -1, 1, 9, 1017])
+def test_fit_is_exactly_equivariant_under_powers_of_two(k):
+    # z -> 2^k z with lambda -> lambda / 2^k keeps lambda z and mu, so a, b and
+    # the radius scale by 2^k and the misfit stays, bit for bit.  At k = 1017
+    # the 64 moduli of 2^1020 sum past the float range, which made the fit
+    # divide by zero when it summed them unscaled.
+    def times(c, e):
+        return complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
+
+    lam = 0.75 - 0.5j
+    samples = sample_mu(params([1, -0.5j, 0.25 + 1j], lam), radius=8.0)
+    est = fit_scattering(samples, lam)
+    scaled = fit_scattering([(times(z, k), mu) for z, mu in samples], times(lam, -k))
+    assert (scaled.a, scaled.b, scaled.fit_residual) == (times(est.a, k), times(est.b, k), est.fit_residual)
+    assert scaled.radius == math.ldexp(est.radius, k)
 
 
 # --- prediction and inversion -------------------------------------------------

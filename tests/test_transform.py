@@ -1091,6 +1091,35 @@ def test_sample_walk_skips_only_rings_too_narrow_to_return(roots, lam):
     assert residual_sample_points(roots, lam) == _unbounded_walk(roots, lam, _facing_ring(roots, lam))
 
 
+def _offset_walk_cases():
+    rng = random.Random(2028)
+    cases = []
+    for _ in range(24):
+        lam = cmath.rect(rng.choice([0.1, 1.0, 3.0]), rng.uniform(-math.pi, math.pi))
+        facing = rng.uniform(300, 3000)
+        centre = -(0.3 + facing * abs(lam)) * lam.conjugate() / abs(lam) ** 2
+        # The walk's last ring lies inside the window the grid offset opens, or past it.
+        side = 1j * (facing * rng.choice([1.0765, 1.08, 1.5]) - 4.5) * lam.conjugate() / abs(lam)
+        cases.append(((centre + side, centre - side), lam))
+    return cases
+
+
+@pytest.mark.parametrize("roots, lam", _offset_walk_cases())
+def test_sample_walk_skips_only_rings_the_grid_offset_leaves_short(roots, lam):
+    # The grid sits offset rad off conj(lambda), so a ring holds 25 facing grid
+    # points only from facing / cos(24 pi / 200 + offset) on.  The walk starts
+    # there, and returns what the walk from facing / cos(24 pi / 200) returns,
+    # or the error of its last ring where that finds none.
+    facing = (-0.3 - (lam * sum(roots) / len(roots)).real) / abs(lam)
+    start = 2.0 + 0.25 * (math.ceil((facing / math.cos(24 * math.pi / 200) - 2.0) / 0.25) - 1)
+    expected = _unbounded_walk(roots, lam, start)
+    if expected is None:
+        with pytest.raises(NonFinite, match="^no sample ring around the centroid .* has 25 points facing"):
+            residual_sample_points(roots, lam)
+    else:
+        assert residual_sample_points(roots, lam) == expected
+
+
 def _time_out(signum, frame):
     raise TimeoutError("the sample walk took over 5 s")
 
