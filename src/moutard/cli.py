@@ -25,7 +25,7 @@ import sys
 import types
 
 from . import cpoly, flow, scattering, transform
-from .errors import IoFailure, MoutardError
+from .errors import IoFailure, MoutardError, NonFinite
 
 VERIFY_THRESHOLDS = {
     "identity_residual": 1e-12,
@@ -237,6 +237,11 @@ def _cmd_verify(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
 
     lam = fp.lam
     est, expected, fields = _scattering(ns, fp)
+    # The fit gives a finite misfit where its squares pass the float range, but such data round far above
+    # verify's absolute bounds (at lambda = 1e-300 harmonicity reads 1.9e286), so verify gives no verdict there.
+    if est.fit_residual > math.sqrt(sys.float_info.max / est.samples):
+        raise NonFinite(f"the fit misfit's sum of squares overflows at lambda = {lam!r} on radius {est.radius!r}",
+                        lam=lam, radius=est.radius)
     rel_a = abs(est.a - expected) / abs(expected) if expected != 0 else abs(est.a)
     results["scattering_rel_a"] = rel_a
     results["scattering_abs_b"] = abs(est.b)

@@ -253,21 +253,39 @@ def differentiate(coeffs: Sequence[complex], k: int = 1) -> tuple[complex, ...]:
 
 
 def _cold_seed(coeffs: Sequence[complex]) -> list[complex]:
-    """n guesses on a circle that encloses every root, rotated off the axes.
+    """n finite, pairwise distinct guesses on the circles of the Newton polygon (Bini 1996).
 
-    The radius is the Fujiwara-type bound 2 * max_k |c_{n-k}|^(1/k), which
-    has the size of the roots, not of the coefficients (those grow like r^n
-    for roots of size r, and Horner at that radius overflows from moderate
-    degrees on).  It is 1 when every lower coefficient is 0, i.e. for z^n.
+    Each edge k0 -> k1 of the upper convex hull of the points (k, log|c_k|)
+    puts k1 - k0 guesses, equally spaced, on the circle of radius
+    (|c_k0| / |c_k1|)^(1/(k1 - k0)): the size of that many roots, so roots of
+    scales far apart each start near their own.  The guesses of an edge are
+    turned by k0/n of a turn, and all of them by the golden fraction, off any
+    axis of symmetry.  Exactly zero low coefficients c_0 .. c_{m-1} stand
+    for m roots at 0; those guesses sit on a circle of half the smallest edge
+    radius, or on the unit circle for z^n.  A radius that underflows is
+    raised to the smallest normal float, and one that rounds onto the radius
+    below it just past it.  OverflowError where a modulus or radius overflows.
     """
     n = len(coeffs) - 1
-    radius = 2.0 * max(abs(coeffs[n - k]) ** (1.0 / k) for k in range(1, n + 1))
-    if radius == 0:
-        radius = 1.0
-    return [
-        radius * cmath.exp(2j * math.pi * (k / n + _GOLDEN_FRAC))
-        for k in range(n)
-    ]
+    hull: list[tuple[int, float]] = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        y = math.log(abs(c))
+        while len(hull) > 1:
+            (ka, ya), (kb, yb) = hull[-2:]
+            if (kb - ka) * (y - ya) < (yb - ya) * (k - ka):
+                break
+            hull.pop()  # on or below the chord from (ka, ya) to (k, y)
+        hull.append((k, y))
+    guesses, radii = [], [0.0]
+    for (k0, y0), (k1, y1) in zip(hull, hull[1:]):
+        m = k1 - k0
+        radii.append(max(math.exp((y0 - y1) / m), sys.float_info.min, radii[-1] * (1.0 + 2.0**-20)))
+        guesses += [radii[-1] * cmath.exp(2j * math.pi * (j / m + k0 / n + _GOLDEN_FRAC)) for j in range(m)]
+    zeros = hull[0][0]
+    radius = 0.5 * radii[1] if guesses else 1.0
+    return [radius * cmath.exp(2j * math.pi * (j / zeros + _GOLDEN_FRAC)) for j in range(zeros)] + guesses
 
 
 def _aberth(coeffs: Sequence[complex], xs: list[complex]) -> tuple[int, float]:
@@ -292,6 +310,7 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex]) -> tuple[int, float]:
     lead, abs_lead = coeffs[-1], abs(coeffs[-1])
     stagnate = 2.0 ** -50
     floor = 4.0 * _EPS
+    big = sys.float_info.max
     sweeps = 0
     # Scaled residual of each root once it is at its rounding floor, else None.
     kept: list[float | None] = [None] * n
@@ -308,7 +327,8 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex]) -> tuple[int, float]:
                 pv = pv * x + c
                 scale = scale * ax + ac
             apv = abs(pv)
-            if not math.isfinite(apv + abs(dv) + scale):
+            # Each term on its own: their sum can overflow where none of them does.
+            if not (apv <= big and abs(dv) <= big and scale <= big):
                 return sweeps, math.inf
             if apv <= floor * scale:
                 kept[i] = apv / (scale if scale > 1.0 else 1.0)
@@ -365,15 +385,16 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex]) -> tuple[int, float]:
 def roots(p: ComplexPoly, init: Sequence[complex] | None = None) -> RootSet:
     """All roots of p via deterministic Aberth-Ehrlich simultaneous iteration.
 
-    Cold guesses sit on a circle of radius 2 * max_k |c_{n-k}|^(1/k) (see
-    :func:`_cold_seed`), rotated by an irrational fraction of a turn so they
-    never align with axes of symmetry.  ``init``, if given, holds one guess
-    per root, e.g. the roots of a nearby polynomial, and the iteration starts
-    there instead; it is only a hint: guesses that are not pairwise distinct
-    are ignored, and when the warm run misses the residual gate, the solve
-    reruns from the cold seed before giving up.  Sweeps update the guesses in
-    place until every residual reaches its rounding floor or the corrections
-    stagnate at machine precision.
+    Cold guesses sit on the circles of the Newton polygon of the coefficient
+    moduli (see :func:`_cold_seed`), one circle per scale of roots, rotated by
+    an irrational fraction of a turn so they never align with axes of
+    symmetry.  ``init``, if given, holds one guess per root, e.g. the roots
+    of a nearby polynomial, and the iteration starts there instead; it is
+    only a hint: guesses that are not pairwise distinct are ignored, and
+    when the warm run misses the residual gate, the solve reruns from the
+    cold seed before giving up.  Sweeps update the guesses in place until
+    every residual reaches its rounding floor or the corrections stagnate at
+    machine precision.
 
     ``ROOT_TOL`` bounds the scaled residual |p(x)| / max(1, sum_j |c_j||x|^j);
     the scaling makes the gate meaningful for polynomials whose coefficients

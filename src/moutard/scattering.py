@@ -112,7 +112,9 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     else ValueError; within that the neglected overlaps stay at rounding level.
     The samples are sorted first, so the result does not depend on input
     order.  NonFinite for the first non-finite (z, mu) sample, and where the
-    conjugate phase 2 Im(lambda z) or the misfit overflows.
+    conjugate phase 2 Im(lambda z) or the misfit itself overflows; a misfit
+    whose squares or their sum pass the float range is summed on scaled
+    residuals.
     """
     lam = complex(lam)
     if lam == 0:
@@ -169,6 +171,11 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
         misfit = math.sqrt(_left_sum(abs(m - a * ui - b * vi) ** 2 for m, ui, vi in zip(data, u, v)) / n)
     except OverflowError:
         misfit = math.inf
+    if misfit == math.inf:
+        # A square or their sum passed the float range: sum again on residuals divided by a power of two near the largest.
+        res = [m - a * ui - b * vi for m, ui, vi in zip(data, u, v)]
+        t = math.ldexp(1.0, math.frexp(max(max(abs(r.real), abs(r.imag)) for r in res))[1] - 1)
+        misfit = t * math.sqrt(_left_sum(abs(r / t) ** 2 for r in res) / n)
     radius *= s
     if not math.isfinite(misfit):
         raise NonFinite(f"the fit misfit overflows at lambda = {lam!r} on radius {radius!r}", lam=lam, radius=radius)

@@ -321,9 +321,110 @@ def test_roots_horner_overflow_raises_nonconvergence():
 
 
 def test_cold_seed_sweeps_degree_20_box():
-    # Seeded on the circle of radius 1 + max|c_j| this solve took 89 sweeps.
+    # Seeded on the circle of radius 1 + max|c_j| this solve took 89 sweeps,
+    # and on the circle of radius 2 max_k |c_{n-k}|^(1/k) 29.
     rs = cpoly.roots(cpoly.from_roots(box_points(random.Random(0), 20, 2.0)))
-    assert rs.sweeps == 29
+    assert rs.sweeps == 11
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        pytest.param(cpoly.from_roots(box_points(random.Random(0), 20, 2.0)).coeffs, id="box-20"),
+        pytest.param((1e-300, 1e300, 1), id="an-edge-radius-underflows"),
+        # Both lower edges have radii below the smallest normal float, so both are raised to it, and the second just past it.
+        pytest.param((5e-324, 1e-5, 1e308, 1), id="two-edge-radii-underflow"),
+        pytest.param((1e-320, 1e-320, 1e-320, 1), id="subnormal"),
+        pytest.param((5e-324, 0, 0, 0, 0, 0, 0, 0, 1), id="subnormal-degree-8"),
+        pytest.param((-8e307, 0, 1), id="near-overflow"),
+        pytest.param(tuple(complex(-1) ** (k / 7) for k in range(40)) + (1,), id="unimodular-40"),
+    ],
+)
+def test_cold_seed_gives_n_finite_pairwise_distinct_guesses(coeffs):
+    guesses = cpoly._cold_seed(coeffs)
+    assert len(guesses) == len(coeffs) - 1
+    assert all(map(cmath.isfinite, guesses))
+    assert len(set(guesses)) == len(guesses)
+
+
+def test_cold_seed_of_z_to_the_n_is_the_unit_circle():
+    for n in (1, 2, 5, 17):
+        guesses = cpoly._cold_seed((0j,) * n + (1 + 0j,))
+        assert len(set(guesses)) == n
+        assert all(abs(abs(g) - 1.0) < 1e-15 for g in guesses)
+
+
+def test_cold_seed_puts_zero_roots_inside_the_others():
+    # z^3 (z^2 - 4): the hull has the one edge 3 -> 5 of radius 2, and the
+    # three roots at 0 start on the circle of half that radius.
+    guesses = cpoly._cold_seed((0j, 0j, 0j, -4, 0, 1))
+    assert len(set(guesses)) == 5
+    assert sorted(round(abs(g), 12) for g in guesses) == [1.0, 1.0, 1.0, 2.0, 2.0]
+
+
+def test_cold_seed_starts_near_both_scales():
+    # (z - 1e-6)(z - 1e6): one guess at each scale, where one enclosing circle put both at 2e6.
+    small, large = sorted(cpoly._cold_seed(cpoly.from_roots([1e-6, 1e6]).coeffs), key=abs)
+    assert abs(abs(small) / 1e-6 - 1.0) < 1e-6
+    assert abs(abs(large) / 1e6 - 1.0) < 1e-6
+
+
+def test_roots_near_the_top_of_the_float_range():
+    # |c0| + |x|^2 at the old seed circle of radius 2 sqrt(8e307) overflowed, and so did the sum
+    # |p(x)| + |p'(x)| + scale of finite terms that the sweep tested; both now stay in range.
+    rs = cpoly.roots(cpoly.ComplexPoly((-8e307, 0, 1)))
+    assert rs.sweeps == 4 and rs.worst_residual < cpoly.ROOT_TOL
+    got = sorted(rs, key=lambda x: x.real)
+    for x, want in zip(got, (-8.944271909999159e153, 8.944271909999159e153)):
+        assert abs(x - want) < 1e-15 * abs(want)
+
+
+def _census_classes():
+    """name -> (rng, n) -> monic coefficients: six kinds of polynomial that the cold seed must serve."""
+
+    def gauss(rng):
+        return complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+
+    def polar(rng, r):
+        return cmath.rect(r, rng.uniform(0.0, 2.0 * math.pi))
+
+    def box(rng):
+        return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+
+    return {
+        "box": lambda rng, n: cpoly.from_roots([box(rng) for _ in range(n)]).coeffs,
+        "gaussian coefficients": lambda rng, n: [gauss(rng) for _ in range(n)] + [1],
+        "coefficients x 10^+-8": lambda rng, n: [gauss(rng) * 10.0 ** rng.uniform(-8.0, 8.0) for _ in range(n)] + [1],
+        "cluster": lambda rng, n: cpoly.from_roots([0.5 + 1e-3 * polar(rng, rng.random()) for _ in range(n)]).coeffs,
+        "double roots": lambda rng, n: cpoly.from_roots([w for z in (box(rng) for _ in range((n + 1) // 2)) for w in (z, z)]).coeffs,
+        "roots at scales 10^+-6": lambda rng, n: cpoly.from_roots([polar(rng, 10.0 ** rng.uniform(-6.0, 6.0)) for _ in range(n)]).coeffs,
+    }
+
+
+def test_cold_seed_census():
+    # 40 polynomials per class at degrees 1-40.  The caps are the totals measured with the Newton-polygon
+    # seed; the enclosing circle of radius 2 max_k |c_{n-k}|^(1/k) took the sweeps in the comments, and
+    # raised NonConvergence on the number of polynomials in brackets.
+    caps = {
+        "box": 402,  # 1158
+        "gaussian coefficients": 311,  # 661
+        "coefficients x 10^+-8": 248,  # 2525 [2]
+        "cluster": 587,  # 1889
+        "double roots": 672,  # 1528
+        "roots at scales 10^+-6": 312,  # 4559 [6]
+    }
+    rng = random.Random(2026)
+    spent = {}
+    for name, make in _census_classes().items():
+        spent[name] = 0
+        for _ in range(40):
+            p = cpoly.ComplexPoly(make(rng, rng.randint(1, 40)))
+            rs = cpoly.roots(p)
+            assert len(rs) == p.degree
+            for x in rs:
+                assert _scaled_residual(p.coeffs, x) < cpoly.ROOT_TOL, (name, p.degree)
+            spent[name] += rs.sweeps
+    assert all(spent[name] <= caps[name] for name in caps), spent
 
 
 def test_warm_start_from_own_roots_is_cheaper_and_identical():

@@ -304,6 +304,18 @@ def test_fit_is_exactly_equivariant_under_powers_of_two(k):
     assert scaled.radius == math.ldexp(est.radius, k)
 
 
+@pytest.mark.parametrize("size", [1e154, 1e160])
+def test_a_misfit_whose_squares_overflow_is_finite(size):
+    # mu = size z^3 lies outside the model, so each residual is about size.
+    # At 1e160 each square passes the float range, at 1e154 their sum does;
+    # both read as an overflowing misfit, which is now summed again on the
+    # residuals scaled by a power of two.
+    zs = [cmath.rect(1.0, 2.0 * math.pi * k / 16) for k in range(16)]
+    est = fit_scattering([(z, size * z**3) for z in zs], 1.0)
+    unit = fit_scattering([(z, z**3) for z in zs], 1.0)
+    assert abs(est.fit_residual / (size * unit.fit_residual) - 1.0) < 1e-12
+
+
 # --- prediction and inversion -------------------------------------------------
 
 
