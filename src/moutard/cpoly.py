@@ -144,16 +144,20 @@ class ComplexPoly(_Record):
 
     @_memo
     def derivatives(self) -> tuple[tuple[complex, ...], ...]:
-        """(P', ..., P^(N)), each :func:`differentiate` of the one before; formed on first access, then kept.
+        """(P', ..., P^(N)), each the derivative of the one before; formed on first access, then kept.
 
-        ``derivatives[k - 1]`` equals ``differentiate(coeffs, k)`` bit for bit;
-        degree 0 gives ().  NonFinite, and nothing kept, where a derivative
-        overflows.  Not compared: equality, hashing and repr see only ``coeffs``.
+        Each step multiplies c_j by j as :func:`differentiate` does, so ``derivatives[k - 1]``
+        equals ``differentiate(coeffs, k)`` bit for bit; degree 0 gives ().  One finiteness scan
+        follows: NonFinite naming the lowest order that overflows, and nothing kept.  Not
+        compared: equality, hashing and repr see only ``coeffs``.
         """
         chain, cs = [], self.coeffs
         for _ in range(self.degree):
-            cs = differentiate(cs, 1)
+            cs = tuple([c * j for j, c in enumerate(cs) if j])
             chain.append(cs)
+        if not all(map(cmath.isfinite, itertools.chain.from_iterable(chain))):
+            k = [all(map(cmath.isfinite, d)) for d in chain].index(False) + 1
+            raise NonFinite(f"a coefficient of the order-{k} derivative is not finite", order=k)
         return tuple(chain)
 
     @_memo

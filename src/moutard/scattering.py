@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from operator import mul
 
 from .cpoly import _Record
 from .errors import DegenerateDesign, InconsistentData, NonFinite, RadiusTooSmall, ZeroLambda
@@ -97,7 +98,8 @@ def _left_sum(values: Iterable[float]) -> float:
 
 
 def _dot(x: Sequence[complex], y: Sequence[complex]) -> complex:
-    return sum(xi.conjugate() * yi for xi, yi in zip(x, y))
+    """sum of conj(x_i) * y_i by the builtin ``sum``, the fit's one inner product; the products are formed in C."""
+    return sum(map(mul, map(complex.conjugate, x), y))
 
 
 def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> ScatteringEstimate:
@@ -111,41 +113,46 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     sorted angle within 1e-12 rad of the equispaced grid through the first,
     else ValueError; within that the neglected overlaps stay at rounding level.
     The samples are sorted first, so the result does not depend on input
-    order.  NonFinite for the first non-finite (z, mu) sample, and where the
-    conjugate phase 2 Im(lambda z) or the misfit itself overflows; a misfit
-    whose squares or their sum pass the float range is summed on scaled
-    residuals.
+    order.  NonFinite for a non-finite lambda, for the first non-finite
+    (z, mu) sample in input order, and where the conjugate phase
+    2 Im(lambda z) or the misfit itself overflows; a misfit whose squares or
+    their sum pass the float range is summed on scaled residuals.
     """
     lam = complex(lam)
     if lam == 0:
         raise ZeroLambda("scattering data is defined for nonzero lambda")
+    if not cmath.isfinite(lam):
+        raise NonFinite("the spectral parameter lambda must be finite", lam=lam)
     if len(samples) < 4:
         raise ValueError(f"need at least 4 samples, got {len(samples)}")
     pairs = [(complex(z), complex(mu)) for z, mu in samples]
-    for z, mu in pairs:
-        if not (cmath.isfinite(z) and cmath.isfinite(mu)):
-            raise NonFinite(f"the sample (z, mu) = ({z!r}, {mu!r}) is not finite", point=z, mu=mu)
     ordered = sorted(pairs, key=lambda t: (t[0].real, t[0].imag))
     zs = [z for z, _ in ordered]
     data = [mu for _, mu in ordered]
+    if not (all(map(cmath.isfinite, zs)) and all(map(cmath.isfinite, data))):
+        z, mu = next(t for t in pairs if not (cmath.isfinite(t[0]) and cmath.isfinite(t[1])))
+        raise NonFinite(f"the sample (z, mu) = ({z!r}, {mu!r}) is not finite", point=z, mu=mu)
     n = len(zs)
     # The fit runs on w = z / s, s a power of two with |w| near 1, so its sums stay in range at any radius;
     # a power of two scales exactly, so a, b, the misfit and the radius are those of the fit on z.
     s = math.ldexp(1.0, math.frexp(max(abs(zs[0].real), abs(zs[0].imag)))[1] - 1)
     ws = [z / s for z in zs]
-    radius = _left_sum(abs(w) for w in ws) / n
-    angles = sorted(cmath.phase(z) for z in zs)
-    if any(abs(abs(w) - radius) > 1e-12 * radius for w in ws) or any(
-        abs(t - angles[0] - 2.0 * math.pi * j / n) > 1e-12 for j, t in enumerate(angles)
+    moduli = list(map(abs, ws))
+    radius = _left_sum(moduli) / n
+    angles = sorted(map(cmath.phase, zs))
+    tol, turn, first = 1e-12 * radius, 2.0 * math.pi, angles[0]
+    if any([abs(m - radius) > tol for m in moduli]) or any(
+        [abs(t - first - turn * j / n) > 1e-12 for j, t in enumerate(angles)]
     ):
         raise ValueError("samples must be equispaced on a common circle of positive radius")
 
-    for z in zs:
-        if not math.isfinite(2.0 * (lam * z).imag):
-            raise NonFinite(f"the conjugate phase 2 Im(lambda z) overflows at {z!r}", point=z, lam=lam)
+    phases = [-2.0 * (lam * z).imag for z in zs]
+    if not all(map(math.isfinite, phases)):
+        z = zs[[math.isfinite(p) for p in phases].index(False)]
+        raise NonFinite(f"the conjugate phase 2 Im(lambda z) overflows at {z!r}", point=z, lam=lam)
     # The columns s/z and s e^{lambda_bar z_bar - lambda z}/z_bar of a/s and b/s; the nuisance modes are (s/z)^k.
     u = [1.0 / w for w in ws]
-    v = [cmath.exp(complex(0.0, -2.0 * (lam * z).imag)) / w.conjugate() for z, w in zip(zs, ws)]
+    v = [cmath.exp(complex(0.0, p)) / w.conjugate() for p, w in zip(phases, ws)]
     pv = v
     for mode in range(2, min(MAX_NUISANCE_MODE, n // 4) + 1):
         q = [x**mode for x in u]
@@ -168,7 +175,7 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     b = (guu * bv - guv.conjugate() * bu) / det
 
     try:
-        misfit = math.sqrt(_left_sum(abs(m - a * ui - b * vi) ** 2 for m, ui, vi in zip(data, u, v)) / n)
+        misfit = math.sqrt(_left_sum([abs(m - a * ui - b * vi) ** 2 for m, ui, vi in zip(data, u, v)]) / n)
     except OverflowError:
         misfit = math.inf
     if misfit == math.inf:

@@ -128,7 +128,10 @@ class FaddeevParams(cpoly._Record):
         derivs, lam = self.p.derivatives, self.lam
         t: list[complex] = []
         for k in range(len(derivs), 0, -1):
-            t = [(a - c if k % 2 else a + c) / lam for a, c in zip(t + [0j], derivs[k - 1])]
+            if k % 2:
+                t = [(a - c) / lam for a, c in zip(t + [0j], derivs[k - 1])]
+            else:
+                t = [(a + c) / lam for a, c in zip(t + [0j], derivs[k - 1])]
         return tuple(t)
 
     @property

@@ -202,6 +202,18 @@ def test_derivative_chain_is_differentiate_bit_for_bit():
         assert p.derivatives is chain
 
 
+def test_derivative_chain_names_the_lowest_overflowing_order():
+    # P' = 10 z^9 + 9e307 z^8 is finite and P'' = 90 z^8 + 7.2e308 z^7 is not.  The chain
+    # said "order-1" for every order; it now says what differentiate(coeffs, 2) says.
+    p = cpoly.ComplexPoly((0j,) * 9 + (1e307 + 0j, 1 + 0j))
+    with pytest.raises(NonFinite, match="order-2 derivative is not finite") as exc:
+        p.derivatives
+    assert exc.value.details == {"order": 2}
+    assert "derivatives" not in p.__dict__
+    with pytest.raises(NonFinite, match="order-2 derivative is not finite"):
+        cpoly.differentiate(p.coeffs, 2)
+
+
 def test_derivative_chain_is_not_a_field():
     p = cpoly.from_roots([1.5, -0.5 + 1j, 2j])
     twin = cpoly.ComplexPoly(p.coeffs)

@@ -203,17 +203,19 @@ def test_params_at_four_lambdas_share_one_root_solve(monkeypatch):
 
 def test_params_at_four_lambdas_share_one_derivative_chain(monkeypatch):
     calls = []
-    differentiate = cpoly.differentiate
+    memo = vars(cpoly.ComplexPoly)["derivatives"]
+    form = memo.method
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return differentiate(*args, **kwargs)
+    def counted(poly):
+        calls.append(poly)
+        return form(poly)
 
-    monkeypatch.setattr(cpoly, "differentiate", counted)
+    monkeypatch.setattr(memo, "method", counted)
     p = cpoly.from_roots([1, -1, 0.5j, 2 - 1j, -1.5 + 0.5j])
     for lam in (2.0, -1j, 0.5 + 0.5j, 3.0):
-        FaddeevParams(p, lam)
-    assert len(calls) == p.degree  # P', ..., P^(5) once, for all four
+        FaddeevParams(p, lam)._t
+    assert len(calls) == 1 and calls[0] is p  # P', ..., P^(5) formed once, for all four
+    assert len(p.derivatives) == p.degree
 
 
 def test_params_where_a_derivative_overflows_are_non_finite_at_every_lambda():
@@ -405,6 +407,15 @@ def test_t_is_formed_on_first_evaluation_bit_for_bit():
         assert "_t" not in vars(fp)  # the certificate never reads T
         fp.mu(5.0 + 5.0j)
         assert _bits(vars(fp)["_t"]) == _bits(_eager_t(fp)), degree
+
+
+def test_t_is_the_single_comprehension_form_bit_for_bit():
+    # The per-k sign branch forms the same quotients as the one comprehension that chose the sign per element.
+    rng = random.Random(3038)
+    for j in range(20):
+        lam = cmath.rect(10.0 ** rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
+        fp = _random_params(rng, (0, 1, 2, 3, 7, 24)[j % 6] if j < 12 else rng.randrange(25), lam)
+        assert _bits(fp._t) == _bits(_eager_t(fp)), (fp.p.degree, lam)
 
 
 def test_identity_negative_controls_read_the_analytic_defect(monkeypatch):
