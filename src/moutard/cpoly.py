@@ -87,7 +87,7 @@ class ComplexPoly(_Record):
 
     ``coeffs[j]`` multiplies z**j and the last entry is exactly 1.  Use
     :func:`from_roots` or :meth:`from_coefficients` instead of spelling out
-    coefficient tuples by hand.
+    coefficient tuples by hand; ValueError unless every coefficient is finite.
     """
 
     coeffs: tuple[complex, ...]

@@ -54,7 +54,7 @@ class NonConvergence(MoutardError):
 
 
 class InsufficientRoots(MoutardError):
-    """An operation needing >= 2 roots was given fewer."""
+    """An operation was given fewer roots than it needs."""
 
 
 class NonFinite(MoutardError):

@@ -221,7 +221,8 @@ def trajectory(
     previous time's event when that time was flagged too (keeping the first
     tightest time and the union of the roots involved).  Matching at and
     immediately after a flagged time is exempt from the ambiguity check,
-    since labels may genuinely permute there.  Raises
+    since labels may genuinely permute there.  ValueError unless
+    collision_tol > 0 (inf is allowed).  Raises
     NonFinite when a grid time is not finite or a coefficient of P(t)
     overflows there, and before any solve when t0, t1 or the span t1 - t0 is
     not finite.

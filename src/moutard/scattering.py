@@ -116,7 +116,9 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     order.  NonFinite for a non-finite lambda, for the first non-finite
     (z, mu) sample in input order, and where the conjugate phase
     2 Im(lambda z) or the misfit itself overflows; a misfit whose squares or
-    their sum pass the float range is summed on scaled residuals.
+    their sum pass the float range is summed on scaled residuals.  The fit
+    runs on z / s, s a power of two near |z|, so nothing overflows with the
+    radius and the result is bit for bit that of the fit on z.
     """
     lam = complex(lam)
     if lam == 0:

@@ -52,7 +52,7 @@ from itertools import zip_longest
 from operator import add, mul
 
 from . import cpoly
-from .errors import NearPole, NonFinite, ZeroLambda
+from .errors import InsufficientRoots, NearPole, NonFinite, ZeroLambda
 from .wirtinger import ring, ring_moments
 
 ComplexFunc = "Callable[[complex], complex]"  # read only in annotations, which stay unevaluated
@@ -75,7 +75,10 @@ GAUGE_SHIFTS = (1.0, 1e3)
 
 
 class DeltaPotential(cpoly._Record):
-    """Symbolic multi-point delta potential: centers with common weight -8*pi."""
+    """Symbolic multi-point delta potential: centers with common weight -8*pi.
+
+    ``weight`` is a class constant, not a field; NonFinite names the first centre that is not finite.
+    """
 
     centers: tuple[complex, ...]
     weight = -8.0 * math.pi
@@ -99,7 +102,8 @@ class FaddeevParams(cpoly._Record):
     T = sum_{k=1..N} (-1)^k P^(k) / lambda^k, which make mu = 2 T / P one
     Horner pass, are formed on the first evaluation and then kept; the exact
     certificate never reads them.  Instances are immutable afterwards, so
-    they are safe to share across threads.
+    they are safe to share across threads.  ZeroLambda for lambda = 0,
+    NonFinite for a lambda that is not finite or whose modulus overflows.
     """
 
     __match_args__ = _compared = ("p", "lam")
@@ -139,6 +143,9 @@ class FaddeevParams(cpoly._Record):
         return self.p.root_set.roots
 
     def nearest_root(self, z: complex) -> complex:
+        """The root of P nearest to z; InsufficientRoots where P has none."""
+        if not self.roots:
+            raise InsufficientRoots("a generator of degree 0 has no root nearest to a point")
         return min(self.roots, key=lambda r: abs(z - r))
 
     def mu(self, z: complex) -> complex:
@@ -154,8 +161,9 @@ class FaddeevParams(cpoly._Record):
     def psi(self, z: complex) -> complex:
         """Eigenfunction value e^{lambda z} (1 + mu(z)).
 
-        NonFinite where it overflows, as for strongly positive Re(lambda z);
-        use :meth:`mu` when only the normalized deviation is needed.
+        NonFinite for a non-finite z, as :meth:`mu`, and where psi overflows,
+        as for strongly positive Re(lambda z); use :meth:`mu` when only the
+        normalized deviation is needed.
         """
         return self._evaluate([z])[3][0]
 
@@ -164,10 +172,11 @@ class FaddeevParams(cpoly._Record):
 
         P and T take one list Horner pass each, bitwise as ``cpoly.horner``.
         The points are then checked in order, each as :meth:`psi` (or, without
-        ``with_psi``, :meth:`mu`) checks it: a finite point, the pole guard, a
-        finite mu, a finite psi (an overflowing e^{lambda w} counts as psi
-        overflowing), so an error names the first point that fails.  At degree
-        0, T is empty and P is 1, so mu is 0j and the pole guard never fires.
+        ``with_psi``, :meth:`mu`) checks it: a finite point, the pole guard
+        (a |P(w)| beyond the float range is no pole), a finite mu, a finite
+        psi (an overflowing e^{lambda w} counts as psi overflowing), so an
+        error names the first point that fails.  At degree 0, T is empty and P
+        is 1, so mu is 0j and the pole guard never fires.
         """
         lam, threshold = self.lam, self._pole_threshold
         ps = cpoly._horner_list(self.p.coeffs, points)
@@ -252,7 +261,8 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
     have radius rho = 2 + 0.25 j, up to spread + SAMPLE_MIN_DIST + 3, so the
     outer rings clear every root.  The walk starts one ring inside the first
     whose arc facing lambda is wide enough to hold ``SAMPLE_COUNT`` grid
-    points, and stops once rho + 0.25 rounds back to rho.
+    points (below 2^51, counting the grid's offset from conj(lambda)), and stops
+    once rho + 0.25 rounds back to rho.
 
     NonFinite where no ring of the walk can face lambda (a centroid far
     behind lambda), and where none holds ``SAMPLE_COUNT`` points facing it;

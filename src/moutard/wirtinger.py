@@ -106,7 +106,7 @@ def d_zbar(f: ComplexFunc, z: complex) -> complex:
 
 
 def laplacian(f: ComplexFunc, z: complex) -> complex:
-    """Five-point estimate of f_xx + f_yy at z; agrees with 4 * d_zbar(d_z f)."""
+    """Five-point estimate of f_xx + f_yy at z, at s and s/2 (9 samples); agrees with 4 * d_zbar(d_z f)."""
     s = _step(LAPLACIAN_STEP_SCALE, z)
     centre = 4.0 * _sample(f, z)
     coarse, fine = ((_cross(f, z, r)[2] - centre) / (r * r) for r in (s, s / 2.0))

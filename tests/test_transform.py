@@ -19,7 +19,7 @@ import sys
 import pytest
 
 from moutard import cli, cpoly, flow, scattering, transform
-from moutard.errors import MoutardError, NearPole, NonFinite, ZeroLambda
+from moutard.errors import InsufficientRoots, MoutardError, NearPole, NonFinite, ZeroLambda
 from moutard.transform import (
     RING_POINTS,
     DeltaPotential,
@@ -183,6 +183,11 @@ def test_params_expose_roots():
     assert abs(got[0] - (-1)) < 1e-10
     assert abs(got[1] - 2j) < 1e-10
     assert abs(fp.nearest_root(1.8j) - 2j) < 1e-9
+
+
+def test_nearest_root_of_a_generator_without_roots_is_a_typed_error():
+    with pytest.raises(InsufficientRoots):
+        FaddeevParams(cpoly.ComplexPoly((1,)), 1).nearest_root(0)
 
 
 def test_params_at_four_lambdas_share_one_root_solve(monkeypatch):
