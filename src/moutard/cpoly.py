@@ -112,8 +112,9 @@ class ComplexPoly(_Record):
         """Build from an arbitrary coefficient list, normalizing to monic.
 
         Trailing (highest-degree) zeros are stripped first; the remaining
-        coefficients are divided by the leading one.  NonFinite where that
-        division overflows a finite coefficient list.
+        coefficients are divided by the leading one.  ValueError for the zero
+        polynomial, NonFinite where that division overflows a finite
+        coefficient list.
         """
         cs = [complex(c) for c in coeffs]
         while cs and cs[-1] == 0:

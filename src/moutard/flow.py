@@ -110,7 +110,7 @@ def verify_flow(p0: cpoly.ComplexPoly, t: float, dt: float, flow_sign: int = 1) 
     (j (K-j)! (K+j)! dt), K = max(1, ceil(floor(N/3) / 2)), which is exact for
     P(t) of degree floor(N/3) in t, against the configured sign times the third
     derivative of P(t); a small value certifies that evolve integrates it.
-    Raises NonFinite where evolve would.
+    Raises NonFinite where evolve would, and where the defect overflows.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
@@ -123,7 +123,10 @@ def verify_flow(p0: cpoly.ComplexPoly, t: float, dt: float, flow_sign: int = 1) 
         pairs = zip(_at(p0, terms, t + j * dt, sign), _at(p0, terms, t - j * dt, sign))
         diff = [d + w * (a - b) for d, (a, b) in zip(diff, pairs)]
     rhs = cpoly.differentiate(_at(p0, terms, t, sign), 3) + (0j,) * 3
-    return max(abs(d / dt - sign * r) for d, r in zip(diff, rhs))
+    defects = [cpoly._modulus_or_inf(d / dt - sign * r) for d, r in zip(diff, rhs)]
+    if not all(map(math.isfinite, defects)):
+        raise NonFinite(f"the flow defect at t = {t!r} overflows for dt = {dt!r}", t=t, dt=dt)
+    return max(defects)
 
 
 def _near_min_pairs(positions: Sequence[complex], best: float) -> tuple[int, ...]:
@@ -136,8 +139,8 @@ def _near_min_pairs(positions: Sequence[complex], best: float) -> tuple[int, ...
     return tuple(sorted(involved))
 
 
-def _labels_kept(delta: float, sep: float) -> float | None:
-    """A lower bound on the separation of cur when no root moved 3/8 of ``sep``, else None.
+def _labels_kept(delta: float, sep: float) -> float:
+    """A lower bound on the separation of cur when no root moved 3/8 of ``sep``, else -inf.
 
     ``sep`` is the minimum separation of ``prev``, or a lower bound on it, and
     delta = max |cur_i - prev_i| the largest move.  Then |prev_i - cur_j| >=
@@ -150,20 +153,17 @@ def _labels_kept(delta: float, sep: float) -> float | None:
     """
     if delta <= 0.375 * (1 - 2**-40) * sep:
         return (sep - 2.0 * delta) * (1 - 2**-40)
-    return None
+    return -math.inf
 
 
-def _greedy_match(prev: Sequence[complex], cur: Sequence[complex], margin: float, lenient: bool) -> list[complex]:
+def _greedy_match(prev: Sequence[complex], cur: Sequence[complex], margin: float) -> list[complex]:
     """Assign each previous root the nearest unclaimed current root.
 
     Each pick is the closest pair (i, j) of a still free previous root i and
     current root j, ties broken on (distance, i, j).  If the best conflicting
     alternative in that free row or column is within ``margin`` of the chosen
-    pair, the assignment is not trustworthy; that raises AmbiguousMatching
-    unless ``lenient`` (set next to a flagged collision, where label loss is
-    expected and annotated instead).  ``trajectory`` calls it on every step
-    after the first except those that keep their labels by
-    :func:`_labels_kept` with a carried separation bound.
+    pair, the assignment is not trustworthy and AmbiguousMatching is raised;
+    margin -inf never raises.
     """
     n = len(prev)
     d = [[abs(p - c) for c in cur] for p in prev]
@@ -172,20 +172,19 @@ def _greedy_match(prev: Sequence[complex], cur: Sequence[complex], margin: float
     out: list[complex] = [0j] * n
     while rows:
         dist, i, j = min((d[r][c], r, c) for r in rows for c in cols)
-        if not lenient:
-            rival = min(
-                [d[i][c] for c in cols if c != j] + [d[r][j] for r in rows if r != i],
-                default=math.inf,
+        rival = min(
+            [d[i][c] for c in cols if c != j] + [d[r][j] for r in rows if r != i],
+            default=math.inf,
+        )
+        if rival - dist < margin:
+            raise AmbiguousMatching(
+                "root matching between consecutive times is ambiguous "
+                f"(competing assignments differ by {rival - dist:.3e} < margin {margin:.3e}); "
+                "increase steps",
+                distance=dist,
+                rival=rival,
+                margin=margin,
             )
-            if rival - dist < margin:
-                raise AmbiguousMatching(
-                    "root matching between consecutive times is ambiguous "
-                    f"(competing assignments differ by {rival - dist:.3e} < margin {margin:.3e}); "
-                    "increase steps",
-                    distance=dist,
-                    rival=rival,
-                    margin=margin,
-                )
         out[i] = cur[j]
         rows.remove(i)
         cols.remove(j)
@@ -209,23 +208,20 @@ def trajectory(
     flagged as a collision (the solve falls back to its cold seed by itself
     when that start fails); the result equals
     ``cpoly.roots(evolve(p0, t), init=...)`` bit for bit.  Roots at the
-    first time are ordered by (real, imag); afterwards a time's roots keep
-    the warm start's order, unscanned, when no root moved 3/8 of the previous
-    minimum separation from x_{k-1} and the bound this gives stays at or
-    above ``collision_tol`` (:func:`_labels_kept`, an O(n) certificate);
-    other steps inherit labels from x_{k-1} by greedy nearest-neighbour
-    matching with margin 0.25 * (previous minimum separation), which keeps
-    the warm start's order wherever the certificate holds.
-    Whenever the minimum separation drops below ``collision_tol`` the time
-    is flagged as the step is taken: it opens a CollisionEvent, or widens the
-    previous time's event when that time was flagged too (keeping the first
-    tightest time and the union of the roots involved).  Matching at and
-    immediately after a flagged time is exempt from the ambiguity check,
-    since labels may genuinely permute there.  ValueError unless
-    collision_tol > 0 (inf is allowed).  Raises
-    NonFinite when a grid time is not finite or a coefficient of P(t)
-    overflows there, and before any solve when t0, t1 or the span t1 - t0 is
-    not finite.
+    first time are ordered by (real, imag).  Each later time keeps the warm
+    start's order where :func:`_labels_kept` certifies it with a separation
+    bound at or above ``collision_tol``; otherwise its roots take their labels
+    from x_{k-1} by greedy nearest-neighbour matching, which keeps that order
+    wherever the certificate holds.  The matching raises AmbiguousMatching
+    where two assignments differ by less than a quarter of x_{k-1}'s minimum
+    separation, unless either end of the step is flagged: a time is flagged
+    when its minimum separation drops below ``collision_tol``, and labels may
+    genuinely permute there.  A flagged time opens a CollisionEvent, or
+    widens the previous time's event when that time was flagged too (keeping
+    the first tightest time and the union of the roots involved).  ValueError
+    unless collision_tol > 0 (inf is allowed).  Raises NonFinite when a grid
+    time is not finite or a coefficient of P(t) overflows there, and before
+    any solve when t0, t1 or the span t1 - t0 is not finite.
     """
     sign = _check_sign(flow_sign)
     for t in (t0, t1):
@@ -248,7 +244,6 @@ def trajectory(
     columns: list[list[complex]] = []
     # Minimum separation of each column, or a lower bound on it that is >= collision_tol.
     seps: list[float] = []
-    bound = False  # whether seps[-1] is a bound
     events: list[CollisionEvent] = []
     for k, t in enumerate(times):
         if k >= 2 and min(seps[-2:]) >= collision_tol:
@@ -258,29 +253,23 @@ def trajectory(
             init = columns[-1] if columns else None
         rts, _, _ = cpoly._solve(_at(p0, terms, t, sign), init)
         if k:
-            # A step that keeps its labels with a carried bound >= collision_tol is
-            # neither lenient nor flagged, so it stores the bound and skips the O(n^2)
-            # scan; any other step first rescans a carried bound.
-            delta = max(map(abs, map(operator.sub, rts, columns[-1])))
-            least = _labels_kept(delta, seps[-1])
-            if least is not None and least >= collision_tol:
+            # A step that keeps its labels with a bound >= collision_tol is not flagged,
+            # so it stores the bound and skips the O(n^2) scan.
+            least = _labels_kept(max(map(abs, map(operator.sub, rts, columns[-1]))), seps[-1])
+            if least >= collision_tol:
                 columns.append(rts)
                 seps.append(least)
-                bound = True
                 continue
-            if bound:
-                seps[-1] = cpoly.min_root_separation(columns[-1])
-                bound = False
         # Matching permutes rts, so this is also the separation of cur.
         sep = cpoly.min_root_separation(rts) if n >= 2 else math.inf
         if k == 0:
             cur = sorted(rts, key=lambda r: (r.real, r.imag))
+        elif seps[-1] < collision_tol or sep < collision_tol:
+            # Either end of the step sits at a collision: labels genuinely permute
+            # there, and the CollisionEvent already marks them unreliable.
+            cur = _greedy_match(columns[-1], rts, -math.inf)
         else:
-            # Matching is exempt from the ambiguity check when either end of
-            # the step sits at a collision: labels genuinely permute there,
-            # and the CollisionEvent already marks them unreliable.
-            lenient = seps[-1] < collision_tol or sep < collision_tol
-            cur = _greedy_match(columns[-1], rts, 0.25 * seps[-1], lenient=lenient)
+            cur = _greedy_match(columns[-1], rts, 0.25 * cpoly.min_root_separation(columns[-1]))
         if sep < collision_tol:
             event = CollisionEvent(t, _near_min_pairs(cur, sep), sep)
             if k and seps[-1] < collision_tol:

@@ -141,7 +141,7 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     ws = [z / s for z in zs]
     moduli = list(map(abs, ws))
     radius = _left_sum(moduli) / n
-    angles = sorted(map(cmath.phase, zs))
+    angles = sorted([math.atan2(z.imag, z.real) for z in zs])
     tol, turn, first = 1e-12 * radius, 2.0 * math.pi, angles[0]
     if any([abs(m - radius) > tol for m in moduli]) or any(
         [abs(t - first - turn * j / n) > 1e-12 for j, t in enumerate(angles)]
@@ -181,14 +181,17 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     except OverflowError:
         misfit = math.inf
     if misfit == math.inf:
-        # A square or their sum passed the float range: sum again on residuals divided by a power of two near the largest.
+        # A square or their sum passed the float range: unless a residual did too, sum again
+        # on residuals divided by a power of two near the largest.
         res = [m - a * ui - b * vi for m, ui, vi in zip(data, u, v)]
-        t = math.ldexp(1.0, math.frexp(max(max(abs(r.real), abs(r.imag)) for r in res))[1] - 1)
-        misfit = t * math.sqrt(_left_sum(abs(r / t) ** 2 for r in res) / n)
-    radius *= s
-    if not math.isfinite(misfit):
-        raise NonFinite(f"the fit misfit overflows at lambda = {lam!r} on radius {radius!r}", lam=lam, radius=radius)
-    return ScatteringEstimate(a=a * s, b=b * s, fit_residual=misfit, radius=radius, samples=n)
+        if all(map(cmath.isfinite, res)):
+            t = math.ldexp(1.0, math.frexp(max(max(abs(r.real), abs(r.imag)) for r in res))[1] - 1)
+            misfit = t * math.sqrt(_left_sum(abs(r / t) ** 2 for r in res) / n)
+    a, b, radius = a * s, b * s, radius * s
+    if not (math.isfinite(misfit) and cmath.isfinite(a) and cmath.isfinite(b)):
+        raise NonFinite(f"the fit misfit or amplitudes overflow at lambda = {lam!r} on radius {radius!r}",
+                        lam=lam, radius=radius)
+    return ScatteringEstimate(a=a, b=b, fit_residual=misfit, radius=radius, samples=n)
 
 
 def expected_a(n: int, lam: complex) -> complex:

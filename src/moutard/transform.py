@@ -146,7 +146,7 @@ class FaddeevParams(cpoly._Record):
         """The root of P nearest to z; InsufficientRoots where P has none."""
         if not self.roots:
             raise InsufficientRoots("a generator of degree 0 has no root nearest to a point")
-        return min(self.roots, key=lambda r: abs(z - r))
+        return min(self.roots, key=lambda r: cpoly._modulus_or_inf(z - r))
 
     def mu(self, z: complex) -> complex:
         """Deviation from the plane wave: psi * e^{-lambda z} - 1.
@@ -268,7 +268,8 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
     behind lambda), and where none holds ``SAMPLE_COUNT`` points facing it;
     NearPole where every candidate rounds back onto a root (roots near
     1e200), naming the last candidate and its nearest root; NonFinite for a
-    non-finite root or lambda.
+    non-finite root or lambda, and where the centroid or the rings around it
+    leave the float range.
     """
     roots = tuple([complex(r) for r in roots])
     lam = complex(lam)
@@ -276,26 +277,32 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
         if not cmath.isfinite(v):
             raise NonFinite(f"sample points need finite roots and lambda, got {v!r}", value=v)
     center = sum(roots) / len(roots) if roots else 0j
-    spread = max((abs(r - center) for r in roots), default=0.0)
+    spread = max((cpoly._modulus_or_inf(r - center) for r in roots), default=0.0)
     grid = 8 * SAMPLE_COUNT
     first, limit = SAMPLE_MIN_DIST + 0.5, spread + SAMPLE_MIN_DIST + 3.0
+    # Every ring index, candidate and distance of the walk stays below 4 limit + |center|.
+    if not math.isfinite(4.0 * limit + math.hypot(center.real, center.imag)):
+        raise NonFinite(f"the sample rings around the centroid {center!r} leave the float range",
+                        center=center, spread=spread)
     # A candidate at angle phi from the direction of conj(lambda) has Re(lambda z) >= -0.3
     # iff cos(phi) >= facing / rho, and a ring returns only if that arc holds
     # SAMPLE_COUNT grid points, i.e. spans SAMPLE_COUNT - 1 grid steps.  hypot gives
     # inf, not OverflowError, where |lambda| leaves the float range.
     facing = (-0.3 - (lam * center).real) / math.hypot(lam.real, lam.imag) if lam else -math.inf
     start = facing / math.cos((SAMPLE_COUNT - 1) * math.pi / grid)
-    if start > limit or start == math.inf:  # the first ring that can face lambda lies beyond the walk
+    if not start <= limit:  # the first ring that can face lambda lies beyond the walk, or lambda z overflows
         raise NonFinite(f"no sample ring around the centroid {center!r} faces lambda = {lam!r}",
                         center=center, lam=lam)
     j = math.ceil((start - first) / 0.25) - 1 if start > first else 0  # one ring early, for the rounding of lambda z
     # The grid sits offset rad off conj(lambda), so a ring holds SAMPLE_COUNT facing points only from
-    # facing / cos((SAMPLE_COUNT - 1) pi / grid + offset) on.  Below 2^51, where rings are exactly 0.25 apart,
-    # start one ring before that, or at the last ring where that lies past the limit: the rings skipped are empty.
-    offset = abs(math.remainder(2.0 * math.pi * 0.381966 / grid + cmath.phase(lam), 2.0 * math.pi / grid))
+    # facing / cos((SAMPLE_COUNT - 1) pi / grid + offset) on.  Where the walk would start below 2^51, where rings
+    # are exactly 0.25 apart, start one ring before that (or before 2^51, where the walk ends), or at the last ring
+    # where that lies past the limit: the rings skipped are empty.
+    offset = abs(math.remainder(2.0 * math.pi * 0.381966 / grid + math.atan2(lam.imag, lam.real), 2.0 * math.pi / grid))
     exact = facing / math.cos((SAMPLE_COUNT - 1) * math.pi / grid + offset)
-    if first < exact < 2.0**51:
-        j = math.ceil((exact - first) / 0.25) - 1 if exact <= limit else math.floor((limit - first) / 0.25)
+    if first < exact and start < 2.0**51:
+        top = min(exact, 2.0**51)
+        j = math.ceil((top - first) / 0.25) - 1 if top <= limit else math.floor((limit - first) / 0.25)
     while (rho := first + 0.25 * j) <= limit:
         chosen: list[complex] = []
         for k in range(grid):
@@ -317,7 +324,7 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
 
 def _ring_radius(fp: FaddeevParams, z: complex) -> float:
     """min(d/2, 1/|lambda|) / 4, d = distance to the nearest root; NearPole if d < 1e-3."""
-    d = min((abs(z - r) for r in fp.roots), default=math.inf)
+    d = min((cpoly._modulus_or_inf(z - r) for r in fp.roots), default=math.inf)
     if d < 1e-3:
         raise NearPole(z, fp.nearest_root(z))
     return 0.25 * min(0.5 * d, 1.0 / abs(fp.lam))

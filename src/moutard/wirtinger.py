@@ -20,8 +20,8 @@ truncation against rounding noise.  First derivatives divide by s, so s near
 eps**(1/3) is right; the Laplacian divides by s**2 and needs a larger step.
 Each takes its step as its module scale times max(1, |z|), which keeps z + s
 representable: FIRST_ORDER_STEP_SCALE for ``gradient``, ``d_z`` and ``d_zbar``,
-LAPLACIAN_STEP_SCALE for ``laplacian``, both read at call time.  A non-finite z
-raises NonFinite.
+LAPLACIAN_STEP_SCALE for ``laplacian``, both read at call time.  A non-finite z,
+sample or estimate raises NonFinite.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import operator
 
+from .cpoly import _modulus_or_inf
 from .errors import NonFinite
 
 ComplexFunc = "Callable[[complex], complex]"  # read only in annotations, which stay unevaluated
@@ -41,7 +42,7 @@ def _step(scale: float, z: complex) -> float:
     """The stencil step scale * max(1, |z|) at a finite centre z."""
     if not cmath.isfinite(z):
         raise NonFinite(f"stencil centre must be finite, got {z!r}", point=z)
-    return scale * max(1.0, abs(z))
+    return scale * max(1.0, _modulus_or_inf(z))
 
 
 def _sample(f: ComplexFunc, w: complex) -> complex:
@@ -68,10 +69,10 @@ def ring(z: complex, radius: float, m: int) -> list[complex]:
 
 
 def ring_moments(samples: Sequence[complex], radius: float) -> tuple[complex, complex]:
-    """(d_z f, d_zbar f) from f at ``ring(z, radius, len(samples))``; ValueError for no samples."""
+    """(d_z f, d_zbar f) from f at ``ring(z, radius, len(samples))``; ValueError for no samples or radius 0."""
     m = len(samples)
-    if not m:
-        raise ValueError("ring moments need at least one sample")
+    if not (m and radius):
+        raise ValueError(f"ring moments need at least one sample and a nonzero radius, got {m} and {radius!r}")
     units = _units[m]
     dz = sum(map(operator.truediv, samples, units)) / (m * radius)
     dzbar = sum(map(operator.mul, samples, units)) / (m * radius)
@@ -92,7 +93,10 @@ def gradient(f: ComplexFunc, z: complex) -> tuple[complex, complex]:
     """(d_z f, d_zbar f) at z from one cross stencil at s and s/2: 8 samples."""
     s = _step(FIRST_ORDER_STEP_SCALE, z)
     (cz, czbar, _), (fz, fzbar, _) = _cross(f, z, s), _cross(f, z, s / 2.0)
-    return (4.0 * fz - cz) / 3.0, (4.0 * fzbar - czbar) / 3.0
+    dz, dzbar = (4.0 * fz - cz) / 3.0, (4.0 * fzbar - czbar) / 3.0
+    if not (cmath.isfinite(dz) and cmath.isfinite(dzbar)):
+        raise NonFinite(f"the stencil estimate at {z!r} is not finite", point=z)
+    return dz, dzbar
 
 
 def d_z(f: ComplexFunc, z: complex) -> complex:
@@ -110,4 +114,7 @@ def laplacian(f: ComplexFunc, z: complex) -> complex:
     s = _step(LAPLACIAN_STEP_SCALE, z)
     centre = 4.0 * _sample(f, z)
     coarse, fine = ((_cross(f, z, r)[2] - centre) / (r * r) for r in (s, s / 2.0))
-    return (4.0 * fine - coarse) / 3.0
+    lap = (4.0 * fine - coarse) / 3.0
+    if not cmath.isfinite(lap):
+        raise NonFinite(f"the stencil estimate at {z!r} is not finite", point=z)
+    return lap

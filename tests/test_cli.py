@@ -355,6 +355,9 @@ def test_overflow_is_a_named_non_finite_record(argv, quantity):
         (["verify", "--roots", "1500;0", "--lambda", "-1"], "NonFinite", "faces lambda"),
         (["eigen", "--roots", "0", "--lambda", "1", "--z", "1.5e308,1.5e308"], "NonFinite", "psi overflows"),
         (["verify", "--roots", "1", "--lambda", "1.5e308,1.5e308"], "NonFinite", "modulus of lambda"),
+        # The angle of lambda underflows in atan2.
+        (["verify", "--roots", "0", "--lambda", "1e300,1e-30"], "NonFinite", "psi overflows"),
+        (["verify", "--roots", "1;2", "--lambda", "1e250,1e-100"], "NonFinite", "psi overflows"),
     ],
 )
 def test_extreme_magnitudes_are_typed_records(argv, kind, message):
@@ -600,6 +603,12 @@ def _writer_cases():
     forms = (5e-324, 1e16, 1e-07, -0.0, 1.7976931348623157e308, -math.inf, math.nan)
     for re, im in zip(forms, reversed(forms)):
         yield flow.RootTrajectory(times=forms, paths=((), (complex(re, im),)), events=())
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_an_empty_trajectory_is_not_exported(fmt):
+    with pytest.raises(ValueError, match="cannot export an empty trajectory"):
+        cli.export_trajectory(flow.RootTrajectory(times=(), paths=(), events=()), fmt)
 
 
 def test_trajectory_json_writer_matches_json_dumps():

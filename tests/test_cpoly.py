@@ -650,6 +650,12 @@ def test_memoized_polynomial_pickles(monkeypatch):
     assert calls == []
 
 
+def test_a_memo_read_on_the_class_is_the_descriptor():
+    memo = cpoly.ComplexPoly.__dict__["root_set"]
+    assert cpoly.ComplexPoly.root_set is memo
+    assert memo.__doc__.startswith("All roots by :func:`roots`")
+
+
 def test_repeated_roots_take_the_cold_fallback():
     c = 0.3 - 0.7j
     p = cpoly.from_roots([c, c, c])

@@ -139,6 +139,15 @@ def test_verify_flow_rejects_non_finite_time():
         verify_flow(QUARTIC, math.nan, 0.1)
 
 
+def test_verify_flow_where_the_defect_overflows_is_non_finite():
+    # P(t + dt) - P(t - dt) passes the float range; the defect read nan.
+    p = ComplexPoly((2.631522472859824e303 - 1.1949126427876608e305j, -5.152590933277753e307 + 5.320724451485813e302j,
+                     -4.3644628971299796e306 + 1.7976931348623157e308j, 1 + 0j))
+    with pytest.raises(NonFinite, match="^the flow defect at t = 1.528136569432574e[+]303 overflows") as exc:
+        verify_flow(p, 1.528136569432574e303, 1.6995871762318389e307, -1)
+    assert exc.value.details == {"t": 1.528136569432574e303, "dt": 1.6995871762318389e307}
+
+
 def test_successive_evolves_accumulate_time():
     p = evolve(evolve(Z3, 0.25), 0.5)
     assert p.coeffs[0] == pytest.approx(complex(6 * 0.75))
@@ -461,9 +470,9 @@ def _full_greedy(prev, cur, margin, lenient):
     return out
 
 
-def _outcome(match, prev, cur, margin, lenient):
+def _outcome(match, *args):
     try:
-        return match(prev, cur, margin, lenient)
+        return match(*args)
     except AmbiguousMatching as e:
         return ("raised", e.details)
 
@@ -495,11 +504,12 @@ def test_greedy_match_shortcut_equals_the_full_greedy():
         margins = [0.0, 1e-3, 0.25 * cpoly.min_root_separation(prev), 10.0]
         margins += [g for g in gaps if g > 0][:3]  # exact ties with the shortcut's inequality
         for margin in margins:
-            for lenient in (False, True):
-                want = _outcome(_full_greedy, prev, cur, margin, lenient)
-                assert _outcome(_greedy_match, prev, cur, margin, lenient) == want
-                identities += want == list(cur) and not lenient and margin > 0
-                raised += want[0] == "raised"
+            want = _outcome(_full_greedy, prev, cur, margin, False)
+            assert _outcome(_greedy_match, prev, cur, margin) == want
+            identities += want == list(cur) and margin > 0
+            raised += want[0] == "raised"
+        # Margin -inf is the lenient greedy: the same picks, never a raise.
+        assert _greedy_match(prev, cur, -math.inf) == _full_greedy(prev, cur, 0.0, True)
     assert identities > 150 and raised > 150
 
 
@@ -542,16 +552,16 @@ def test_labels_kept_only_where_the_greedy_keeps_them():
         sep = cpoly.min_root_separation(prev) if len(prev) > 1 else math.inf
         delta = max(abs(c - p) for p, c in zip(prev, cur))
         least = _labels_kept(delta, sep)
-        if least is not None:
+        if least > -math.inf:
             kept += 1
             assert least <= cpoly.min_root_separation(cur) if len(cur) > 1 else least == math.inf
             assert delta < 0.375 * sep
             assert _full_greedy(prev, cur, 0.25 * sep, lenient=False) == list(cur)
         else:
             declined += 1
-            assert delta >= 0.375 * (1 - 2**-40) * sep
+            assert least == -math.inf and delta >= 0.375 * (1 - 2**-40) * sep
         if delta <= 0.375 * (1 - 2**-30) * sep:
-            assert least is not None
+            assert least > -math.inf
     assert kept > 200 and declined > 450
 
 
@@ -562,9 +572,9 @@ def test_trajectory_certifies_well_separated_steps_without_matching(monkeypatch)
     strict = []
     match = flow._greedy_match
 
-    def spy(prev, cur, margin, lenient):
-        strict.append(not lenient)
-        return match(prev, cur, margin, lenient)
+    def spy(prev, cur, margin):
+        strict.append(margin > -math.inf)
+        return match(prev, cur, margin)
 
     monkeypatch.setattr(flow, "_greedy_match", spy)
     tr = trajectory(RING5, 0.0, 0.5, steps=100)
@@ -587,14 +597,14 @@ def test_trajectory_scans_separations_only_where_the_bound_gives_out(monkeypatch
     tr = trajectory(ring, 0.0, 0.4, steps=400)
     assert tr.events == () and len(tr.times) == 401
     assert scans == [10]
-    # On a narrower ring the bound gives out; those steps rescan, so the
-    # greedy matching still gets its margin from the exact separation.
+    # On a narrower ring the bound gives out; those steps scan the previous
+    # column, so the greedy matching gets its margin from the exact separation.
     margins = []
     match = flow._greedy_match
 
-    def spy(prev, cur, margin, lenient):
+    def spy(prev, cur, margin):
         margins.append((margin, 0.25 * scan(prev)))
-        return match(prev, cur, margin, lenient)
+        return match(prev, cur, margin)
 
     monkeypatch.setattr(flow, "_greedy_match", spy)
     ring = from_roots([cmath.rect(3.0, 2 * math.pi * k / 10 + 0.1) for k in range(10)])

@@ -12,6 +12,7 @@ import cmath
 import hashlib
 import math
 import random
+import sys
 
 import pytest
 
@@ -349,6 +350,30 @@ def test_a_misfit_whose_squares_overflow_is_finite(size):
     est = fit_scattering([(z, size * z**3) for z in zs], 1.0)
     unit = fit_scattering([(z, z**3) for z in zs], 1.0)
     assert abs(est.fit_residual / (size * unit.fit_residual) - 1.0) < 1e-12
+
+
+def test_a_fit_whose_sums_overflow_is_non_finite():
+    # mu = +-1.8e308 in turn: the fit's inner products overflow, and the misfit reads nan.
+    zs = [cmath.rect(1.0, 2.0 * math.pi * k / 8) for k in range(8)]
+    samples = [(z, (-1) ** k * sys.float_info.max) for k, z in enumerate(zs)]
+    with pytest.raises(NonFinite, match="^the fit misfit or amplitudes overflow at lambda"):
+        fit_scattering(samples, 1.0)
+
+
+def test_amplitudes_that_overflow_at_the_radius_are_non_finite():
+    # a = 1e300 * 2^256 passes the float range only when the fit on z / 2^256
+    # is scaled back; the estimate carried a = inf - inf j beside a finite misfit.
+    zs = [cmath.rect(2.0**256, 2.0 * math.pi * k / 8) for k in range(8)]
+    with pytest.raises(NonFinite, match="^the fit misfit or amplitudes overflow") as info:
+        fit_scattering([(z, (1e300 / z) * 2.0**256) for z in zs], 1.0)
+    assert info.value.details == {"lam": 1.0, "radius": 2.0**256}
+
+
+def test_a_sample_angle_that_underflows_is_read():
+    # atan2(1e-30, 1e300) underflows, which cmath.phase raised as OverflowError.
+    samples = [(complex(1e300, 1e-30), 0j)] + [(cmath.rect(1e300, 2 * math.pi * j / 8), 0j) for j in range(1, 8)]
+    est = fit_scattering(samples, 1.0)
+    assert (est.a, est.b, est.fit_residual, est.radius) == (0j, 0j, 0.0, 1e300)
 
 
 # --- prediction and inversion -------------------------------------------------

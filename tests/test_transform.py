@@ -940,6 +940,42 @@ def test_harmonicity_where_lambda_squared_overflows_is_non_finite(lam):
             harmonicity_check(FaddeevParams(cpoly.from_roots(roots), lam), 1j / lam * abs(lam))
 
 
+def test_harmonicity_where_the_laplacian_modulus_overflows_is_non_finite():
+    # Both parts of the Laplacian are finite, 1.6e308, but its modulus is not.
+    with pytest.raises(NonFinite, match="^non-finite ring moments on radius"):
+        transform._harmonicity(1.0, 1.0, 1.0, 0j, [complex(4e307, 4e307)] * 4)
+
+
+def test_a_point_whose_distance_to_every_root_overflows_is_typed():
+    # |z - r| overflowed in nearest_root and in the ring radius.
+    fp = FaddeevParams(cpoly.from_roots([0]), 1)
+    z = complex(1.7e308, -1.7e308)
+    assert fp.nearest_root(z) == 0
+    with pytest.raises(NonFinite, match="^psi overflows"):
+        harmonicity_check(fp, z)
+
+
+@pytest.mark.parametrize(
+    "roots, lam",
+    [
+        ([1e308, 1.7e308], 1),  # the centroid sum overflows: the points were inf+nanj
+        ([complex(1.7e308, 1.7e308), complex(-1.7e308, -1.7e308)], 1),  # the spread overflowed
+        ([0, 1.7e308, 1.7e308j], -1),  # the first ring index overflowed in math.ceil
+    ],
+)
+def test_sample_rings_beyond_the_float_range_are_non_finite(roots, lam):
+    with pytest.raises(NonFinite, match="^the sample rings around the centroid .* leave the float range"):
+        transform.residual_sample_points(roots, lam)
+
+
+def test_sample_points_where_lambda_times_the_centroid_overflows_are_non_finite():
+    # Re(lambda c) is inf - inf = nan, and the walk stepped 0.25 at a time towards 1e306.
+    roots = [complex(-2.4467907955769916e305, -1.9577467320720497e306),
+             complex(4.1090944897228524e303, 8.217366591531723e300)]
+    with pytest.raises(NonFinite, match="^no sample ring around the centroid"):
+        transform.residual_sample_points(roots, complex(1.7976931348623157e308, -5.66098727851906e304))
+
+
 @pytest.mark.parametrize("lam, z", [(1e20, 6.56e-18), (1e40, 6e-38), (1e100, 7e-98)])
 def test_harmonicity_where_the_laplacian_overflows_is_non_finite(lam, z):
     # psi = e^{lambda z} above 1e280 on a ring of radius 0.25 / lambda: the
@@ -1156,3 +1192,22 @@ def test_sample_walk_ends_where_rho_stops_growing(roots, lam):
         signal.signal(signal.SIGALRM, previous)
     assert exc.value.details == {"center": sum(roots) / len(roots), "lam": lam}
 
+
+
+def test_sample_walk_that_would_start_just_below_two_to_the_51_ends():
+    # The first ring that can face lambda lies 1e12 below 2^51, and the first
+    # that holds 25 facing grid points lies past it: the walk went on in steps
+    # of 0.25 from the one to the other.  It now starts one ring before 2^51,
+    # where rho += 0.25 stops changing rho.
+    facing = (2.0**51 - 1e12) * math.cos(24 * math.pi / 200)
+    centre = -(0.3 + facing)
+    roots = (complex(centre, 2.0**52), complex(centre, -2.0**52))
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.alarm(5)
+    try:
+        with pytest.raises(NonFinite, match="^no sample ring around the centroid .* has 25 points facing") as exc:
+            residual_sample_points(roots, 1.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert exc.value.details == {"center": centre, "lam": 1.0}

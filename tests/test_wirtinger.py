@@ -162,6 +162,12 @@ def test_ring_moments_reject_an_empty_ring():
         ring_moments([], 0.1)
 
 
+def test_ring_moments_reject_a_zero_radius():
+    # used to divide by zero
+    with pytest.raises(ValueError, match="a nonzero radius, got 4 and 0.0"):
+        ring_moments([1.0] * 4, 0.0)
+
+
 # --- laplacian -------------------------------------------------------------
 
 
@@ -257,6 +263,22 @@ def test_non_finite_sample_raises():
         d_z(lambda z: complex("nan"), 0)
     with pytest.raises(NonFinite):
         laplacian(lambda z: complex(math.inf, 0.0), 1 + 1j)
+
+
+def test_a_centre_whose_modulus_overflows_is_typed():
+    # abs(z) raised OverflowError in the step; the step is now inf, and so is the first sample.
+    with pytest.raises(NonFinite, match="^non-finite sample"):
+        d_z(lambda w: w, complex(1.7e308, 1.7e308))
+
+
+def test_an_estimate_that_overflows_is_non_finite():
+    # |w|^2 is 8.8e307 at the centre, and 4 f(z) overflows: the Laplacian was nan.
+    z = complex(1.666788648039634, -9.386764316126998e153)
+    with pytest.raises(NonFinite, match="^the stencil estimate at .* is not finite") as exc:
+        laplacian(lambda w: w * w.conjugate(), z)
+    assert exc.value.details == {"point": z}
+    with pytest.raises(NonFinite, match="^the stencil estimate"):
+        gradient(lambda w: 1e308 if w.real > 0 else -1e308, 0j)
 
 
 def test_non_finite_reports_sample_point():
