@@ -13,8 +13,8 @@ Import from the modules, e.g. ``moutard.cpoly.from_roots``; importing the
 package does not load the command line, ``moutard.cli``.
 """
 
-from . import cpoly, errors, flow, scattering, transform, wirtinger
+from . import cpoly, errors, flow, scattering, transform, verdict, wirtinger
 
 __version__ = "0.1.0"
 
-__all__ = ["cpoly", "errors", "flow", "scattering", "transform", "wirtinger"]
+__all__ = ["cpoly", "errors", "flow", "scattering", "transform", "verdict", "wirtinger"]

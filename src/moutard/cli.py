@@ -24,18 +24,8 @@ import operator
 import sys
 import types
 
-from . import cpoly, flow, scattering, transform
-from .errors import IoFailure, MoutardError, NonFinite
-
-VERIFY_THRESHOLDS = {
-    "identity_residual": 1e-12,
-    "moutard_residual": 1e-6,
-    "gauge_change": 1e-10,
-    "harmonicity": 1e-5,
-    "scattering_rel_a": 1e-3,
-    "scattering_abs_b": 1e-8,
-    "flow_residual": 1e-6,
-}
+from . import cpoly, flow, scattering, transform, verdict
+from .errors import IoFailure, MoutardError
 
 
 class ConfigError(ValueError):
@@ -179,7 +169,7 @@ def _json_list(items: list[str], indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
-def _csv_rows(header: list[str], rows: list[list[object]], comments: list[str] = ()) -> str:
+def _csv_rows(header: list[str], rows: list[Sequence[object]], comments: list[str] = ()) -> str:
     lines = [",".join(header)]
     lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
     lines += list(comments)
@@ -203,19 +193,15 @@ def _cmd_eigen(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
     )
 
 
-def _scattering(
-    ns: types.SimpleNamespace, fp: transform.FaddeevParams
-) -> tuple[scattering.ScatteringEstimate, complex, dict]:
-    """The fit on the circle of ``--radius`` and ``--samples``, -2N/lambda, and the report fields of both."""
-    est = scattering.fit_scattering(scattering.sample_mu(fp, radius=ns.radius, count=ns.samples), fp.lam)
-    expected = scattering.expected_a(fp.p.degree, fp.lam)
-    fields = {"a": _c(est.a), "b": _c(est.b), "expected_a": _c(expected),
-              "fit_residual": est.fit_residual, "radius": est.radius, "samples": est.samples}
-    return est, expected, fields
+def _fit(est: scattering.ScatteringEstimate, expected: complex) -> dict:
+    return {"a": _c(est.a), "b": _c(est.b), "expected_a": _c(expected),
+            "fit_residual": est.fit_residual, "radius": est.radius, "samples": est.samples}
 
 
 def _cmd_scatter(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
-    est, _, fields = _scattering(ns, transform.FaddeevParams(poly, ns.lam))
+    fp = transform.FaddeevParams(poly, ns.lam)
+    est = scattering.fit_scattering(scattering.sample_mu(fp, radius=ns.radius, count=ns.samples), fp.lam)
+    fields = _fit(est, scattering.expected_a(poly.degree, fp.lam))
     n = scattering.count_deltas(est.a, ns.lam)
     if ns.format == "csv":
         return _csv_rows(
@@ -226,51 +212,21 @@ def _cmd_scatter(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
 
 
 def _cmd_verify(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
-    fp = transform.FaddeevParams(poly, ns.lam)
-    results: dict[str, float] = {}
-
-    results["identity_residual"] = transform.verify_eigenfunction_identity(fp)
-    sample_points, residual, gauge, harmonicity = transform.residual_checks(fp)
-    results["moutard_residual"] = residual
-    results["gauge_change"] = gauge
-    results["harmonicity"] = harmonicity
-
-    lam = fp.lam
-    est, expected, fields = _scattering(ns, fp)
-    # The fit gives a finite misfit where its squares pass the float range, but such data round far above
-    # verify's absolute bounds (at lambda = 1e-300 harmonicity reads 1.9e286), so verify gives no verdict there.
-    if est.fit_residual > math.sqrt(sys.float_info.max / est.samples):
-        raise NonFinite(f"the fit misfit's sum of squares overflows at lambda = {lam!r} on radius {est.radius!r}",
-                        lam=lam, radius=est.radius)
-    rel_a = abs(est.a - expected) / abs(expected) if expected != 0 else abs(est.a)
-    results["scattering_rel_a"] = rel_a
-    results["scattering_abs_b"] = abs(est.b)
-
-    results["flow_residual"] = flow.verify_flow(poly, 0.3, 0.1, ns.flow_sign)
-
-    checks = {name: results[name] < bound for name, bound in VERIFY_THRESHOLDS.items()}
-    recovered = scattering.count_deltas(est.a, lam)
-    checks["count_recovered"] = recovered == poly.degree
-
-    payload = {
-        "lambda": _c(lam),
-        "degree": poly.degree,
-        "roots": [_c(r) for r in fp.roots],
-        "sample_points": sample_points,
-        "results": results,
-        "scattering": {**fields, "recovered_count": recovered},
-        "thresholds": dict(VERIFY_THRESHOLDS),
-        "checks": checks,
-        "all_passed": all(checks.values()),
-    }
+    v = verdict.verify(poly, ns.lam, ns.radius, ns.samples, ns.flow_sign)
     if ns.format == "csv":
-        rows = [
-            [name, results[name], VERIFY_THRESHOLDS[name], checks[name]]
-            for name in sorted(VERIFY_THRESHOLDS)
-        ]
-        rows.append(["count_recovered", float(recovered), float(poly.degree), checks["count_recovered"]])
-        return _csv_rows(["check", "value", "threshold", "passed"], rows)
-    return _emit_json(payload)
+        count = ("count_recovered", float(v.recovered_count), float(poly.degree), v.count_recovered)
+        return _csv_rows(["check", "value", "threshold", "passed"], [*sorted(v.checks), count])
+    return _emit_json({
+        "lambda": _c(ns.lam),
+        "degree": poly.degree,
+        "roots": [_c(r) for r in v.roots],
+        "sample_points": v.sample_points,
+        "results": {name: value for name, value, _, _ in v.checks},
+        "scattering": {**_fit(v.estimate, v.expected_a), "recovered_count": v.recovered_count},
+        "thresholds": {name: bound for name, _, bound, _ in v.checks},
+        "checks": {**{name: passed for name, _, _, passed in v.checks}, "count_recovered": v.count_recovered},
+        "all_passed": v.all_passed,
+    })
 
 
 def export_trajectory(rt: flow.RootTrajectory, fmt: str) -> str:

@@ -64,7 +64,9 @@ _units = _Units()
 
 
 def ring(z: complex, radius: float, m: int) -> list[complex]:
-    """The m points z + radius e^{2 pi i k / m}, k = 0..m-1."""
+    """The m points z + radius e^{2 pi i k / m}, k = 0..m-1, each finite; NonFinite where one could overflow."""
+    if not cmath.isfinite(complex(abs(z.real) + abs(radius), abs(z.imag) + abs(radius))):  # bounds every point's parts
+        raise NonFinite(f"the ring of radius {radius!r} around {z!r} leaves the float range", point=z, radius=radius)
     return [z + radius * u for u in _units[m]]
 
 

@@ -19,7 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from moutard import cli, cpoly, errors, flow, transform
+from moutard import cli, cpoly, errors, flow, transform, verdict
 from moutard.cli import ConfigError, parse_complex, parse_complex_list
 
 
@@ -245,10 +245,47 @@ def test_verify_csv_rows():
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "check,value,threshold,passed"
-    assert len(lines) == 1 + len(cli.VERIFY_THRESHOLDS) + 1  # checks + count row
+    assert len(lines) == 1 + len(verdict.VERIFY_THRESHOLDS) + 1  # checks + count row
     for line in lines[1:]:
         assert line.split(",")[-1] == "True"
     assert lines[-1].startswith("count_recovered,")
+
+
+README_VERIFY = ["verify", "--roots", "1;-1;0.5i", "--lambda", "2"]
+
+
+@pytest.mark.parametrize("argv", [README_VERIFY, ["verify", "--roots", "1", "--lambda", "1e-100"]])
+def test_verify_csv_rows_equal_the_json_report(argv):
+    # The second report fails some checks; which ones is not pinned here.
+    code, out, _ = run_cli(argv + ["--format", "csv"])
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "check,value,threshold,passed"
+    doc = json.loads(run_cli(argv)[1])
+    want = [[name, repr(doc["results"][name]), repr(doc["thresholds"][name]), str(doc["checks"][name])]
+            for name in sorted(doc["results"])]
+    want.append(["count_recovered", repr(float(doc["scattering"]["recovered_count"])), repr(float(doc["degree"])),
+                 str(doc["checks"]["count_recovered"])])
+    assert [row.split(",") for row in rows] == want
+
+
+def test_verify_report_lays_out_the_library_record():
+    # The README's example: every verdict in the report is the record's, and the report decides none itself.
+    doc = json.loads(run_cli(README_VERIFY)[1])
+    record = verdict.verify(cpoly.from_roots([1, -1, 0.5j]), 2)
+    assert [c[0] for c in record.checks] == list(verdict.VERIFY_THRESHOLDS)
+    assert [(name, doc["results"][name], doc["thresholds"][name], doc["checks"][name])
+            for name in verdict.VERIFY_THRESHOLDS] == list(record.checks)
+    assert set(doc["results"]) == set(doc["thresholds"]) == set(doc["checks"]) - {"count_recovered"}
+    assert doc["checks"]["count_recovered"] is record.count_recovered is True
+    assert doc["all_passed"] is record.all_passed is True
+    assert doc["scattering"]["recovered_count"] == record.recovered_count == 3
+    assert [complex(r["re"], r["im"]) for r in doc["roots"]] == list(record.roots)
+    assert doc["sample_points"] == record.sample_points
+    est = record.estimate
+    assert [doc["scattering"][k] for k in ("fit_residual", "radius", "samples")] == [est.fit_residual, est.radius, est.samples]
+    assert [complex(doc["scattering"][k]["re"], doc["scattering"][k]["im"]) for k in ("a", "b", "expected_a")] == [
+        est.a, est.b, record.expected_a]
 
 
 def test_values_starting_with_minus_are_accepted():

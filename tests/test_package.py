@@ -50,7 +50,7 @@ def test_every_public_name_resolves():
 
 
 def test_public_surface_is_pinned():
-    assert moutard.__all__ == ["cpoly", "errors", "flow", "scattering", "transform", "wirtinger"]
+    assert moutard.__all__ == ["cpoly", "errors", "flow", "scattering", "transform", "verdict", "wirtinger"]
 
 
 def test_importing_the_package_does_not_load_the_cli():

@@ -1,10 +1,11 @@
 """One seeded property test of the "finite result or typed error" contract.
 
-The public callables of cpoly, transform, scattering, flow and wirtinger
-that ``_calls`` names are called on arguments drawn over the whole float
-range: 0 and finite values from 5e-324 to 1.7976931348623157e308 in either
-part of a root, coefficient, lambda, point, radius or time, and nan or inf
-only where a callable documents NonFinite for them.  The draws meet each
+The public callables of cpoly, transform, scattering, flow, verdict and
+wirtinger that ``_calls`` names are called on arguments drawn over the
+whole float range: 0 and finite values from 5e-324 to
+1.7976931348623157e308 in either part of a root, coefficient, lambda,
+point, radius or time, and nan or inf only where a callable documents
+NonFinite for them.  The draws meet each
 callable's documented ValueError preconditions, so every call must return
 finite floats only or raise a MoutardError.
 """
@@ -17,7 +18,7 @@ import functools
 import math
 import random
 
-from moutard import cpoly, flow, scattering, transform, wirtinger
+from moutard import cpoly, flow, scattering, transform, verdict, wirtinger
 from moutard.errors import MoutardError
 
 SEED = 20130719
@@ -135,6 +136,8 @@ def _calls(d: _Draw):
     yield "flow.evolve", lambda: flow.evolve(d.poly(), t, sign)
     yield "flow.verify_flow", lambda: flow.verify_flow(d.poly(), t, radius, sign)
     yield "flow.trajectory", lambda: flow.trajectory(d.poly(1), t0, t1, rng.randint(1, 8), radius, sign)
+    yield "verdict.verify", lambda: verdict.verify(p(), lam, rng.choice((None, radius)), rng.choice((8, 9, 16)), sign)
+    yield "wirtinger.ring", lambda: wirtinger.ring(d.maybe_non_finite(), d.real(), rng.randint(1, 8))
     yield "wirtinger.ring_moments", lambda: wirtinger.ring_moments(ring_samples, d.real() or 1.0)
     yield "wirtinger.gradient", lambda: wirtinger.gradient(f, d.maybe_non_finite())
     yield "wirtinger.d_z", lambda: wirtinger.d_z(f, d.maybe_non_finite())
@@ -174,4 +177,4 @@ def test_every_call_gives_finite_floats_or_a_typed_error():
                 finite[name] += 1
     assert not breaches, f"{len(breaches)} breaches:\n" + "\n".join(breaches)
     # Every callable gets past its argument checks often.
-    assert len(finite) == 27 and min(finite.values()) >= 40
+    assert len(finite) == 29 and min(finite.values()) >= 40

@@ -26,7 +26,7 @@ from moutard import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
-MODULES = ("cpoly", "transform", "flow", "scattering", "wirtinger", "cli", "errors")
+MODULES = ("cpoly", "transform", "flow", "scattering", "wirtinger", "verdict", "cli", "errors")
 FENCED = re.compile(r"^```.*?^```$", re.M | re.S)
 
 

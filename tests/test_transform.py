@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from moutard import cli, cpoly, flow, scattering, transform
+from moutard import cpoly, flow, scattering, transform, verdict
 from moutard.errors import InsufficientRoots, MoutardError, NearPole, NonFinite, ZeroLambda
 from moutard.transform import (
     RING_POINTS,
@@ -710,7 +710,7 @@ def _fixed_cases():
 
 
 def test_residual_checks_pass_former_false_fails():
-    bounds = cli.VERIFY_THRESHOLDS
+    bounds = verdict.VERIFY_THRESHOLDS
     for fp in _fixed_cases():
         _, res, gauge, harm = residual_checks(fp)
         assert res < bounds["moutard_residual"], (fp.lam, res)
@@ -738,7 +738,7 @@ def test_residual_checks_fail_a_perturbed_mu(monkeypatch):
 
     monkeypatch.setattr(FaddeevParams, "_evaluate", perturbed)
     for fp in _fixed_cases():
-        assert residual_checks(fp)[1] >= cli.VERIFY_THRESHOLDS["moutard_residual"], fp.lam
+        assert residual_checks(fp)[1] >= verdict.VERIFY_THRESHOLDS["moutard_residual"], fp.lam
 
 
 # --- batched evaluation ------------------------------------------------------
@@ -919,7 +919,7 @@ def test_harmonicity_guards_near_roots():
     # The guard distance is absolute: 2.0 from a root at 2000 is no nearer
     # than 2.0 from a root at 1 (it raised NearPole, relative to |z|).
     far = FaddeevParams(cpoly.from_roots([2000.0]), 1j)
-    assert harmonicity_check(far, 2002.0) < cli.VERIFY_THRESHOLDS["harmonicity"]
+    assert harmonicity_check(far, 2002.0) < verdict.VERIFY_THRESHOLDS["harmonicity"]
 
 
 @pytest.mark.parametrize("z", [-746.0, -800.0 + 3j, -1e20])

@@ -156,6 +156,14 @@ def test_ring_moments_reject_non_finite():
         ring_moments([1.0, complex("nan"), 1.0, 1.0], 0.1)
 
 
+@pytest.mark.parametrize("z, radius", [(1.7e308 + 0j, 1e307), (-1.7e308j, 1e307), (0j, math.inf), (complex("nan"), 1.0)])
+def test_ring_that_leaves_the_float_range_is_non_finite(z, radius):
+    # ring(1.7e308, 1e307, 4) returned inf as its first point.
+    with pytest.raises(NonFinite, match="leaves the float range"):
+        ring(z, radius, 4)
+    assert all(map(cmath.isfinite, ring(1.6e308 + 1.6e308j, 1e307, 4)))
+
+
 def test_ring_moments_reject_an_empty_ring():
     # used to divide by zero
     with pytest.raises(ValueError, match="at least one sample"):
