@@ -109,20 +109,20 @@ def verify_flow(p0: cpoly.ComplexPoly, t: float, dt: float, flow_sign: int = 1) 
     Compares sum_{j=1..K} w_j [P(t+j dt) - P(t-j dt)], w_j = (-1)^{j+1} (K!)^2 /
     (j (K-j)! (K+j)! dt), K = max(1, ceil(floor(N/3) / 2)), which is exact for
     P(t) of degree floor(N/3) in t, against the configured sign times the third
-    derivative of P(t); a small value certifies that evolve integrates it.
-    Raises NonFinite where evolve would, and where the defect overflows.
+    derivative of P(t).  Every P(t) is read from evolve itself, so a small
+    value certifies that evolve integrates the flow.  Raises NonFinite where
+    evolve would, and where the defect overflows.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     sign = _check_sign(flow_sign)
-    terms = _series(p0)
     k = max(1, -(-(p0.degree // 3) // 2))
     diff = [0j] * len(p0.coeffs)
     for j in range(1, k + 1):
         w = (-1) ** (j + 1) * math.factorial(k) ** 2 / (j * math.factorial(k - j) * math.factorial(k + j))
-        pairs = zip(_at(p0, terms, t + j * dt, sign), _at(p0, terms, t - j * dt, sign))
+        pairs = zip(evolve(p0, t + j * dt, sign).coeffs, evolve(p0, t - j * dt, sign).coeffs)
         diff = [d + w * (a - b) for d, (a, b) in zip(diff, pairs)]
-    rhs = cpoly.differentiate(_at(p0, terms, t, sign), 3) + (0j,) * 3
+    rhs = cpoly.differentiate(evolve(p0, t, sign).coeffs, 3) + (0j,) * 3
     defects = [cpoly._modulus_or_inf(d / dt - sign * r) for d, r in zip(diff, rhs)]
     if not all(map(math.isfinite, defects)):
         raise NonFinite(f"the flow defect at t = {t!r} overflows for dt = {dt!r}", t=t, dt=dt)

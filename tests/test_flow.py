@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from moutard import cpoly, flow
+from moutard import cpoly, flow, verdict
 from moutard.cpoly import ComplexPoly, from_roots
 from moutard.errors import AmbiguousMatching, NonFinite
 from moutard.flow import (
@@ -193,6 +193,23 @@ def test_verify_flow_is_exact_in_t_beyond_degree_eight(deg):
 def test_verify_flow_rejects_bad_step():
     with pytest.raises(ValueError):
         verify_flow(Z3, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("p, lam", [(from_roots([1, -1, 0.5j, 2]), 2), (rand_poly(random.Random(6), 6), 1 + 1j)])
+def test_verify_fails_an_evolve_that_ignores_t(monkeypatch, p, lam):
+    # Negative control: an evolve that runs its checks but returns P(0) at
+    # every t integrates no flow, and verify's flow check must say so.  Every
+    # P(t) the check reads comes from evolve.
+    honest = evolve
+
+    def frozen(p0, t, flow_sign=1):
+        honest(p0, t, flow_sign)
+        return p0
+
+    monkeypatch.setattr(flow, "evolve", frozen)
+    got = verdict.verify(p, lam)
+    assert [c[3] for c in got.checks if c[0] == "flow_residual"] == [False]
+    assert got.all_passed is False
 
 
 def test_evolution_is_polynomial_in_time():

@@ -7,7 +7,8 @@ drawn by ``bench/workloads.py`` as ``bench/run.py`` draws them.  A CLI op runs
 in-process through ``cli.main`` and is digested as (exit status, stdout,
 stderr); a certify op as the repr of its coefficients and certificate values.
 ``golden.json`` maps each op's name to its digest, in order.  An intended
-output change rewrites it, and the change names each op it moved:
+output change rewrites it, and the change names each op it moved; the writer
+prints how many digests changed, were added or were removed, and their names:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -82,4 +83,8 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
     os.environ["COLUMNS"] = "80"
-    GOLDEN.write_text(json.dumps(digests(), indent=1) + "\n", encoding="utf-8")
+    old, new = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}, digests()
+    for kind, names in (("changed", [n for n in new if n in old and old[n] != new[n]]),
+                        ("added", [n for n in new if n not in old]), ("removed", [n for n in old if n not in new])):
+        print(f"{len(names)} {kind}", *names, sep="\n  ")
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
