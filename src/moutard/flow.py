@@ -22,6 +22,7 @@ of pretending labels survive a collision.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 
@@ -69,24 +70,32 @@ def _series(p0: cpoly.ComplexPoly) -> list[tuple[complex, ...]]:
     return terms
 
 
-def _at(p0: cpoly.ComplexPoly, terms: list[tuple[complex, ...]], t: float, sign: int) -> tuple[complex, ...]:
-    """Coefficients of P0 + sum_m (s^m / m!) terms[m-1] with s = sign * t.
+def _at(
+    p0: cpoly.ComplexPoly, terms: list[tuple[complex, ...]], times: Sequence[float], sign: int
+) -> Iterator[tuple[complex, ...]]:
+    """Coefficients of P0 + sum_m (s^m / m!) terms[m-1] with s = sign * t, one row per t in times.
 
-    They are monic by construction: every term is at least three
-    coefficients shorter than P0, so the leading 1 is never touched.  Raises
-    NonFinite when t is not finite or a coefficient of P(t) overflows.
+    The rows are monic by construction: every term is at least three
+    coefficients shorter than P0, so the leading 1 is never touched.  Each
+    coefficient is formed for the whole grid at once, one list pass per term,
+    weighting by the running product w * (s / m) and adding w * c; the rows
+    are then yielded one at a time.  Pulling a row raises NonFinite when its
+    t is not finite or one of its coefficients overflows, so an error at an
+    earlier time comes first.
     """
-    s = float(t) * sign
-    if not math.isfinite(s):
-        raise NonFinite(f"flow time must be finite, got {t!r}", t=t)
-    out = list(p0.coeffs)
-    weight = 1.0
+    ss = [float(t) * sign for t in times]
+    columns: list[Iterable[complex]] = [itertools.repeat(c) for c in p0.coeffs]
+    weights = [1.0] * len(ss)
     for m, term in enumerate(terms, start=1):
-        weight *= s / m
-        out[:len(term)] = [o + weight * c for o, c in zip(out, term)]
-    if not all(map(cmath.isfinite, out)):
-        raise NonFinite(f"a coefficient of P(t) overflows at t = {t!r}", t=t)
-    return tuple(out)
+        weights = [w * (s / m) for w, s in zip(weights, ss)]
+        for j, c in enumerate(term):
+            columns[j] = [o + w * c for o, w in zip(columns[j], weights)]
+    for t, s, row in zip(times, ss, zip(*columns)):
+        if not math.isfinite(s):
+            raise NonFinite(f"flow time must be finite, got {t!r}", t=t)
+        if not all(map(cmath.isfinite, row)):
+            raise NonFinite(f"a coefficient of P(t) overflows at t = {t!r}", t=t)
+        yield row
 
 
 def evolve(p0: cpoly.ComplexPoly, t: float, flow_sign: int = 1) -> cpoly.ComplexPoly:
@@ -99,7 +108,7 @@ def evolve(p0: cpoly.ComplexPoly, t: float, flow_sign: int = 1) -> cpoly.Complex
     Raises NonFinite when t is not finite or a coefficient of P(t) overflows.
     """
     terms = _series(p0)
-    coeffs = _at(p0, terms, t, _check_sign(flow_sign))
+    [coeffs] = _at(p0, terms, (t,), _check_sign(flow_sign))
     return p0 if t == 0 or not terms else cpoly.ComplexPoly(coeffs)
 
 
@@ -201,8 +210,9 @@ def trajectory(
 ) -> RootTrajectory:
     """Sampled root paths of the evolving polynomial on [t0, t1].
 
-    Each time's roots are solved on P(t)'s coefficient tuple by the solve
-    behind ``cpoly.roots``, warm from the secant prediction
+    P(t) is formed for the whole grid in one pass (see :func:`_at`), and
+    each time's row is pulled just before its roots are solved on it by the
+    solve behind ``cpoly.roots``, warm from the secant prediction
     2 x_{k-1} - x_{k-2} of the two previous labelled columns, or from x_{k-1}
     alone at the first step and whenever either of those two times was
     flagged as a collision (the solve falls back to its cold seed by itself
@@ -220,8 +230,9 @@ def trajectory(
     widens the previous time's event when that time was flagged too (keeping
     the first tightest time and the union of the roots involved).  ValueError
     unless collision_tol > 0 (inf is allowed).  Raises NonFinite when a grid
-    time is not finite or a coefficient of P(t) overflows there, and before
-    any solve when t0, t1 or the span t1 - t0 is not finite.
+    time is not finite or a coefficient of P(t) overflows there, after the
+    solves of the earlier times, so an error of one of those comes first;
+    and before any solve when t0, t1 or the span t1 - t0 is not finite.
     """
     sign = _check_sign(flow_sign)
     for t in (t0, t1):
@@ -245,13 +256,13 @@ def trajectory(
     # Minimum separation of each column, or a lower bound on it that is >= collision_tol.
     seps: list[float] = []
     events: list[CollisionEvent] = []
-    for k, t in enumerate(times):
+    for k, (t, coeffs) in enumerate(zip(times, _at(p0, terms, times, sign))):
         if k >= 2 and min(seps[-2:]) >= collision_tol:
             # Secant prediction from the last two columns, free of Horner passes.
             init = [2 * a - b for a, b in zip(columns[-1], columns[-2])]
         else:
             init = columns[-1] if columns else None
-        rts, _, _ = cpoly._solve(_at(p0, terms, t, sign), init)
+        rts, _, _ = cpoly._solve(coeffs, init)
         if k:
             # A step that keeps its labels with a bound >= collision_tol is not flagged,
             # so it stores the bound and skips the O(n^2) scan.

@@ -15,7 +15,7 @@ import pytest
 
 from moutard import cpoly, flow, verdict
 from moutard.cpoly import ComplexPoly, from_roots
-from moutard.errors import AmbiguousMatching, NonFinite
+from moutard.errors import AmbiguousMatching, NonConvergence, NonFinite
 from moutard.flow import (
     _greedy_match,
     _labels_kept,
@@ -411,20 +411,146 @@ JITTERED6 = from_roots([cmath.rect(3.0 + _JITTERED6.uniform(-0.4, 0.4), 2 * math
                         for k in range(6)])
 
 
-@pytest.mark.parametrize("p0, t0, t1, steps", [(RING5, 0.0, 0.5, 100), (Z3, -1.0, 1.0, 400), (JITTERED6, 0.0, 0.5, 100)])
-def test_trajectory_step_solve_equals_the_public_solve_bit_for_bit(p0, t0, t1, steps):
+QUADRATIC = from_roots([1.5 + 0.2j, -0.7 - 1.1j])
+
+
+@pytest.mark.parametrize(
+    "p0, t0, t1, steps, sign",
+    [
+        (RING5, 0.0, 0.5, 100, 1),
+        (Z3, -1.0, 1.0, 400, 1),
+        (JITTERED6, 0.0, 0.5, 100, 1),
+        (JITTERED6, 0.0, 0.5, 100, -1),
+        (QUADRATIC, -0.5, 0.5, 20, -1),
+    ],
+    # The first three keep the ids they had before the sign was a parameter.
+    ids=["p00-0.0-0.5-100", "p01--1.0-1.0-400", "p02-0.0-0.5-100", "p03-0.0-0.5-100-sign-1", "p04--0.5-0.5-20-sign-1"],
+)
+def test_trajectory_step_solve_equals_the_public_solve_bit_for_bit(p0, t0, t1, steps, sign):
     # Each column is what cpoly.roots gives on evolve(p0, t_k) from the same
     # warm start: the same points as a multiset, and in the same order where
-    # neither end of the step was flagged (there labels are kept).
-    tr = trajectory(p0, t0, t1, steps)
+    # neither end of the step was flagged (there labels are kept).  The
+    # quadratic's series is empty, so every row is P0 itself.
+    tr = trajectory(p0, t0, t1, steps, flow_sign=sign)
     columns, flagged, inits = _warm_starts(tr, 1e-3)
     assert any(flagged) == (p0 is Z3)
     key = lambda z: (z.real, z.imag)  # noqa: E731
     for k, t in enumerate(tr.times):
-        want = cpoly.roots(evolve(p0, t), init=inits[k]).roots
+        want = cpoly.roots(evolve(p0, t, sign), init=inits[k]).roots
         assert sorted(columns[k], key=key) == sorted(want, key=key), k
         if k and not (flagged[k] or flagged[k - 1]):
             assert columns[k] == want, k
+
+
+def at_oracle(p0, terms, t, sign):
+    """Oracle: P(t)'s coefficients for one time, weighted by the running product s / m."""
+    s = float(t) * sign
+    if not math.isfinite(s):
+        raise NonFinite(f"flow time must be finite, got {t!r}", t=t)
+    out = list(p0.coeffs)
+    weight = 1.0
+    for m, term in enumerate(terms, start=1):
+        weight *= s / m
+        out[:len(term)] = [o + weight * c for o, c in zip(out, term)]
+    if not all(map(cmath.isfinite, out)):
+        raise NonFinite(f"a coefficient of P(t) overflows at t = {t!r}", t=t)
+    return tuple(out)
+
+
+def _bits(row):
+    """Every bit of a coefficient row, signed zeros included."""
+    return [(c.real.hex(), c.imag.hex()) for c in row]
+
+
+def _rows_until_error(rows):
+    """The rows' bits up to the first NonFinite, then its record."""
+    out = []
+    try:
+        for row in rows:
+            out.append(_bits(row))
+    except NonFinite as exc:
+        out.append(exc.record())
+    return out
+
+
+def _grid(t0, t1, steps):
+    return [t0 + (t1 - t0) * k / steps for k in range(steps + 1)]
+
+
+def _first_overflow(p0, terms, sign):
+    """The least power of two t >= 1 at which at_oracle raises."""
+    t = 1.0
+    while True:
+        try:
+            at_oracle(p0, terms, t, sign)
+        except NonFinite:
+            return t
+        t *= 2.0
+
+
+def test_at_rows_equal_the_per_time_formula_bit_for_bit():
+    # At degrees 0-12 (0-2 have an empty series) and both signs: a seeded
+    # grid across t = 0, the span-1e308 grid whose later times are inf, a
+    # non-finite time between two good ones, and from degree 3 a grid of 40
+    # steps to 3 t* whose coefficients overflow part way along, where t* is
+    # the first power of two at which they overflow.
+    rng = random.Random(43)
+    cases = []
+    for deg in range(13):
+        for sign in (1, -1):
+            p0 = rand_poly(rng, deg, spread=rng.choice((0.5, 2.0, 50.0)))
+            cases.append((p0, _grid(rng.uniform(-2.0, -0.1), rng.uniform(0.1, 2.0), rng.randint(1, 60)), sign))
+            cases.append((p0, _grid(0.0, 1e308, 3), sign))
+            cases.append((p0, [0.5, rng.choice((math.inf, -math.inf, math.nan)), 0.5], sign))
+            if deg > 2:
+                top = _first_overflow(p0, flow._series(p0), sign)
+                cases.append((p0, [top * (3 * k / 40) for k in range(41)], sign))
+    raised_at = []
+    for p0, times, sign in cases:
+        terms = flow._series(p0)
+        assert (not terms) == (p0.degree <= 2)
+        want = []
+        for k, t in enumerate(times):
+            try:
+                want.append(_bits(at_oracle(p0, terms, t, sign)))
+            except NonFinite as exc:
+                want.append(exc.record())
+                raised_at.append(k)
+                break
+        assert _rows_until_error(flow._at(p0, terms, times, sign)) == want, (p0, times[:2], sign)
+    # Every span-1e308 and non-finite-time grid, and each part-way grid after 7 to 14 good rows.
+    assert len(raised_at) == 26 + 26 + 20
+    assert sum(7 <= k <= 14 for k in raised_at) == 20
+
+
+@pytest.mark.parametrize("later", ["solve", "overflow"])
+def test_trajectory_raises_the_error_of_the_earlier_step(monkeypatch, later):
+    # P(t)'s coefficients overflow from grid step k on, and the solve raises
+    # at step j: the error of the earlier of the two steps propagates.
+    t0, t1, steps = 0.0, 2e307, 10
+    times = _grid(t0, t1, steps)
+    with pytest.raises(NonFinite) as overflow:
+        for k, t in enumerate(times):
+            at_oracle(QUARTIC, flow._series(QUARTIC), t, 1)
+    assert 1 < k < steps - 1
+    j = k + 1 if later == "solve" else k - 1
+    solved = []
+
+    def solve(coeffs, init=None):
+        solved.append(coeffs)
+        if len(solved) - 1 == j:
+            raise NonConvergence(7, 1.0)
+        return [complex(i) for i in range(len(coeffs) - 1)], 1, 0.0
+
+    monkeypatch.setattr(cpoly, "_solve", solve)
+    with pytest.raises((NonFinite, NonConvergence)) as exc:
+        trajectory(QUARTIC, t0, t1, steps)
+    if later == "solve":
+        assert exc.value.record() == overflow.value.record()
+        assert len(solved) == k
+    else:
+        assert exc.type is NonConvergence
+        assert len(solved) == j + 1
 
 
 def test_trajectory_ambiguous_matching_raises():
