@@ -432,36 +432,54 @@ def roots(p: ComplexPoly, init: Sequence[complex] | None = None) -> RootSet:
     precision.  Raises NonConvergence if any root misses the gate after
     ``MAX_SWEEPS`` sweeps or any value stops being finite, and NonFinite where
     a modulus of finite components overflows; the result is never NaN.
+
+    This is the one place that normalises a caller's ``init``: it copies the
+    guesses through ``complex()`` into a new list, which the solve may
+    overwrite, and leaves ``init`` itself untouched; ValueError unless there
+    is one guess per root.
     """
-    xs, sweeps, worst = _solve(p.coeffs, init)
+    n = p.degree
+    xs = None
+    if init is not None and n:
+        try:
+            xs = [complex(x) for x in init]
+        except OverflowError:  # an int or Fraction guess past the float range
+            raise _modulus_overflow(n) from None
+        if len(xs) != n:
+            raise ValueError(f"init needs {n} guesses for degree {n}, got {len(xs)}")
+    xs, sweeps, worst = _solve(p.coeffs, xs)
     return RootSet(tuple(xs), sweeps, worst)
 
 
-def _solve(coeffs: Sequence[complex], init: Sequence[complex] | None = None) -> tuple[list[complex], int, float]:
+def _modulus_overflow(n: int) -> NonFinite:
+    return NonFinite(f"a modulus overflows in the degree-{n} root solve", degree=n)
+
+
+def _solve(coeffs: Sequence[complex], xs: list[complex] | None) -> tuple[list[complex], int, float]:
     """The solve behind :func:`roots` on a monic ascending coefficient sequence.
 
+    ``xs`` is None for the cold seed, or a fresh list of one complex guess per
+    root, which the solve overwrites and may return as its roots.  The caller
+    makes that list: :func:`roots` copies its ``init`` into one, and
+    :func:`moutard.flow.trajectory` builds one per step, calling this on the
+    step's coefficients with no ComplexPoly or RootSet in between.
     Returns (roots, sweeps spent, worst scaled residual) and raises as
-    :func:`roots` does.  :func:`moutard.flow.trajectory` calls it on each
-    step's coefficients, with no ComplexPoly or RootSet in between.
+    :func:`roots` does.
     """
     n = len(coeffs) - 1
     if n == 0:
         return [], 0, 0.0
     spent = 0
     try:
-        if init is not None:
-            xs = [complex(x) for x in init]
-            if len(xs) != n:
-                raise ValueError(f"init needs {n} guesses for degree {n}, got {len(xs)}")
-            # Equal guesses would only creep apart through _aberth's 2^-50 nudges.
-            if len(set(xs)) == n:
-                spent, worst = _aberth(coeffs, xs)
-                if worst < ROOT_TOL:
-                    return xs, spent, worst
+        # Equal guesses would only creep apart through _aberth's 2^-50 nudges.
+        if xs is not None and len(set(xs)) == n:
+            spent, worst = _aberth(coeffs, xs)
+            if worst < ROOT_TOL:
+                return xs, spent, worst
         xs = _cold_seed(coeffs)
         sweeps, worst = _aberth(coeffs, xs)
     except OverflowError:  # abs() of finite components whose modulus overflows
-        raise NonFinite(f"a modulus overflows in the degree-{n} root solve", degree=n) from None
+        raise _modulus_overflow(n) from None
     spent += sweeps
     if not worst < ROOT_TOL:
         raise NonConvergence(spent, worst)

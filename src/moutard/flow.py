@@ -78,10 +78,15 @@ def _at(
     The rows are monic by construction: every term is at least three
     coefficients shorter than P0, so the leading 1 is never touched.  Each
     coefficient is formed for the whole grid at once, one list pass per term,
-    weighting by the running product w * (s / m) and adding w * c; the rows
-    are then yielded one at a time.  Pulling a row raises NonFinite when its
-    t is not finite or one of its coefficients overflows, so an error at an
-    earlier time comes first.
+    weighting by the running product w * (s / m) and adding w * c.  Then s
+    and the columns the series touched are checked in one pass over the
+    whole grid (P0's own coefficients are finite), column by column only
+    where that pass fails, and the rows are yielded one at a time up to the
+    first grid time whose s is not finite or one of whose coefficients
+    overflows.  Pulling the row there raises NonFinite, naming the time if it
+    is not finite and the overflow otherwise, so an error at an earlier time
+    comes first.  Each row is a tuple of its own, which no one overwrites:
+    the step solve reads it without a copy.
     """
     ss = [float(t) * sign for t in times]
     columns: list[Iterable[complex]] = [itertools.repeat(c) for c in p0.coeffs]
@@ -90,12 +95,16 @@ def _at(
         weights = [w * (s / m) for w, s in zip(weights, ss)]
         for j, c in enumerate(term):
             columns[j] = [o + w * c for o, w in zip(columns[j], weights)]
-    for t, s, row in zip(times, ss, zip(*columns)):
-        if not math.isfinite(s):
+    touched = columns[:len(terms[0])] if terms else ()
+    bad = len(ss)
+    if not all(map(cmath.isfinite, itertools.chain(ss, *touched))):
+        bad = min([*map(cmath.isfinite, col), False].index(False) for col in (ss, *touched))
+    yield from itertools.islice(zip(*columns), bad)
+    if bad < len(ss):
+        t = times[bad]
+        if not math.isfinite(ss[bad]):
             raise NonFinite(f"flow time must be finite, got {t!r}", t=t)
-        if not all(map(cmath.isfinite, row)):
-            raise NonFinite(f"a coefficient of P(t) overflows at t = {t!r}", t=t)
-        yield row
+        raise NonFinite(f"a coefficient of P(t) overflows at t = {t!r}", t=t)
 
 
 def evolve(p0: cpoly.ComplexPoly, t: float, flow_sign: int = 1) -> cpoly.ComplexPoly:
@@ -217,7 +226,10 @@ def trajectory(
     alone at the first step and whenever either of those two times was
     flagged as a collision (the solve falls back to its cold seed by itself
     when that start fails); the result equals
-    ``cpoly.roots(evolve(p0, t), init=...)`` bit for bit.  Roots at the
+    ``cpoly.roots(evolve(p0, t), init=...)`` bit for bit.  The guesses are
+    already complex, so each step hands the solve a fresh list, the secant
+    one or a copy of x_{k-1}, and the solve overwrites it in place of the
+    copy that ``cpoly.roots`` makes of its ``init``.  Roots at the
     first time are ordered by (real, imag).  Each later time keeps the warm
     start's order where :func:`_labels_kept` certifies it with a separation
     bound at or above ``collision_tol``; otherwise its roots take their labels
@@ -261,7 +273,8 @@ def trajectory(
             # Secant prediction from the last two columns, free of Horner passes.
             init = [2 * a - b for a, b in zip(columns[-1], columns[-2])]
         else:
-            init = columns[-1] if columns else None
+            init = list(columns[-1]) if columns else None
+        # A fresh list of complex guesses, which the solve overwrites.
         rts, _, _ = cpoly._solve(coeffs, init)
         if k:
             # A step that keeps its labels with a bound >= collision_tol is not flagged,

@@ -725,6 +725,50 @@ def test_warm_start_needs_one_guess_per_root():
         cpoly.roots(cpoly.from_roots([1, 2, 3]), init=[1, 2])
 
 
+def _root_bits(rs):
+    return [(z.real.hex(), z.imag.hex()) for z in rs], rs.sweeps, rs.worst_residual.hex()
+
+
+# roots(p, init=...) on the shifted roots below: its bits before the solve took over the
+# caller's list, from the guesses themselves (as a list or a tuple), from integer-valued
+# guesses that complex() converts, and from equal guesses, which take the cold seed.
+_SHIFTED_WARM = [("0x1.004189374bc6ap+0", "0x1.0624dd2f1a9ddp-10"), ("-0x1.ff7ced916872ap-1", "0x1.0083126e978d6p-1"),
+                 ("0x1.0624dd2f19d94p-10", "0x1.0020c49ba5e35p+1")], 3, "0x1.13e2762d04755p-53"
+_SHIFTED_INTS = [("0x1.004189374bc6ap+0", "0x1.0624dd2f1a998p-10"), ("-0x1.ff7ced916872bp-1", "0x1.0083126e978d5p-1"),
+                 ("0x1.0624dd2f1a954p-10", "0x1.0020c49ba5e36p+1")], 3, "0x1.4f9a164cabeecp-55"
+_SHIFTED_COLD = [("-0x1.ff7ced916872bp-1", "0x1.0083126e978d5p-1"), ("0x1.004189374bc6cp+0", "0x1.0624dd2f1ba74p-10"),
+                 ("0x1.0624dd2f1aa1ep-10", "0x1.0020c49ba5e36p+1")], 5, "0x1.5df2b8b01b04fp-51"
+
+
+@pytest.mark.parametrize(
+    "init, want",
+    [
+        ([1.0, -1.0 + 0.5j, 2j], _SHIFTED_WARM),
+        ((1.0, -1.0 + 0.5j, 2j), _SHIFTED_WARM),
+        ([1, -1, 2j], _SHIFTED_INTS),
+        ((0, 0, 0), _SHIFTED_COLD),
+    ],
+    ids=["list", "tuple", "ints", "equal"],
+)
+def test_roots_copies_init_and_keeps_its_bits(init, want):
+    # roots() normalises init into a list of its own, which the solve overwrites:
+    # the caller's guesses are left as they were, and the result keeps its bits.
+    p = cpoly.ComplexPoly(cpoly.from_roots([z + 1e-3 * (1 + 1j) for z in (1.0, -1.0 + 0.5j, 2j)]).coeffs)
+    given = list(init)
+    assert _root_bits(cpoly.roots(p, init=init)) == want
+    assert list(init) == given
+    for short_or_long in (init[:2], (*init, 1)):
+        with pytest.raises(ValueError, match=f"^init needs 3 guesses for degree 3, got {len(short_or_long)}$"):
+            cpoly.roots(p, init=short_or_long)
+    # An integer guess past the float range is the solve's modulus overflow, before the length check.
+    for huge in ([10**400, 0, 1], [10**400]):
+        with pytest.raises(NonFinite) as exc:
+            cpoly.roots(p, init=huge)
+        assert exc.value.record() == {
+            "type": "NonFinite", "message": "a modulus overflows in the degree-3 root solve", "details": {"degree": 3}
+        }
+
+
 # --- memoized root solve ---------------------------------------------------
 
 

@@ -327,13 +327,17 @@ RING5 = from_roots([cmath.rect(4.0 + 0.3 * (k % 2), 2 * math.pi * k / 5 + 0.1 * 
 
 
 def _spy_solves(monkeypatch):
-    """Record (coefficients, init, (roots, sweeps, worst)) of every per-step solve."""
+    """Record (coefficients, init, (roots, sweeps, worst)) of every per-step solve.
+
+    init is copied before the solve, which overwrites its list.
+    """
     solves = []
     solve = cpoly._solve
 
-    def spy(coeffs, init=None):
+    def spy(coeffs, init):
+        given = None if init is None else list(init)
         out = solve(coeffs, init)
-        solves.append((coeffs, init, out))
+        solves.append((coeffs, given, out))
         return out
 
     monkeypatch.setattr(cpoly, "_solve", spy)
@@ -473,6 +477,18 @@ def _rows_until_error(rows):
     return out
 
 
+def _oracle_rows_until_error(p0, terms, times, sign):
+    """at_oracle's rows' bits up to the first NonFinite, then its record."""
+    out = []
+    for t in times:
+        try:
+            out.append(_bits(at_oracle(p0, terms, t, sign)))
+        except NonFinite as exc:
+            out.append(exc.record())
+            break
+    return out
+
+
 def _grid(t0, t1, steps):
     return [t0 + (t1 - t0) * k / steps for k in range(steps + 1)]
 
@@ -509,18 +525,36 @@ def test_at_rows_equal_the_per_time_formula_bit_for_bit():
     for p0, times, sign in cases:
         terms = flow._series(p0)
         assert (not terms) == (p0.degree <= 2)
-        want = []
-        for k, t in enumerate(times):
-            try:
-                want.append(_bits(at_oracle(p0, terms, t, sign)))
-            except NonFinite as exc:
-                want.append(exc.record())
-                raised_at.append(k)
-                break
+        want = _oracle_rows_until_error(p0, terms, times, sign)
+        if isinstance(want[-1], dict):
+            raised_at.append(len(want) - 1)
         assert _rows_until_error(flow._at(p0, terms, times, sign)) == want, (p0, times[:2], sign)
     # Every span-1e308 and non-finite-time grid, and each part-way grid after 7 to 14 good rows.
     assert len(raised_at) == 26 + 26 + 20
     assert sum(7 <= k <= 14 for k in raised_at) == 20
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_at_scans_each_column_once_and_raises_where_the_rows_do(sign):
+    # P0 = z^5 + 10 z^4 + z^3 + 1 has D^3 P0 = 60 z^2 + 240 z + 6 and D^6 P0 = 0, so on the
+    # grid t_k = 1e305 k the z coefficient overflows from k = 8 on, the z^2 coefficient from
+    # k = 30 on, and the constant one not at all: the first bad row comes from a column other
+    # than the constant term's, mid-grid, ahead of a later column's first bad row.  A nan time
+    # after it changes nothing; one before it is reported instead.
+    p0 = cpoly.ComplexPoly((1, 0, 0, 1, 10, 1))
+    terms = flow._series(p0)
+    grid = [1e305 * k for k in range(41)]
+    for times, bad in ((grid, 8), (grid[:20] + [math.nan] + grid[20:], 8), (grid[:5] + [math.nan] + grid[5:], 5)):
+        want = _oracle_rows_until_error(p0, terms, times, sign)
+        assert len(want) == bad + 1 and isinstance(want[-1], dict)
+        assert _rows_until_error(flow._at(p0, terms, times, sign)) == want
+    # The one-time grid that evolve reads: a non-finite time, with a series of one term, of
+    # three terms and an empty one, and a time where the series overflows.
+    p9 = rand_poly(random.Random(44), 9)
+    for p, t in [(p, t) for p in (p0, p9, QUADRATIC) for t in (math.nan, math.inf)] + [(p0, 1e307), (p9, 1e200)]:
+        with pytest.raises(NonFinite) as exc:
+            evolve(p, t, sign)
+        assert [exc.value.record()] == _oracle_rows_until_error(p, flow._series(p), [t], sign), (p, t)
 
 
 @pytest.mark.parametrize("later", ["solve", "overflow"])
@@ -536,7 +570,7 @@ def test_trajectory_raises_the_error_of_the_earlier_step(monkeypatch, later):
     j = k + 1 if later == "solve" else k - 1
     solved = []
 
-    def solve(coeffs, init=None):
+    def solve(coeffs, init):
         solved.append(coeffs)
         if len(solved) - 1 == j:
             raise NonConvergence(7, 1.0)
