@@ -29,6 +29,9 @@ _GOLDEN_FRAC = 0.6180339887498949
 # Aberth run; read at call time.
 ROOT_TOL = 1e-12
 MAX_SWEEPS = 200
+# Newton steps that _correct may spend on one root: with one, steps of 0.01
+# along the translated cubic flow never reached the floor.
+_NEWTON_STEPS = 2
 
 
 class _Record:
@@ -440,7 +443,7 @@ def roots(p: ComplexPoly, init: Sequence[complex] | None = None) -> RootSet:
     """
     n = p.degree
     xs = None
-    if init is not None and n:
+    if init is not None:
         try:
             xs = [complex(x) for x in init]
         except OverflowError:  # an int or Fraction guess past the float range
@@ -461,10 +464,10 @@ def _solve(coeffs: Sequence[complex], xs: list[complex] | None) -> tuple[list[co
     ``xs`` is None for the cold seed, or a fresh list of one complex guess per
     root, which the solve overwrites and may return as its roots.  The caller
     makes that list: :func:`roots` copies its ``init`` into one, and
-    :func:`moutard.flow.trajectory` builds one per step, calling this on the
-    step's coefficients with no ComplexPoly or RootSet in between.
-    Returns (roots, sweeps spent, worst scaled residual) and raises as
-    :func:`roots` does.
+    :func:`moutard.flow.trajectory` builds one per step that its corrector
+    does not settle, calling this on the step's coefficients with no
+    ComplexPoly or RootSet in between.  Returns (roots, sweeps spent, worst
+    scaled residual) and raises as :func:`roots` does.
     """
     n = len(coeffs) - 1
     if n == 0:
@@ -484,6 +487,51 @@ def _solve(coeffs: Sequence[complex], xs: list[complex] | None) -> tuple[list[co
     if not worst < ROOT_TOL:
         raise NonConvergence(spent, worst)
     return xs, spent, worst
+
+
+def _correct(coeffs: Sequence[complex], guesses: Sequence[complex]) -> list[complex] | None:
+    """Each guess moved by at most ``_NEWTON_STEPS`` Newton steps onto :func:`_aberth`'s rounding floor, or None.
+
+    A Newton step is one fused pass for p(x) and p'(x) on the monic
+    ascending coefficients, without the scale recurrence.  After each step
+    the root faces exactly ``_aberth``'s keep test on p(x) and the scale
+    sum_j |c_j||x|^j: |p(x)| <= 4 eps * scale and scale under the cap that
+    lets ``_aberth`` confirm without p', which no value that is not finite
+    passes.  The corrector declines, returning None at the first root
+    still off its floor after its last step, where p'(x) is zero, or where
+    a modulus overflows.  It holds no repulsion term, so nothing here keeps
+    two roots apart or tells that every root was found; the caller must
+    prove that (see :func:`moutard.flow.trajectory`).
+    """
+    floor = 4.0 * _EPS
+    # _aberth's cap: where sum_j |c_j| is not under it, _aberth never confirms without p', nor does this.
+    cap = 0.5 * sys.float_info.max / len(coeffs)
+    out = []
+    try:
+        if not sum(map(abs, coeffs)) < cap:
+            return None
+        lower = [(c, abs(c)) for c in coeffs[-2::-1]]
+        lead, abs_lead = coeffs[-1], abs(coeffs[-1])
+        for x in guesses:
+            for _ in range(_NEWTON_STEPS):
+                pv, dv = lead, 0j
+                for c, _ in lower:
+                    dv = dv * x + pv
+                    pv = pv * x + c
+                x -= pv / dv
+                ax = abs(x)
+                pv, scale = lead, abs_lead
+                for c, ac in lower:
+                    pv = pv * x + c
+                    scale = scale * ax + ac
+                if abs(pv) <= floor * scale and scale < cap:
+                    break
+            else:
+                return None
+            out.append(x)
+    except (OverflowError, ZeroDivisionError):  # a modulus past the float range, or p'(x) == 0
+        return None
+    return out
 
 
 def _modulus_or_inf(z: complex) -> float:

@@ -220,27 +220,37 @@ def trajectory(
     """Sampled root paths of the evolving polynomial on [t0, t1].
 
     P(t) is formed for the whole grid in one pass (see :func:`_at`), and
-    each time's row is pulled just before its roots are solved on it by the
-    solve behind ``cpoly.roots``, warm from the secant prediction
+    each time's row is pulled just before its roots are found on it.  A
+    steady step, one whose three previous times were all unflagged, predicts
+    each root by the quadratic extrapolation 3 (x_{k-1} - x_{k-2}) + x_{k-3},
+    with no Horner pass, and corrects it by at most two Newton steps
+    (``cpoly._correct``).  That column is kept only where every root passes
+    the Aberth solve's own keep test, |p(x)| <= 4 eps times the evaluation
+    scale, and :func:`_labels_kept` certifies the step with a separation
+    bound at or above ``collision_tol``, which also proves the roots
+    pairwise distinct.  Every other step, and a steady one whose corrector
+    declines or whose bound gives out, is solved as before by the solve
+    behind ``cpoly.roots``, warm from the secant prediction
     2 x_{k-1} - x_{k-2} of the two previous labelled columns, or from x_{k-1}
     alone at the first step and whenever either of those two times was
     flagged as a collision (the solve falls back to its cold seed by itself
-    when that start fails); the result equals
+    when that start fails); such a step, and only such a step, equals
     ``cpoly.roots(evolve(p0, t), init=...)`` bit for bit.  The guesses are
-    already complex, so each step hands the solve a fresh list, the secant
-    one or a copy of x_{k-1}, and the solve overwrites it in place of the
-    copy that ``cpoly.roots`` makes of its ``init``.  Roots at the
-    first time are ordered by (real, imag).  Each later time keeps the warm
-    start's order where :func:`_labels_kept` certifies it with a separation
-    bound at or above ``collision_tol``; otherwise its roots take their labels
-    from x_{k-1} by greedy nearest-neighbour matching, which keeps that order
-    wherever the certificate holds.  The matching raises AmbiguousMatching
-    where two assignments differ by less than a quarter of x_{k-1}'s minimum
-    separation, unless either end of the step is flagged: a time is flagged
-    when its minimum separation drops below ``collision_tol``, and labels may
-    genuinely permute there.  A flagged time opens a CollisionEvent, or
-    widens the previous time's event when that time was flagged too (keeping
-    the first tightest time and the union of the roots involved).  ValueError
+    already complex, so each such step hands the solve a fresh list, the
+    secant one or a copy of x_{k-1}, and the solve overwrites it in place of
+    the copy that ``cpoly.roots`` makes of its ``init``.  Roots at the first
+    time are ordered by (real, imag).  Each later time keeps the order of the
+    guesses it started from where :func:`_labels_kept` certifies it with a
+    separation bound at or above ``collision_tol``; otherwise its roots take
+    their labels from x_{k-1} by greedy nearest-neighbour matching, which
+    keeps that order wherever the certificate holds.  The matching raises
+    AmbiguousMatching where two assignments differ by less than a quarter of
+    x_{k-1}'s minimum separation, unless either end of the step is flagged: a
+    time is flagged when its minimum separation drops below
+    ``collision_tol``, and labels may genuinely permute there.  A flagged
+    time opens a CollisionEvent, or widens the previous time's event when
+    that time was flagged too (keeping the first tightest time and the union
+    of the roots involved).  ValueError
     unless collision_tol > 0 (inf is allowed).  Raises NonFinite when a grid
     time is not finite or a coefficient of P(t) overflows there, after the
     solves of the earlier times, so an error of one of those comes first;
@@ -269,6 +279,15 @@ def trajectory(
     seps: list[float] = []
     events: list[CollisionEvent] = []
     for k, (t, coeffs) in enumerate(zip(times, _at(p0, terms, times, sign))):
+        if k >= 3 and min(seps[-3:]) >= collision_tol:
+            # A steady step: Newton from the quadratic prediction, kept where the labels are certified.
+            rts = cpoly._correct(coeffs, [3 * (a - b) + c for a, b, c in zip(columns[-1], columns[-2], columns[-3])])
+            if rts is not None:
+                least = _labels_kept(max(map(abs, map(operator.sub, rts, columns[-1]))), seps[-1])
+                if least >= collision_tol:
+                    columns.append(rts)
+                    seps.append(least)
+                    continue
         if k >= 2 and min(seps[-2:]) >= collision_tol:
             # Secant prediction from the last two columns, free of Horner passes.
             init = [2 * a - b for a, b in zip(columns[-1], columns[-2])]

@@ -769,6 +769,68 @@ def test_roots_copies_init_and_keeps_its_bits(init, want):
         }
 
 
+def test_roots_holds_init_to_its_rules_at_degree_zero():
+    # A constant has no roots, and a guess for one is refused as at every other degree.
+    p = cpoly.ComplexPoly((1,))
+    for init in ([1, 2, 3], [0j]):
+        with pytest.raises(ValueError, match=f"^init needs 0 guesses for degree 0, got {len(init)}$"):
+            cpoly.roots(p, init=init)
+    with pytest.raises(NonFinite) as exc:
+        cpoly.roots(p, init=[10**400])
+    assert exc.value.record() == {
+        "type": "NonFinite", "message": "a modulus overflows in the degree-0 root solve", "details": {"degree": 0}
+    }
+    for init in (None, (), []):
+        assert _root_bits(cpoly.roots(p, init=init)) == ([], 0, "0x0.0p+0")
+    assert cpoly.from_roots([]).root_set.roots == ()
+
+
+# --- Newton corrector ------------------------------------------------------
+
+CUBE_ONE = (-1 + 0j, 0j, 0j, 1 + 0j)  # z^3 - 1
+
+
+def test_correct_settles_guesses_near_simple_roots():
+    # Each root lands at the rounding floor next to its own guess; the guesses are left as they were.
+    want = [cmath.rect(1.0, 2 * math.pi * k / 3) for k in range(3)]
+    guesses = tuple(w + 1e-5 * (1 - 2j) for w in want)
+    got = cpoly._correct(CUBE_ONE, guesses)
+    assert guesses == tuple(w + 1e-5 * (1 - 2j) for w in want)
+    assert len(got) == 3
+    for x, w in zip(got, want):
+        assert abs(x - w) < 1e-15
+        assert abs(naive_eval(CUBE_ONE, x)) <= 8 * sys.float_info.epsilon * eval_scale(CUBE_ONE, x)
+
+
+def test_correct_spends_at_most_two_newton_steps(monkeypatch):
+    # Newton squares the error at the simple root 1 of z^3 - 1 (p'' / 2p' = 1 there):
+    # from 1e-4 off it takes two steps to the floor, from 0.1 off more than two.
+    def settled(guess):
+        got = cpoly._correct(CUBE_ONE, [guess])
+        return got is not None and abs(got[0] - 1) < 1e-15
+
+    assert settled(1 + 1e-4) and not settled(1.1)
+    monkeypatch.setattr(cpoly, "_NEWTON_STEPS", 1)
+    assert settled(1 + 1e-12) and not settled(1 + 1e-4)
+
+
+@pytest.mark.parametrize(
+    "coeffs, guesses",
+    [
+        (CUBE_ONE, [1 + 0j, 0j]),  # p'(0) = 0
+        ((1 + 0j, 0j, 1 + 0j), [complex(1.5e-309, -1.5e-309)]),  # the Newton step's modulus overflows
+        (CUBE_ONE, [complex(1.5e308, 1.5e308)]),  # the guess's modulus overflows
+        ((complex(1.5e308, 1.5e308), 1 + 0j), [complex(-1.5e308, -1.5e308)]),  # a coefficient's modulus overflows
+        ((-3e307 + 0j, 0j, 0j, 1 + 0j), [complex(3e307 ** (1 / 3))]),  # sum_j |c_j| at or past _aberth's cap
+        (CUBE_ONE, [1 + 0j, complex(math.nan, 0.0)]),
+        (CUBE_ONE, [complex(math.inf, 0.0)]),
+    ],
+    ids=["zero-derivative", "newton-overflow", "guess-overflow", "coefficient-overflow", "cap", "nan", "inf"],
+)
+def test_correct_declines_without_raising(coeffs, guesses):
+    assert cpoly._correct(coeffs, guesses) is None
+
+
 # --- memoized root solve ---------------------------------------------------
 
 

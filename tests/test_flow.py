@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
@@ -344,70 +345,140 @@ def _spy_solves(monkeypatch):
     return solves
 
 
-def test_trajectory_warm_starts_from_previous_column(monkeypatch):
-    # Each time's solve starts from 2 x_{k-1} - x_{k-2} of the labelled
-    # columns (from x_{k-1} at the first step), ends on the same point set as
-    # a cold solve, and costs fewer sweeps.
-    solves = _spy_solves(monkeypatch)
-    tr = trajectory(RING5, 0.0, 0.5, steps=100)
-    monkeypatch.undo()
-    assert tr.events == ()
-    assert len(solves) == len(tr.times)
-    assert solves[0][1] is None
-    warm_sweeps = cold_sweeps = 0
-    for k, (coeffs, init, (_, sweeps, _)) in enumerate(solves[1:], start=1):
-        if k == 1:
-            assert list(init) == [path[0] for path in tr.paths]
-        else:
-            assert list(init) == [2 * path[k - 1] - path[k - 2] for path in tr.paths]
-        cold = cpoly.roots(ComplexPoly(coeffs))
-        assert_same_points([path[k] for path in tr.paths], list(cold), 1e-12)
-        warm_sweeps += sweeps
-        cold_sweeps += cold.sweeps
-    # 201 against 400 cold (600 when the cold seed was one circle enclosing every root).
-    assert warm_sweeps == 201
-    assert warm_sweeps < cold_sweeps
+def _spy_corrections(monkeypatch, call=None, perturb=None):
+    """Record (coefficients, guesses, result) of every call of the trajectory's Newton corrector.
+
+    The call numbered ``call``, counting from 0, runs on ``perturb(guesses)`` instead.
+    """
+    corrections = []
+    correct = cpoly._correct
+
+    def spy(coeffs, guesses):
+        if len(corrections) == call:
+            guesses = perturb(list(guesses))
+        out = correct(coeffs, guesses)
+        corrections.append((coeffs, list(guesses), out))
+        return out
+
+    monkeypatch.setattr(cpoly, "_correct", spy)
+    return corrections
 
 
-def test_trajectory_predicts_from_the_previous_column_after_a_collision(monkeypatch):
-    # z^3 collides at t = 0: the solves at the flagged time and at the two
-    # times after it start from the previous column, not a secant through it.
-    solves = _spy_solves(monkeypatch)
-    tr = trajectory(Z3, -1.0, 1.0, steps=400)
-    inits = [init for _, init, _ in solves]
-    assert len(inits) == len(tr.times)
-    flagged = [k for k in range(len(tr.times)) if min(abs(a[k] - b[k]) for a, b in
-               ((tr.paths[0], tr.paths[1]), (tr.paths[0], tr.paths[2]), (tr.paths[1], tr.paths[2]))) < 1e-3]
-    assert flagged == [200]
-    for k in range(2, len(tr.times)):
-        previous = [path[k - 1] for path in tr.paths]
-        secant = [2 * path[k - 1] - path[k - 2] for path in tr.paths]
-        assert list(inits[k]) == (previous if k - 1 in flagged or k - 2 in flagged else secant)
+def _at_floor(coeffs, x):
+    """_aberth's keep test on one root: |p(x)| <= 4 eps * scale, with the scale under _aberth's cap."""
+    pv, scale = 0j, 0.0
+    for c in reversed(coeffs):
+        pv = pv * x + c
+        scale = scale * abs(x) + abs(c)
+    cap = 0.5 * sys.float_info.max / len(coeffs)
+    return abs(pv) <= 4 * sys.float_info.epsilon * scale and scale < cap and sum(map(abs, coeffs)) < cap
 
 
-def test_trajectory_spends_about_two_horner_passes_per_root_per_step(monkeypatch):
-    # One sweep that lands every root and one that finds it at its rounding
-    # floor; the closing residual pass reuses the second.  A sweep costs at
-    # most one Horner pass per root, so the sweeps bound the passes: 207 over
-    # the 101 solves, 306 when each solve started from x_{k-1}.
-    solves = _spy_solves(monkeypatch)
-    trajectory(RING5, 0.0, 0.5, steps=100)
-    monkeypatch.undo()
-    assert len(solves) == 101
-    assert sum(sweeps for _, _, (_, sweeps, _) in solves) <= 2.2 * 100
+def assert_same_roots(got, want, rel):
+    """got and want agree as multisets: the nearest points of want are distinct and within rel (1 + |z|)."""
+    nearest = [min(range(len(want)), key=lambda i: abs(z - want[i])) for z in got]
+    assert sorted(nearest) == list(range(len(want))), (got, want)
+    assert all(abs(z - want[i]) <= rel * (1 + abs(z)) for z, i in zip(got, nearest)), (got, want)
 
 
 def _warm_starts(tr, collision_tol):
-    """Each step's warm start rebuilt from the labelled paths by trajectory's rule."""
+    """Each step's starts rebuilt from the labelled paths by trajectory's rule.
+
+    Returns the columns, whether each time is flagged, the corrector's
+    quadratic guess 3 (x_{k-1} - x_{k-2}) + x_{k-3} at each step whose three
+    previous times are unflagged (else None), and the warm start of the solve
+    that each step falls back to.
+    """
     columns = list(zip(*tr.paths))
     flagged = [len(c) > 1 and cpoly.min_root_separation(c) < collision_tol for c in columns]
-    inits = [None]
+    guesses, inits = [None], [None]
     for k in range(1, len(columns)):
+        steady = k >= 3 and not any(flagged[k - 3:k])
+        guesses.append([3 * (a - b) + c for a, b, c in zip(*columns[k - 3:k][::-1])] if steady else None)
         if k >= 2 and not (flagged[k - 1] or flagged[k - 2]):
             inits.append([2 * a - b for a, b in zip(columns[k - 1], columns[k - 2])])
         else:
             inits.append(list(columns[k - 1]))
-    return columns, flagged, inits
+    return columns, flagged, guesses, inits
+
+
+def _corrected(columns, guesses, corrections):
+    """Step -> the corrector's result, for each step that kept it.
+
+    Checks that the corrector ran at exactly the steps that have a guess, on that guess.
+    """
+    steady = [k for k, guess in enumerate(guesses) if guess is not None]
+    assert [guess for _, guess, _ in corrections] == [guesses[k] for k in steady]
+    return {k: out for k, (_, _, out) in zip(steady, corrections) if out is not None and list(columns[k]) == out}
+
+
+def test_trajectory_warm_starts_from_previous_column(monkeypatch):
+    # The first time is solved cold, the next two from x_0 and from the secant
+    # 2 x_1 - x_0; every later step of RING5 is settled by the corrector from
+    # the quadratic guess 3 (x_{k-1} - x_{k-2}) + x_{k-3}.  Every column is the
+    # same point set as a cold solve, and the two warm solves cost fewer sweeps.
+    solves = _spy_solves(monkeypatch)
+    corrections = _spy_corrections(monkeypatch)
+    tr = trajectory(RING5, 0.0, 0.5, steps=100)
+    monkeypatch.undo()
+    assert tr.events == ()
+    columns, _, guesses, inits = _warm_starts(tr, 1e-3)
+    assert [init for _, init, _ in solves] == inits[:3]
+    assert inits[1] == list(columns[0]) and inits[2] == [2 * a - b for a, b in zip(columns[1], columns[0])]
+    assert sorted(_corrected(columns, guesses, corrections)) == list(range(3, 101))
+    for k, coeffs in enumerate(flow._at(RING5, flow._series(RING5), tr.times, 1)):
+        assert_same_points(columns[k], list(cpoly.roots(ComplexPoly(coeffs))), 1e-12)
+    warm_sweeps = sum(sweeps for _, _, (_, sweeps, _) in solves[1:])
+    cold_sweeps = sum(cpoly.roots(ComplexPoly(coeffs)).sweeps for coeffs, _, _ in solves[1:])
+    assert warm_sweeps == 5 and cold_sweeps == 8
+
+
+def test_trajectory_predicts_from_the_previous_column_after_a_collision(monkeypatch):
+    # z^3 collides at t = 0.  The corrector runs at each step whose three
+    # previous times are unflagged, on the quadratic guess.  It settles all but
+    # the 27 steps with t in [-0.06, 0.07] around the collision, where the
+    # roots are too close for two Newton steps, and one step where the carried
+    # separation bound gives out.  Those steps, and the first three, are
+    # solved: at the flagged time from the secant, at the two times after it
+    # from the previous column, and elsewhere from the secant again.
+    solves = _spy_solves(monkeypatch)
+    corrections = _spy_corrections(monkeypatch)
+    tr = trajectory(Z3, -1.0, 1.0, steps=400)
+    monkeypatch.undo()
+    columns, flagged, guesses, inits = _warm_starts(tr, 1e-3)
+    assert [k for k, f in enumerate(flagged) if f] == [200]
+    corrected = _corrected(columns, guesses, corrections)
+    fallback = [k for k in range(len(tr.times)) if k not in corrected]
+    assert fallback == [0, 1, 2, *range(188, 215), 246]
+    assert [init for _, init, _ in solves] == [inits[k] for k in fallback]
+    for k in fallback[3:]:
+        previous = list(columns[k - 1])
+        secant = [2 * a - b for a, b in zip(columns[k - 1], columns[k - 2])]
+        assert inits[k] == (previous if k - 1 == 200 or k - 2 == 200 else secant)
+
+
+def test_trajectory_spends_about_two_horner_passes_per_root_per_step(monkeypatch):
+    # A solve costs at most one Horner pass per root per sweep.  The corrector
+    # spends two per Newton step, the fused p, p' pass and the keep test's pass
+    # for p and the scale: a root settled by one step costs 2, by two 4, and a
+    # declined call is charged 4 per root.  9 sweeps over the 3 solves and 196
+    # passes per root over the 98 corrections; 207 when each of the 101 times
+    # was an Aberth solve, and 306 when each solve started from x_{k-1}.
+    solves = _spy_solves(monkeypatch)
+    corrections = _spy_corrections(monkeypatch)
+    trajectory(RING5, 0.0, 0.5, steps=100)
+    monkeypatch.undo()
+    assert len(solves) + len(corrections) == 101
+    monkeypatch.setattr(cpoly, "_NEWTON_STEPS", 1)
+    passes = 0
+    for coeffs, guesses, out in corrections:
+        if out is None:
+            passes += 4 * len(guesses)
+        else:
+            passes += sum(2 if cpoly._correct(coeffs, [g]) is not None else 4 for g in guesses)
+    total = sum(sweeps for _, _, (_, sweeps, _) in solves) + passes / RING5.degree
+    assert total == 9 + 196
+    assert total <= 2.2 * 100
 
 
 _JITTERED6 = random.Random(6)
@@ -419,31 +490,77 @@ QUADRATIC = from_roots([1.5 + 0.2j, -0.7 - 1.1j])
 
 
 @pytest.mark.parametrize(
-    "p0, t0, t1, steps, sign",
+    "p0, t0, t1, steps, sign, settled",
     [
-        (RING5, 0.0, 0.5, 100, 1),
-        (Z3, -1.0, 1.0, 400, 1),
-        (JITTERED6, 0.0, 0.5, 100, 1),
-        (JITTERED6, 0.0, 0.5, 100, -1),
-        (QUADRATIC, -0.5, 0.5, 20, -1),
+        (RING5, 0.0, 0.5, 100, 1, 98),
+        (Z3, -1.0, 1.0, 400, 1, 370),
+        (JITTERED6, 0.0, 0.5, 100, 1, 98),
+        (JITTERED6, 0.0, 0.5, 100, -1, 98),
+        (QUADRATIC, -0.5, 0.5, 20, -1, 18),
     ],
     # The first three keep the ids they had before the sign was a parameter.
     ids=["p00-0.0-0.5-100", "p01--1.0-1.0-400", "p02-0.0-0.5-100", "p03-0.0-0.5-100-sign-1", "p04--0.5-0.5-20-sign-1"],
 )
-def test_trajectory_step_solve_equals_the_public_solve_bit_for_bit(p0, t0, t1, steps, sign):
-    # Each column is what cpoly.roots gives on evolve(p0, t_k) from the same
-    # warm start: the same points as a multiset, and in the same order where
-    # neither end of the step was flagged (there labels are kept).  The
-    # quadratic's series is empty, so every row is P0 itself.
+def test_trajectory_step_solve_equals_the_public_solve_bit_for_bit(monkeypatch, p0, t0, t1, steps, sign, settled):
+    # Each column that the corrector did not settle is what cpoly.roots gives
+    # on evolve(p0, t_k) from the same warm start: the same points as a
+    # multiset, and in the same order where neither end of the step was
+    # flagged (there labels are kept).  Each column it settled has every root
+    # at _aberth's rounding floor and the same points as cpoly.roots within
+    # 1e-14 (1 + |z|).  The quadratic's series is empty, so every row is P0 itself.
+    corrections = _spy_corrections(monkeypatch)
     tr = trajectory(p0, t0, t1, steps, flow_sign=sign)
-    columns, flagged, inits = _warm_starts(tr, 1e-3)
+    monkeypatch.undo()
+    columns, flagged, guesses, inits = _warm_starts(tr, 1e-3)
     assert any(flagged) == (p0 is Z3)
+    corrected = _corrected(columns, guesses, corrections)
+    assert len(corrected) == settled
     key = lambda z: (z.real, z.imag)  # noqa: E731
     for k, t in enumerate(tr.times):
-        want = cpoly.roots(evolve(p0, t, sign), init=inits[k]).roots
+        p = evolve(p0, t, sign)
+        want = cpoly.roots(p, init=inits[k]).roots
+        if k in corrected:
+            assert all(_at_floor(p.coeffs, x) for x in columns[k]), k
+            assert_same_roots(columns[k], want, 1e-14)
+            continue
         assert sorted(columns[k], key=key) == sorted(want, key=key), k
         if k and not (flagged[k] or flagged[k - 1]):
             assert columns[k] == want, k
+
+
+# A static quadratic whose p' vanishes at 0: a Newton step from just off 0 lands past the float range.
+PLUS_MINUS_I = from_roots([1j, -1j])
+
+
+@pytest.mark.parametrize(
+    "p0, perturb, declined",
+    [
+        # Far outside every basin: two Newton steps do not reach the floor.
+        (RING5, lambda gs: [100 * g for g in gs], True),
+        # A guess whose modulus overflows, and one whose Newton step overflows it.
+        (RING5, lambda gs: [complex(1.5e308, 1.5e308)] + gs[1:], True),
+        (PLUS_MINUS_I, lambda gs: [complex(1.5e-309, -1.5e-309)] + gs[1:], True),
+        # Each guess on its neighbour's root: every root passes the keep test, the labels do not.
+        (RING5, lambda gs: gs[1:] + gs[:1], False),
+    ],
+    ids=["basin", "overflow", "overflow-newton", "labels"],
+)
+def test_trajectory_falls_back_to_the_public_solve_where_the_corrector_declines(monkeypatch, p0, perturb, declined):
+    # The step at t_10 falls back to the solve, which equals cpoly.roots from
+    # the secant start bit for bit and in order; the corrector settles the
+    # steps before it and the one after.
+    calls = _spy_corrections(monkeypatch, 10 - 3, perturb)
+    tr = trajectory(p0, 0.0, 0.5, steps=20)
+    monkeypatch.undo()
+    columns, flagged, _, inits = _warm_starts(tr, 1e-3)
+    assert not any(flagged) and len(calls) == 18
+    coeffs, guesses, out = calls[10 - 3]
+    assert (out is None) == declined
+    if out is not None:
+        assert all(_at_floor(coeffs, x) for x in out) and out != list(columns[10])
+        assert_same_roots(out, columns[10], 1e-14)
+    assert list(columns[10]) == list(cpoly.roots(evolve(p0, tr.times[10]), init=inits[10]).roots)
+    assert [k for k, (_, _, o) in enumerate(calls, start=3) if o is None or list(columns[k]) != o] == [10]
 
 
 def at_oracle(p0, terms, t, sign):
@@ -560,7 +677,10 @@ def test_at_scans_each_column_once_and_raises_where_the_rows_do(sign):
 @pytest.mark.parametrize("later", ["solve", "overflow"])
 def test_trajectory_raises_the_error_of_the_earlier_step(monkeypatch, later):
     # P(t)'s coefficients overflow from grid step k on, and the solve raises
-    # at step j: the error of the earlier of the two steps propagates.
+    # at step j: the error of the earlier of the two steps propagates.  The
+    # stand-in solve returns the same four roots at every step, so each
+    # step from the fourth on first hands the corrector their quadratic
+    # prediction, which it declines on these rows, then solves from the secant.
     t0, t1, steps = 0.0, 2e307, 10
     times = _grid(t0, t1, steps)
     with pytest.raises(NonFinite) as overflow:
@@ -568,23 +688,33 @@ def test_trajectory_raises_the_error_of_the_earlier_step(monkeypatch, later):
             at_oracle(QUARTIC, flow._series(QUARTIC), t, 1)
     assert 1 < k < steps - 1
     j = k + 1 if later == "solve" else k - 1
-    solved = []
+    fixed = [complex(i) for i in range(4)]
+    calls = []
+    correct = cpoly._correct
+
+    def corrector(coeffs, guesses):
+        out = correct(coeffs, guesses)
+        calls.append(("correct", list(guesses), out))
+        return out
 
     def solve(coeffs, init):
-        solved.append(coeffs)
-        if len(solved) - 1 == j:
+        calls.append(("solve", init))
+        if sum(kind == "solve" for kind, *_ in calls) - 1 == j:
             raise NonConvergence(7, 1.0)
-        return [complex(i) for i in range(len(coeffs) - 1)], 1, 0.0
+        return list(fixed), 1, 0.0
 
+    monkeypatch.setattr(cpoly, "_correct", corrector)
     monkeypatch.setattr(cpoly, "_solve", solve)
     with pytest.raises((NonFinite, NonConvergence)) as exc:
         trajectory(QUARTIC, t0, t1, steps)
+    solved = k if later == "solve" else j + 1
+    want = [("solve", None), ("solve", fixed), ("solve", fixed)]
+    want += [("correct", fixed, None), ("solve", fixed)] * (solved - 3)
+    assert calls == want
     if later == "solve":
         assert exc.value.record() == overflow.value.record()
-        assert len(solved) == k
     else:
         assert exc.type is NonConvergence
-        assert len(solved) == j + 1
 
 
 def test_trajectory_ambiguous_matching_raises():
