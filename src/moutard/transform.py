@@ -49,7 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import zip_longest
-from operator import add, mul
+from operator import mul
 
 from . import cpoly
 from .errors import InsufficientRoots, NearPole, NonFinite, ZeroLambda
@@ -421,17 +421,21 @@ def residual_checks(fp: FaddeevParams) -> tuple[int, float, float, float]:
 
 # --- exact certificate -----------------------------------------------------
 # Q' + lambda Q = lambda P - P' is T' + lambda T + P' = 0.  Floats are dyadic
-# rationals: with one power of two s, P~ = s P and l = s lambda are Gaussian
+# rationals: with one power of two s = 2^e, P~ = s P and l = s lambda are Gaussian
 # integers ((re, im) int pairs) and s^{N+2} lambda^N times the identity is
 # D = s W' + l W + s l^N P~' = 0, W = sum_k (-s)^k l^{N-k} P~^(k) = s^{N+1} lambda^N T,
 # exact in ints; a float assembly's rounding grows like N! |lambda|^-N max|coeff|.
 # P's Gaussian integers over its own power of two are kept on P
 # (``ComplexPoly._gaussian``), so each lambda only rescales them where its
-# denominators are finer.  W is assembled by columns: with q_m = m! P~_m and
-# g_k = (-s)^k l^{N-k}, W_j = (1/j!) sum_{k=1..N-j} g_k q_{j+k}, three integer
-# dot products (the real parts, the imaginary parts, and the sums of the two
-# against each other) and one exact division per coefficient; the g_k come
-# from one power chain of l, shifted by k log2(s) bits.
+# denominators are finer.  With q_m = m! P~_m and g_k = (-s)^k l^{N-k},
+# j! W_j = sum_{k=1..N-j} g_k q_{j+k}.  g is geometric, g_{m-j} = g_m l^j / (-s)^j,
+# so j! W_j = l^j S_j / (-s)^j with the suffix sums S_j = sum_{m>j} g_m q_m:
+# one power chain l^0..l^{N-1} serves g and l^j, and W costs 2N Gaussian
+# products instead of N^2 / 2.  Both divisions are exact: W_j is a Gaussian
+# integer (P~^(k)'s coefficients are (j+k)!/j! P~_{j+k}), so s^j j! divides
+# both parts of l^j S_j; ``>>`` floors, which is exact where the quotient is,
+# and so is ``//`` by j!.  W comes from P~, l and s alone: never from D = 0
+# solved for W, nor from the float T.
 
 _GInt = tuple[int, int]
 
@@ -441,25 +445,25 @@ def _deriv(poly: list[_GInt]) -> list[_GInt]:
 
 
 def _scaled(fp: FaddeevParams) -> tuple[int, _GInt, list[_GInt], list[_GInt]]:
-    """(s, l, P~, W) for fp, with W by column sums."""
+    """(s, l, P~, W) for fp; W_j = l^j S_j / ((-s)^j j!) by the suffix sums S_j of g_m q_m, both divisions exact."""
     sp, p = fp.p._gaussian
     (lr, dr), (li, di) = fp.lam.real.as_integer_ratio(), fp.lam.imag.as_integer_ratio()
     s = max(sp, dr, di)  # every denominator is a power of two
     lr, li, f = lr * (s // dr), li * (s // di), s // sp
     p = [(a * f, b * f) for a, b in p]
     n, e = len(p) - 1, s.bit_length() - 1
-    qr = [math.factorial(m) * a for m, (a, _) in enumerate(p)]
-    qi = [math.factorial(m) * b for m, (_, b) in enumerate(p)]
-    gr, gi, xr, xi = [0] * n, [0] * n, 1, 0
-    for k in range(n, 0, -1):  # g_k = (-s)^k l^{N-k}, as l^{N-k} runs up the power chain
-        sign = -1 if k % 2 else 1
-        gr[k - 1], gi[k - 1] = sign * (xr << e * k), sign * (xi << e * k)
-        xr, xi = xr * lr - xi * li, xr * li + xi * lr
-    gs, qs, w = list(map(add, gr, gi)), list(map(add, qr, qi)), []
-    for j in range(n):
-        rr, ii = sum(map(mul, gr, qr[j + 1 :])), sum(map(mul, gi, qi[j + 1 :]))
-        ss = sum(map(mul, gs, qs[j + 1 :]))
-        w.append(((rr - ii) // math.factorial(j), (ss - rr - ii) // math.factorial(j)))
+    xs = [(1, 0)]  # l^0 .. l^{N-1}
+    for _ in range(1, n):
+        xr, xi = xs[-1]
+        xs.append((xr * lr - xi * li, xr * li + xi * lr))
+    w, sr, si, c = [], 0, 0, math.factorial(n)
+    for m in range(n, 0, -1):  # S_{m-1} = S_m + g_m q_m, then W_{m-1}; c = m!, then (m-1)!
+        (a, b), (xr, xi), sign = p[m], xs[n - m], -1 if m % 2 else 1
+        sr += sign * (xr * a - xi * b) * c << e * m
+        si += sign * (xr * b + xi * a) * c << e * m
+        (xr, xi), c, d = xs[m - 1], c // m, e * (m - 1)
+        w.append((-sign * ((xr * sr - xi * si) >> d) // c, -sign * ((xr * si + xi * sr) >> d) // c))
+    w.reverse()
     return s, (lr, li), p, w
 
 

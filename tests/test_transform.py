@@ -391,6 +391,33 @@ def test_one_kept_gaussian_form_serves_every_lambda_in_either_order(degree):
             assert scaled[0] == (2**119 if lam == fine else p._gaussian[0]), (degree, lam)
 
 
+def test_suffix_sums_give_the_horner_integers():
+    # _scaled shifts l^j S_j right by e j bits (a floor) and divides by j!;
+    # the Horner oracle does neither.  Past the column-sum test's degree 40:
+    rng = random.Random(46)
+    for degree in range(41, 65):
+        fp = _random_params(rng, degree, cmath.rect(rng.uniform(0.1, 10.0), rng.uniform(-math.pi, math.pi)))
+        assert transform._scaled(fp) == _horner_scaled(fp), (degree, fp.lam)
+        for lam in (5e-324, 1e300, -1e-300j) if degree % 8 == 0 else ():
+            fp = FaddeevParams(fp.p, lam)
+            assert transform._scaled(fp) == _horner_scaled(fp), (degree, lam)
+    # As the certify workload draws them: odd degrees evolved to t in [-1, 1], four lambdas each.
+    for degree in (11, 13, 15) * 3:
+        rts = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(degree)]
+        p = flow.evolve(cpoly.from_roots(rts), rng.uniform(-1.0, 1.0))
+        for _ in range(4):
+            fp = FaddeevParams(p, cmath.rect(rng.uniform(0.5, 3.0), rng.uniform(-math.pi, math.pi)))
+            assert transform._scaled(fp) == _horner_scaled(fp), (degree, fp.lam)
+    # s from each source: P's own at the Gaussian integer 3 - i, else the
+    # part of lambda that holds 1e-20, whose dyadic denominator 2^119 is finer than P's.
+    p = cpoly.from_roots([complex(x, y) for x, y in ((0.3, -1.1), (1.7, 0.2), (-0.9, 0.6))] * 4)
+    assert p._gaussian[0] < 2**119
+    for lam, want in ((3 - 1j, p._gaussian[0]), (1e-20 + 1.5j, 2**119), (1.5 + 1e-20j, 2**119)):
+        fp = FaddeevParams(p, lam)
+        scaled = transform._scaled(fp)
+        assert scaled == _horner_scaled(fp) and scaled[0] == want, lam
+
+
 def _eager_t(fp):
     """T's coefficients as construction formed them before they became a memo."""
     t = []
