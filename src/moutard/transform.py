@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import zip_longest
 from operator import mul
 
 from . import cpoly
@@ -427,54 +426,51 @@ def residual_checks(fp: FaddeevParams) -> tuple[int, float, float, float]:
 # exact in ints; a float assembly's rounding grows like N! |lambda|^-N max|coeff|.
 # P's Gaussian integers over its own power of two are kept on P
 # (``ComplexPoly._gaussian``), so each lambda only rescales them where its
-# denominators are finer.  With q_m = m! P~_m and g_k = (-s)^k l^{N-k},
-# j! W_j = sum_{k=1..N-j} g_k q_{j+k}.  g is geometric, g_{m-j} = g_m l^j / (-s)^j,
-# so j! W_j = l^j S_j / (-s)^j with the suffix sums S_j = sum_{m>j} g_m q_m:
-# one power chain l^0..l^{N-1} serves g and l^j, and W costs 2N Gaussian
-# products instead of N^2 / 2.  Both divisions are exact: W_j is a Gaussian
-# integer (P~^(k)'s coefficients are (j+k)!/j! P~_{j+k}), so s^j j! divides
-# both parts of l^j S_j; ``>>`` floors, which is exact where the quotient is,
-# and so is ``//`` by j!.  W comes from P~, l and s alone: never from D = 0
-# solved for W, nor from the float T.
+# denominators are finer.  P~^(k)'s coefficients are (j+k)!/j! P~_{j+k}, so with
+# q_m = m! P~_m, j! W_j = l^j U_j for U_j = sum_{m>j} (-s)^{m-j} l^{N-m} q_m, which
+# Horner's rule in -s builds as U_N = 0, U_{m-1} = -s (U_m + l^{N-m} q_m).  The one
+# division, by j!, is exact, as j! divides every m! with m > j; taken a factor at
+# a time it is no division at all: V_j = U_j / j! has V_N = 0,
+# V_{m-1} = -s m (V_m + l^{N-m} P~_m) and W_j = l^j V_j.  One power chain
+# l^0..l^N serves both, so W costs 3N Gaussian products and D another 2N.  W comes
+# from P~, l and s alone, never from D or the float T; in the unknowns V the
+# recurrence is D = 0 read from j + 1 down to j, so the tests also compare W with
+# the closed form summed another way, by Horner's rule in l over whole derivatives.
 
 _GInt = tuple[int, int]
 
 
-def _deriv(poly: list[_GInt]) -> list[_GInt]:
-    return [(j * a, j * b) for j, (a, b) in enumerate(poly)][1:]
-
-
-def _scaled(fp: FaddeevParams) -> tuple[int, _GInt, list[_GInt], list[_GInt]]:
-    """(s, l, P~, W) for fp; W_j = l^j S_j / ((-s)^j j!) by the suffix sums S_j of g_m q_m, both divisions exact."""
+def _scaled(fp: FaddeevParams) -> tuple[int, _GInt, list[_GInt], list[_GInt], _GInt]:
+    """(s, l, P~, W, l^N) for fp; W_j = l^j V_j by Horner's rule in -s, with no division."""
     sp, p = fp.p._gaussian
     (lr, dr), (li, di) = fp.lam.real.as_integer_ratio(), fp.lam.imag.as_integer_ratio()
     s = max(sp, dr, di)  # every denominator is a power of two
     lr, li, f = lr * (s // dr), li * (s // di), s // sp
     p = [(a * f, b * f) for a, b in p]
-    n, e = len(p) - 1, s.bit_length() - 1
-    xs = [(1, 0)]  # l^0 .. l^{N-1}
-    for _ in range(1, n):
+    n, xs = len(p) - 1, [(1, 0)]  # l^0 .. l^N
+    for _ in range(n):
         xr, xi = xs[-1]
         xs.append((xr * lr - xi * li, xr * li + xi * lr))
-    w, sr, si, c = [], 0, 0, math.factorial(n)
-    for m in range(n, 0, -1):  # S_{m-1} = S_m + g_m q_m, then W_{m-1}; c = m!, then (m-1)!
-        (a, b), (xr, xi), sign = p[m], xs[n - m], -1 if m % 2 else 1
-        sr += sign * (xr * a - xi * b) * c << e * m
-        si += sign * (xr * b + xi * a) * c << e * m
-        (xr, xi), c, d = xs[m - 1], c // m, e * (m - 1)
-        w.append((-sign * ((xr * sr - xi * si) >> d) // c, -sign * ((xr * si + xi * sr) >> d) // c))
+    w, vr, vi = [], 0, 0
+    for m in range(n, 0, -1):  # V_{m-1} = -s m (V_m + l^{N-m} P~_m), then W_{m-1} = l^{m-1} V_{m-1}
+        (a, b), (xr, xi), k = p[m], xs[n - m], -s * m
+        vr, vi = k * (vr + xr * a - xi * b), k * (vi + xr * b + xi * a)
+        xr, xi = xs[m - 1]
+        w.append((xr * vr - xi * vi, xr * vi + xi * vr))
     w.reverse()
-    return s, (lr, li), p, w
+    return s, (lr, li), p, w, xs[n]
 
 
-def _defect(s: int, l: _GInt, p: list[_GInt], w: list[_GInt]) -> float:
-    """max_j 2 |D_j| / (s^2 |l^N|); a nonzero defect below the float range reads 5e-324."""
-    (lr, li), (nr, ni), worst = l, (1, 0), 0
-    for _ in p[1:]:
-        nr, ni = nr * lr - ni * li, nr * li + ni * lr
-    for (x, y), (u, v), (a, b) in zip_longest(w, _deriv(w), _deriv(p), fillvalue=(0, 0)):
-        dr, di = s * (u + nr * a - ni * b) + lr * x - li * y, s * (v + nr * b + ni * a) + lr * y + li * x
-        worst = max(worst, dr * dr + di * di)
+def _defect(s: int, l: _GInt, p: list[_GInt], w: list[_GInt], ln: _GInt) -> float:
+    """max_j 2 |D_j| / (s^2 |l^N|) for (s, l, P~, W, l^N); a nonzero defect below the float range reads 5e-324.
+
+    D_j = s (j+1) (W_{j+1} + l^N P~_{j+1}) + l W_j with W_N = 0, read by index.
+    """
+    (lr, li), (nr, ni), worst, u, v = l, ln, 0, 0, 0
+    for j in range(len(w) - 1, -1, -1):  # (u, v) is W_{j+1}
+        (x, y), (a, b), k = w[j], p[j + 1], s * (j + 1)
+        dr, di = k * (u + nr * a - ni * b) + lr * x - li * y, k * (v + nr * b + ni * a) + lr * y + li * x
+        worst, u, v = max(worst, dr * dr + di * di), x, y
     if not worst:
         return 0.0
     den = s**4 * (nr * nr + ni * ni)

@@ -350,17 +350,22 @@ def test_identity_exact_with_subnormal_coefficient_and_degree_40():
     assert verify_eigenfunction_identity(_random_params(random.Random(34), 40, 1.2 + 0.4j)) == 0.0
 
 
+def _deriv(poly):
+    return [(j * a, j * b) for j, (a, b) in enumerate(poly)][1:]
+
+
 def _horner_scaled(fp):
-    """_scaled as it assembled W before the column sums: Horner in l over k = 1..N."""
+    """_scaled as it assembled W before the column sums: Horner in l over k = 1..N; l^N by its own products."""
     ratios = [(x.real.as_integer_ratio(), x.imag.as_integer_ratio()) for x in (fp.lam, *fp.p.coeffs)]
     s = max(d for pair in ratios for _, d in pair)
     (lr, li), *p = [tuple(n * (s // d) for n, d in pair) for pair in ratios]
-    w, dk = [], p
+    w, dk, (nr, ni) = [], p, (1, 0)
     for k in range(1, len(p)):
-        dk, c = transform._deriv(dk), (-s) ** k
+        dk, c = _deriv(dk), (-s) ** k
         w = [(lr * x - li * y + c * a, lr * y + li * x + c * b)
              for (x, y), (a, b) in itertools.zip_longest(w, dk, fillvalue=(0, 0))]
-    return s, (lr, li), p, w
+        nr, ni = nr * lr - ni * li, nr * li + ni * lr
+    return s, (lr, li), p, w, (nr, ni)
 
 
 def test_column_sums_give_the_horner_integers():
@@ -392,8 +397,9 @@ def test_one_kept_gaussian_form_serves_every_lambda_in_either_order(degree):
 
 
 def test_suffix_sums_give_the_horner_integers():
-    # _scaled shifts l^j S_j right by e j bits (a floor) and divides by j!;
-    # the Horner oracle does neither.  Past the column-sum test's degree 40:
+    # _scaled runs Horner's rule in -s with the factor m of m! folded into each
+    # step; the Horner oracle runs it in l, with whole derivatives.  Past the
+    # column-sum test's degree 40:
     rng = random.Random(46)
     for degree in range(41, 65):
         fp = _random_params(rng, degree, cmath.rect(rng.uniform(0.1, 10.0), rng.uniform(-math.pi, math.pi)))
@@ -458,22 +464,58 @@ def test_identity_negative_controls_read_the_analytic_defect(monkeypatch):
     # 4 max_j |P'_j|.
     lam = 1.5 + 2j
     fp = _random_params(random.Random(35), 10, lam)
-    s, l, p, w = transform._scaled(fp)
-    assert transform._defect(s, l, p, w) == 0.0
+    s, l, p, w, ln = transform._scaled(fp)
+    assert transform._defect(s, l, p, w, ln) == 0.0
     for j in range(len(w)):
         bumped = w[:j] + [(w[j][0] + 1, w[j][1])] + w[j + 1 :]
         want = 2 * max(j, 2.5) / (s ** 11 * 2.5**10)
-        assert transform._defect(s, l, p, bumped) == pytest.approx(want, rel=1e-15, abs=0)
-    flipped = transform._defect(s, l, [(-a, -b) for a, b in p], w)
+        assert transform._defect(s, l, p, bumped, ln) == pytest.approx(want, rel=1e-15, abs=0)
+    flipped = transform._defect(s, l, [(-a, -b) for a, b in p], w, ln)
     want = 4 * max(abs(j * c) for j, c in enumerate(fp.p.coeffs))
     assert flipped == pytest.approx(want, rel=1e-15, abs=0)
     # A unit change at lambda = 1e300 is far below the float range and
     # still reads nonzero.
-    s, l, p, w = transform._scaled(_random_params(random.Random(35), 10, 1e300))
-    assert transform._defect(s, l, p, [(w[0][0] + 1, w[0][1])] + w[1:]) == 5e-324
+    s, l, p, w, ln = transform._scaled(_random_params(random.Random(35), 10, 1e300))
+    assert transform._defect(s, l, p, [(w[0][0] + 1, w[0][1])] + w[1:], ln) == 5e-324
     # The public certificate reports what the defect step computes.
-    monkeypatch.setattr(transform, "_scaled", lambda fp: (s, l, p, [(w[0][0] + 1, w[0][1])] + w[1:]))
+    monkeypatch.setattr(transform, "_scaled", lambda fp: (s, l, p, [(w[0][0] + 1, w[0][1])] + w[1:], ln))
     assert verify_eigenfunction_identity(fp) == 5e-324
+
+
+def _zip_defect(s, l, p, w):
+    """_defect as it was before it read by index: its own l^N chain and a zip over two derivative lists."""
+    (lr, li), (nr, ni), worst = l, (1, 0), 0
+    for _ in p[1:]:
+        nr, ni = nr * lr - ni * li, nr * li + ni * lr
+    for (x, y), (u, v), (a, b) in itertools.zip_longest(w, _deriv(w), _deriv(p), fillvalue=(0, 0)):
+        dr, di = s * (u + nr * a - ni * b) + lr * x - li * y, s * (v + nr * b + ni * a) + lr * y + li * x
+        worst = max(worst, dr * dr + di * di)
+    if not worst:
+        return 0.0
+    den = s**4 * (nr * nr + ni * ni)
+    e = (den.bit_length() - worst.bit_length()) // 2
+    return max(math.ldexp(2.0 * math.sqrt((worst << max(0, 2 * e)) / (den << max(0, -2 * e))), -e), 5e-324)
+
+
+def test_indexed_defect_is_the_zip_defect_bit_for_bit():
+    # Each W_j is moved by +-1, -7 and 12345 in either part, and P~ is negated.
+    # At the random lambda every W_j takes every move; at the extreme ones,
+    # whose integers run to tens of thousands of bits, W_j takes move j mod 8,
+    # at every j up to degree 24 and every 7th j above it.
+    moves = [(d, 0) for d in (1, -1, -7, 12345)] + [(0, d) for d in (1, -1, -7, 12345)]
+    rng = random.Random(47)
+    for degree in (*range(25), 40, 64):
+        lams = (cmath.rect(rng.uniform(0.1, 10.0), rng.uniform(-math.pi, math.pi)), 5e-324, 1e300, -1e-300j)
+        for i, lam in enumerate(lams):
+            fp = _random_params(rng, degree, lam)
+            s, l, p, w, ln = transform._scaled(fp)
+            cases = [(p, w), ([(-a, -b) for a, b in p], w)]
+            for j in range(0, degree, 1 if degree <= 24 else 7):
+                for dr, di in moves[j % 8 : j % 8 + 1] if i else moves:
+                    cases.append((p, w[:j] + [(w[j][0] + dr, w[j][1] + di)] + w[j + 1 :]))
+            for pp, ww in cases:
+                got, want = transform._defect(s, l, pp, ww, ln), _zip_defect(s, l, pp, ww)
+                assert got.hex() == want.hex(), (degree, lam, got, want)
 
 
 def test_identity_across_degree_and_lambda_annulus():
