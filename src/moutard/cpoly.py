@@ -301,40 +301,28 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex]) -> tuple[int, float]:
 
     Returns the sweeps run and the final worst scaled residual, which is inf
     as soon as an iterate or a Horner value stops being finite.  Each root
-    costs one Horner pass per sweep for p(x), p'(x) and the evaluation scale
-    sum |c_j||x|^j, the standard backward-error yardstick: a computed value
-    with |p(x)| at or below eps * scale is numerically indistinguishable from
-    an exact root.  A root whose last correction was at most 2^-20 (1 + |x|)
-    is first evaluated for p(x) and the scale alone, and the fused pass runs
-    only if it is not at its floor.  The skip needs (degree + 1) *
-    max(scale, sum_j |c_j|) under half the float range; that bounds |p'(x)|,
-    so p' is never left out where it would overflow.  Both passes give p(x) and the
-    scale bit for bit, so the result does not depend on the skip.  A root at
-    its rounding floor never moves again, so it keeps the residual measured
-    there: later sweeps skip it, and the closing pass evaluates only the
-    roots that never reached their floor.  The
-    repulsion sum_{j != i} 1 / (x_i - x_j) runs over the iterates before i,
-    then over those after it, with no test per term; only an iterate that
-    coincides exactly with another divides by zero, and then the sum is
-    formed again with each zero difference nudged by 2^-50 (1 + |x_i|)(1 + i).
+    not yet at its floor takes one fused Horner pass per sweep for p(x),
+    p'(x) and the evaluation scale sum |c_j||x|^j, the standard
+    backward-error yardstick: a computed value with |p(x)| at or below
+    eps * scale is numerically indistinguishable from an exact root.  A root
+    at its rounding floor never moves again, so it keeps the residual
+    measured there: later sweeps skip it, and the closing pass evaluates
+    only the roots that never reached their floor.  The repulsion
+    sum_{j != i} 1 / (x_i - x_j) runs over the iterates before i, then over
+    those after it, with no test per term; only an iterate that coincides
+    exactly with another divides by zero, and then the sum is formed again
+    with each zero difference nudged by 2^-50 (1 + |x_i|)(1 + i).
     """
     n = len(xs)
     # (c_j, |c_j|) from j = degree - 1 down to 0; the pass starts at the leading coefficient.
     lower = [(c, abs(c)) for c in coeffs[-2::-1]]
     lead, abs_lead = coeffs[-1], abs(coeffs[-1])
     stagnate = 2.0 ** -50
-    settle = 2.0 ** -20
     floor = 4.0 * _EPS
     big = sys.float_info.max
-    # A confirm may skip p' where the scale is under cap; cap is 0 where sum_j |c_j| is not.
-    cap = 0.5 * big / len(coeffs)
-    if not sum(map(abs, coeffs)) < cap:
-        cap = 0.0
     sweeps = 0
     # Scaled residual of each root once it is at its rounding floor, else None.
     kept: list[float | None] = [None] * n
-    # Whether the last correction of each root was at most settle * (1 + |x|).
-    settled = [False] * n
     for sweeps in range(1, MAX_SWEEPS + 1):
         finished = True
         for i in range(n):
@@ -342,16 +330,6 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex]) -> tuple[int, float]:
                 continue
             x = xs[i]
             ax = abs(x)
-            if settled[i]:
-                # Most likely at its floor now: confirm on p and the scale alone.
-                pv, scale = lead, abs_lead
-                for c, ac in lower:
-                    pv = pv * x + c
-                    scale = scale * ax + ac
-                apv = abs(pv)
-                if apv <= floor * scale and scale < cap:
-                    kept[i] = apv / (scale if scale > 1.0 else 1.0)
-                    continue
             pv, dv, scale = lead, 0j, abs_lead
             for c, ac in lower:
                 dv = dv * x + pv
@@ -393,9 +371,7 @@ def _aberth(coeffs: Sequence[complex], xs: list[complex]) -> tuple[int, float]:
             xs[i] = new = x - delta
             if not cmath.isfinite(new):
                 return sweeps, math.inf
-            step = abs(delta)
-            settled[i] = step <= settle * (1 + ax)
-            if step > stagnate * (1 + ax):
+            if abs(delta) > stagnate * (1 + ax):
                 finished = False
         if finished:
             break
@@ -494,17 +470,19 @@ def _correct(coeffs: Sequence[complex], guesses: Sequence[complex]) -> list[comp
 
     A Newton step is one fused pass for p(x) and p'(x) on the monic
     ascending coefficients, without the scale recurrence.  After each step
-    the root faces exactly ``_aberth``'s keep test on p(x) and the scale
-    sum_j |c_j||x|^j: |p(x)| <= 4 eps * scale and scale under the cap that
-    lets ``_aberth`` confirm without p', which no value that is not finite
-    passes.  The corrector declines, returning None at the first root
-    still off its floor after its last step, where p'(x) is zero, or where
-    a modulus overflows.  It holds no repulsion term, so nothing here keeps
+    the root faces ``_aberth``'s keep test on p(x) and the scale
+    sum_j |c_j||x|^j, |p(x)| <= 4 eps * scale, and this corrector's own cap:
+    it keeps a root without p'(x) at the new x, so the scale and sum_j |c_j|
+    must both stay under half the float range over (degree + 1).  That
+    bounds |p'(x)|, and no value that is not finite passes it.  The
+    corrector declines, returning None at the first root still off its
+    floor after its last step, where p'(x) is zero, or where a modulus
+    overflows.  It holds no repulsion term, so nothing here keeps
     two roots apart or tells that every root was found; the caller must
     prove that (see :func:`moutard.flow.trajectory`).
     """
     floor = 4.0 * _EPS
-    # _aberth's cap: where sum_j |c_j| is not under it, _aberth never confirms without p', nor does this.
+    # Bounds |p'(x)| at a root kept without p'; where sum_j |c_j| is not under it, nothing is kept.
     cap = 0.5 * sys.float_info.max / len(coeffs)
     out = []
     try:

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from moutard import cpoly
+from moutard import cpoly, flow
 from moutard.errors import InsufficientRoots, NonConvergence, NonFinite
 
 
@@ -678,10 +678,12 @@ def _both_aberths(coeffs, init):
 
 
 def test_aberth_equals_the_fused_pass_on_warm_and_cold_starts():
-    # A root that skips p' on its confirming pass must end where the fused
-    # pass ends it, after as many sweeps and with the same residual: warm
-    # starts from the secant prediction 2 x(h) - x(0) of roots moving on a
-    # parabola, and the cold seed, at every degree 1-20.
+    # _aberth takes one fused p, p' and scale pass per root per sweep, as the
+    # oracle does, and ends on the same roots bit for bit, after as many
+    # sweeps and with the same residual: from warm starts on the secant
+    # prediction 2 x(h) - x(0) of roots moving on a parabola and from the
+    # cold seed, at every degree 1-20, and from the cold seed on evolved
+    # odd-degree generators, as the exact certificate's solves start.
     rng = random.Random(43)
     for degree in range(1, 21):
         for _ in range(3):
@@ -695,15 +697,21 @@ def test_aberth_equals_the_fused_pass_on_warm_and_cold_starts():
             for init in (secant, cpoly._cold_seed(coeffs)):
                 new, old = _both_aberths(coeffs, init)
                 assert new == old, (degree, init)
+    for degree in (11, 13, 15):
+        for _ in range(3):
+            p0 = cpoly.from_roots(separated_points(rng, degree, radius=1.5, min_sep=0.2))
+            coeffs = flow.evolve(p0, rng.uniform(-1.0, 1.0)).coeffs
+            new, old = _both_aberths(coeffs, cpoly._cold_seed(coeffs))
+            assert new == old, (degree, coeffs)
 
 
 def test_aberth_confirms_on_the_fused_pass_where_p_prime_could_overflow(monkeypatch):
     # z^3 + c2 z^2 + c0 with a root at 0.8, where p' = 3 z^2 + 2 c2 z is just
     # past the float range.  From 0.8 (1 - 1e-9), where p' is finite, one
-    # sweep moves the root by about 1e-9 onto its floor, so a p-only confirm
-    # would keep it; but the coefficient moduli sum past the float range, so
-    # the confirm takes the fused pass and stops at the overflowing p', as
-    # the fused pass does.
+    # sweep moves the root by about 1e-9 onto its floor, where p and the
+    # scale are finite and p alone would keep it; the fused pass of sweep 2
+    # forms p' too, so _aberth stops there at the overflowing p' with worst
+    # residual inf, as the oracle does.
     big = sys.float_info.max
     c2 = big / 1.6 * (1 + 3e-10)
     coeffs = (complex(-(0.8**3 + c2 * 0.8**2)), 0j, complex(c2), 1 + 0j)
@@ -821,7 +829,7 @@ def test_correct_spends_at_most_two_newton_steps(monkeypatch):
         ((1 + 0j, 0j, 1 + 0j), [complex(1.5e-309, -1.5e-309)]),  # the Newton step's modulus overflows
         (CUBE_ONE, [complex(1.5e308, 1.5e308)]),  # the guess's modulus overflows
         ((complex(1.5e308, 1.5e308), 1 + 0j), [complex(-1.5e308, -1.5e308)]),  # a coefficient's modulus overflows
-        ((-3e307 + 0j, 0j, 0j, 1 + 0j), [complex(3e307 ** (1 / 3))]),  # sum_j |c_j| at or past _aberth's cap
+        ((-3e307 + 0j, 0j, 0j, 1 + 0j), [complex(3e307 ** (1 / 3))]),  # sum_j |c_j| at or past _correct's cap
         (CUBE_ONE, [1 + 0j, complex(math.nan, 0.0)]),
         (CUBE_ONE, [complex(math.inf, 0.0)]),
     ],

@@ -365,7 +365,7 @@ def _spy_corrections(monkeypatch, call=None, perturb=None):
 
 
 def _at_floor(coeffs, x):
-    """_aberth's keep test on one root: |p(x)| <= 4 eps * scale, with the scale under _aberth's cap."""
+    """_correct's keep test on one root: _aberth's |p(x)| <= 4 eps * scale, with the scale under _correct's cap."""
     pv, scale = 0j, 0.0
     for c in reversed(coeffs):
         pv = pv * x + c
@@ -458,7 +458,8 @@ def test_trajectory_predicts_from_the_previous_column_after_a_collision(monkeypa
 
 
 def test_trajectory_spends_about_two_horner_passes_per_root_per_step(monkeypatch):
-    # A solve costs at most one Horner pass per root per sweep.  The corrector
+    # A solve costs at most one Horner pass per root per sweep: the fused p,
+    # p' and scale pass of each root not yet at its floor.  The corrector
     # spends two per Newton step, the fused p, p' pass and the keep test's pass
     # for p and the scale: a root settled by one step costs 2, by two 4, and a
     # declined call is charged 4 per root.  9 sweeps over the 3 solves and 196
