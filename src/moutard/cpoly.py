@@ -18,7 +18,7 @@ import itertools
 import math
 import sys
 
-from .errors import InsufficientRoots, NonConvergence, NonFinite
+from .errors import InsufficientRoots, NonConvergence, NonFinite, _finite
 
 _EPS = sys.float_info.epsilon
 # Fractional part of the golden ratio; used to rotate the initial root guesses
@@ -224,9 +224,7 @@ def from_roots(roots: Sequence[complex]) -> ComplexPoly:
 def horner(coeffs: Sequence[complex], z: complex) -> complex:
     """Evaluate an ascending coefficient sequence at z by nested multiplication; NonFinite where the value is not."""
     [acc] = _horner_list(coeffs, (z,))
-    if not cmath.isfinite(acc):
-        raise NonFinite(f"polynomial value is not finite at {z!r}", point=z)
-    return acc
+    return _finite(acc, "polynomial value is not finite at {point!r}", point=z)
 
 
 def _horner_list(coeffs: Sequence[complex], points: Sequence[complex]) -> list[complex]:
@@ -531,9 +529,6 @@ def min_root_separation(r: RootSet | Sequence[complex]) -> float:
             f"separation needs at least 2 roots, got {len(pts)}"
         )
     for x in pts:
-        if not cmath.isfinite(x):
-            raise NonFinite(f"separation needs finite roots, got {x!r}", root=x)
-    sep = min(_modulus_or_inf(a - b) for a, b in itertools.combinations(pts, 2))
-    if sep == math.inf:
-        raise NonFinite("minimum root separation overflows")
-    return sep
+        _finite(x, "separation needs finite roots, got {root!r}", root=x)
+    return _finite(min(_modulus_or_inf(a - b) for a, b in itertools.combinations(pts, 2)),
+                   "minimum root separation overflows")

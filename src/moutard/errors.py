@@ -8,6 +8,7 @@ traceback.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 
@@ -59,6 +60,21 @@ class InsufficientRoots(MoutardError):
 
 class NonFinite(MoutardError):
     """A value was or came back inf/nan (e.g. a ring sample near a pole), or no sample ring faces lambda."""
+
+
+def _finite(value: complex, message: str, /, **details: object) -> complex:
+    """``value`` if finite, else NonFinite with ``details`` and ``message`` formatted from ``value`` and ``details``.
+
+    A ``details`` key wins a name clash with ``value``; an int or Fraction past the float range is not finite.
+    Checks per sample or per root (``_evaluate``, ``_aberth``, ``_correct``, ``ring_moments``, ``_residual``)
+    stay inline, where a call per value would cost, as do checks of two values, a sequence or another condition.
+    """
+    try:
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise NonFinite(message.format_map({"value": value, **details}), **details)
 
 
 class ZeroLambda(MoutardError):

@@ -27,7 +27,7 @@ import math
 import operator
 
 from . import cpoly
-from .errors import AmbiguousMatching, NonFinite
+from .errors import AmbiguousMatching, NonFinite, _finite
 
 
 class CollisionEvent(cpoly._Record):
@@ -258,10 +258,8 @@ def trajectory(
     """
     sign = _check_sign(flow_sign)
     for t in (t0, t1):
-        if not math.isfinite(t):
-            raise NonFinite(f"flow time must be finite, got {t!r}", t=t)
-    if not math.isfinite(t1 - t0):
-        raise NonFinite(f"flow time span t1 - t0 = {t1 - t0!r} overflows", span=t1 - t0, t0=t0, t1=t1)
+        _finite(t, "flow time must be finite, got {t!r}", t=t)
+    _finite(t1 - t0, "flow time span t1 - t0 = {span!r} overflows", span=t1 - t0, t0=t0, t1=t1)
     if not t1 > t0:
         raise ValueError(f"need t0 < t1, got {t0!r} >= {t1!r}")
     if steps < 1:

@@ -32,7 +32,7 @@ import sys
 from operator import mul
 
 from .cpoly import _Record
-from .errors import DegenerateDesign, InconsistentData, NonFinite, RadiusTooSmall, ZeroLambda
+from .errors import DegenerateDesign, InconsistentData, NonFinite, RadiusTooSmall, ZeroLambda, _finite
 from .transform import FaddeevParams
 
 DEFAULT_RADIUS_FACTOR = 1e4
@@ -75,8 +75,7 @@ def sample_mu(fp: FaddeevParams, radius: float | None = None, count: int = DEFAU
     max_root = max((abs(r) for r in fp.roots), default=0.0)
     if radius is None:
         radius = DEFAULT_RADIUS_FACTOR * max(1.0, max_root)
-    if not math.isfinite(radius):
-        raise NonFinite(f"sampling radius must be finite, got {radius!r}", radius=radius)
+    _finite(radius, "sampling radius must be finite, got {radius!r}", radius=radius)
     if not radius > 2.0 * max_root:
         raise RadiusTooSmall(
             f"sampling radius {radius!r} must exceed twice the largest root magnitude {max_root!r}",
@@ -123,8 +122,7 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     lam = complex(lam)
     if lam == 0:
         raise ZeroLambda("scattering data is defined for nonzero lambda")
-    if not cmath.isfinite(lam):
-        raise NonFinite("the spectral parameter lambda must be finite", lam=lam)
+    _finite(lam, "the spectral parameter lambda must be finite", lam=lam)
     if len(samples) < 4:
         raise ValueError(f"need at least 4 samples, got {len(samples)}")
     pairs = [(complex(z), complex(mu)) for z, mu in samples]

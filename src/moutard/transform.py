@@ -51,7 +51,7 @@ import math
 from operator import mul
 
 from . import cpoly
-from .errors import InsufficientRoots, NearPole, NonFinite, ZeroLambda
+from .errors import InsufficientRoots, NearPole, NonFinite, ZeroLambda, _finite
 from .wirtinger import ring, ring_moments
 
 ComplexFunc = "Callable[[complex], complex]"  # read only in annotations, which stay unevaluated
@@ -86,8 +86,7 @@ class DeltaPotential(cpoly._Record):
     def __init__(self, centers: Iterable[complex]) -> None:
         centers = tuple([complex(c) for c in centers])
         for c in centers:
-            if not cmath.isfinite(c):
-                raise NonFinite(f"delta centres must be finite, got {c!r}", center=c)
+            _finite(c, "delta centres must be finite, got {center!r}", center=c)
         object.__setattr__(self, "centers", centers)
 
 
@@ -116,10 +115,8 @@ class FaddeevParams(cpoly._Record):
         lam = complex(self.lam)
         if lam == 0:
             raise ZeroLambda("the spectral parameter lambda must be nonzero")
-        if not cmath.isfinite(lam):
-            raise NonFinite(f"the spectral parameter lambda must be finite, got {lam!r}", lam=lam)
-        if math.hypot(lam.real, lam.imag) == math.inf:
-            raise NonFinite(f"the modulus of lambda = {lam!r} overflows", lam=lam)
+        _finite(lam, "the spectral parameter lambda must be finite, got {lam!r}", lam=lam)
+        _finite(math.hypot(lam.real, lam.imag), "the modulus of lambda = {lam!r} overflows", lam=lam)
         object.__setattr__(self, "lam", lam)
         self.p.derivatives  # NonFinite here, at construction, where a derivative overflows
         threshold = POLE_GUARD * math.prod(1.0 + abs(r) for r in self.roots)
@@ -239,8 +236,7 @@ def moutard_residual(
     """
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"ring radius must be finite and positive, got {radius!r}")
-    if not cmath.isfinite(z):
-        raise NonFinite(f"ring centre must be finite, got {z!r}", point=z)
+    _finite(z, "ring centre must be finite, got {point!r}", point=z)
     points = ring(z, radius, RING_POINTS)
     om = [complex(omega(w)) for w in points]
     if 0 in om:
@@ -273,16 +269,14 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
     roots = tuple([complex(r) for r in roots])
     lam = complex(lam)
     for v in (*roots, lam):
-        if not cmath.isfinite(v):
-            raise NonFinite(f"sample points need finite roots and lambda, got {v!r}", value=v)
+        _finite(v, "sample points need finite roots and lambda, got {value!r}", value=v)
     center = sum(roots) / len(roots) if roots else 0j
     spread = max((cpoly._modulus_or_inf(r - center) for r in roots), default=0.0)
     grid = 8 * SAMPLE_COUNT
     first, limit = SAMPLE_MIN_DIST + 0.5, spread + SAMPLE_MIN_DIST + 3.0
     # Every ring index, candidate and distance of the walk stays below 4 limit + |center|.
-    if not math.isfinite(4.0 * limit + math.hypot(center.real, center.imag)):
-        raise NonFinite(f"the sample rings around the centroid {center!r} leave the float range",
-                        center=center, spread=spread)
+    _finite(4.0 * limit + math.hypot(center.real, center.imag),
+            "the sample rings around the centroid {center!r} leave the float range", center=center, spread=spread)
     # A candidate at angle phi from the direction of conj(lambda) has Re(lambda z) >= -0.3
     # iff cos(phi) >= facing / rho, and a ring returns only if that arc holds
     # SAMPLE_COUNT grid points, i.e. spans SAMPLE_COUNT - 1 grid steps.  hypot gives
@@ -365,9 +359,7 @@ def _harmonicity(lam: complex, scale: float, radius: float, centre: complex, sam
         harm = abs(lap) / norm
     except OverflowError:  # |lap| leaves the float range
         harm = math.inf
-    if not math.isfinite(harm):
-        raise NonFinite(f"non-finite ring moments on radius {radius!r}", radius=radius)
-    return harm
+    return _finite(harm, "non-finite ring moments on radius {radius!r}", radius=radius)
 
 
 def harmonicity_check(fp: FaddeevParams, z: complex) -> float:

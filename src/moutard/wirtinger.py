@@ -30,7 +30,7 @@ import cmath
 import operator
 
 from .cpoly import _modulus_or_inf
-from .errors import NonFinite
+from .errors import NonFinite, _finite
 
 ComplexFunc = "Callable[[complex], complex]"  # read only in annotations, which stay unevaluated
 
@@ -40,16 +40,12 @@ LAPLACIAN_STEP_SCALE = 5e-4
 
 def _step(scale: float, z: complex) -> float:
     """The stencil step scale * max(1, |z|) at a finite centre z."""
-    if not cmath.isfinite(z):
-        raise NonFinite(f"stencil centre must be finite, got {z!r}", point=z)
+    _finite(z, "stencil centre must be finite, got {point!r}", point=z)
     return scale * max(1.0, _modulus_or_inf(z))
 
 
 def _sample(f: ComplexFunc, w: complex) -> complex:
-    value = complex(f(w))
-    if not cmath.isfinite(value):
-        raise NonFinite(f"non-finite sample {value!r} at {w!r}", point=w)
-    return value
+    return _finite(complex(f(w)), "non-finite sample {value!r} at {point!r}", point=w)
 
 
 class _Units(dict):
@@ -65,8 +61,8 @@ _units = _Units()
 
 def ring(z: complex, radius: float, m: int) -> list[complex]:
     """The m points z + radius e^{2 pi i k / m}, k = 0..m-1, each finite; NonFinite where one could overflow."""
-    if not cmath.isfinite(complex(abs(z.real) + abs(radius), abs(z.imag) + abs(radius))):  # bounds every point's parts
-        raise NonFinite(f"the ring of radius {radius!r} around {z!r} leaves the float range", point=z, radius=radius)
+    _finite(complex(abs(z.real) + abs(radius), abs(z.imag) + abs(radius)),  # bounds every point's parts
+            "the ring of radius {radius!r} around {point!r} leaves the float range", point=z, radius=radius)
     return [z + radius * u for u in _units[m]]
 
 
@@ -116,7 +112,4 @@ def laplacian(f: ComplexFunc, z: complex) -> complex:
     s = _step(LAPLACIAN_STEP_SCALE, z)
     centre = 4.0 * _sample(f, z)
     coarse, fine = ((_cross(f, z, r)[2] - centre) / (r * r) for r in (s, s / 2.0))
-    lap = (4.0 * fine - coarse) / 3.0
-    if not cmath.isfinite(lap):
-        raise NonFinite(f"the stencil estimate at {z!r} is not finite", point=z)
-    return lap
+    return _finite((4.0 * fine - coarse) / 3.0, "the stencil estimate at {point!r} is not finite", point=z)

@@ -5,16 +5,19 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import json
+import math
 import pathlib
 import pickle
 import subprocess
 import sys
 import types
+from fractions import Fraction
 
 import pytest
 
 import moutard
-from moutard import cpoly, flow, scattering, transform
+from moutard import cpoly, errors, flow, scattering, transform, wirtinger
 
 PACKAGE = pathlib.Path(moutard.__file__).parent
 
@@ -182,3 +185,145 @@ def test_records_print_compare_freeze_and_pickle_by_their_fields(build, text, tw
     assert vars(record) == kept
     back = pickle.loads(pickle.dumps(record))
     assert type(back) is type(record) and back == record and repr(back) == text and vars(back) == kept
+
+
+_G = cpoly.from_roots([1, 2])
+
+# One non-finite input per single-value guard that goes through errors._finite, with the message and
+# the details of its record, the details as JSON text (a nan inside them never equals itself, its text does).
+FINITE_GUARDS = [
+    pytest.param(
+        lambda: cpoly.horner([0.0, 1.0], math.inf),
+        "polynomial value is not finite at inf",
+        '{"point": "inf"}',
+        id="cpoly.horner",
+    ),
+    pytest.param(
+        lambda: cpoly.min_root_separation([0.0, math.nan]),
+        "separation needs finite roots, got nan",
+        '{"root": "nan"}',
+        id="cpoly.min_root_separation/root",
+    ),
+    pytest.param(
+        lambda: cpoly.min_root_separation([-1.7e308, 1.7e308]),
+        "minimum root separation overflows",
+        '{}',
+        id="cpoly.min_root_separation/minimum",
+    ),
+    pytest.param(
+        lambda: flow.trajectory(_G, math.nan, 1.0, 4),
+        "flow time must be finite, got nan",
+        '{"t": "nan"}',
+        id="flow.trajectory/time",
+    ),
+    pytest.param(
+        lambda: flow.trajectory(_G, -1.7e308, 1.7e308, 4),
+        "flow time span t1 - t0 = inf overflows",
+        '{"span": "inf", "t0": -1.7e+308, "t1": 1.7e+308}',
+        id="flow.trajectory/span",
+    ),
+    pytest.param(
+        lambda: scattering.sample_mu(transform.FaddeevParams(_G, 1), math.inf),
+        "sampling radius must be finite, got inf",
+        '{"radius": "inf"}',
+        id="scattering.sample_mu",
+    ),
+    pytest.param(
+        lambda: scattering.fit_scattering([(1, 0)] * 8, complex(math.inf, 0)),
+        "the spectral parameter lambda must be finite",
+        '{"lam": {"re": Infinity, "im": 0.0}}',
+        id="scattering.fit_scattering",
+    ),
+    pytest.param(
+        lambda: transform.DeltaPotential([1.0, math.nan]),
+        "delta centres must be finite, got (nan+0j)",
+        '{"center": {"re": NaN, "im": 0.0}}',
+        id="transform.DeltaPotential",
+    ),
+    pytest.param(
+        lambda: transform.FaddeevParams(_G, complex(math.nan, 1.0)),
+        "the spectral parameter lambda must be finite, got (nan+1j)",
+        '{"lam": {"re": NaN, "im": 1.0}}',
+        id="transform.FaddeevParams/lambda",
+    ),
+    pytest.param(
+        lambda: transform.FaddeevParams(_G, complex(1.5e308, 1.5e308)),
+        "the modulus of lambda = (1.5e+308+1.5e+308j) overflows",
+        '{"lam": {"re": 1.5e+308, "im": 1.5e+308}}',
+        id="transform.FaddeevParams/modulus",
+    ),
+    pytest.param(
+        lambda: transform.moutard_residual(abs, abs, abs, complex(math.inf, 0), 0.1),
+        "ring centre must be finite, got (inf+0j)",
+        '{"point": {"re": Infinity, "im": 0.0}}',
+        id="transform.moutard_residual",
+    ),
+    pytest.param(
+        lambda: transform.residual_sample_points([1.0, math.nan], 1.0),
+        "sample points need finite roots and lambda, got (nan+0j)",
+        '{"value": {"re": NaN, "im": 0.0}}',
+        id="transform.residual_sample_points/input",
+    ),
+    pytest.param(
+        lambda: transform.residual_sample_points([1.7e308, 1.7e308j], 1.0),
+        "the sample rings around the centroid (8.5e+307+8.5e+307j) leave the float range",
+        '{"center": {"re": 8.5e+307, "im": 8.5e+307}, "spread": 1.2020815280171307e+308}',
+        id="transform.residual_sample_points/rings",
+    ),
+    pytest.param(
+        lambda: transform._harmonicity(1.0, 1.0, 0.5, 0j, [math.inf]),
+        "non-finite ring moments on radius 0.5",
+        '{"radius": 0.5}',
+        id="transform._harmonicity",
+    ),
+    pytest.param(
+        lambda: wirtinger.d_z(abs, complex(math.nan, 0)),
+        "stencil centre must be finite, got (nan+0j)",
+        '{"point": {"re": NaN, "im": 0.0}}',
+        id="wirtinger._step",
+    ),
+    pytest.param(
+        lambda: wirtinger.laplacian(lambda w: math.inf, 1j),
+        "non-finite sample (inf+0j) at 1j",
+        '{"point": {"re": 0.0, "im": 1.0}}',
+        id="wirtinger._sample",
+    ),
+    pytest.param(
+        lambda: wirtinger.ring(0j, math.inf, 4),
+        "the ring of radius inf around 0j leaves the float range",
+        '{"point": {"re": 0.0, "im": 0.0}, "radius": "inf"}',
+        id="wirtinger.ring",
+    ),
+    pytest.param(
+        lambda: wirtinger.laplacian(lambda w: 1e308, 1j),
+        "the stencil estimate at 1j is not finite",
+        '{"point": {"re": 0.0, "im": 1.0}}',
+        id="wirtinger.laplacian",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message, details", FINITE_GUARDS)
+def test_each_single_value_guard_keeps_its_error_record(call, message, details):
+    with pytest.raises(errors.NonFinite) as caught:
+        call()
+    record = caught.value.record()
+    assert (record["type"], record["message"], json.dumps(record["details"])) == ("NonFinite", message, details)
+
+
+@pytest.mark.parametrize("big", [10**400, Fraction(10**400)], ids=["int", "Fraction"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda big: cpoly.min_root_separation([0, big]), id="min_root_separation"),
+    pytest.param(lambda big: flow.trajectory(_G, big, 1.0, 4), id="trajectory-t0"),
+    pytest.param(lambda big: flow.trajectory(_G, 0.0, big, 4), id="trajectory-t1"),
+    pytest.param(lambda big: transform.moutard_residual(abs, abs, abs, big, 0.1), id="moutard_residual"),
+    pytest.param(lambda big: scattering.sample_mu(transform.FaddeevParams(_G, 1), big), id="sample_mu"),
+    pytest.param(lambda big: wirtinger.d_z(abs, big), id="d_z"),
+    pytest.param(lambda big: wirtinger.d_zbar(abs, big), id="d_zbar"),
+    pytest.param(lambda big: wirtinger.gradient(abs, big), id="gradient"),
+    pytest.param(lambda big: wirtinger.laplacian(abs, big), id="laplacian"),
+])
+def test_a_number_past_the_float_range_is_not_finite_where_a_guard_reads_it_first(call, big):
+    # cmath.isfinite raises OverflowError for these; the guard reads that as not finite.
+    with pytest.raises(errors.NonFinite):
+        call(big)
