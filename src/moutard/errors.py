@@ -37,6 +37,8 @@ def _plain(value: object) -> object:
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
+    if not isinstance(value, (str, int, float)) and value is not None:
+        return str(value)  # e.g. a Fraction, which JSON cannot write
     return value
 
 
@@ -65,15 +67,16 @@ class NonFinite(MoutardError):
 def _finite(value: complex, message: str, /, **details: object) -> complex:
     """``value`` if finite, else NonFinite with ``details`` and ``message`` formatted from ``value`` and ``details``.
 
-    A ``details`` key wins a name clash with ``value``; an int or Fraction past the float range is not finite.
-    Checks per sample or per root (``_evaluate``, ``_aberth``, ``_correct``, ``ring_moments``, ``_residual``)
-    stay inline, where a call per value would cost, as do checks of two values, a sequence or another condition.
+    A ``details`` key wins a name clash with ``value``. An int or Fraction past the float range is not
+    finite; the error names it by its signed inf, as float parsing would, so that its record stays JSON-ready.
+    Guard with it outside the inner per-root and per-point loops of solves and evaluations, where a call costs.
     """
     try:
         if cmath.isfinite(value):
             return value
     except OverflowError:
-        pass
+        inf = math.inf if value > 0 else -math.inf
+        value, details = inf, {key: inf if v == value else v for key, v in details.items()}
     raise NonFinite(message.format_map({"value": value, **details}), **details)
 
 

@@ -311,7 +311,8 @@ def test_each_single_value_guard_keeps_its_error_record(call, message, details):
     assert (record["type"], record["message"], json.dumps(record["details"])) == ("NonFinite", message, details)
 
 
-@pytest.mark.parametrize("big", [10**400, Fraction(10**400)], ids=["int", "Fraction"])
+@pytest.mark.parametrize("big", [10**400, Fraction(10**400), -10**400, 10**5000],
+                         ids=["int", "Fraction", "negative-int", "int-of-5001-digits"])
 @pytest.mark.parametrize("call", [
     pytest.param(lambda big: cpoly.min_root_separation([0, big]), id="min_root_separation"),
     pytest.param(lambda big: flow.trajectory(_G, big, 1.0, 4), id="trajectory-t0"),
@@ -324,6 +325,21 @@ def test_each_single_value_guard_keeps_its_error_record(call, message, details):
     pytest.param(lambda big: wirtinger.laplacian(abs, big), id="laplacian"),
 ])
 def test_a_number_past_the_float_range_is_not_finite_where_a_guard_reads_it_first(call, big):
-    # cmath.isfinite raises OverflowError for these; the guard reads that as not finite.
-    with pytest.raises(errors.NonFinite):
+    # cmath.isfinite raises OverflowError for these; the guard reads that as not finite and names the
+    # number by its signed inf, so that the record is JSON-ready even where repr(big) would fail.
+    with pytest.raises(errors.NonFinite) as caught:
         call(big)
+    record = json.loads(json.dumps(caught.value.record()))
+    sign = "-" if big < 0 else ""
+    assert record["message"].endswith(f"got {sign}inf"), record
+    assert list(record["details"].values()) == [f"{sign}inf"], record
+
+
+def test_a_record_writes_a_number_json_has_no_form_for_as_its_text():
+    assert json.dumps(errors.NonFinite("m", ratio=Fraction(1, 3), spans=[Fraction(-2)]).record()["details"]) \
+        == '{"ratio": "1/3", "spans": ["-2"]}'
+    # Two Fraction times inside the float range whose span is past it: the span reads inf, the times their text.
+    with pytest.raises(errors.NonFinite) as caught:
+        flow.trajectory(_G, Fraction(-17 * 10**307), Fraction(17 * 10**307), 4)
+    details = json.loads(json.dumps(caught.value.record()))["details"]
+    assert details == {"span": "inf", "t0": str(-17 * 10**307), "t1": str(17 * 10**307)}

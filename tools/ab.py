@@ -1,18 +1,19 @@
 """Same-process A/B timing and output comparison of two moutard source trees on a bench workload.
 
-    python3 tools/ab.py A B --workload verify [--seed 1] [--rounds R] [--repeats K] [--ops N]
+    python3 tools/ab.py A B --workload verify [--seed 1] [--rounds R] [--repeats K]
 
 A and B are directories that each hold ``src/moutard``, for example one made
 by ``git archive <rev> src | tar -x -C <dir>``, or ``.`` for this checkout.
 Both trees are loaded into this one interpreter, under the aliases
 ``moutard_a`` and ``moutard_b``.  The operations are those of the benchmark
 (``bench/workloads.py``, imported, never written to): the first R rounds of
-the workload at the seed (all of its rounds by default), or their first N
-operations.  ``verify``, ``scatter`` and ``evolve`` operations run through
-each side's ``cli.main``, with stdout and stderr captured; ``certify``
-operations through each side's ``cpoly.from_roots``, ``flow.evolve``,
-``FaddeevParams`` and ``verify_eigenfunction_identity``, whose coefficients,
-roots and certificates are written out by ``float.hex``.
+the workload at the seed (all of its rounds by default).  ``verify``,
+``scatter`` and ``evolve`` operations run through each side's ``cli.main``,
+with stdout and stderr captured; ``certify`` operations through each side's
+``flow.evolve``, ``FaddeevParams`` and ``verify_eigenfunction_identity``, on
+the side's ``cpoly.from_roots`` polynomial built before the clock starts, as
+the benchmark builds it; their coefficients, roots and certificates are
+written out by ``float.hex`` after the clock stops.
 
 Each repeat runs the operations round by round: a round on one side, then on
 the other, with ``gc.collect()`` between sides, alternating which side goes
@@ -77,42 +78,62 @@ def _run_cli(side: dict, argv: tuple[str, ...]) -> tuple[object, str, str]:
     return status, out.getvalue(), err.getvalue()
 
 
-def _run_certify(side: dict, spec: dict) -> tuple[object, str, str]:
+def _from_roots(side: dict, spec: dict) -> object:
     try:
-        p = side["cpoly"].from_roots(spec["roots"])
+        return side["cpoly"].from_roots(spec["roots"])
+    except Exception as e:  # compared like any output
+        return e
+
+
+def _run_certify(side: dict, p: object, spec: dict) -> object:
+    """(P(t), [(lambda, roots, certificate)]) of one certify op from its polynomial p, or what it raised."""
+    if isinstance(p, Exception):
+        return p
+    try:
         if spec["t"] is not None:
             p = side["flow"].evolve(p, spec["t"])
-        lines = ["coeffs " + " ".join(map(_hex, p.coeffs))]
+        results = []
         for lam in spec["lams"]:
             fp = side["transform"].FaddeevParams(p, lam)
-            certificate = side["transform"].verify_eigenfunction_identity(fp)
-            lines.append(f"lambda {_hex(lam)} roots {' '.join(map(_hex, fp.roots))} certificate {certificate.hex()}")
+            results.append((lam, fp.roots, side["transform"].verify_eigenfunction_identity(fp)))
     except Exception as e:  # compared like any output
-        return f"raised {type(e).__name__}: {e}", "", ""
+        return e
+    return p, results
+
+
+def _certify_output(raw: object) -> tuple[object, str, str]:
+    if isinstance(raw, Exception):
+        return f"raised {type(raw).__name__}: {raw}", "", ""
+    p, results = raw
+    lines = ["coeffs " + " ".join(map(_hex, p.coeffs))]
+    for lam, roots, certificate in results:
+        lines.append(f"lambda {_hex(lam)} roots {' '.join(map(_hex, roots))} certificate {certificate.hex()}")
     return 0, "\n".join(lines) + "\n", ""
 
 
 def run_side(side: dict, ops: list) -> tuple[float, list[tuple[object, str, str]]]:
-    """(seconds, outputs) of the ops on one side, back to back."""
+    """(seconds, outputs) of the ops on one side, back to back; only the ops' own work is timed."""
+    if ops[0].argv:  # a workload's ops are all CLI ops or all certify ops
+        gc.collect()
+        start = time.perf_counter()
+        outputs = [_run_cli(side, op.argv) for op in ops]
+        return time.perf_counter() - start, outputs
+    polys = [_from_roots(side, op.spec) for op in ops]
     gc.collect()
-    outputs = []
     start = time.perf_counter()
-    for op in ops:
-        outputs.append(_run_cli(side, op.argv) if op.argv else _run_certify(side, op.spec))
-    return time.perf_counter() - start, outputs
+    raw = [_run_certify(side, p, op.spec) for p, op in zip(polys, ops)]
+    elapsed = time.perf_counter() - start
+    return elapsed, [_certify_output(r) for r in raw]
 
 
-def make_rounds(workload: str, seed: int, rounds: int | None, limit: int | None) -> list[list]:
+def make_rounds(workload: str, seed: int, rounds: int | None) -> list[list]:
     """The benchmark's ops for the workload and seed, drawn as ``bench/run.py`` draws them, in rounds."""
     sys.path.insert(0, str(BENCH))
     import workloads  # puts this checkout's src/ first on sys.path and imports moutard from it
 
     spec = workloads.WORKLOADS[workload]
     rng = random.Random(f"{workload}/{seed}")
-    drawn = [spec.make_round(rng, index) for index in range(spec.rounds if rounds is None else rounds)]
-    ops = [op for block in drawn for op in block][:limit]
-    size = len(drawn[0])
-    return [ops[i:i + size] for i in range(0, len(ops), size)]
+    return [spec.make_round(rng, index) for index in range(spec.rounds if rounds is None else rounds)]
 
 
 def _show(label: str, output: tuple[object, str, str]) -> None:
@@ -129,14 +150,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=None, help="rounds of the workload (default: all of them)")
     parser.add_argument("--repeats", type=int, default=3, help="timed repeats after the warm-up")
-    parser.add_argument("--ops", type=int, default=None, help="only the first N ops of those rounds")
     args = parser.parse_args(argv)
-    for name in ("rounds", "repeats", "ops"):
+    for name in ("rounds", "repeats"):
         if getattr(args, name) is not None and getattr(args, name) < 1:
             parser.error(f"--{name} must be at least 1")
 
     sides = {"A": load("moutard_a", args.a), "B": load("moutard_b", args.b)}
-    rounds = make_rounds(args.workload, args.seed, args.rounds, args.ops)
+    rounds = make_rounds(args.workload, args.seed, args.rounds)
     ops = [op for block in rounds for op in block]
     print(f"ab: {args.workload} seed {args.seed}, {len(ops)} ops, {args.repeats} timed repeats after one warm-up")
     print(f"ab: A = {Path(args.a).resolve()}, B = {Path(args.b).resolve()}")
