@@ -18,7 +18,7 @@ import itertools
 import math
 import sys
 
-from .errors import InsufficientRoots, NonConvergence, NonFinite, _finite
+from .errors import InsufficientRoots, NonConvergence, NonFinite, _complex, _finite
 
 _EPS = sys.float_info.epsilon
 # Fractional part of the golden ratio; used to rotate the initial root guesses
@@ -99,7 +99,7 @@ class ComplexPoly(_Record):
     def __init__(self, coeffs: Iterable[complex]) -> None:
         # From a list, like the package's other coefficient and root tuples: CPython 3.11's tuple(<generator>)
         # grows its tuple by resizing, so it never reuses a freed tuple, and freed ones pile up on the free lists.
-        coeffs = tuple([complex(c) for c in coeffs])
+        coeffs = tuple([_complex(c) for c in coeffs])
         if not coeffs:
             raise ValueError("a polynomial needs at least one coefficient")
         if coeffs[-1] != 1:
@@ -119,13 +119,13 @@ class ComplexPoly(_Record):
         polynomial, NonFinite where that division overflows a finite
         coefficient list.
         """
-        cs = [complex(c) for c in coeffs]
+        cs = [_complex(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         if not cs:
             raise ValueError("the zero polynomial has no monic form")
         lead = cs[-1]
-        monic = tuple(c / lead for c in cs[:-1]) + (1 + 0j,)
+        monic = tuple([c / lead for c in cs[:-1]]) + (1 + 0j,)
         if all(map(cmath.isfinite, cs)) and not all(map(cmath.isfinite, monic)):
             raise NonFinite(f"a coefficient overflows when divided by the leading one {lead!r}", lead=lead)
         return cls(monic)
@@ -208,7 +208,7 @@ def from_roots(roots: Sequence[complex]) -> ComplexPoly:
     The roots are kept as the starting guesses of its ``root_set`` solve.
     NonFinite where multiplying out finite roots overflows a coefficient.
     """
-    given = tuple([complex(r) for r in roots])
+    given = tuple([_complex(r) for r in roots])
     coeffs = [1 + 0j]
     for rc in given:
         coeffs.insert(0, 0j)
@@ -248,7 +248,7 @@ def differentiate(coeffs: Sequence[complex], k: int = 1) -> tuple[complex, ...]:
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    cs = tuple([complex(c) for c in coeffs])
+    cs = tuple([_complex(c) for c in coeffs])
     for _ in range(k):
         if len(cs) <= 1:
             return (0j,)

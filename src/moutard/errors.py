@@ -80,6 +80,14 @@ def _finite(value: complex, message: str, /, **details: object) -> complex:
     raise NonFinite(message.format_map({"value": value, **details}), **details)
 
 
+def _complex(value: complex) -> complex:
+    """``complex(value)``, reading an int or Fraction past the float range as its signed inf, as float parsing would."""
+    try:
+        return complex(value)
+    except OverflowError:
+        return complex(math.inf if value > 0 else -math.inf)
+
+
 class ZeroLambda(MoutardError):
     """The spectral parameter must be nonzero."""
 

@@ -219,42 +219,34 @@ def trajectory(
 ) -> RootTrajectory:
     """Sampled root paths of the evolving polynomial on [t0, t1].
 
-    P(t) is formed for the whole grid in one pass (see :func:`_at`), and
-    each time's row is pulled just before its roots are found on it.  A
-    steady step, one whose three previous times were all unflagged, predicts
-    each root by the quadratic extrapolation 3 (x_{k-1} - x_{k-2}) + x_{k-3},
-    with no Horner pass, and corrects it by at most two Newton steps
-    (``cpoly._correct``).  That column is kept only where every root passes
-    the Aberth solve's own keep test, |p(x)| <= 4 eps times the evaluation
-    scale, and :func:`_labels_kept` certifies the step with a separation
-    bound at or above ``collision_tol``, which also proves the roots
-    pairwise distinct.  Every other step, and a steady one whose corrector
-    declines or whose bound gives out, is solved as before by the solve
-    behind ``cpoly.roots``, warm from the secant prediction
-    2 x_{k-1} - x_{k-2} of the two previous labelled columns, or from x_{k-1}
-    alone at the first step and whenever either of those two times was
-    flagged as a collision (the solve falls back to its cold seed by itself
-    when that start fails); such a step, and only such a step, equals
-    ``cpoly.roots(evolve(p0, t), init=...)`` bit for bit.  The guesses are
-    already complex, so each such step hands the solve a fresh list, the
-    secant one or a copy of x_{k-1}, and the solve overwrites it in place of
-    the copy that ``cpoly.roots`` makes of its ``init``.  Roots at the first
-    time are ordered by (real, imag).  Each later time keeps the order of the
-    guesses it started from where :func:`_labels_kept` certifies it with a
-    separation bound at or above ``collision_tol``; otherwise its roots take
-    their labels from x_{k-1} by greedy nearest-neighbour matching, which
-    keeps that order wherever the certificate holds.  The matching raises
-    AmbiguousMatching where two assignments differ by less than a quarter of
-    x_{k-1}'s minimum separation, unless either end of the step is flagged: a
-    time is flagged when its minimum separation drops below
-    ``collision_tol``, and labels may genuinely permute there.  A flagged
-    time opens a CollisionEvent, or widens the previous time's event when
-    that time was flagged too (keeping the first tightest time and the union
-    of the roots involved).  ValueError
-    unless collision_tol > 0 (inf is allowed).  Raises NonFinite when a grid
-    time is not finite or a coefficient of P(t) overflows there, after the
-    solves of the earlier times, so an error of one of those comes first;
-    and before any solve when t0, t1 or the span t1 - t0 is not finite.
+    Each grid time's row of P(t) (see :func:`_at`) is settled into a column
+    of roots once.  A steady step, one whose three previous times were all
+    unflagged, is settled by ``cpoly._correct`` from the quadratic prediction
+    3 (x_{k-1} - x_{k-2}) + x_{k-3}.  Any other step, and a steady one whose
+    corrector returns None or whose column :func:`_labels_kept` declines, is
+    settled by ``cpoly._solve``: cold at the first time, else warm from the
+    secant prediction 2 x_{k-1} - x_{k-2} when both previous times were
+    unflagged, else from x_{k-1}; its column equals
+    ``cpoly.roots(evolve(p0, t), init=...)`` bit for bit.
+
+    A column keeps the order of its guesses where :func:`_labels_kept`
+    certifies it with a separation bound at or above ``collision_tol``.
+    Otherwise the roots at the first time are ordered by (real, imag), and
+    those at a later time take their labels from x_{k-1} by greedy
+    nearest-neighbour matching, which raises AmbiguousMatching where two
+    assignments differ by less than a quarter of x_{k-1}'s minimum
+    separation, unless either end of the step is flagged.  A time is flagged
+    when its minimum separation drops below ``collision_tol``, and labels
+    may genuinely permute there.  A flagged time opens a CollisionEvent, or
+    widens the previous time's event when that time was flagged too
+    (keeping the first tightest time and the union of the roots involved).
+
+    Before any solve, raises ValueError unless flow_sign is +1 or -1, then
+    NonFinite when t0, t1 or the span t1 - t0 is not finite, then
+    ValueError unless t0 < t1, steps >= 1, collision_tol > 0 (inf is
+    allowed) and p0 has degree >= 1.  NonFinite when a grid time is not
+    finite or a coefficient of P(t) overflows there is raised after the
+    solves of the earlier times, so an error of one of those comes first.
     """
     sign = _check_sign(flow_sign)
     for t in (t0, t1):
@@ -277,50 +269,41 @@ def trajectory(
     seps: list[float] = []
     events: list[CollisionEvent] = []
     for k, (t, coeffs) in enumerate(zip(times, _at(p0, terms, times, sign))):
-        if k >= 3 and min(seps[-3:]) >= collision_tol:
-            # A steady step: Newton from the quadratic prediction, kept where the labels are certified.
-            rts = cpoly._correct(coeffs, [3 * (a - b) + c for a, b, c in zip(columns[-1], columns[-2], columns[-3])])
-            if rts is not None:
-                least = _labels_kept(max(map(abs, map(operator.sub, rts, columns[-1]))), seps[-1])
-                if least >= collision_tol:
-                    columns.append(rts)
-                    seps.append(least)
-                    continue
-        if k >= 2 and min(seps[-2:]) >= collision_tol:
-            # Secant prediction from the last two columns, free of Horner passes.
-            init = [2 * a - b for a, b in zip(columns[-1], columns[-2])]
-        else:
-            init = list(columns[-1]) if columns else None
-        # A fresh list of complex guesses, which the solve overwrites.
-        rts, _, _ = cpoly._solve(coeffs, init)
-        if k:
+        # Newton first on a steady step, then the solve; each gets a fresh list of guesses, which the solve overwrites.
+        for newton in (True, False) if k >= 3 and min(seps[-3:]) >= collision_tol else (False,):
+            if newton:
+                rts = cpoly._correct(coeffs, [3 * (a - b) + c for c, b, a in zip(*columns[-3:])])
+            elif k >= 2 and min(seps[-2:]) >= collision_tol:
+                rts = cpoly._solve(coeffs, [2 * a - b for b, a in zip(*columns[-2:])])[0]
+            else:
+                rts = cpoly._solve(coeffs, list(columns[-1]) if columns else None)[0]
             # A step that keeps its labels with a bound >= collision_tol is not flagged,
             # so it stores the bound and skips the O(n^2) scan.
-            least = _labels_kept(max(map(abs, map(operator.sub, rts, columns[-1]))), seps[-1])
-            if least >= collision_tol:
-                columns.append(rts)
-                seps.append(least)
-                continue
-        # Matching permutes rts, so this is also the separation of cur.
-        sep = cpoly.min_root_separation(rts) if n >= 2 else math.inf
-        if k == 0:
-            cur = sorted(rts, key=lambda r: (r.real, r.imag))
-        elif seps[-1] < collision_tol or sep < collision_tol:
-            # Either end of the step sits at a collision: labels genuinely permute
-            # there, and the CollisionEvent already marks them unreliable.
-            cur = _greedy_match(columns[-1], rts, -math.inf)
+            if rts is not None and k:
+                sep = _labels_kept(max(map(abs, map(operator.sub, rts, columns[-1]))), seps[-1])
+                if sep >= collision_tol:
+                    break
         else:
-            cur = _greedy_match(columns[-1], rts, 0.25 * cpoly.min_root_separation(columns[-1]))
-        if sep < collision_tol:
-            event = CollisionEvent(t, _near_min_pairs(cur, sep), sep)
-            if k and seps[-1] < collision_tol:
-                # The previous time was flagged too: widen its event, which
-                # keeps the first of its tightest times.
-                last = events.pop()
-                tightest = last if last.min_separation <= sep else event
-                involved = tuple(sorted({*last.roots_involved, *event.roots_involved}))
-                event = CollisionEvent(tightest.t_approx, involved, tightest.min_separation)
-            events.append(event)
-        columns.append(cur)
+            # Matching permutes rts, so this is also the separation of the labelled column.
+            sep = cpoly.min_root_separation(rts) if n >= 2 else math.inf
+            if k == 0:
+                rts = sorted(rts, key=lambda r: (r.real, r.imag))
+            elif seps[-1] < collision_tol or sep < collision_tol:
+                # Either end of the step sits at a collision: labels genuinely permute
+                # there, and the CollisionEvent already marks them unreliable.
+                rts = _greedy_match(columns[-1], rts, -math.inf)
+            else:
+                rts = _greedy_match(columns[-1], rts, 0.25 * cpoly.min_root_separation(columns[-1]))
+            if sep < collision_tol:
+                event = CollisionEvent(t, _near_min_pairs(rts, sep), sep)
+                if k and seps[-1] < collision_tol:
+                    # The previous time was flagged too: widen its event, which
+                    # keeps the first of its tightest times.
+                    last = events.pop()
+                    tightest = last if last.min_separation <= sep else event
+                    involved = tuple(sorted({*last.roots_involved, *event.roots_involved}))
+                    event = CollisionEvent(tightest.t_approx, involved, tightest.min_separation)
+                events.append(event)
+        columns.append(rts)
         seps.append(sep)
     return RootTrajectory(times=times, paths=tuple(zip(*columns)), events=tuple(events))

@@ -32,7 +32,7 @@ import sys
 from operator import mul
 
 from .cpoly import _Record
-from .errors import DegenerateDesign, InconsistentData, NonFinite, RadiusTooSmall, ZeroLambda, _finite
+from .errors import DegenerateDesign, InconsistentData, NonFinite, RadiusTooSmall, ZeroLambda, _complex, _finite
 from .transform import FaddeevParams
 
 DEFAULT_RADIUS_FACTOR = 1e4
@@ -119,13 +119,13 @@ def fit_scattering(samples: Sequence[tuple[complex, complex]], lam: complex) -> 
     runs on z / s, s a power of two near |z|, so nothing overflows with the
     radius and the result is bit for bit that of the fit on z.
     """
-    lam = complex(lam)
+    lam = _complex(lam)
     if lam == 0:
         raise ZeroLambda("scattering data is defined for nonzero lambda")
     _finite(lam, "the spectral parameter lambda must be finite", lam=lam)
     if len(samples) < 4:
         raise ValueError(f"need at least 4 samples, got {len(samples)}")
-    pairs = [(complex(z), complex(mu)) for z, mu in samples]
+    pairs = [(_complex(z), _complex(mu)) for z, mu in samples]
     ordered = sorted(pairs, key=lambda t: (t[0].real, t[0].imag))
     zs = [z for z, _ in ordered]
     data = [mu for _, mu in ordered]
@@ -196,7 +196,7 @@ def expected_a(n: int, lam: complex) -> complex:
     """Predicted forward amplitude -2n/lambda for a degree-n generator."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    lam = complex(lam)
+    lam = _complex(lam)
     if lam == 0:
         raise ZeroLambda("expected_a requires nonzero lambda")
     a = -2.0 * n / lam
@@ -212,10 +212,10 @@ def count_deltas(a: complex, lam: complex) -> int:
     or not within 0.1 of a nonnegative integer (the input cannot then come
     from a monic polynomial generator).
     """
-    lam = complex(lam)
+    lam = _complex(lam)
     if lam == 0:
         raise ZeroLambda("count_deltas requires nonzero lambda")
-    w = -lam * complex(a) / 2.0
+    w = -lam * _complex(a) / 2.0
     if not cmath.isfinite(w):
         raise InconsistentData(f"-lambda*a/2 = {w!r} is not finite", value=w)
     n = round(w.real)

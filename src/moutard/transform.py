@@ -51,10 +51,8 @@ import math
 from operator import mul
 
 from . import cpoly
-from .errors import InsufficientRoots, NearPole, NonFinite, ZeroLambda, _finite
-from .wirtinger import ring, ring_moments
-
-ComplexFunc = "Callable[[complex], complex]"  # read only in annotations, which stay unevaluated
+from .errors import InsufficientRoots, NearPole, NonFinite, ZeroLambda, _complex, _finite
+from .wirtinger import ComplexFunc, ring, ring_moments
 
 POLE_GUARD = 1e-8
 
@@ -84,7 +82,7 @@ class DeltaPotential(cpoly._Record):
     __match_args__ = _compared = ("centers",)
 
     def __init__(self, centers: Iterable[complex]) -> None:
-        centers = tuple([complex(c) for c in centers])
+        centers = tuple([_complex(c) for c in centers])
         for c in centers:
             _finite(c, "delta centres must be finite, got {center!r}", center=c)
         object.__setattr__(self, "centers", centers)
@@ -112,7 +110,7 @@ class FaddeevParams(cpoly._Record):
 
     def __post_init__(self) -> None:
         """The step of ``__init__`` after the fields are set: check ``lam``, read P's memos, form the pole guard."""
-        lam = complex(self.lam)
+        lam = _complex(self.lam)
         if lam == 0:
             raise ZeroLambda("the spectral parameter lambda must be nonzero")
         _finite(lam, "the spectral parameter lambda must be finite, got {lam!r}", lam=lam)
@@ -266,8 +264,8 @@ def residual_sample_points(roots: tuple[complex, ...] | list[complex], lam: comp
     non-finite root or lambda, and where the centroid or the rings around it
     leave the float range.
     """
-    roots = tuple([complex(r) for r in roots])
-    lam = complex(lam)
+    roots = tuple([_complex(r) for r in roots])
+    lam = _complex(lam)
     for v in (*roots, lam):
         _finite(v, "sample points need finite roots and lambda, got {value!r}", value=v)
     center = sum(roots) / len(roots) if roots else 0j

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import moutard
-from moutard import cpoly, errors, flow, scattering, transform, wirtinger
+from moutard import cpoly, errors, flow, scattering, transform, verdict, wirtinger
 
 PACKAGE = pathlib.Path(moutard.__file__).parent
 
@@ -333,6 +333,43 @@ def test_a_number_past_the_float_range_is_not_finite_where_a_guard_reads_it_firs
     sign = "-" if big < 0 else ""
     assert record["message"].endswith(f"got {sign}inf"), record
     assert list(record["details"].values()) == [f"{sign}inf"], record
+
+
+_UNIT_CIRCLE = [(1, 0), (1j, 0), (-1, 0), (-1j, 0)]
+
+
+@pytest.mark.parametrize("big", [10**400, -10**400, Fraction(10**400), 10**5000],
+                         ids=["int", "negative-int", "Fraction", "int-of-5001-digits"])
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda x: cpoly.ComplexPoly((x, 1)), ValueError, id="ComplexPoly"),
+    pytest.param(lambda x: cpoly.ComplexPoly.from_coefficients([x, 1]), ValueError, id="from_coefficients"),
+    pytest.param(lambda x: cpoly.from_roots([0, x]), ValueError, id="from_roots"),
+    pytest.param(lambda x: cpoly.differentiate([0, x, 1]), errors.NonFinite, id="differentiate"),
+    pytest.param(lambda x: transform.DeltaPotential([0, x]), errors.NonFinite, id="DeltaPotential"),
+    pytest.param(lambda x: transform.FaddeevParams(_G, x), errors.NonFinite, id="FaddeevParams"),
+    pytest.param(lambda x: verdict.verify(_G, x), errors.NonFinite, id="verdict.verify"),
+    pytest.param(lambda x: transform.residual_sample_points([0, x], 1), errors.NonFinite,
+                 id="residual_sample_points-roots"),
+    pytest.param(lambda x: transform.residual_sample_points([0], x), errors.NonFinite,
+                 id="residual_sample_points-lambda"),
+    pytest.param(lambda x: scattering.fit_scattering(_UNIT_CIRCLE, x), errors.NonFinite, id="fit_scattering-lambda"),
+    pytest.param(lambda x: scattering.fit_scattering([*_UNIT_CIRCLE, (x, 0)], 1), errors.NonFinite,
+                 id="fit_scattering-z"),
+    pytest.param(lambda x: scattering.fit_scattering([*_UNIT_CIRCLE, (2, x)], 1), errors.NonFinite,
+                 id="fit_scattering-mu"),
+    pytest.param(lambda x: scattering.expected_a(2, x), errors.NonFinite, id="expected_a"),
+    pytest.param(lambda x: scattering.count_deltas(1, x), errors.InconsistentData, id="count_deltas-lambda"),
+    pytest.param(lambda x: scattering.count_deltas(x, 1), errors.InconsistentData, id="count_deltas-a"),
+])
+def test_a_number_past_the_float_range_reads_as_its_signed_inf_where_it_is_converted(call, error, big):
+    # Each entry point converts the caller's number by errors._complex, so it raises what the same-signed inf gives.
+    with pytest.raises(error) as want:
+        call(math.inf if big > 0 else -math.inf)
+    with pytest.raises(error) as caught:
+        call(big)
+    assert (type(caught.value), str(caught.value)) == (type(want.value), str(want.value))
+    if isinstance(want.value, errors.MoutardError):
+        assert json.dumps(caught.value.record()) == json.dumps(want.value.record())
 
 
 def test_a_record_writes_a_number_json_has_no_form_for_as_its_text():
