@@ -65,7 +65,7 @@ SPACES = [chr(c) for c in range(0x3001) if chr(c).isspace()]
 
 
 def _regex_rule(text):
-    """parse_complex_list as it was while it split with re."""
+    """The list rule as a regex: the literals between runs of ';' and whitespace."""
     return [parse_complex(p) for p in re.split(r"[;\s]+", text.strip()) if p]
 
 

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from moutard import cpoly, flow
+from moutard import cpoly
 from moutard.errors import InsufficientRoots, NonConvergence, NonFinite
 
 
@@ -595,123 +595,12 @@ def test_aberth_stops_at_a_non_finite_closing_residual(monkeypatch):
     assert exc.value.iterations == 2
 
 
-def fused_aberth(coeffs, xs):
-    """Oracle: the Aberth loop that forms p, p' and the scale in one pass on every sweep."""
-    n = len(xs)
-    lower = [(c, abs(c)) for c in coeffs[-2::-1]]
-    lead, abs_lead = coeffs[-1], abs(coeffs[-1])
-    stagnate, floor, big = 2.0**-50, 4.0 * cpoly._EPS, sys.float_info.max
-    sweeps = 0
-    kept = [None] * n
-    for sweeps in range(1, cpoly.MAX_SWEEPS + 1):
-        finished = True
-        for i in range(n):
-            if kept[i] is not None:
-                continue
-            x = xs[i]
-            ax = abs(x)
-            pv, dv, scale = lead, 0j, abs_lead
-            for c, ac in lower:
-                dv = dv * x + pv
-                pv = pv * x + c
-                scale = scale * ax + ac
-            apv = abs(pv)
-            if not (apv <= big and abs(dv) <= big and scale <= big):
-                return sweeps, math.inf
-            if apv <= floor * scale:
-                kept[i] = apv / (scale if scale > 1.0 else 1.0)
-                continue
-            if dv == 0:
-                xs[i] = x + (stagnate + stagnate * ax) * (1 + 1j)
-                finished = False
-                continue
-            newton = pv / dv
-            try:
-                repulse = 0j
-                for y in xs[:i]:
-                    repulse += 1 / (x - y)
-                for y in xs[i + 1:]:
-                    repulse += 1 / (x - y)
-            except ZeroDivisionError:
-                repulse = 0j
-                for y in xs[:i] + xs[i + 1:]:
-                    diff = x - y
-                    if diff == 0:
-                        diff = stagnate * (1 + ax) * (1 + 1j)
-                    repulse += 1 / diff
-            denom = 1 - newton * repulse
-            if denom == 0:
-                xs[i] = x + (stagnate + stagnate * ax) * (1 + 1j)
-                finished = False
-                continue
-            delta = newton / denom
-            xs[i] = new = x - delta
-            if not cmath.isfinite(new):
-                return sweeps, math.inf
-            if abs(delta) > stagnate * (1 + ax):
-                finished = False
-        if finished:
-            break
-    worst = 0.0
-    for x, r in zip(xs, kept):
-        if r is None:
-            ax = abs(x)
-            pv, scale = lead, abs_lead
-            for c, ac in lower:
-                pv = pv * x + c
-                scale = scale * ax + ac
-            r = abs(pv) / (scale if scale > 1.0 else 1.0)
-            if not math.isfinite(r):
-                return sweeps, math.inf
-        worst = max(worst, r)
-    return sweeps, worst
-
-
-def _both_aberths(coeffs, init):
-    """(xs, sweeps, worst) from cpoly._aberth and from the fused oracle, each on its own copy of init."""
-    out = []
-    for run in (cpoly._aberth, fused_aberth):
-        xs = list(init)
-        sweeps, worst = run(coeffs, xs)
-        out.append((list(map(repr, xs)), sweeps, worst))
-    return out
-
-
-def test_aberth_equals_the_fused_pass_on_warm_and_cold_starts():
-    # _aberth takes one fused p, p' and scale pass per root per sweep, as the
-    # oracle does, and ends on the same roots bit for bit, after as many
-    # sweeps and with the same residual: from warm starts on the secant
-    # prediction 2 x(h) - x(0) of roots moving on a parabola and from the
-    # cold seed, at every degree 1-20, and from the cold seed on evolved
-    # odd-degree generators, as the exact certificate's solves start.
-    rng = random.Random(43)
-    for degree in range(1, 21):
-        for _ in range(3):
-            pts = separated_points(rng, degree, radius=2.0, min_sep=0.2)
-            v = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in pts]
-            a = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in pts]
-            h = rng.choice((1e-3, 1e-2, 3e-2))
-            path = [[z + t * u + t * t * w for z, u, w in zip(pts, v, a)] for t in (0.0, h, 2 * h)]
-            coeffs = cpoly.from_roots(path[2]).coeffs
-            secant = [2 * b - c for b, c in zip(path[1], path[0])]
-            for init in (secant, cpoly._cold_seed(coeffs)):
-                new, old = _both_aberths(coeffs, init)
-                assert new == old, (degree, init)
-    for degree in (11, 13, 15):
-        for _ in range(3):
-            p0 = cpoly.from_roots(separated_points(rng, degree, radius=1.5, min_sep=0.2))
-            coeffs = flow.evolve(p0, rng.uniform(-1.0, 1.0)).coeffs
-            new, old = _both_aberths(coeffs, cpoly._cold_seed(coeffs))
-            assert new == old, (degree, coeffs)
-
-
-def test_aberth_confirms_on_the_fused_pass_where_p_prime_could_overflow(monkeypatch):
+def test_aberth_stops_where_p_prime_overflows_at_a_root_on_its_floor(monkeypatch):
     # z^3 + c2 z^2 + c0 with a root at 0.8, where p' = 3 z^2 + 2 c2 z is just
     # past the float range.  From 0.8 (1 - 1e-9), where p' is finite, one
     # sweep moves the root by about 1e-9 onto its floor, where p and the
-    # scale are finite and p alone would keep it; the fused pass of sweep 2
-    # forms p' too, so _aberth stops there at the overflowing p' with worst
-    # residual inf, as the oracle does.
+    # scale are finite and p alone would keep it; sweep 2 forms p' with p,
+    # so _aberth stops there at the overflowing p' with worst residual inf.
     big = sys.float_info.max
     c2 = big / 1.6 * (1 + 3e-10)
     coeffs = (complex(-(0.8**3 + c2 * 0.8**2)), 0j, complex(c2), 1 + 0j)
@@ -723,9 +612,7 @@ def test_aberth_confirms_on_the_fused_pass_where_p_prime_could_overflow(monkeypa
     [value] = cpoly._horner_list(coeffs, xs[:1])
     assert abs(value) <= 4 * cpoly._EPS * eval_scale(coeffs, xs[0]) < big
     monkeypatch.undo()
-    new, old = _both_aberths(coeffs, init)
-    assert new == old
-    assert new[1:] == (2, math.inf)
+    assert cpoly._aberth(coeffs, list(init)) == (2, math.inf)
 
 
 def test_warm_start_needs_one_guess_per_root():

@@ -755,8 +755,8 @@ def test_trajectory_of_from_roots_equals_its_coefficient_twin():
     assert trajectory(p, 0.0, 0.5, steps=40) == trajectory(twin, 0.0, 0.5, steps=40)
 
 
-def _full_greedy(prev, cur, margin, lenient):
-    """The greedy matching with a rescan of the sorted pairs for every rival: the oracle."""
+def _full_greedy(prev, cur, margin):
+    """The greedy matching with a rescan of the sorted pairs for every rival: the oracle; margin -inf never raises."""
     n = len(prev)
     pairs = sorted((abs(prev[i] - cur[j]), i, j) for i in range(n) for j in range(n))
     taken_prev, taken_cur = set(), set()
@@ -764,14 +764,13 @@ def _full_greedy(prev, cur, margin, lenient):
     for dist, i, j in pairs:
         if i in taken_prev or j in taken_cur:
             continue
-        if not lenient:
-            rival = next(
-                (d for d, i2, j2 in pairs
-                 if (i2 == i) != (j2 == j) and i2 not in taken_prev and j2 not in taken_cur),
-                math.inf,
-            )
-            if rival - dist < margin:
-                raise AmbiguousMatching("ambiguous", distance=dist, rival=rival, margin=margin)
+        rival = next(
+            (d for d, i2, j2 in pairs
+             if (i2 == i) != (j2 == j) and i2 not in taken_prev and j2 not in taken_cur),
+            math.inf,
+        )
+        if rival - dist < margin:
+            raise AmbiguousMatching("ambiguous", distance=dist, rival=rival, margin=margin)
         out[i] = cur[j]
         taken_prev.add(i)
         taken_cur.add(j)
@@ -812,13 +811,20 @@ def test_greedy_match_shortcut_equals_the_full_greedy():
         margins = [0.0, 1e-3, 0.25 * cpoly.min_root_separation(prev), 10.0]
         margins += [g for g in gaps if g > 0][:3]  # exact ties with the shortcut's inequality
         for margin in margins:
-            want = _outcome(_full_greedy, prev, cur, margin, False)
+            want = _outcome(_full_greedy, prev, cur, margin)
             assert _outcome(_greedy_match, prev, cur, margin) == want
             identities += want == list(cur) and margin > 0
             raised += want[0] == "raised"
-        # Margin -inf is the lenient greedy: the same picks, never a raise.
-        assert _greedy_match(prev, cur, -math.inf) == _full_greedy(prev, cur, 0.0, True)
+        # Margin -inf: the same picks, never a raise.
+        assert _greedy_match(prev, cur, -math.inf) == _full_greedy(prev, cur, -math.inf)
     assert identities > 150 and raised > 150
+
+
+def test_greedy_match_message_states_the_gap_under_the_margin():
+    with pytest.raises(AmbiguousMatching) as info:  # pick (0, 0) at 0.5; its rival (0, 1) is at 1
+        _greedy_match([0j, 2 + 0j], [0.5 + 0j, 1 + 0j], 0.75)
+    assert "differ by 5.000e-01 < margin 7.500e-01" in str(info.value)
+    assert info.value.details == {"distance": 0.5, "rival": 1.0, "margin": 0.75}
 
 
 def _toward_nearest(points):
@@ -864,7 +870,7 @@ def test_labels_kept_only_where_the_greedy_keeps_them():
             kept += 1
             assert least <= cpoly.min_root_separation(cur) if len(cur) > 1 else least == math.inf
             assert delta < 0.375 * sep
-            assert _full_greedy(prev, cur, 0.25 * sep, lenient=False) == list(cur)
+            assert _full_greedy(prev, cur, 0.25 * sep) == list(cur)
         else:
             declined += 1
             assert least == -math.inf and delta >= 0.375 * (1 - 2**-40) * sep

@@ -355,7 +355,7 @@ def _deriv(poly):
 
 
 def _horner_scaled(fp):
-    """_scaled as it assembled W before the column sums: Horner in l over k = 1..N; l^N by its own products."""
+    """(s, l, P~, W, l^N): W = sum_{k=1..N} (-s)^k l^{N-k} D^k P~ by Horner's rule in l, l^N by its own products."""
     ratios = [(x.real.as_integer_ratio(), x.imag.as_integer_ratio()) for x in (fp.lam, *fp.p.coeffs)]
     s = max(d for pair in ratios for _, d in pair)
     (lr, li), *p = [tuple(n * (s // d) for n, d in pair) for pair in ratios]
@@ -368,7 +368,9 @@ def _horner_scaled(fp):
     return s, (lr, li), p, w, (nr, ni)
 
 
-def test_column_sums_give_the_horner_integers():
+def test_horner_in_minus_s_gives_the_integers_of_horner_in_l():
+    # _scaled runs Horner's rule in -s, _horner_scaled Horner's rule in l over whole derivatives.
+    # Degrees 0-20 and 40 at one random and three extreme lambdas, and a subnormal coefficient:
     rng = random.Random(36)
     for degree in (*range(21), 40):
         for lam in (cmath.rect(rng.uniform(0.1, 10.0), rng.uniform(-math.pi, math.pi)), 5e-324, 1e-300j, 1e300):
@@ -376,30 +378,7 @@ def test_column_sums_give_the_horner_integers():
             assert transform._scaled(fp) == _horner_scaled(fp), (degree, lam)
     fp = _subnormal_params()
     assert transform._scaled(fp) == _horner_scaled(fp)
-
-
-@pytest.mark.parametrize("degree", [0, 1, 2, 10])
-def test_one_kept_gaussian_form_serves_every_lambda_in_either_order(degree):
-    # 1e-20 has dyadic denominator 2^119, finer than any coefficient's, so s
-    # comes from lambda and P's kept integers are rescaled; at the Gaussian
-    # integer 3 - i, s is P's own.  Either lambda first, the kept form is P's
-    # and the integers are the Horner ones.
-    fine, coarse = 1.5 + 1e-20j, 3 - 1j
-    roots = [complex(x, y) for x, y in ((0.3, -1.1), (1.7, 0.2), (-0.9, 0.6))] * 4
-    for lams in ((fine, coarse), (coarse, fine)):
-        p = cpoly.from_roots(roots[:degree])
-        for lam in lams:
-            fp = FaddeevParams(p, lam)
-            scaled = transform._scaled(fp)
-            assert scaled == _horner_scaled(fp), (degree, lam)
-            assert p._gaussian == cpoly.ComplexPoly(p.coeffs)._gaussian
-            assert scaled[0] == (2**119 if lam == fine else p._gaussian[0]), (degree, lam)
-
-
-def test_suffix_sums_give_the_horner_integers():
-    # _scaled runs Horner's rule in -s with the factor m of m! folded into each
-    # step; the Horner oracle runs it in l, with whole derivatives.  Past the
-    # column-sum test's degree 40:
+    # Degrees 41-64, with the extremes at every eighth degree:
     rng = random.Random(46)
     for degree in range(41, 65):
         fp = _random_params(rng, degree, cmath.rect(rng.uniform(0.1, 10.0), rng.uniform(-math.pi, math.pi)))
@@ -414,18 +393,29 @@ def test_suffix_sums_give_the_horner_integers():
         for _ in range(4):
             fp = FaddeevParams(p, cmath.rect(rng.uniform(0.5, 3.0), rng.uniform(-math.pi, math.pi)))
             assert transform._scaled(fp) == _horner_scaled(fp), (degree, fp.lam)
-    # s from each source: P's own at the Gaussian integer 3 - i, else the
-    # part of lambda that holds 1e-20, whose dyadic denominator 2^119 is finer than P's.
-    p = cpoly.from_roots([complex(x, y) for x, y in ((0.3, -1.1), (1.7, 0.2), (-0.9, 0.6))] * 4)
-    assert p._gaussian[0] < 2**119
-    for lam, want in ((3 - 1j, p._gaussian[0]), (1e-20 + 1.5j, 2**119), (1.5 + 1e-20j, 2**119)):
-        fp = FaddeevParams(p, lam)
-        scaled = transform._scaled(fp)
-        assert scaled == _horner_scaled(fp) and scaled[0] == want, lam
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 10, 12])
+def test_one_kept_gaussian_form_serves_every_lambda_in_either_order(degree):
+    # 1e-20 has dyadic denominator 2^119, finer than any coefficient's, so s
+    # comes from lambda, from either of its parts, and P's kept integers are
+    # rescaled; at the Gaussian integer 3 - i, s is P's own.  In either order
+    # of the lambdas, the kept form is P's and the integers are the Horner ones.
+    fine, coarse = (1.5 + 1e-20j, 1e-20 + 1.5j), 3 - 1j
+    roots = [complex(x, y) for x, y in ((0.3, -1.1), (1.7, 0.2), (-0.9, 0.6))] * 4
+    for lams in ((*fine, coarse), (coarse, *fine)):
+        p = cpoly.from_roots(roots[:degree])
+        assert p._gaussian[0] < 2**119
+        for lam in lams:
+            fp = FaddeevParams(p, lam)
+            scaled = transform._scaled(fp)
+            assert scaled == _horner_scaled(fp), (degree, lam)
+            assert p._gaussian == cpoly.ComplexPoly(p.coeffs)._gaussian
+            assert scaled[0] == (2**119 if lam in fine else p._gaussian[0]), (degree, lam)
 
 
 def _eager_t(fp):
-    """T's coefficients as construction formed them before they became a memo."""
+    """T's coefficients by Horner's rule in 1/lambda, each derivative of P formed anew by cpoly.differentiate."""
     t = []
     for k in range(fp.p.degree, 0, -1):
         t = [(a - c if k % 2 else a + c) / fp.lam for a, c in zip(t + [0j], cpoly.differentiate(fp.p.coeffs, k))]
@@ -445,10 +435,7 @@ def test_t_is_formed_on_first_evaluation_bit_for_bit():
         assert "_t" not in vars(fp)  # the certificate never reads T
         fp.mu(5.0 + 5.0j)
         assert _bits(vars(fp)["_t"]) == _bits(_eager_t(fp)), degree
-
-
-def test_t_is_the_single_comprehension_form_bit_for_bit():
-    # The per-k sign branch forms the same quotients as the one comprehension that chose the sign per element.
+    # Lambda over six decades, at degrees 0-24:
     rng = random.Random(3038)
     for j in range(20):
         lam = cmath.rect(10.0 ** rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
@@ -480,42 +467,6 @@ def test_identity_negative_controls_read_the_analytic_defect(monkeypatch):
     # The public certificate reports what the defect step computes.
     monkeypatch.setattr(transform, "_scaled", lambda fp: (s, l, p, [(w[0][0] + 1, w[0][1])] + w[1:], ln))
     assert verify_eigenfunction_identity(fp) == 5e-324
-
-
-def _zip_defect(s, l, p, w):
-    """_defect as it was before it read by index: its own l^N chain and a zip over two derivative lists."""
-    (lr, li), (nr, ni), worst = l, (1, 0), 0
-    for _ in p[1:]:
-        nr, ni = nr * lr - ni * li, nr * li + ni * lr
-    for (x, y), (u, v), (a, b) in itertools.zip_longest(w, _deriv(w), _deriv(p), fillvalue=(0, 0)):
-        dr, di = s * (u + nr * a - ni * b) + lr * x - li * y, s * (v + nr * b + ni * a) + lr * y + li * x
-        worst = max(worst, dr * dr + di * di)
-    if not worst:
-        return 0.0
-    den = s**4 * (nr * nr + ni * ni)
-    e = (den.bit_length() - worst.bit_length()) // 2
-    return max(math.ldexp(2.0 * math.sqrt((worst << max(0, 2 * e)) / (den << max(0, -2 * e))), -e), 5e-324)
-
-
-def test_indexed_defect_is_the_zip_defect_bit_for_bit():
-    # Each W_j is moved by +-1, -7 and 12345 in either part, and P~ is negated.
-    # At the random lambda every W_j takes every move; at the extreme ones,
-    # whose integers run to tens of thousands of bits, W_j takes move j mod 8,
-    # at every j up to degree 24 and every 7th j above it.
-    moves = [(d, 0) for d in (1, -1, -7, 12345)] + [(0, d) for d in (1, -1, -7, 12345)]
-    rng = random.Random(47)
-    for degree in (*range(25), 40, 64):
-        lams = (cmath.rect(rng.uniform(0.1, 10.0), rng.uniform(-math.pi, math.pi)), 5e-324, 1e300, -1e-300j)
-        for i, lam in enumerate(lams):
-            fp = _random_params(rng, degree, lam)
-            s, l, p, w, ln = transform._scaled(fp)
-            cases = [(p, w), ([(-a, -b) for a, b in p], w)]
-            for j in range(0, degree, 1 if degree <= 24 else 7):
-                for dr, di in moves[j % 8 : j % 8 + 1] if i else moves:
-                    cases.append((p, w[:j] + [(w[j][0] + dr, w[j][1] + di)] + w[j + 1 :]))
-            for pp, ww in cases:
-                got, want = transform._defect(s, l, pp, ww, ln), _zip_defect(s, l, pp, ww)
-                assert got.hex() == want.hex(), (degree, lam, got, want)
 
 
 def test_identity_across_degree_and_lambda_annulus():
@@ -1132,10 +1083,9 @@ def test_sample_points_far_behind_lambda_cannot_face_it(roots, lam):
 
 
 def _unbounded_walk(roots, lam, start=2.0):
-    """residual_sample_points as it walked before its start radius and stop rule: every ring from 2.
+    """The first 25 admissible points of the 200-point rings about the roots' centroid, from radius ``start`` out by 0.25.
 
-    With ``start``, the walk starts at that ring instead.  None where no ring
-    of the walk holds 25 admissible points.
+    Admissible: at least 1.5 from every root and Re(lambda z) >= -0.3.  None if no ring up to spread + 4.5 has 25.
     """
     center = sum(roots) / len(roots) if roots else 0j
     spread = max((abs(r - center) for r in roots), default=0.0)
@@ -1179,7 +1129,7 @@ def test_sample_walk_skips_only_rings_that_cannot_face_lambda(roots, lam):
 
 
 def _facing_ring(roots, lam):
-    """Where pass 1 started before it skipped narrow arcs: one ring inside the first with rho >= facing."""
+    """The ring of the walk from radius 2 just inside the first with rho >= facing, the least radius facing lambda."""
     facing = (-0.3 - (lam * sum(roots) / len(roots)).real) / abs(lam)
     return 2.0 + 0.25 * max(0, math.ceil((facing - 2.0) / 0.25) - 1)
 
