@@ -14,20 +14,13 @@ import json
 import math
 import random
 import re
-import signal
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from helpers import bits, run_cli, time_limit
 
 from moutard import cli, cpoly, errors, flow, transform, verdict
 from moutard.cli import ConfigError, parse_complex, parse_complex_list
-
-
-def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 # --- argument parsing ----------------------------------------------------------
@@ -433,10 +426,6 @@ def _extreme_grid():
     yield ["scatter", "--roots", "", "--lambda", "2.5", "--radius", "5e-324"]
 
 
-def _time_out(signum, frame):
-    raise TimeoutError
-
-
 def test_a_far_walk_and_a_huge_circle_give_their_reports():
     # The verify record is the one the walk from facing / cos(24 pi / 200) gave
     # after 54 s; the scatter run divided by zero where its radius sum overflowed.
@@ -452,27 +441,21 @@ def test_every_failure_over_the_extreme_grid_is_a_typed_record():
     # record), so any other exception escapes it; each run gets 5 s.
     typed = {c.__name__ for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.MoutardError)}
     escaped, untyped, over_budget, runs = [], [], [], 0
-    previous = signal.signal(signal.SIGALRM, _time_out)
-    try:
-        for argv in _extreme_grid():
-            runs += 1
-            signal.alarm(5)
-            try:
+    for argv in _extreme_grid():
+        runs += 1
+        try:
+            with time_limit(5):
                 code, out, err = run_cli(argv)
-            except TimeoutError:
-                over_budget.append(argv)
-                continue
-            except Exception as e:
-                escaped.append((argv, repr(e)))
-                continue
-            finally:
-                signal.alarm(0)
-            assert code in (0, 1, 2), (argv, code)
-            record = json.loads(err)["error"] if code == 1 else None
-            if record is not None and record["type"] not in typed:
-                untyped.append((argv, record))
-    finally:
-        signal.signal(signal.SIGALRM, previous)
+        except TimeoutError:
+            over_budget.append(argv)
+            continue
+        except Exception as e:
+            escaped.append((argv, repr(e)))
+            continue
+        assert code in (0, 1, 2), (argv, code)
+        record = json.loads(err)["error"] if code == 1 else None
+        if record is not None and record["type"] not in typed:
+            untyped.append((argv, record))
     assert runs > 2000
     assert (escaped, untyped, over_budget) == ([], [], [])
 
@@ -695,8 +678,7 @@ def test_potential_lists_the_given_roots_where_the_flow_leaves_p_unchanged(text,
     code, out, _ = run_cli(["potential", "--roots", text, "--format", "csv", *extra])
     assert code == 0
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-    got = [(float(re).hex(), float(im).hex()) for re, im, _ in rows]
-    assert got == [(complex(z).real.hex(), complex(z).imag.hex()) for z in roots]
+    assert bits(complex(float(re), float(im)) for re, im, _ in rows) == bits(map(complex, roots))
 
 
 # --- validation diagnostics -----------------------------------------------------------

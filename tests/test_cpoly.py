@@ -14,6 +14,7 @@ import random
 import sys
 
 import pytest
+from helpers import bits, separated_points
 
 from moutard import cpoly
 from moutard.errors import InsufficientRoots, NonConvergence, NonFinite
@@ -27,15 +28,6 @@ def naive_eval(coeffs, z):
 def eval_scale(coeffs, z):
     """Backward-error yardstick sum |c_k| |z|^k shared by both algorithms."""
     return sum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
-
-
-def separated_points(rng, n, radius, min_sep):
-    pts = []
-    while len(pts) < n:
-        c = cmath.rect(rng.uniform(0.0, radius), rng.uniform(0.0, 2.0 * math.pi))
-        if all(abs(c - q) >= min_sep for q in pts):
-            pts.append(c)
-    return pts
 
 
 # --- construction ----------------------------------------------------------
@@ -188,10 +180,6 @@ def test_derivative_linearity_exact():
             assert lhs == rhs
 
 
-def _bits(cs):
-    return [(c.real.hex(), c.imag.hex()) for c in cs]
-
-
 def test_derivative_chain_is_differentiate_bit_for_bit():
     rng = random.Random(9)
     for degree in (0, 1, 5, 16):
@@ -199,7 +187,7 @@ def test_derivative_chain_is_differentiate_bit_for_bit():
         chain = p.derivatives
         assert len(chain) == degree
         for k, dk in enumerate(chain, 1):
-            assert _bits(dk) == _bits(cpoly.differentiate(p.coeffs, k))
+            assert bits(dk) == bits(cpoly.differentiate(p.coeffs, k))
         assert p.derivatives is chain
 
 
@@ -501,6 +489,10 @@ def test_worst_residual_is_the_recomputed_max_bitwise():
         nearby = [z + 1e-4 * cmath.rect(1.0, rng.uniform(0.0, 2.0 * math.pi)) for z in pts]
         for rs in (cpoly.roots(p), cpoly.roots(p, init=pts), cpoly.roots(p, init=nearby)):
             assert rs.worst_residual == max(_scaled_residual(p.coeffs, x) for x in rs), degree
+    # Each root of z^2 - 0.50000025 has the scale 1.0000005, just past the divisor's floor of 1.
+    p = cpoly.ComplexPoly((-0.50000025, 0, 1))
+    rs = cpoly.roots(p)
+    assert rs.worst_residual == max(_scaled_residual(p.coeffs, x) for x in rs)
 
 
 def test_warm_start_at_a_critical_point_is_nudged_off_it(monkeypatch):
@@ -516,11 +508,17 @@ def test_warm_start_at_a_critical_point_is_nudged_off_it(monkeypatch):
         raise AssertionError("the warm run fell back to the cold seed")
 
     monkeypatch.setattr(cpoly, "_cold_seed", no_cold_seed)
-    rs = cpoly.roots(cpoly.ComplexPoly((-1, 0, 0, 1)), init=[0, 2, -2 + 0.5j])
-    assert rs.sweeps == 6
-    assert rs.worst_residual < cpoly.ROOT_TOL
-    for got, want in zip(rs, (cmath.rect(1.0, -2 * math.pi / 3), 1.0, cmath.rect(1.0, 2 * math.pi / 3))):
-        assert abs(got - want) < 1e-12
+    # The guess 1 is a critical point of z^3 - 3z - 1 off the origin, where the nudge scales with |x|;
+    # that cubic's roots are 2 cos(k pi / 9) for k = 1, 5, 7.
+    for coeffs, init, sweeps, roots in [
+        ((-1, 0, 0, 1), [0, 2, -2 + 0.5j], 6, (cmath.rect(1.0, -2 * math.pi / 3), 1.0, cmath.rect(1.0, 2 * math.pi / 3))),
+        ((-1, -3, 0, 1), [1, 2, -2 + 0.5j], 5, [2 * math.cos(k * math.pi / 9) for k in (5, 1, 7)]),
+    ]:
+        rs = cpoly.roots(cpoly.ComplexPoly(coeffs), init=init)
+        assert rs.sweeps == sweeps
+        assert rs.worst_residual < cpoly.ROOT_TOL
+        for got, want in zip(rs, roots):
+            assert abs(got - want) < 1e-12
 
 
 def test_aberth_nudges_a_zero_correction_denominator(monkeypatch):
@@ -621,7 +619,7 @@ def test_warm_start_needs_one_guess_per_root():
 
 
 def _root_bits(rs):
-    return [(z.real.hex(), z.imag.hex()) for z in rs], rs.sweeps, rs.worst_residual.hex()
+    return bits(rs), rs.sweeps, rs.worst_residual.hex()
 
 
 # roots(p, init=...) on the shifted roots below: its bits before the solve took over the

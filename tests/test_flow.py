@@ -13,6 +13,7 @@ import random
 import sys
 
 import pytest
+from helpers import bits
 
 from moutard import cpoly, flow, verdict
 from moutard.cpoly import ComplexPoly, from_roots
@@ -579,17 +580,12 @@ def at_oracle(p0, terms, t, sign):
     return tuple(out)
 
 
-def _bits(row):
-    """Every bit of a coefficient row, signed zeros included."""
-    return [(c.real.hex(), c.imag.hex()) for c in row]
-
-
 def _rows_until_error(rows):
     """The rows' bits up to the first NonFinite, then its record."""
     out = []
     try:
         for row in rows:
-            out.append(_bits(row))
+            out.append(bits(row))
     except NonFinite as exc:
         out.append(exc.record())
     return out
@@ -600,7 +596,7 @@ def _oracle_rows_until_error(p0, terms, times, sign):
     out = []
     for t in times:
         try:
-            out.append(_bits(at_oracle(p0, terms, t, sign)))
+            out.append(bits(at_oracle(p0, terms, t, sign)))
         except NonFinite as exc:
             out.append(exc.record())
             break

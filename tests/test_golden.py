@@ -16,14 +16,12 @@ prints how many digests changed, were added or were removed, and their names:
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import random
 import re
 import shlex
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -32,7 +30,7 @@ WORKFLOW = HERE.parent / ".github" / "workflows" / "tests.yml"
 sys.path.append(str(HERE.parent / "bench"))
 import workloads  # noqa: E402  (puts the checkout's src/ first on sys.path)
 
-from moutard import cli  # noqa: E402
+from helpers import run_cli  # noqa: E402
 
 WORKLOADS = ("verify", "scatter", "evolve", "certify")
 ROUNDS = 2
@@ -48,23 +46,16 @@ def ci_commands() -> list[list[str]]:
     return [shlex.split(m.group(1)) for line in step.splitlines() for m in _COMMAND.finditer(line.strip())]
 
 
-def _cli(argv: list[str] | tuple[str, ...]) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
 def _outputs():
     """(name, output) of every golden op, in order."""
     for argv in ci_commands():
-        yield "ci: moutard " + shlex.join(argv), _cli(argv)
+        yield "ci: moutard " + shlex.join(argv), run_cli(argv)
     for name in WORKLOADS:
         for seed in SEEDS:
             rng = random.Random(f"{name}/{seed}")  # bench/run.py's generator for this workload and seed
             for r in range(ROUNDS):
                 for i, op in enumerate(workloads.WORKLOADS[name].make_round(rng, r)):
-                    yield f"{name} seed {seed} round {r} op {i}", _cli(op.argv) if op.argv else workloads.execute(op)
+                    yield f"{name} seed {seed} round {r} op {i}", run_cli(op.argv) if op.argv else workloads.execute(op)
 
 
 def digests() -> dict[str, str]:

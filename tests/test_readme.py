@@ -13,16 +13,13 @@ from __future__ import annotations
 import ast
 import csv
 import importlib
-import io
 import json
 import re
 import shlex
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-
-from moutard import cli
+from helpers import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -62,16 +59,14 @@ def test_the_cli_usage_block_has_examples():
 @pytest.mark.parametrize("line", CLI_LINES, ids=[line.split()[1] for line in CLI_LINES])
 def test_cli_example_exits_0_with_a_report_that_parses(line):
     argv = shlex.split(line)[1:]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    assert (code, err.getvalue()) == (0, ""), line
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, ""), line
     if _format(argv) == "csv":
-        header, *rows = csv.reader(l for l in out.getvalue().splitlines() if not l.startswith("#"))
+        header, *rows = csv.reader(l for l in out.splitlines() if not l.startswith("#"))
         assert header and rows, line
         assert all(len(row) == len(header) for row in rows), line
     else:
-        assert isinstance(json.loads(out.getvalue()), dict), line
+        assert isinstance(json.loads(out), dict), line
 
 
 def test_library_examples_run_and_give_the_values_their_comments_state():

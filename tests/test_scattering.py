@@ -15,6 +15,7 @@ import random
 import sys
 
 import pytest
+from helpers import separated_points
 
 from moutard import cpoly, scattering, transform
 from moutard.errors import (
@@ -217,7 +218,10 @@ def _reference_fit(samples, lam):
     s = math.ldexp(1.0, math.frexp(radius)[1])
     u = [s / z for z in zs]
     v = [s * cmath.exp(complex(0.0, -2.0 * (lam * z).imag)) / z.conjugate() for z in zs]
-    dot = scattering._dot
+
+    def dot(x, y):
+        return sum((xi.conjugate() * yi for xi, yi in zip(x, y)), 0j)
+
     nuisance = []
     for mode in range(2, min(scattering.MAX_NUISANCE_MODE, n // 4) + 1):
         w = [x**mode for x in u]
@@ -443,11 +447,7 @@ def test_recovery_suite_degrees_one_to_eight():
     rng = random.Random(51)
     lams = (2.0, 1 + 1j, 0.5j)
     for deg in range(1, 9):
-        rts = []
-        while len(rts) < deg:
-            c = cmath.rect(rng.uniform(0.0, 5.0), rng.uniform(0.0, 2 * math.pi))
-            if all(abs(c - r) > 0.6 for r in rts):
-                rts.append(c)
+        rts = separated_points(rng, deg, 5.0, 0.6)
         for lam in lams:
             fp = params(rts, lam)
             est = fit_scattering(sample_mu(fp, radius=1e4), lam)
@@ -459,12 +459,7 @@ def test_recovery_suite_degrees_one_to_eight():
 
 def test_recovery_at_modest_radius():
     lam = 1 + 1j
-    rng = random.Random(52)
-    rts = []
-    while len(rts) < 8:
-        c = cmath.rect(rng.uniform(0.0, 5.0), rng.uniform(0.0, 2 * math.pi))
-        if all(abs(c - r) > 0.6 for r in rts):
-            rts.append(c)
+    rts = separated_points(random.Random(52), 8, 5.0, 0.6)
     est = fit_scattering(sample_mu(params(rts, lam), radius=200.0), lam)
     want = expected_a(8, lam)
     assert abs(est.a - want) < (10.0 / 200.0) * abs(want)

@@ -13,10 +13,10 @@ import cmath
 import itertools
 import math
 import random
-import signal
 import sys
 
 import pytest
+from helpers import bits, separated_points, time_limit
 
 from moutard import cpoly, flow, scattering, transform, verdict
 from moutard.errors import InsufficientRoots, MoutardError, NearPole, NonFinite, ZeroLambda
@@ -234,15 +234,6 @@ def test_params_where_a_derivative_overflows_are_non_finite_at_every_lambda():
     assert flow.evolve(p, 1.0).coeffs[1:] == p.coeffs[1:]
 
 
-def _separated(rng, n, radius, min_sep):
-    pts = []
-    while len(pts) < n:
-        c = cmath.rect(rng.uniform(0.0, radius), rng.uniform(0.0, 2.0 * math.pi))
-        if all(abs(c - q) >= min_sep for q in pts):
-            pts.append(c)
-    return pts
-
-
 def test_params_return_roots_exactly_as_given():
     for rs in ([1, 2], [1, -1, 0.5j], [2j, -1]):
         assert FaddeevParams(cpoly.from_roots(rs), 2.0).roots == tuple(complex(r) for r in rs)
@@ -252,7 +243,7 @@ def test_params_return_roots_exactly_as_given():
 def test_params_keep_the_given_roots_in_order(degree):
     # A given root at the rounding floor of the stored coefficients comes
     # back bitwise; one off it (degree 20 here has one) is refined in place.
-    rs = _separated(random.Random(degree), degree, radius=2.0, min_sep=0.25)
+    rs = separated_points(random.Random(degree), degree, radius=2.0, min_sep=0.25)
     p = cpoly.from_roots(rs)
     got = FaddeevParams(p, 1.5 - 0.5j).roots
     assert len(got) == degree
@@ -422,10 +413,6 @@ def _eager_t(fp):
     return tuple(t)
 
 
-def _bits(zs):
-    return [(z.real.hex(), z.imag.hex()) for z in zs]
-
-
 def test_t_is_formed_on_first_evaluation_bit_for_bit():
     rng = random.Random(37)
     for degree in (0, 1, 5, 16):
@@ -434,13 +421,13 @@ def test_t_is_formed_on_first_evaluation_bit_for_bit():
         verify_eigenfunction_identity(fp)
         assert "_t" not in vars(fp)  # the certificate never reads T
         fp.mu(5.0 + 5.0j)
-        assert _bits(vars(fp)["_t"]) == _bits(_eager_t(fp)), degree
+        assert bits(vars(fp)["_t"]) == bits(_eager_t(fp)), degree
     # Lambda over six decades, at degrees 0-24:
     rng = random.Random(3038)
     for j in range(20):
         lam = cmath.rect(10.0 ** rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
         fp = _random_params(rng, (0, 1, 2, 3, 7, 24)[j % 6] if j < 12 else rng.randrange(25), lam)
-        assert _bits(fp._t) == _bits(_eager_t(fp)), (fp.p.degree, lam)
+        assert bits(fp._t) == bits(_eager_t(fp)), (fp.p.degree, lam)
 
 
 def test_identity_negative_controls_read_the_analytic_defect(monkeypatch):
@@ -778,7 +765,7 @@ def _reference_mu(fp, z):
     pz = _scalar_horner(fp.p.coeffs, z)
     if fp.p.degree == 0:
         return 0j
-    if abs(pz) < fp._pole_threshold:
+    if abs(pz) < transform.POLE_GUARD * math.prod(1.0 + abs(r) for r in fp.roots):
         raise NearPole(z, fp.nearest_root(z))
     mu = 2.0 * _scalar_horner(fp._t, z) / pz
     if not cmath.isfinite(mu):
@@ -1191,24 +1178,15 @@ def test_sample_walk_skips_only_rings_the_grid_offset_leaves_short(roots, lam):
         assert residual_sample_points(roots, lam) == expected
 
 
-def _time_out(signum, frame):
-    raise TimeoutError("the sample walk took over 5 s")
-
-
 @pytest.mark.parametrize("roots, lam", [((1e20, 0.0), -1.0), ((1e150, 1.0), -1.0), ((-1e20, 0.0), 1e300)])
 def test_sample_walk_ends_where_rho_stops_growing(roots, lam):
     # The walk went to spread + 4.5 in steps of 0.25, and rho += 0.25 stops
     # changing rho near 2^51, so these never returned.  The centroid sits far
     # behind lambda, so no ring of the walk can face it, and the walk ends
     # before its first ring.
-    previous = signal.signal(signal.SIGALRM, _time_out)
-    signal.alarm(5)
-    try:
-        with pytest.raises(NonFinite, match="^no sample ring around the centroid .* faces lambda") as exc:
-            residual_sample_points(roots, lam)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with time_limit(5, "the sample walk took over 5 s"), pytest.raises(
+            NonFinite, match="^no sample ring around the centroid .* faces lambda") as exc:
+        residual_sample_points(roots, lam)
     assert exc.value.details == {"center": sum(roots) / len(roots), "lam": lam}
 
 
@@ -1221,12 +1199,7 @@ def test_sample_walk_that_would_start_just_below_two_to_the_51_ends():
     facing = (2.0**51 - 1e12) * math.cos(24 * math.pi / 200)
     centre = -(0.3 + facing)
     roots = (complex(centre, 2.0**52), complex(centre, -2.0**52))
-    previous = signal.signal(signal.SIGALRM, _time_out)
-    signal.alarm(5)
-    try:
-        with pytest.raises(NonFinite, match="^no sample ring around the centroid .* has 25 points facing") as exc:
-            residual_sample_points(roots, 1.0)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with time_limit(5, "the sample walk took over 5 s"), pytest.raises(
+            NonFinite, match="^no sample ring around the centroid .* has 25 points facing") as exc:
+        residual_sample_points(roots, 1.0)
     assert exc.value.details == {"center": centre, "lam": 1.0}
