@@ -109,33 +109,43 @@ def _checked(ns: types.SimpleNamespace) -> cpoly.ComplexPoly:
     return poly
 
 
-def _c(z: complex) -> dict[str, float]:
-    return {"re": z.real, "im": z.imag}
-
-
 def _emit_json(payload: dict) -> str:
-    """payload byte for byte as ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` writes it."""
+    """payload as ``json.dumps(payload, sort_keys=True, indent=2, default=...) + "\\n"`` writes it.
+
+    ``default`` maps a complex number z to ``{"re": z.real, "im": z.imag}``
+    and raises TypeError for anything else.  nan and inf are spelled as json
+    spells them, inside complex numbers too.  Unlike json's pure-Python
+    indenting encoder, the writer leaves no reference cycles behind.
+    """
     return _json(payload, "") + "\n"
 
 
 def _json(x: object, indent: str) -> str:
-    """x as json.dumps(sort_keys=True, indent=2) writes a value whose line starts at indent.
+    """x as ``_emit_json`` writes a value whose line starts at indent.
 
-    Covers dicts with str keys, lists, tuples, str, float, int, bool and
-    None; TypeError for anything else.  Unlike json's pure-Python indenting
-    encoder, it leaves no reference cycles behind.
+    Covers dicts with str keys, lists, tuples, str, float, complex, int, bool
+    and None; TypeError for anything else.  A list or tuple whose first item
+    is a float or a complex number is written by one join over the items'
+    reprs, with no interpreted call per item, so all its items must be of
+    that type; a report's sequences never mix types.
     """
     if isinstance(x, float):
         return _spelled(repr(x))
     if isinstance(x, str):
         return _str(x)
+    if isinstance(x, complex):
+        return _spelled(_complexes((x,), indent))
     inner = indent + "  "
     if isinstance(x, dict):
         if not x:
             return "{}"
-        items = [f"{_str(k)}: {_json(v, inner)}" for k, v in sorted(x.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        items = ",\n".join([f"{inner}{_str(k)}: {_json(v, inner)}" for k, v in sorted(x.items())])
+        return f"{{\n{items}\n{indent}}}"
     if isinstance(x, (list, tuple)):
+        if x and isinstance(x[0], float):
+            return _spelled(_json_list(list(map(repr, x)), indent))
+        if x and isinstance(x[0], complex):
+            return _spelled(_json_list([_complexes(x, inner)], indent))
         return _json_list([_json(v, inner) for v in x], indent)
     if x is None:
         return "null"
@@ -146,6 +156,17 @@ def _json(x: object, indent: str) -> str:
     if isinstance(x, int):
         return repr(x)
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _complexes(zs: Sequence[complex], indent: str) -> str:
+    """zs as json lays out their {"im", "re"} objects at indent, one join of their parts' reprs.
+
+    The objects are separated by ",\\n" and indent, as in a list whose items start at indent.
+    """
+    key = indent + "  "
+    parts = zip(map(repr, map(operator.attrgetter("imag"), zs)), map(repr, map(operator.attrgetter("real"), zs)))
+    point, pair = f'\n{indent}}},\n{indent}{{\n{key}"im": ', f',\n{key}"re": '
+    return f'{{\n{key}"im": {point.join(map(pair.join, parts))}\n{indent}}}'
 
 
 def _str(s: str) -> str:
@@ -166,12 +187,14 @@ def _json_list(items: list[str], indent: str) -> str:
     if not items:
         return "[]"
     inner = "\n" + indent + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+    return f"[{inner}{(',' + inner).join(items)}\n{indent}]"
 
 
-def _csv_rows(header: list[str], rows: list[Sequence[object]], comments: list[str] = ()) -> str:
+def _csv_rows(header: list[str], rows: Iterable[Sequence[object]], comments: list[str] = ()) -> str:
+    """The header, rows and comment lines; a float cell is its repr, a complex one its re,im pair of reprs."""
     lines = [",".join(header)]
-    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    lines += [",".join(repr(v) if isinstance(v, float) else f"{v.real!r},{v.imag!r}" if isinstance(v, complex)
+                       else str(v) for v in row) for row in rows]
     lines += list(comments)
     return "\n".join(lines) + "\n"
 
@@ -180,21 +203,13 @@ def _cmd_eigen(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
     _, mus, _, psis = transform.FaddeevParams(poly, ns.lam)._evaluate(ns.z)
     evaluated = list(zip(ns.z, mus, psis))
     if ns.format == "csv":
-        return _csv_rows(
-            ["re_z", "im_z", "re_mu", "im_mu", "re_psi", "im_psi"],
-            [[z.real, z.imag, mu.real, mu.imag, psi.real, psi.imag] for z, mu, psi in evaluated],
-        )
-    return _emit_json(
-        {
-            "lambda": _c(ns.lam),
-            "degree": poly.degree,
-            "points": [{"z": _c(z), "mu": _c(mu), "psi": _c(psi)} for z, mu, psi in evaluated],
-        }
-    )
+        return _csv_rows(["re_z", "im_z", "re_mu", "im_mu", "re_psi", "im_psi"], evaluated)
+    return _emit_json({"lambda": ns.lam, "degree": poly.degree,
+                       "points": [{"z": z, "mu": mu, "psi": psi} for z, mu, psi in evaluated]})
 
 
 def _fit(est: scattering.ScatteringEstimate, expected: complex) -> dict:
-    return {"a": _c(est.a), "b": _c(est.b), "expected_a": _c(expected),
+    return {"a": est.a, "b": est.b, "expected_a": expected,
             "fit_residual": est.fit_residual, "radius": est.radius, "samples": est.samples}
 
 
@@ -206,7 +221,7 @@ def _cmd_scatter(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
     if ns.format == "csv":
         return _csv_rows(
             ["re_a", "im_a", "re_b", "im_b", "fit_residual", "radius", "samples", "recovered_count"],
-            [[est.a.real, est.a.imag, est.b.real, est.b.imag, est.fit_residual, est.radius, est.samples, n]],
+            [[est.a, est.b, est.fit_residual, est.radius, est.samples, n]],
         )
     return _emit_json({**fields, "abs_b": abs(est.b), "recovered_count": n, "degree": poly.degree})
 
@@ -217,9 +232,9 @@ def _cmd_verify(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
         count = ("count_recovered", float(v.recovered_count), float(poly.degree), v.count_recovered)
         return _csv_rows(["check", "value", "threshold", "passed"], [*sorted(v.checks), count])
     return _emit_json({
-        "lambda": _c(ns.lam),
+        "lambda": ns.lam,
         "degree": poly.degree,
-        "roots": [_c(r) for r in v.roots],
+        "roots": v.roots,
         "sample_points": v.sample_points,
         "results": {name: value for name, value, _, _ in v.checks},
         "scattering": {**_fit(v.estimate, v.expected_a), "recovered_count": v.recovered_count},
@@ -230,45 +245,23 @@ def _cmd_verify(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
 
 
 def export_trajectory(rt: flow.RootTrajectory, fmt: str) -> str:
-    """Serialize a trajectory: CSV with #event comment lines, or JSON.
-
-    The JSON text is written directly, byte for byte what ``_emit_json`` gives
-    for the times, paths and events, without json's pure-Python indenting
-    encoder.
-    """
+    """Serialize a trajectory: CSV with #event comment lines, or JSON."""
     if not rt.times:
         raise ValueError("cannot export an empty trajectory")
     if fmt == "csv":
         header = ["t"]
         for i in range(len(rt.paths)):
             header += [f"re_root_{i + 1}", f"im_root_{i + 1}"]
-        rows = []
-        for k, t in enumerate(rt.times):
-            row: list[object] = [t]
-            for path in rt.paths:
-                row += [path[k].real, path[k].imag]
-            rows.append(row)
         comments = [
             "#event t_approx={!r} roots={} min_separation={!r}".format(
                 ev.t_approx, ";".join(str(i) for i in ev.roots_involved), ev.min_separation
             )
             for ev in rt.events
         ]
-        return _csv_rows(header, rows, comments)
-    # A path is one join of its points' (repr(im), repr(re)) pairs, so no float
-    # passes through an interpreted call; no other text of the paths and times holds an "n".
-    point, pair = '\n      },\n      {\n        "im": ', ',\n        "re": '
-    imag, real = operator.attrgetter("imag"), operator.attrgetter("real")
-    paths = [
-        '[\n      {\n        "im": '
-        + point.join(map(pair.join, zip(map(repr, map(imag, path)), map(repr, map(real, path)))))
-        + "\n      }\n    ]" if path else "[]"
-        for path in rt.paths
-    ]
+        return _csv_rows(header, zip(rt.times, *rt.paths), comments)
     events = [{"min_separation": ev.min_separation, "roots_involved": ev.roots_involved, "t_approx": ev.t_approx}
               for ev in rt.events]
-    body = _spelled(f'{_json_list(paths, "  ")},\n  "times": {_json_list(list(map(repr, rt.times)), "  ")}')
-    return f'{{\n  "events": {_json(events, "  ")},\n  "paths": {body}\n}}\n'
+    return _emit_json({"events": events, "paths": rt.paths, "times": rt.times})
 
 
 def _cmd_evolve(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
@@ -279,13 +272,8 @@ def _cmd_evolve(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
 def _cmd_potential(ns: types.SimpleNamespace, poly: cpoly.ComplexPoly) -> str:
     pot = transform.transformed_potential(flow.evolve(poly, ns.t0, ns.flow_sign))
     if ns.format == "csv":
-        return _csv_rows(
-            ["re_center", "im_center", "weight"],
-            [[c.real, c.imag, pot.weight] for c in pot.centers],
-        )
-    return _emit_json(
-        {"t": ns.t0, "weight": pot.weight, "centers": [_c(c) for c in pot.centers]}
-    )
+        return _csv_rows(["re_center", "im_center", "weight"], [[c, pot.weight] for c in pot.centers])
+    return _emit_json({"t": ns.t0, "weight": pot.weight, "centers": pot.centers})
 
 
 _COMMON = (("--roots", {"help": "semicolon-separated roots of the generator, e.g. '1+2i;-1;0.5,0.5'"}),

@@ -7,6 +7,7 @@ suite's check that the tool reads the same bytes from the same code.
 from __future__ import annotations
 
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -46,10 +47,12 @@ def test_an_edit_that_changes_every_report_shows_on_every_op(tmp_path):
     for tree in (a, b):
         shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
     # One more space of JSON indent in B's reports: each verify report differs, and the tool says so.
+    # Either quote, as the source and its ast.unparse (under tools/mutants.py) write the literal.
     cli = b / "src" / "moutard" / "cli.py"
-    text = cli.read_text(encoding="utf-8")
-    assert text.count('inner = indent + "  "') == 1
-    cli.write_text(text.replace('inner = indent + "  "', 'inner = indent + "   "'), encoding="utf-8")
+    pattern = r"""inner = indent \+ (["'])  \1"""
+    text, edits = re.subn(pattern, r"inner = indent + \1   \1", cli.read_text(encoding="utf-8"))
+    assert edits == 1
+    cli.write_text(text, encoding="utf-8")
     done = _ab(a, b, "verify")
     assert done.returncode == 1, done.stdout + done.stderr
     assert "ab: bytes: 38 of 38 ops differ in repeat 0; the first is op 0: verify --roots=" in done.stdout, done.stdout

@@ -133,6 +133,22 @@ def test_eigen_csv_columns():
     assert float(row[4]) == pytest.approx(math.e)
 
 
+@pytest.mark.parametrize("argv", [
+    ["eigen", "--roots", "1;-1;0.5i", "--lambda", "2-1i", "--z", "3;4i;-2-0.5i;0.25+3i"],
+    ["eigen", "--coeffs", "-1;0;0;1", "--lambda", "-0.5i", "--z", "-1,0;2,2;1e-3,-7;0"],
+])
+def test_eigen_csv_rows_equal_the_json_report(argv):
+    code, out, _ = run_cli(argv + ["--format", "csv"])
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "re_z,im_z,re_mu,im_mu,re_psi,im_psi"
+    doc = json.loads(run_cli(argv)[1])
+    want = [[repr(point[name][part]) for name in ("z", "mu", "psi") for part in ("re", "im")]
+            for point in doc["points"]]
+    assert len(want) == 4
+    assert [row.split(",") for row in rows] == want
+
+
 @pytest.mark.parametrize(
     "points, kind, detail",
     [("0;1;1e300", "NearPole", {"z": {"re": 1.0, "im": 0.0}, "nearest_root": {"re": 1.0, "im": 0.0}}),
@@ -665,6 +681,21 @@ def test_potential_csv_weight_column():
         assert float(line.split(",")[2]) == -8.0 * math.pi
 
 
+@pytest.mark.parametrize("argv, count", [
+    (["potential", "--roots", "1;2;3i;-1", "--t0", "0.3"], 4),
+    (["potential", "--coeffs", "0;0;0;1", "--t0", "-1", "--flow-sign", "-1"], 3),
+])
+def test_potential_csv_rows_equal_the_json_report(argv, count):
+    code, out, _ = run_cli(argv + ["--format", "csv"])
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "re_center,im_center,weight"
+    doc = json.loads(run_cli(argv)[1])
+    want = [[repr(center["re"]), repr(center["im"]), repr(doc["weight"])] for center in doc["centers"]]
+    assert len(want) == count
+    assert [row.split(",") for row in rows] == want
+
+
 @pytest.mark.parametrize(
     "text, extra, roots",
     [
@@ -930,6 +961,17 @@ def _records():
     yield errors.MoutardError("", count=0, big=10**30, tiny=5e-324, huge=1e308, neg=-1.5e-7, empty=[]).record()
 
 
+def _complex_object(o):
+    """The writer's ``default`` for json.dumps: a complex number as its {"re", "im"} object."""
+    if isinstance(o, complex):
+        return {"re": o.real, "im": o.imag}
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2, default=_complex_object) + "\n"
+
+
 def test_report_writer_matches_json_dumps(monkeypatch):
     payloads = []
     write = cli._emit_json
@@ -939,15 +981,19 @@ def test_report_writer_matches_json_dumps(monkeypatch):
     assert len(payloads) == len(REPORTS)
     payloads += [{"error": record} for record in _records()]
     payloads += [{}, {"a": [], "b": {}, "c": (), "t": True, "f": False, "n": None, "z": -0.0, "l": [[1, [2.5]], []]}]
+    # Complex numbers, alone and in sequences as trajectories hold them, with every odd part; floats the same.
+    odd = (complex(math.nan, -0.0), complex(-0.0, math.inf), complex(-math.inf, 5e-324), 1e16 - 1e-07j)
+    payloads += [{"z": odd[0], "w": {"v": odd[1]}, "e": (), "paths": (odd, (), odd[::-1], odd[1:2])},
+                 {"times": (math.nan, -0.0, math.inf, -math.inf, 5e-324), "one": [1.5], "pairs": [odd, [odd[3]]]}]
     for payload in payloads:
-        assert write(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert write(payload) == _dumps(payload)
 
 
-@pytest.mark.parametrize("payload", [{"x": 1j}, {"x": {1, 2}}, {"x": [b"bytes"]}, {"x": object()}],
-                         ids=["complex", "set", "bytes", "object"])
+@pytest.mark.parametrize("payload", [{"x": {1, 2}}, {"x": [b"bytes"]}, {"x": object()}],
+                         ids=["set", "bytes", "object"])
 def test_report_writer_rejects_what_json_rejects(payload):
     with pytest.raises(TypeError):
-        json.dumps(payload, sort_keys=True, indent=2)
+        _dumps(payload)
     with pytest.raises(TypeError):
         cli._emit_json(payload)
 

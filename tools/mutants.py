@@ -18,25 +18,31 @@ copied to a temporary directory, so the checkout is never written; no
 ``__pycache__`` is written either.  There tier-1 runs as
 ``pytest -x -q -p no:cacheprovider tests`` with ``PYTHONPATH=src``,
 ``PYTHONHASHSEED=0`` and no plugin autoloaded: first with every named module replaced by its unmutated
-unparse, which must pass (else the exit status is 1), then once per mutant,
-with a timeout of ``TIMEOUT`` seconds.  A mutant is killed when tier-1 fails,
-survived when it passes, and timeout when it is stopped.
+unparse, which must pass within ``TIMEOUT`` seconds (else the exit status is
+1), then once per mutant.  A mutant's run is stopped after ``SLOWDOWN`` times
+the unmutated run's time, or ``TIMEOUT`` seconds if that is less, and each of
+its processes may map at most ``HEADROOM`` times the unmutated run's peak
+resident size, so a mutant that allocates without end fails with a
+MemoryError instead of filling the machine.  A mutant is killed when tier-1
+fails, survived when it passes, and timeout when it is stopped.
 
 One line per mutant gives its name, outcome and first failing test (``-`` if
 none), then a table gives each function's counts.  Nothing in the report
 depends on the clock, so two runs on one tree print the same text unless a
-mutant runs close to the timeout.
+mutant runs close to its time limit or its memory cap.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import resource
 import shutil
 import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.dont_write_bytecode = True
@@ -46,6 +52,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # workflow that some tests check against the code.
 TREE = ("src", "tests", "bench", "tools", ".github", "README.md", "pyproject.toml")
 TIMEOUT = 300  # seconds per tier-1 run; tier-1 takes about 15 s on 2 cores
+# A mutant's limits, as multiples of the unmutated run's: its wall time (at most TIMEOUT), and the address space
+# of each of its processes against the run's peak resident size.  The unmutated tier-1 peaks near 48 MB resident
+# and 54 MB mapped (Python 3.11, Linux), so 4 times that peak leaves every process of a sound run room to spare.
+SLOWDOWN, HEADROOM = 4, 4
 PYTEST = (sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests")
 
 SWAPS = {
@@ -122,15 +132,16 @@ def _mutants(spec: str) -> list[tuple[str, str, str]]:
     return out
 
 
-def _tier1(tree: Path) -> tuple[str, str]:
-    """(outcome, first failing test or '-') of one tier-1 run in the tree."""
+def _tier1(tree: Path, timeout: float = TIMEOUT, memory: int | None = None) -> tuple[str, str]:
+    """(outcome, first failing test or '-') of one tier-1 run in the tree; memory caps each process's address space."""
     # Tier-1 needs pytest alone, so no installed plugin is loaded.
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0",
                PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
+    cap = None if memory is None else lambda: resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
     process = subprocess.Popen(PYTEST, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                               text=True, start_new_session=True)
+                               text=True, start_new_session=True, preexec_fn=cap)
     try:
-        out, _ = process.communicate(timeout=TIMEOUT)
+        out, _ = process.communicate(timeout=timeout)
     except (subprocess.TimeoutExpired, KeyboardInterrupt) as stop:
         os.killpg(process.pid, signal.SIGKILL)  # pytest and whatever its tests started
         process.communicate()
@@ -162,7 +173,11 @@ def main(argv: list[str]) -> int:
                     for m in sorted({spec.partition(":")[0] for spec in mutants})}
         for module, text in unparsed.items():
             (package / f"{module}.py").write_text(text, encoding="utf-8")
+        start = time.monotonic()
         outcome, test = _tier1(tree)
+        timeout = min(TIMEOUT, SLOWDOWN * (time.monotonic() - start))
+        # ru_maxrss (KiB on Linux) of the largest process waited for so far: the unmutated run is the only one.
+        memory = HEADROOM * 1024 * resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
         if outcome != "survived":
             print(f"mutants: tier-1 does not pass on the unmutated unparse of {', '.join(unparsed)}: "
                   + (test if outcome == "killed" else f"timeout after {TIMEOUT} s"))
@@ -172,7 +187,7 @@ def main(argv: list[str]) -> int:
             row = counts[spec] = {"mutants": len(specimens), "killed": 0, "survived": 0, "timeout": 0}
             for name, module, text in specimens:
                 (package / f"{module}.py").write_text(text, encoding="utf-8")
-                outcome, test = _tier1(tree)
+                outcome, test = _tier1(tree, timeout, memory)
                 (package / f"{module}.py").write_text(unparsed[module], encoding="utf-8")
                 print(f"{name}  {outcome}  {test}", flush=True)
                 row[outcome] += 1
