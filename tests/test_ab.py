@@ -25,12 +25,16 @@ def _ab(a: pathlib.Path, b: pathlib.Path, workload: str) -> subprocess.Completed
     )
 
 
-@pytest.fixture(scope="module")
-def trees(tmp_path_factory):
-    root = tmp_path_factory.mktemp("ab")
+def _copies(root: pathlib.Path) -> tuple[pathlib.Path, pathlib.Path]:
+    """Trees a and b under root, each a copy of this checkout's src/."""
     for tree in ("a", "b"):
         shutil.copytree(ROOT / "src", root / tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
     return root / "a", root / "b"
+
+
+@pytest.fixture(scope="module")
+def trees(tmp_path_factory):
+    return _copies(tmp_path_factory.mktemp("ab"))
 
 
 # One round of each workload: its op count.
@@ -43,9 +47,7 @@ def test_two_copies_of_the_sources_give_identical_bytes(trees, workload, ops):
 
 
 def test_an_edit_that_changes_every_report_shows_on_every_op(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for tree in (a, b):
-        shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    a, b = _copies(tmp_path)
     # One more space of JSON indent in B's reports: each verify report differs, and the tool says so.
     # Either quote, as the source and its ast.unparse (under tools/mutants.py) write the literal.
     cli = b / "src" / "moutard" / "cli.py"
@@ -57,3 +59,15 @@ def test_an_edit_that_changes_every_report_shows_on_every_op(tmp_path):
     assert done.returncode == 1, done.stdout + done.stderr
     assert "ab: bytes: 38 of 38 ops differ in repeat 0; the first is op 0: verify --roots=" in done.stdout, done.stdout
     assert not list(tmp_path.rglob("__pycache__"))
+
+
+def test_a_memory_error_ends_the_run_without_a_verdict(tmp_path):
+    # A MemoryError is not an output: under tools/mutants.py's memory cap, a tree
+    # that allocates without end must fail here, not run on to the census timeout.
+    a, b = _copies(tmp_path)
+    with open(b / "src" / "moutard" / "cli.py", "a", encoding="utf-8") as cli:
+        cli.write("\n\ndef main(argv=None):\n    raise MemoryError('B allocates without end')\n")
+    done = _ab(a, b, "verify")
+    assert done.returncode != 0, done.stdout
+    assert "Traceback" in done.stderr and "MemoryError: B allocates without end" in done.stderr, done.stderr
+    assert "ab: bytes:" not in done.stdout, done.stdout

@@ -14,6 +14,7 @@ import json
 import math
 import random
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -225,11 +226,6 @@ def test_verify_passes_degree_ten_generators_at_the_origin(roots, lam):
     doc = json.loads(out)
     assert doc["all_passed"] is True, doc["checks"]
     assert doc["results"]["moutard_residual"] < 1e-8
-
-
-def test_verify_is_deterministic():
-    argv = ["verify", "--roots", "1;-1", "--lambda", "2"]
-    assert run_cli(argv) == run_cli(argv)
 
 
 SIXTEEN_ROOTS = "1.25;-1.25;1.25i;-1.25i;0.5,0.5;-0.5,0.5;0.5,-0.5;-0.5,-0.5;0.75;-0.75;0.75i;-0.75i;1,1;-1,1;1,-1;-1,-1"
@@ -1014,6 +1010,21 @@ def test_main_leaves_no_cyclic_garbage(argv):
     gc.collect()
     run_cli(argv)
     assert gc.collect() == 0
+
+
+def test_main_without_arguments_reads_sys_argv_after_the_program_name(monkeypatch, capsys):
+    argv = ["scatter", "--roots", "1;2", "--lambda", "1"]
+    want = run_cli(argv)
+    monkeypatch.setattr(sys, "argv", ["moutard", *argv])
+    assert (cli.main(), *capsys.readouterr()) == want
+
+
+def test_a_parser_exit_without_an_integer_status_returns_two(monkeypatch):
+    def exit_without_status(args):
+        raise SystemExit("bad")
+
+    monkeypatch.setattr(cli, "_parse", exit_without_status)
+    assert cli.main(["scatter", "--roots", "1;2", "--lambda", "1"]) == 2
 
 
 # --- output redirection -----------------------------------------------------------------

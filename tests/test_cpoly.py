@@ -11,6 +11,7 @@ import cmath
 import math
 import pickle
 import random
+import re
 import sys
 
 import pytest
@@ -48,6 +49,11 @@ def test_from_roots_symmetric_pair():
 def test_constructor_requires_monic():
     with pytest.raises(ValueError):
         cpoly.ComplexPoly((1 + 0j, 2 + 0j))
+
+
+def test_non_monic_error_names_the_leading_coefficient():
+    with pytest.raises(ValueError, match=re.escape("leading coefficient must be exactly 1, got (3+0j)")):
+        cpoly.ComplexPoly((1 + 0j, 2 + 0j, 3 + 0j))
 
 
 def test_constructor_rejects_empty_and_nonfinite():
@@ -133,9 +139,17 @@ def test_evaluate_raises_where_the_value_is_not_finite(z):
 # --- differentiation -------------------------------------------------------
 
 
-def test_derivative_power_rule():
-    cube = cpoly.ComplexPoly((0j, 0j, 0j, 1 + 0j))
-    assert cpoly.differentiate(cube.coeffs, 2) == (0j, 6 + 0j)
+@pytest.mark.parametrize(
+    "coeffs, k, want",
+    [
+        ((0j, 0j, 0j, 1 + 0j), 2, (0j, 6 + 0j)),
+        pytest.param((0j, 0j, 0j, 1 + 0j), 3, (6 + 0j,), id="test_d3_cubic"),
+        pytest.param((0j, 0j, 0j, 0j, 1 + 0j), 3, (0j, 24 + 0j), id="test_d3_quartic"),
+        pytest.param([0, 0, 0, 1], 3, (6 + 0j,), id="test_d3_accepts_plain_sequences"),
+    ],
+)
+def test_derivative_power_rule(coeffs, k, want):
+    assert cpoly.differentiate(coeffs, k) == want
 
 
 def test_derivative_order_zero_is_identity():
@@ -143,10 +157,16 @@ def test_derivative_order_zero_is_identity():
     assert cpoly.differentiate(p.coeffs, 0) == p.coeffs
 
 
-def test_derivative_below_degree_is_zero():
-    p = cpoly.from_roots([1, -1])
-    assert cpoly.differentiate(p.coeffs, 3) == (0j,)
-    assert cpoly.differentiate((5 + 0j,), 1) == (0j,)
+@pytest.mark.parametrize(
+    "cases",
+    [
+        [(cpoly.from_roots([1, -1]).coeffs, 3), ((5 + 0j,), 1)],
+        pytest.param([((2j, 1 + 0j), 3), ((1 + 0j,), 3)], id="test_d3_low_degree_collapses"),
+    ],
+)
+def test_derivative_below_degree_is_zero(cases):
+    for coeffs, k in cases:
+        assert cpoly.differentiate(coeffs, k) == (0j,)
 
 
 def test_derivative_rejects_negative_order():
@@ -226,10 +246,18 @@ def test_derivative_at_roots_matches_product_rule():
 # --- roots -----------------------------------------------------------------
 
 
-def test_roots_known_quadratic():
-    got = list(cpoly.roots(cpoly.ComplexPoly((1 + 0j, 0j, 1 + 0j))))
+@pytest.mark.parametrize(
+    "p, roots",
+    [
+        (cpoly.ComplexPoly((1 + 0j, 0j, 1 + 0j)), (1j, -1j)),
+        pytest.param(cpoly.from_roots([2, -2]), (2, -2), id="test_rootset_is_iterable_and_sized"),
+    ],
+)
+def test_roots_known_quadratic(p, roots):
+    # The RootSet itself is sized and iterable.
+    got = cpoly.roots(p)
     assert len(got) == 2
-    for want in (1j, -1j):
+    for want in roots:
         assert min(abs(g - want) for g in got) < 1e-10
 
 
@@ -258,10 +286,6 @@ def test_roots_round_trip_coefficients():
         q = cpoly.from_roots(list(cpoly.roots(p)))
         for cp, cq in zip(p.coeffs, q.coeffs):
             assert abs(cp - cq) <= 1e-9 * max(1.0, abs(cp))
-
-
-def test_roots_degree_zero_is_empty():
-    assert len(cpoly.roots(cpoly.from_roots([]))) == 0
 
 
 def test_roots_residuals_below_gate():
@@ -796,12 +820,6 @@ def test_near_coincident_roots_pass_the_gate():
         got = cpoly.from_roots(rs).root_set
         assert got.worst_residual < cpoly.ROOT_TOL
         assert len(got) == len(rs)
-
-
-def test_rootset_is_iterable_and_sized():
-    rs = cpoly.roots(cpoly.from_roots([2, -2]))
-    assert len(rs) == 2
-    assert sorted(r.real for r in rs) == pytest.approx([-2.0, 2.0])
 
 
 # --- separation ------------------------------------------------------------

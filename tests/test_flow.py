@@ -37,32 +37,19 @@ def rand_poly(rng, deg, spread=2.0):
     return ComplexPoly(tuple(coeffs) + (1 + 0j,))
 
 
-# --- third derivative ---------------------------------------------------------
-
-
-def test_d3_cubic():
-    assert cpoly.differentiate(Z3.coeffs, 3) == (6 + 0j,)
-
-
-def test_d3_quartic():
-    assert cpoly.differentiate(Z4.coeffs, 3) == (0j, 24 + 0j)
-
-
-def test_d3_low_degree_collapses():
-    assert cpoly.differentiate(ComplexPoly((2j, 1 + 0j)).coeffs, 3) == (0j,)
-    assert cpoly.differentiate((1 + 0j,), 3) == (0j,)
-
-
-def test_d3_accepts_plain_sequences():
-    assert cpoly.differentiate([0, 0, 0, 1], 3) == (6 + 0j,)
-
-
 # --- evolution ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("t", [0.5, 0.7, -1.3])
-def test_evolve_cubic_exact(t):
-    q = evolve(Z3, t)
+@pytest.mark.parametrize(
+    "times", [(0.5,), (0.7,), (-1.3,), pytest.param((0.25, 0.5), id="test_successive_evolves_accumulate_time")],
+    ids=lambda times: str(times[0]),
+)
+def test_evolve_cubic_exact(times):
+    # Successive evolves accumulate time: z^3 evolved by each time in turn is z^3 + 6 sum(times).
+    q = Z3
+    for t in times:
+        q = evolve(q, t)
+    t = sum(times)
     assert q.coeffs == (complex(6 * t), 0j, 0j, 1 + 0j)
     assert abs(q.coeffs[0] - 6 * t) == 0.0
 
@@ -70,11 +57,6 @@ def test_evolve_cubic_exact(t):
 def test_evolve_quartic():
     q = evolve(Z4, 0.3)
     assert q.coeffs == (0j, complex(24 * 0.3), 0j, 0j, 1 + 0j)
-
-
-def test_evolve_low_degree_is_static():
-    p = ComplexPoly((3 - 1j, 2j, 1 + 0j))
-    assert evolve(p, 5.0).coeffs == p.coeffs
 
 
 @pytest.mark.parametrize("t", [0.0, -0.0])
@@ -86,19 +68,17 @@ def test_evolve_at_time_zero_returns_p0(t, sign):
         evolve(QUARTIC, t, flow_sign=2)
 
 
-def test_evolve_with_an_empty_series_returns_p0():
-    p = from_roots([1, 2])
-    assert evolve(p, 0.7) is p
-    assert evolve(p, 0.7).root_set.roots == (1 + 0j, 2 + 0j)
-
-
-def test_evolve_group_law():
-    rng = random.Random(23)
-    p = rand_poly(rng, 7)
-    one = evolve(p, 0.9)
-    two = evolve(evolve(p, 0.5), 0.4)
-    scale = max(abs(c) for c in one.coeffs)
-    assert max(abs(x - y) for x, y in zip(one.coeffs, two.coeffs)) < 1e-12 * scale
+@pytest.mark.parametrize(
+    "p, t, roots",
+    [
+        (from_roots([1, 2]), 0.7, (1 + 0j, 2 + 0j)),
+        pytest.param(ComplexPoly((3 - 1j, 2j, 1 + 0j)), 5.0, None, id="test_evolve_low_degree_is_static"),
+    ],
+)
+def test_evolve_with_an_empty_series_returns_p0(p, t, roots):
+    assert evolve(p, t) is p
+    if roots is not None:
+        assert evolve(p, t).root_set.roots == roots
 
 
 def test_evolve_preserves_degree_and_monicity():
@@ -113,11 +93,6 @@ def test_evolve_sign_reverses_time():
     rng = random.Random(25)
     p = rand_poly(rng, 6)
     assert evolve(p, 0.8, flow_sign=-1).coeffs == evolve(p, -0.8).coeffs
-
-
-def test_evolve_rejects_bad_sign():
-    with pytest.raises(ValueError):
-        evolve(Z3, 1.0, flow_sign=2)
 
 
 QUARTIC = from_roots([1, 2, 3j, -1])
@@ -148,11 +123,6 @@ def test_verify_flow_where_the_defect_overflows_is_non_finite():
     with pytest.raises(NonFinite, match="^the flow defect at t = 1.528136569432574e[+]303 overflows") as exc:
         verify_flow(p, 1.528136569432574e303, 1.6995871762318389e307, -1)
     assert exc.value.details == {"t": 1.528136569432574e303, "dt": 1.6995871762318389e307}
-
-
-def test_successive_evolves_accumulate_time():
-    p = evolve(evolve(Z3, 0.25), 0.5)
-    assert p.coeffs[0] == pytest.approx(complex(6 * 0.75))
 
 
 # --- differential check --------------------------------------------------------
@@ -261,16 +231,11 @@ def test_trajectory_cubic_branches():
     for k, t in enumerate(tr.times):
         got = [path[k] for path in tr.paths]
         assert_same_points(got, cube_roots(complex(-6.0 * t)), 1e-9)
-
-
-def test_trajectory_paths_keep_their_phase():
     # each tracked branch keeps a constant angular offset while -6t stays
     # on one ray, which is exactly what continuous labeling must deliver
-    tr = trajectory(Z3, -1.0, -0.01, steps=99)
     for path in tr.paths:
         phases = [cmath.phase(z / abs(z)) for z in path]
-        spread = max(phases) - min(phases)
-        assert spread < 1e-9
+        assert max(phases) - min(phases) < 1e-9
 
 
 def test_trajectory_endpoint_unit_roots():
@@ -292,25 +257,22 @@ def test_trajectory_single_root():
     assert all(abs(z - 5.0) < 1e-12 for z in tr.paths[0])
 
 
-def test_trajectory_collision_event():
-    tr = trajectory(Z3, -1.0, 1.0, steps=400)
-    assert len(tr.events) == 1
-    ev = tr.events[0]
-    assert ev.t_approx == 0.0  # grid hits the collision time exactly
-    assert ev.roots_involved == (0, 1, 2)
-    assert ev.min_separation < 1e-3
-
-
-def test_trajectory_separate_collision_windows_are_separate_events():
-    # z^4 + 1 flows to z^4 + 24tz + 1.  One pair of roots comes within 0.26
-    # near t = -0.07 and the other near t = 0.07, with unflagged times between.
-    tr = trajectory(ComplexPoly.from_coefficients([1, 0, 0, 0, 1]), -1.0, 1.0, steps=200, collision_tol=0.5)
-    assert len(tr.events) == 2
-    first, second = tr.events
-    assert first.t_approx == pytest.approx(-0.07) and first.roots_involved == (2, 3)
-    assert second.t_approx == pytest.approx(0.07) and second.roots_involved == (0, 1)
-    for ev in tr.events:
-        assert ev.min_separation == pytest.approx(0.2574, abs=1e-4)
+@pytest.mark.parametrize(
+    "p0, steps, tol, events",
+    [
+        # z^4 + 1 flows to z^4 + 24tz + 1.  One pair of roots comes within 0.26
+        # near t = -0.07 and the other near t = 0.07, with unflagged times between.
+        (ComplexPoly.from_coefficients([1, 0, 0, 0, 1]), 200, 0.5, [(-0.07, (2, 3), 0.2574), (0.07, (0, 1), 0.2574)]),
+        # The grid hits z^3's triple collision at t = 0 exactly.
+        pytest.param(Z3, 400, 1e-3, [(0.0, (0, 1, 2), 0.0)], id="test_trajectory_collision_event"),
+    ],
+)
+def test_trajectory_separate_collision_windows_are_separate_events(p0, steps, tol, events):
+    tr = trajectory(p0, -1.0, 1.0, steps=steps, collision_tol=tol)
+    assert len(tr.events) == len(events)
+    for ev, (t, involved, separation) in zip(tr.events, events):
+        assert ev.t_approx == pytest.approx(t, rel=1e-6, abs=0) and ev.roots_involved == involved
+        assert ev.min_separation == pytest.approx(separation, abs=1e-4)
 
 
 def test_trajectory_velocity_is_bounded_between_steps():
@@ -413,51 +375,6 @@ def _corrected(columns, guesses, corrections):
     return {k: out for k, (_, _, out) in zip(steady, corrections) if out is not None and list(columns[k]) == out}
 
 
-def test_trajectory_warm_starts_from_previous_column(monkeypatch):
-    # The first time is solved cold, the next two from x_0 and from the secant
-    # 2 x_1 - x_0; every later step of RING5 is settled by the corrector from
-    # the quadratic guess 3 (x_{k-1} - x_{k-2}) + x_{k-3}.  Every column is the
-    # same point set as a cold solve, and the two warm solves cost fewer sweeps.
-    solves = _spy_solves(monkeypatch)
-    corrections = _spy_corrections(monkeypatch)
-    tr = trajectory(RING5, 0.0, 0.5, steps=100)
-    monkeypatch.undo()
-    assert tr.events == ()
-    columns, _, guesses, inits = _warm_starts(tr, 1e-3)
-    assert [init for _, init, _ in solves] == inits[:3]
-    assert inits[1] == list(columns[0]) and inits[2] == [2 * a - b for a, b in zip(columns[1], columns[0])]
-    assert sorted(_corrected(columns, guesses, corrections)) == list(range(3, 101))
-    for k, coeffs in enumerate(flow._at(RING5, flow._series(RING5), tr.times, 1)):
-        assert_same_points(columns[k], list(cpoly.roots(ComplexPoly(coeffs))), 1e-12)
-    warm_sweeps = sum(sweeps for _, _, (_, sweeps, _) in solves[1:])
-    cold_sweeps = sum(cpoly.roots(ComplexPoly(coeffs)).sweeps for coeffs, _, _ in solves[1:])
-    assert warm_sweeps == 5 and cold_sweeps == 8
-
-
-def test_trajectory_predicts_from_the_previous_column_after_a_collision(monkeypatch):
-    # z^3 collides at t = 0.  The corrector runs at each step whose three
-    # previous times are unflagged, on the quadratic guess.  It settles all but
-    # the 27 steps with t in [-0.06, 0.07] around the collision, where the
-    # roots are too close for two Newton steps, and one step where the carried
-    # separation bound gives out.  Those steps, and the first three, are
-    # solved: at the flagged time from the secant, at the two times after it
-    # from the previous column, and elsewhere from the secant again.
-    solves = _spy_solves(monkeypatch)
-    corrections = _spy_corrections(monkeypatch)
-    tr = trajectory(Z3, -1.0, 1.0, steps=400)
-    monkeypatch.undo()
-    columns, flagged, guesses, inits = _warm_starts(tr, 1e-3)
-    assert [k for k, f in enumerate(flagged) if f] == [200]
-    corrected = _corrected(columns, guesses, corrections)
-    fallback = [k for k in range(len(tr.times)) if k not in corrected]
-    assert fallback == [0, 1, 2, *range(188, 215), 246]
-    assert [init for _, init, _ in solves] == [inits[k] for k in fallback]
-    for k in fallback[3:]:
-        previous = list(columns[k - 1])
-        secant = [2 * a - b for a, b in zip(columns[k - 1], columns[k - 2])]
-        assert inits[k] == (previous if k - 1 == 200 or k - 2 == 200 else secant)
-
-
 def test_trajectory_spends_about_two_horner_passes_per_root_per_step(monkeypatch):
     # A solve costs at most one Horner pass per root per sweep: the fused p,
     # p' and scale pass of each root not yet at its floor.  The corrector
@@ -492,31 +409,41 @@ QUADRATIC = from_roots([1.5 + 0.2j, -0.7 - 1.1j])
 
 
 @pytest.mark.parametrize(
-    "p0, t0, t1, steps, sign, settled",
+    "p0, t0, t1, steps, sign, flags, solved",
     [
-        (RING5, 0.0, 0.5, 100, 1, 98),
-        (Z3, -1.0, 1.0, 400, 1, 370),
-        (JITTERED6, 0.0, 0.5, 100, 1, 98),
-        (JITTERED6, 0.0, 0.5, 100, -1, 98),
-        (QUADRATIC, -0.5, 0.5, 20, -1, 18),
+        (RING5, 0.0, 0.5, 100, 1, [], [0, 1, 2]),
+        # z^3 collides at t = 0.  The corrector settles all but the 27 steps with
+        # t in [-0.06, 0.07] around the collision, where the roots are too close
+        # for two Newton steps, and one step where the carried separation bound
+        # gives out.
+        (Z3, -1.0, 1.0, 400, 1, [200], [0, 1, 2, *range(188, 215), 246]),
+        (JITTERED6, 0.0, 0.5, 100, 1, [], [0, 1, 2]),
+        (JITTERED6, 0.0, 0.5, 100, -1, [], [0, 1, 2]),
+        (QUADRATIC, -0.5, 0.5, 20, -1, [], [0, 1, 2]),
     ],
     # The first three keep the ids they had before the sign was a parameter.
     ids=["p00-0.0-0.5-100", "p01--1.0-1.0-400", "p02-0.0-0.5-100", "p03-0.0-0.5-100-sign-1", "p04--0.5-0.5-20-sign-1"],
 )
-def test_trajectory_step_solve_equals_the_public_solve_bit_for_bit(monkeypatch, p0, t0, t1, steps, sign, settled):
-    # Each column that the corrector did not settle is what cpoly.roots gives
-    # on evolve(p0, t_k) from the same warm start: the same points as a
-    # multiset, and in the same order where neither end of the step was
-    # flagged (there labels are kept).  Each column it settled has every root
-    # at _aberth's rounding floor and the same points as cpoly.roots within
-    # 1e-14 (1 + |z|).  The quadratic's series is empty, so every row is P0 itself.
+def test_trajectory_step_solve_equals_the_public_solve_bit_for_bit(monkeypatch, p0, t0, t1, steps, sign, flags, solved):
+    # The first three times, and each step the corrector does not settle, are
+    # solved from the warm start that _warm_starts rebuilds: the first cold,
+    # then from the previous column at the two times after a flagged one, and
+    # from the secant 2 x_{k-1} - x_{k-2} elsewhere.  Each column that the
+    # corrector did not settle is what cpoly.roots gives on evolve(p0, t_k)
+    # from that start: the same points as a multiset, and in the same order
+    # where neither end of the step was flagged (there labels are kept).  Each
+    # column it settled has every root at _aberth's rounding floor and the same
+    # points as cpoly.roots within 1e-14 (1 + |z|).  The quadratic's series is
+    # empty, so every row is P0 itself.
+    solves = _spy_solves(monkeypatch)
     corrections = _spy_corrections(monkeypatch)
     tr = trajectory(p0, t0, t1, steps, flow_sign=sign)
     monkeypatch.undo()
     columns, flagged, guesses, inits = _warm_starts(tr, 1e-3)
-    assert any(flagged) == (p0 is Z3)
+    assert [k for k, f in enumerate(flagged) if f] == flags
     corrected = _corrected(columns, guesses, corrections)
-    assert len(corrected) == settled
+    assert [k for k in range(len(tr.times)) if k not in corrected] == solved
+    assert [init for _, init, _ in solves] == [inits[k] for k in solved]
     key = lambda z: (z.real, z.imag)  # noqa: E731
     for k, t in enumerate(tr.times):
         p = evolve(p0, t, sign)

@@ -78,12 +78,25 @@ def test_sample_mu_rejects_small_radius():
         sample_mu(params([3.0], 1.0), radius=4.0)
 
 
+def test_sample_mu_radius_must_exceed_twice_the_largest_root():
+    # Equal to twice the largest |root| is not enough; the next float up is.
+    fp = params([3.0, 1j], 1.0)
+    with pytest.raises(RadiusTooSmall):
+        sample_mu(fp, radius=6.0)
+    assert len(sample_mu(fp, radius=math.nextafter(6.0, 7.0))) == scattering.DEFAULT_SAMPLE_COUNT
+
+
 @pytest.mark.parametrize("radius", [5e-324, 1e-315, 1e-310])
 def test_sample_mu_rejects_a_subnormal_radius(radius):
     # Rounded to so few bits the circle points are not equispaced, and the fit
     # rejected them with the ValueError meant for a caller's points.
     with pytest.raises(RadiusTooSmall, match="is subnormal"):
         sample_mu(params([], 2.5), radius=radius)
+
+
+def test_sample_mu_accepts_the_smallest_normal_radius():
+    pairs = sample_mu(params([], 2.5), radius=sys.float_info.min)
+    assert len(pairs) == scattering.DEFAULT_SAMPLE_COUNT and all(mu == 0j for _, mu in pairs)
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf])
@@ -426,6 +439,22 @@ def test_count_deltas_rejects_inconsistent_input():
         count_deltas(-3.0, 0.0)
 
 
+# With lambda = -2, -lambda a / 2 is a itself, so a is the implied count.
+# "Within 0.1" takes 0.1 itself, in either part, and not the next float above it.
+TENTH_UP = math.nextafter(0.1, 1.0)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.1j, 5 - 0.1j])
+def test_count_deltas_accepts_a_count_exactly_a_tenth_off(a):
+    assert count_deltas(a, -2.0) == round(a.real)
+
+
+@pytest.mark.parametrize("a", [complex(TENTH_UP, 0), complex(0, TENTH_UP), complex(5, -TENTH_UP)])
+def test_count_deltas_rejects_a_count_just_over_a_tenth_off(a):
+    with pytest.raises(InconsistentData):
+        count_deltas(a, -2.0)
+
+
 @pytest.mark.parametrize(
     "a, lam",
     [(complex("nan"), 1), (complex("inf"), 1), (complex(0, math.inf), 1), (-3.0, complex("nan")), (0.0, math.inf)],
@@ -440,30 +469,26 @@ def test_count_deltas_rejects_non_finite_input(a, lam):
 # --- end-to-end property -----------------------------------------------------
 
 
-def test_recovery_suite_degrees_one_to_eight():
+@pytest.mark.parametrize(
+    "seed, degrees, lams, radius",
+    [
+        (52, [8], [1 + 1j], 200.0),
+        pytest.param(51, range(1, 9), [2.0, 1 + 1j, 0.5j], 1e4, id="test_recovery_suite_degrees_one_to_eight"),
+    ],
+)
+def test_recovery_at_modest_radius(seed, degrees, lams, radius):
     # For well-separated roots in |z| <= 5 the fitted amplitude matches
     # -2N/lambda to better than 10/radius relative, the conjugate-phase
     # coefficient stays below 1e-8, and the center count is recovered.
-    rng = random.Random(51)
-    lams = (2.0, 1 + 1j, 0.5j)
-    for deg in range(1, 9):
+    rng = random.Random(seed)
+    for deg in degrees:
         rts = separated_points(rng, deg, 5.0, 0.6)
         for lam in lams:
-            fp = params(rts, lam)
-            est = fit_scattering(sample_mu(fp, radius=1e4), lam)
+            est = fit_scattering(sample_mu(params(rts, lam), radius=radius), lam)
             want = expected_a(deg, lam)
-            assert abs(est.a - want) < (10.0 / 1e4) * abs(want)
+            assert abs(est.a - want) < (10.0 / radius) * abs(want)
             assert abs(est.b) < 1e-8
             assert count_deltas(est.a, lam) == deg
-
-
-def test_recovery_at_modest_radius():
-    lam = 1 + 1j
-    rts = separated_points(random.Random(52), 8, 5.0, 0.6)
-    est = fit_scattering(sample_mu(params(rts, lam), radius=200.0), lam)
-    want = expected_a(8, lam)
-    assert abs(est.a - want) < (10.0 / 200.0) * abs(want)
-    assert count_deltas(est.a, lam) == 8
 
 
 def test_estimate_validates_fields():

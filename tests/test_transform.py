@@ -45,10 +45,6 @@ def rotated_phi(lam):
 # --- delta potentials ------------------------------------------------------
 
 
-def test_weight_is_minus_eight_pi():
-    assert DeltaPotential.weight == -8.0 * math.pi
-
-
 def test_single_center():
     pot = transformed_potential(cpoly.from_roots([0.5 - 2j]))
     assert len(pot.centers) == 1
@@ -497,7 +493,7 @@ def test_residual_certified_triple_small_off_roots():
                     assert abs(r2) < 1e-6
 
 
-def test_residual_samples_theta_once_per_stencil_point():
+def test_residual_samples_theta_once_per_ring_point():
     # Both Wirtinger derivatives of omega * theta come from one ring of
     # RING_POINTS samples; theta is not needed at the centre.
     calls = []
@@ -661,7 +657,7 @@ def test_residual_checks_take_only_the_ring_moments_they_read(monkeypatch):
     assert calls == []
 
 
-def test_residual_checks_evaluate_mu_once_per_stencil_point(monkeypatch):
+def test_residual_checks_evaluate_mu_once_per_centre_and_ring_point(monkeypatch):
     # RING_POINTS + 1 distinct points per sample point: the centre and the
     # ring, shared by the residual and the Laplacian (the gauge modes need no
     # mu), all in one batch.  P is evaluated once per point too, in that

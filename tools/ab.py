@@ -24,7 +24,10 @@ every operation gave byte-identical outputs on both sides (exit status, stdout
 and stderr), printing the first operation that differs with both of its
 outputs; then the B/A time ratio of each timed repeat, their median, min and
 max, the repeats B won, and the Python version and CPU count.  The exit
-status is 1 on any byte difference, 0 otherwise; a ratio never fails.
+status is 1 on any byte difference, 0 otherwise; a ratio never fails.  An
+operation's exception is compared like any output, apart from a MemoryError:
+it ends the run with its traceback and no verdict, so a tree that allocates
+without end under a memory cap fails at once.
 """
 
 from __future__ import annotations
@@ -73,6 +76,8 @@ def _run_cli(side: dict, argv: tuple[str, ...]) -> tuple[object, str, str]:
             status = side["cli"].main(list(argv))
         except SystemExit as e:
             status = f"SystemExit {e.code!r}"
+        except MemoryError:
+            raise
         except Exception as e:  # compared like any output
             status = f"raised {type(e).__name__}: {e}"
     return status, out.getvalue(), err.getvalue()
@@ -81,6 +86,8 @@ def _run_cli(side: dict, argv: tuple[str, ...]) -> tuple[object, str, str]:
 def _from_roots(side: dict, spec: dict) -> object:
     try:
         return side["cpoly"].from_roots(spec["roots"])
+    except MemoryError:
+        raise
     except Exception as e:  # compared like any output
         return e
 
@@ -96,6 +103,8 @@ def _run_certify(side: dict, p: object, spec: dict) -> object:
         for lam in spec["lams"]:
             fp = side["transform"].FaddeevParams(p, lam)
             results.append((lam, fp.roots, side["transform"].verify_eigenfunction_identity(fp)))
+    except MemoryError:
+        raise
     except Exception as e:  # compared like any output
         return e
     return p, results
